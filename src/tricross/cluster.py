@@ -20,7 +20,7 @@ order for printing and division is descending lexicographic.
 
 from dataclasses import dataclass
 
-from .moves import _apply_22_full, MoveError
+from .moves import apply_22, face_map_22, MoveError
 
 
 class ExactDivisionError(ArithmeticError):
@@ -235,7 +235,8 @@ def exchange_22(state, site):
     """Advance by a 2<->2 move, exchanging the central white variable."""
     diagram = state.diagram
     face = diagram.face_by_key(site.face_key)
-    new_diagram, face_map, _ = _apply_22_full(diagram, site)
+    new_diagram = apply_22(diagram, site)
+    face_map = face_map_22(diagram, new_diagram, site)
     values = {}
     for key, val in state.values.items():
         values[face_map[key]] = val

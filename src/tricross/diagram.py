@@ -35,6 +35,7 @@ instances.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 
 class DiagramError(ValueError):
@@ -56,6 +57,14 @@ def port_str(port):
     if port[0] == 'b':
         return "B%d" % port[1]
     return "C%d.%d" % (port[1], port[2])
+
+
+@lru_cache(maxsize=256)
+def _port_texts(n, crossings):
+    """Port texts by int code: ``B0 .. B{2n-1}``, then ``C0.0 .. C{k-1}.5``."""
+    return tuple(["B%d" % i for i in range(2 * n)]
+                 + ["C%d.%d" % (c, s) for c in range(crossings)
+                    for s in range(6)])
 
 
 def parse_port(text):
@@ -170,10 +179,10 @@ class TripleDiagram:
         return self.sigma_inv(self.alpha(d))
 
     def all_darts(self):
-        darts = list(self.ports())
-        for i in range(2 * self.n):
-            darts.append(('+', i))
-            darts.append(('-', i))
+        """Every dart, in sorted order: the arc darts, then the ports."""
+        darts = [('+', i) for i in range(2 * self.n)]
+        darts += [('-', i) for i in range(2 * self.n)]
+        darts.extend(self.ports())
         return darts
 
     # ------------------------------------------------------------------
@@ -183,24 +192,35 @@ class TripleDiagram:
         """Interior faces with checkerboard colors, deterministic order."""
         if 'faces' in self._cache:
             return self._cache['faces']
-        orbits = self._orbits()
+        # validate() leaves the orbits it traced here for this one use, so
+        # the orbits are not traced twice, nor kept beside the faces
+        orbits = self._cache.pop('orbits', None)
+        if orbits is None:
+            orbits = self._orbits()
         records = []
         for orbit in orbits:
             if self.n > 0 and orbit[0][0] == '-':
                 continue  # the outer face
-            strand_dirs = set()
+            # a strand dart is a source port: an even endpoint, an odd slot
+            sources = sinks = 0
             boundary = False
             for d in orbit:
-                if d[0] in ('+', '-'):
-                    boundary = True
-                elif d[0] == 'b':
-                    boundary = True
-                    strand_dirs.add(is_source(d))
+                tag = d[0]
+                if tag == 'c':
+                    if d[2] % 2:
+                        sources += 1
+                    else:
+                        sinks += 1
                 else:
-                    strand_dirs.add(is_source(d))
-            if strand_dirs == {True}:
+                    boundary = True
+                    if tag == 'b':
+                        if d[1] % 2:
+                            sinks += 1
+                        else:
+                            sources += 1
+            if sources and not sinks:
                 color = 'white'
-            elif strand_dirs == {False}:
+            elif sinks and not sources:
                 color = 'black'
             else:
                 raise DiagramError("face with inconsistent strand orientations")
@@ -208,27 +228,41 @@ class TripleDiagram:
         if self.n == 0 and not self.crossings:
             faces = (Face(0, (), 'white', True, ()),)
         else:
-            records.sort(key=lambda r: r[0][0])
             faces = tuple(Face(i, r[0], r[1], r[2], r[0][0])
                           for i, r in enumerate(records))
         self._cache['faces'] = faces
         return faces
 
     def _orbits(self):
-        todo = set(self.all_darts())
+        """All phi-orbits, each starting at its minimal dart, in order.
+
+        The darts are swept in sorted order, so each dart not yet seen is
+        the minimum of its orbit."""
+        m = 2 * self.n
+        edges = self.edges
+        seen = set()
         orbits = []
-        while todo:
-            start = min(todo)
+        for start in self.all_darts():
+            if start in seen:
+                continue
             orbit = [start]
-            todo.discard(start)
-            d = self.phi(start)
-            while d != start:
+            d = start
+            while True:
+                # d = self.phi(d), inlined: the trace's inner loop
+                tag = d[0]
+                if tag == '+':
+                    d = ('b', (d[1] + 1) % m)
+                elif tag == '-':
+                    d = ('-', (d[1] - 1) % m)
+                else:
+                    q = edges[d]
+                    d = (('c', q[1], (q[2] - 1) % 6) if q[0] == 'c'
+                         else ('+', q[1]))
+                if d == start:
+                    break
                 orbit.append(d)
-                todo.discard(d)
-                d = self.phi(d)
-            m = orbit.index(min(orbit))
-            orbits.append(tuple(orbit[m:] + orbit[:m]))
-        orbits.sort(key=lambda o: o[0])
+            seen.update(orbit)
+            orbits.append(tuple(orbit))
         return orbits
 
     def face_of(self, dart):
@@ -238,10 +272,14 @@ class TripleDiagram:
         return self._cache['face_of'][dart]
 
     def face_by_key(self, key):
-        for f in self.faces():
-            if f.key == key:
-                return f
-        raise KeyError(key)
+        """The interior face with key dart ``key``; KeyError when none.
+
+        A face's key is one of its own darts, so the ``face_of`` table
+        finds it; only the empty disk's face has no dart (key ``()``)."""
+        face = self.faces()[0] if key == () else self.face_of(key)
+        if face.key != key:
+            raise KeyError(key)
+        return face
 
     # ------------------------------------------------------------------
     # validation
@@ -271,7 +309,8 @@ class TripleDiagram:
                 violations.append("involution broken at %s" % port_str(p))
         if violations:
             return violations
-        for p, q in self.edge_list():
+        edge_list = self.edge_list()
+        for p, q in edge_list:
             if is_source(p) == is_source(q):
                 violations.append("orientation clash on edge %s %s"
                                   % (port_str(p), port_str(q)))
@@ -285,6 +324,8 @@ class TripleDiagram:
         except KeyError:
             violations.append("corrupted involution")
             return violations
+        if 'faces' not in self._cache:
+            self._cache['orbits'] = orbits
         if self.n > 0:
             outer = None
             for orbit in orbits:
@@ -296,7 +337,7 @@ class TripleDiagram:
                 violations.append("boundary endpoints do not bound a single "
                                   "outer face in cyclic order")
                 return violations
-        for comp_v, comp_e, comp_f in self._components(orbits):
+        for comp_v, comp_e, comp_f in self._components(orbits, edge_list):
             if comp_v - comp_e + comp_f != 2:
                 violations.append("Euler characteristic violated "
                                   "(component V=%d E=%d F=%d)"
@@ -318,7 +359,7 @@ class TripleDiagram:
                 violations.append("free loop count %d < 1 at %r" % (count, key))
         return violations
 
-    def _components(self, orbits):
+    def _components(self, orbits, edge_list):
         """(V, E, F) per connected component of the dart structure."""
         parent = {}
 
@@ -342,12 +383,12 @@ class TripleDiagram:
         if self.n > 0:
             for i in range(2 * self.n):
                 union(('b', i), ('b', (i + 1) % (2 * self.n)))
-        for p, q in self.edge_list():
+        for p, q in edge_list:
             union(self._vert(p), self._vert(q))
         comp_v = {}
         for v in verts:
             comp_v.setdefault(find(v), [0, 0, 0])[0] += 1
-        for p, q in self.edge_list():
+        for p, q in edge_list:
             comp_v[find(self._vert(p))][1] += 1
         if self.n > 0:
             root = find(('b', 0))
@@ -478,7 +519,6 @@ class TripleDiagram:
         if 'canon' in self._cache:
             return self._cache['canon']
         label = {}
-        edges_out = []
 
         def norm(port):
             if port[0] == 'b':
@@ -486,23 +526,45 @@ class TripleDiagram:
             cid, phase = label[port[1]]
             return ('c', cid, (port[2] - phase) % 6)
 
-        def bfs(seeds, next_id):
-            queue = list(seeds)
-            qi = 0
-            while qi < len(queue):
-                p = queue[qi]
-                qi += 1
-                q = self.edges[p]
-                if q[0] == 'c' and q[1] not in label:
-                    phase = q[2] - (q[2] % 2)
-                    label[q[1]] = (next_id, phase % 6)
-                    next_id += 1
-                    for s in range(6):
-                        queue.append(('c', q[1], (phase + s) % 6))
-                edges_out.append((norm(p), norm(q)))
-            return next_id
+        # Breadth first from the endpoints, coding each port as an int
+        # that sorts like its normalized tuple: i for Bi, 2n + 6*cid + s
+        # for C<cid>.<s>.  Each edge (a, b), a < b, is met from both ends;
+        # it is coded a*width + b once, and the key lists it twice.
+        n2 = 2 * self.n
+        width = n2 + 6 * len(self.crossings)
+        edges = self.edges
+        order = []   # (crossing, phase) in label order
+        pairs = []
+        ports = [(i, ('b', i)) for i in range(n2)]
+        k = 0
+        while True:
+            for pc, p in ports:
+                q = edges[p]
+                if q[0] == 'b':
+                    qc = q[1]
+                else:
+                    lab = label.get(q[1])
+                    if lab is None:
+                        lab = label[q[1]] = (len(order), q[2] - q[2] % 2)
+                        order.append((q[1], lab[1]))
+                    qc = n2 + 6 * lab[0] + (q[2] - lab[1]) % 6
+                if pc < qc:
+                    pairs.append(pc * width + qc)
+            if k == len(order):
+                break
+            c, phase = order[k]
+            base = n2 + 6 * k
+            k += 1
+            ports = [(base + s, ('c', c, (phase + s) % 6)) for s in range(6)]
+        pairs.sort()
+        text = _port_texts(self.n, len(self.crossings))
+        edge_texts = []
+        for e in pairs:
+            t = text[e // width] + "-" + text[e % width]
+            edge_texts.append(t)
+            edge_texts.append(t)
 
-        nid = bfs([('b', i) for i in range(2 * self.n)], 0)
+        nid = len(label)
         # floating components: canonicalize each by minimizing over roots
         floating = [c for c in self.crossings if c not in label]
         float_codes = []
@@ -525,9 +587,7 @@ class TripleDiagram:
         loop_keys = sorted((self._canonical_face_key(k, norm), v)
                            for k, v in self.loops.items())
         parts = ["n=%d" % self.n,
-                 ";".join("%s-%s" % (port_str(p), port_str(q))
-                          for p, q in sorted(tuple(sorted((p, q)))
-                                             for p, q in edges_out)),
+                 ";".join(edge_texts),
                  "|".join(float_codes),
                  ",".join("%s:%d" % (k, v) for k, v in loop_keys)]
         result = ("\x1f".join(parts), dict(label))

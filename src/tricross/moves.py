@@ -16,6 +16,16 @@ The eight external legs keep their cyclic order and their through
 connectivity; the central face color is preserved.  This table is the
 dart-level transcription of the domino flip on a 2x2 block.
 
+The move is a local rewrite: the new diagram copies the edge involution
+and rewrites only the entries of the eight ports at slots ``x1, x1+1,
+x1+4, x1+5, y1, y1+1, y1+4, y1+5`` and of their partners.  The new site,
+the central bigon with darts ``(X, x1+4)`` and ``(Y, y1+4)``, is read
+off the template, so neither ``apply_22`` nor ``move_22`` traces a face
+of the new diagram.  The face correspondence (old face key -> new face
+key, ``face_map_22``) traces the new faces; it is computed only when the
+old diagram carries free loops, which must follow their faces, and when
+the cluster exchange asks for it to carry its variables.
+
 The 1->0 splice joins the former edges at slots ``j+3``/``j+4`` and
 ``j+2``/``j+5`` of the deleted crossing (``j``/``j+1`` carried the empty
 monogon edge); chains through the remaining slots are followed so that
@@ -160,43 +170,53 @@ def _carry_loops(old, new, face_map, extra=None):
 # the 2<->2 move
 
 def _apply_22_full(diagram, site):
-    face = _resolve_22(diagram, site)
-    (X, x1), (Y, y1) = face
-    port_map = {}
-    for k in (2, 3):
-        port_map[('c', X, (x1 + k) % 6)] = ('c', X, (x1 + k) % 6)
-        port_map[('c', Y, (y1 + k) % 6)] = ('c', Y, (y1 + k) % 6)
-    port_map[('c', X, (x1 + 4) % 6)] = ('c', Y, y1)
-    port_map[('c', X, (x1 + 5) % 6)] = ('c', Y, (y1 + 1) % 6)
-    port_map[('c', Y, (y1 + 4) % 6)] = ('c', X, x1)
-    port_map[('c', Y, (y1 + 5) % 6)] = ('c', X, (x1 + 1) % 6)
+    """(new diagram, new site) by the local rewrite of the module docstring."""
+    _resolve_22(diagram, site)
+    (X, x1), (Y, y1) = site.x, site.y
+    new = TripleDiagram(diagram.n, diagram.crossings, diagram.edges)
+    edges = new.edges  # the new diagram's own copy
+    # the four carried legs take over the old bigon ports; a leg whose
+    # partner is carried too follows it there
+    moved = _moved_22(X, x1, Y, y1)
+    for port, to in moved.items():
+        far = diagram.edges[port]
+        far = moved.get(far, far)
+        edges[to] = far
+        edges[far] = to
+    nx, ny = ('c', X, (x1 + 4) % 6), ('c', Y, (y1 + 4) % 6)
+    for p, q in ((nx, ('c', Y, (y1 + 5) % 6)), (ny, ('c', X, (x1 + 5) % 6))):
+        edges[p] = q
+        edges[q] = p
+    if diagram.loops:
+        face_map = face_map_22(diagram, new, site)
+        new = new.with_loops(_carry_loops(diagram, new, face_map))
+    return new, TwoTwoSite(min(nx, ny), nx[1:], ny[1:])
+
+
+def _moved_22(X, x1, Y, y1):
+    """Old port -> new port for the four legs a 2<->2 move carries over."""
+    return {('c', X, (x1 + 4) % 6): ('c', Y, y1),
+            ('c', X, (x1 + 5) % 6): ('c', Y, (y1 + 1) % 6),
+            ('c', Y, (y1 + 4) % 6): ('c', X, x1),
+            ('c', Y, (y1 + 5) % 6): ('c', X, (x1 + 1) % 6)}
+
+
+def face_map_22(old, new, site):
+    """Old face key -> new face key across the 2<->2 move at ``site``
+    that took ``old`` to ``new``; traces the faces of ``new``."""
+    (X, x1), (Y, y1) = site.x, site.y
+    port_map = _moved_22(X, x1, Y, y1)
     # the old bigon-edge ports carry different edges afterwards; never
     # use them as face-correspondence witnesses
-    port_map[('c', X, x1)] = None
-    port_map[('c', X, (x1 + 1) % 6)] = None
-    port_map[('c', Y, y1)] = None
-    port_map[('c', Y, (y1 + 1) % 6)] = None
-
-    e1 = frozenset((('c', X, x1), ('c', Y, (y1 + 1) % 6)))
-    e2 = frozenset((('c', Y, y1), ('c', X, (x1 + 1) % 6)))
-    new_edges = []
-    for p, q in diagram.edge_list():
-        if frozenset((p, q)) in (e1, e2):
-            continue
-        new_edges.append((port_map.get(p, p), port_map.get(q, q)))
-    new_edges.append((('c', X, (x1 + 4) % 6), ('c', Y, (y1 + 5) % 6)))
-    new_edges.append((('c', Y, (y1 + 4) % 6), ('c', X, (x1 + 5) % 6)))
-
-    new = TripleDiagram.from_edge_list(diagram.n, diagram.crossings, new_edges)
-    old_center = diagram.face_of(('c', X, x1)).key
+    for port in (('c', X, x1), ('c', X, (x1 + 1) % 6),
+                 ('c', Y, y1), ('c', Y, (y1 + 1) % 6)):
+        port_map[port] = None
     new_center = new.face_of(('c', X, (x1 + 4) % 6)).key
-    face_map = _face_map(diagram, new, port_map, {old_center: new_center})
-    new = new.with_loops(_carry_loops(diagram, new, face_map))
-    new_site = TwoTwoSite(new_center, (X, (x1 + 4) % 6), (Y, (y1 + 4) % 6))
-    return new, face_map, new_site
+    return _face_map(old, new, port_map, {site.face_key: new_center})
 
 
 def _resolve_22(diagram, site):
+    """Raise MoveError unless ``site`` is a 2<->2 site of ``diagram``."""
     try:
         face = diagram.face_by_key(site.face_key)
     except KeyError:
@@ -209,7 +229,6 @@ def _resolve_22(diagram, site):
         raise MoveError("2<->2 site needs two distinct crossings")
     if any(d[0] != 'c' for d in face.darts):
         raise MoveError("2<->2 site must be interior")
-    return (site.x, site.y)
 
 
 def apply_22(diagram, site):
@@ -219,7 +238,7 @@ def apply_22(diagram, site):
 
 def move_22(diagram, site):
     """(new diagram, Move record with forward and inverse site darts)."""
-    new, _, new_site = _apply_22_full(diagram, site)
+    new, new_site = _apply_22_full(diagram, site)
     mv = Move('22', (site.x, site.y, new_site.x, new_site.y))
     return new, mv
 

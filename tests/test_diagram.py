@@ -150,3 +150,31 @@ def test_sigma_alpha_orbits_cover_all_darts(rotation3):
         seen.update(f.darts)
     outer = set(('-', i) for i in range(2 * d.n))
     assert seen | outer == darts
+
+
+def test_faces_are_phi_orbits_from_their_minimal_dart():
+    from tricross import Region, enumerate_tilings, tiling_to_diagram
+    cases = [standard_diagram(Matching.from_dict(4, {0: 5, 2: 7, 4: 1, 6: 3})),
+             tiling_to_diagram(enumerate_tilings(Region.rectangle(4, 3))[0])]
+    for d in cases:
+        keys = []
+        for f in d.faces():
+            assert f.key == min(f.darts) == f.darts[0]
+            for a, b in zip(f.darts, f.darts[1:] + f.darts[:1]):
+                assert d.phi(a) == b
+            keys.append(f.key)
+        assert keys == sorted(keys)
+
+
+def test_face_by_key_finds_keys_only():
+    d = standard_diagram(Matching.from_dict(4, {0: 5, 2: 7, 4: 1, 6: 3}))
+    for f in d.faces():
+        assert d.face_by_key(f.key) is f
+        for dart in f.darts[1:]:
+            with pytest.raises(KeyError):
+                d.face_by_key(dart)
+    for stale in [('-', 0), ('c', 99, 0), ()]:
+        with pytest.raises(KeyError):
+            d.face_by_key(stale)
+    e = empty_diagram()
+    assert e.face_by_key(()) is e.faces()[0]

@@ -9,7 +9,7 @@ from tricross import (TripleDiagram, Matching, standard_diagram,
                       apply_01, drop_loop, add_loop, find_badgons,
                       is_minimal, replay, MoveError)
 from tricross.moves import (move_22, move_01, move_10, OneZeroSite, LoopSite,
-                            make_log, Move)
+                            make_log, Move, apply_move, face_map_22)
 from tricross.reduce import pattern_template, inflate
 from tricross.diagram import is_source
 
@@ -193,3 +193,93 @@ def test_badgon_presence_invariant_under_22():
                         assert (not find_badgons(nd)) == empty_before
                         checked += 1
     assert checked > 200
+
+
+# ----------------------------------------------------------------------
+# the 2<->2 move as a local rewrite
+
+def _rebuilt_22_edges(d, site):
+    """Reference: the 2<->2 move as a full rebuild from the edge list."""
+    (X, x1), (Y, y1) = site.x, site.y
+    port_map = {('c', X, (x1 + 4) % 6): ('c', Y, y1),
+                ('c', X, (x1 + 5) % 6): ('c', Y, (y1 + 1) % 6),
+                ('c', Y, (y1 + 4) % 6): ('c', X, x1),
+                ('c', Y, (y1 + 5) % 6): ('c', X, (x1 + 1) % 6)}
+    bigon = ({('c', X, x1), ('c', Y, (y1 + 1) % 6)},
+             {('c', Y, y1), ('c', X, (x1 + 1) % 6)})
+    edges = [(port_map.get(p, p), port_map.get(q, q))
+             for p, q in d.edge_list() if {p, q} not in bigon]
+    edges += [(('c', X, (x1 + 4) % 6), ('c', Y, (y1 + 5) % 6)),
+              (('c', Y, (y1 + 4) % 6), ('c', X, (x1 + 5) % 6))]
+    return TripleDiagram.from_edge_list(d.n, d.crossings, edges).edges
+
+
+def _check_local_22(d, site):
+    nd, mv = move_22(d, site)
+    assert nd.edges == _rebuilt_22_edges(d, site)
+    assert nd.validate() == []
+    assert apply_move(nd, mv.inverse()).canonical_key() == d.canonical_key()
+    (matching, closed), (matching2, closed2) = d.trace(), nd.trace()
+    assert matching2 == matching and len(closed2) == len(closed)
+    assert sum(nd.loops.values()) == sum(d.loops.values())
+    # the recorded new site is the new central bigon
+    new_x, new_y = mv.data[2], mv.data[3]
+    center = nd.face_of(('c',) + new_x)
+    assert set(center.darts) == {('c',) + new_x, ('c',) + new_y}
+    fmap = face_map_22(d, nd, site)
+    assert sorted(fmap) == sorted(f.key for f in d.faces())
+    assert sorted(fmap.values()) == sorted(f.key for f in nd.faces())
+    assert fmap[site.face_key] == center.key
+    moved = {site.x[0], site.y[0]}
+    for f in d.faces():
+        if not any(x[0] == 'c' and x[1] in moved for x in f.darts):
+            assert fmap[f.key] == f.key
+    return 1
+
+
+def _dual_4x3_graph():
+    from tricross import (Region, enumerate_tilings, tiling_to_diagram,
+                          enumerate_component)
+    tiling = enumerate_tilings(Region.rectangle(4, 3))[0]
+    return enumerate_component(tiling_to_diagram(tiling).trace()[0])
+
+
+def _diagrams_with_loops():
+    """Seeded inflations, and 4x3 dual vertices given free loops."""
+    out = []
+    for seed in range(16):
+        rng = random.Random(seed)
+        n = 3 + seed % 4
+        outs = [2 * i + 1 for i in range(n)]
+        rng.shuffle(outs)
+        m = Matching.from_dict(n, dict(zip(range(0, 2 * n, 2), outs)))
+        d, _ = inflate(standard_diagram(m), 1 + seed % 3, 1 + seed % 2,
+                       rng.randint(0, 4), rng)
+        out.append(d)
+    rng = random.Random(5)
+    for d in _dual_4x3_graph().vertices.values():
+        for _ in range(3):
+            d = add_loop(d, rng.choice(d.faces()).key)
+        out.append(d)
+    return out
+
+
+def test_local_22_on_every_site_of_the_4x3_move_graph():
+    graph = _dual_4x3_graph()
+    checked = sum(_check_local_22(d, site) for d in graph.vertices.values()
+                  for site in find_22_sites(d))
+    assert checked >= 2 * len(graph.edges)
+
+
+def test_local_22_on_every_site_of_inflations_with_loops():
+    diagrams = _diagrams_with_loops()
+    assert all(d.loops for d in diagrams)
+    checked = sum(_check_local_22(d, site) for d in diagrams
+                  for site in find_22_sites(d))
+    assert checked >= 40
+
+
+def test_local_22_traces_no_faces_without_loops():
+    left, _, _ = pattern_template('a', 2)
+    for site in find_22_sites(left):
+        assert 'faces' not in apply_22(left, site)._cache
