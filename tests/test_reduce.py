@@ -1,5 +1,6 @@
 """The reducer: straightening, standardization, connection, macros."""
 
+import hashlib
 import random
 
 import pytest
@@ -8,8 +9,10 @@ from tricross import (Matching, standard_diagram, to_standard,
                       reduce_to_minimal, connect_minimal, slide_macro,
                       pattern_template, inflate, is_minimal, replay,
                       find_badgons)
+from tricross.diagram import port_str
 from tricross.moves import apply_move, MoveError
-from tricross.reduce import straighten, is_boundary_parallel, ReductionError
+from tricross.reduce import (straighten, is_boundary_parallel, extract_region,
+                             ReductionError)
 
 from conftest import all_matchings
 
@@ -175,3 +178,53 @@ def test_reduce_drops_floating_component():
     assert final.canonical_key() == d0.canonical_key()
     kinds = log.counts()
     assert kinds.get('10', 0) == 1 and kinds.get('drop', 0) == 2
+
+
+def _extract_region_cases():
+    """Seeded crossing regions of inflations with free loops: the whole
+    crossing set, connected regions grown from a random crossing, and
+    random subsets (some of which are not disks)."""
+    for seed in range(24):
+        rng = random.Random(seed)
+        n = 2 + seed % 4
+        outs = [2 * i + 1 for i in range(n)]
+        rng.shuffle(outs)
+        m = Matching.from_dict(n, dict(zip(range(0, 2 * n, 2), outs)))
+        d, _ = inflate(standard_diagram(m), 1 + seed % 3, 1 + seed % 4,
+                       rng.randint(0, 6), rng)
+        yield d, list(d.crossings)
+        for _ in range(5):
+            size = rng.randint(1, d.crossing_count())
+            region = {rng.choice(d.crossings)}
+            todo = list(region)
+            while todo and len(region) < size:
+                c = todo.pop(rng.randrange(len(todo)))
+                for s in range(6):
+                    q = d.edges[('c', c, s)]
+                    if q[0] == 'c' and q[1] not in region and len(region) < size:
+                        region.add(q[1])
+                        todo.append(q[1])
+            yield d, sorted(region)
+        for _ in range(3):
+            yield d, rng.sample(d.crossings, rng.randint(1, d.crossing_count()))
+
+
+def test_extract_region_pinned():
+    """Sub-diagram keys, legs and refusals of ``extract_region``, pinned."""
+    lines = []
+    carried = 0
+    for d, region in _extract_region_cases():
+        try:
+            sub, legs = extract_region(d, region)
+        except ReductionError as exc:
+            lines.append("error %s" % exc)
+            continue
+        carried += bool(sub.loops)
+        lines.append("%s %s" % (sub.canonical_key(), " ".join(
+            port_str(p) + "-" + port_str(q) for p, q in legs)))
+    assert len(lines) == 216
+    assert sum(line.startswith("error ") for line in lines) == 11
+    assert carried == 92
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == ("c815fa4e000c102d3c9a3451e38af82c"
+                      "ada23bc6d53c5fbc19fd983db39621a1")
