@@ -18,7 +18,7 @@ from .movegraph import (enumerate_component, verify_theorem2, GuardExceeded,
                         ORACLE_MAX_N)
 from .domino import (enumerate_tilings, tiling_to_diagram, find_flips,
                      flips_commute_with_22)
-from .cluster import init_cluster, random_walk, laurent_audit
+from .cluster import init_cluster, random_walk, laurent_audit, dump_values
 from .render import RenderSpec, render_diagram, render_tiling
 from . import textio
 
@@ -193,7 +193,6 @@ def cmd_cluster(args):
     print("walk=%d all_laurent=%s all_positive=%s max_terms=%d"
           % (len(states) - 1, report["all_laurent"],
              report["all_positive"], report["max_terms"]))
-    from .cluster import dump_values
     _write(args.out, dump_values(states[-1]) + "\n")
     return 0
 

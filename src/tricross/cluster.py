@@ -20,7 +20,7 @@ order for printing and division is descending lexicographic.
 
 from dataclasses import dataclass
 
-from .moves import apply_22, face_map_22, MoveError
+from .moves import apply_22, face_map_22, find_22_sites, MoveError
 
 
 class ExactDivisionError(ArithmeticError):
@@ -283,7 +283,6 @@ def laurent_audit(states):
 
 def random_walk(state, length, rng):
     """Random 2<->2 walk; returns (states, sites, all_laurent flag)."""
-    from .moves import find_22_sites
     states = [state]
     sites = []
     ok = True

@@ -24,6 +24,7 @@ in-endpoint and asserts alternation rather than assuming it.
 """
 
 from .diagram import TripleDiagram
+from .moves import apply_22, find_22_sites
 
 
 class Region:
@@ -257,7 +258,6 @@ def tiling_to_diagram(tiling, with_map=False):
 
 def flip_central_face(tiling, site, diagram=None, dommap=None):
     """The 2<->2 site of the dual diagram matching a domino flip."""
-    from .moves import find_22_sites
     if diagram is None:
         diagram, dommap = tiling_to_diagram(tiling, with_map=True)
     x, y, h = site
@@ -273,7 +273,6 @@ def flip_central_face(tiling, site, diagram=None, dommap=None):
 
 def flips_commute_with_22(tiling, site):
     """Check flip-then-dualize equals dualize-then-2<->2, by canonical key."""
-    from .moves import apply_22
     diagram, dommap = tiling_to_diagram(tiling, with_map=True)
     s = flip_central_face(tiling, site, diagram, dommap)
     via_move = apply_22(diagram, s)

@@ -82,10 +82,6 @@ def walk_fillings(n, crossings, emit, want=None):
         if not items:
             emit(edges, next_id)
             return
-        while items and not items[0][0]:
-            if items[0][1] != 0:
-                return
-            items = items[1:]
         boundary, budget = items[0]
         tail = items[1:]
         p0 = boundary[0]

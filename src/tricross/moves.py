@@ -16,21 +16,23 @@ The eight external legs keep their cyclic order and their through
 connectivity; the central face color is preserved.  This table is the
 dart-level transcription of the domino flip on a 2x2 block.
 
-The move is a local rewrite: the new diagram copies the edge involution
-and rewrites only the entries of the eight ports at slots ``x1, x1+1,
-x1+4, x1+5, y1, y1+1, y1+4, y1+5`` and of their partners.  The new site,
-the central bigon with darts ``(X, x1+4)`` and ``(Y, y1+4)``, is read
-off the template, so neither ``apply_22`` nor ``move_22`` traces a face
-of the new diagram.  The face correspondence (old face key -> new face
-key, ``face_map_22``) traces the new faces; it is computed only when the
-old diagram carries free loops, which must follow their faces, and when
-the cluster exchange asks for it to carry its variables.
-
 The 1->0 splice joins the former edges at slots ``j+3``/``j+4`` and
 ``j+2``/``j+5`` of the deleted crossing (``j``/``j+1`` carried the empty
 monogon edge); chains through the remaining slots are followed so that
 self-edges collapse correctly, producing free loops when a closed
-strand loses its last crossing.
+strand loses its last crossing.  The 0->1 move (``apply_01``) is its
+inverse: it detours two edges of a face through a new crossing.
+
+Every move is a local rewrite of the edge involution by one helper,
+``_rewrite``: it copies the edge dict, deletes the ports of a removed
+crossing and joins the given port pairs, so only the ports next to the
+move change.  The new 2<->2 site, the central bigon with darts
+``(X, x1+4)`` and ``(Y, y1+4)``, is read off the template.  The new
+faces are traced only to carry free loops, in one step that runs only
+when the input has loops or a 1->0 move closes one: the face
+correspondence (old face key -> new face key; ``face_map_22`` for the
+2<->2 move, which the cluster exchange also uses to carry its
+variables) places them, and they land on a ``with_loops`` copy.
 """
 
 from dataclasses import dataclass
@@ -132,7 +134,27 @@ def find_loop_sites(diagram):
 
 
 # ----------------------------------------------------------------------
-# face correspondence helper
+# the one rewrite behind every move, and the free loops it carries
+
+def _rewrite(diagram, joins, removed=None, added=None):
+    """A copy of ``diagram``, free loops left off, with the ports of
+    crossing ``removed`` deleted and each port pair of ``joins`` made an
+    edge, in order; ``added`` names a new crossing."""
+    crossings = diagram.crossings
+    if removed is not None:
+        crossings = [c for c in crossings if c != removed]
+    if added is not None:
+        crossings += (added,)
+    new = TripleDiagram(diagram.n, crossings, diagram.edges)
+    edges = new.edges  # the new diagram's own copy
+    if removed is not None:
+        for s in range(6):
+            del edges[('c', removed, s)]
+    for p, q in joins:
+        edges[p] = q
+        edges[q] = p
+    return new
+
 
 def _face_map(old, new, port_map, forced):
     """Map each old face key to a new face key via surviving darts."""
@@ -156,13 +178,12 @@ def _face_map(old, new, port_map, forced):
     return mapping
 
 
-def _carry_loops(old, new, face_map, extra=None):
+def _carry_loops(old, face_map):
+    """The free loops of ``old``, moved to their faces under ``face_map``."""
     loops = {}
     for key, count in old.loops.items():
         nk = face_map[key]
         loops[nk] = loops.get(nk, 0) + count
-    for key, count in (extra or {}).items():
-        loops[key] = loops.get(key, 0) + count
     return loops
 
 
@@ -173,23 +194,19 @@ def _apply_22_full(diagram, site):
     """(new diagram, new site) by the local rewrite of the module docstring."""
     _resolve_22(diagram, site)
     (X, x1), (Y, y1) = site.x, site.y
-    new = TripleDiagram(diagram.n, diagram.crossings, diagram.edges)
-    edges = new.edges  # the new diagram's own copy
     # the four carried legs take over the old bigon ports; a leg whose
     # partner is carried too follows it there
     moved = _moved_22(X, x1, Y, y1)
+    joins = []
     for port, to in moved.items():
         far = diagram.edges[port]
-        far = moved.get(far, far)
-        edges[to] = far
-        edges[far] = to
+        joins.append((to, moved.get(far, far)))
     nx, ny = ('c', X, (x1 + 4) % 6), ('c', Y, (y1 + 4) % 6)
-    for p, q in ((nx, ('c', Y, (y1 + 5) % 6)), (ny, ('c', X, (x1 + 5) % 6))):
-        edges[p] = q
-        edges[q] = p
+    joins += [(nx, ('c', Y, (y1 + 5) % 6)), (ny, ('c', X, (x1 + 5) % 6))]
+    new = _rewrite(diagram, joins)
     if diagram.loops:
         face_map = face_map_22(diagram, new, site)
-        new = new.with_loops(_carry_loops(diagram, new, face_map))
+        new = new.with_loops(_carry_loops(diagram, face_map))
     return new, TwoTwoSite(min(nx, ny), nx[1:], ny[1:])
 
 
@@ -254,9 +271,9 @@ def resolve_22_by_darts(diagram, x, y):
 # ----------------------------------------------------------------------
 # the 1->0 move and its inverse
 
-def _apply_10_full(diagram, site):
+def apply_10(diagram, site):
+    """Delete the crossing under an empty monogon; splices j+3<->j+4, j+2<->j+5."""
     c, j = site.crossing, site.slot
-    petal = frozenset((('c', c, j), ('c', c, (j + 1) % 6)))
     if diagram.edges.get(('c', c, j)) != ('c', c, (j + 1) % 6):
         raise MoveError("stale 1->0 site: no monogon edge")
     face = diagram.face_of(('c', c, j))
@@ -270,7 +287,7 @@ def _apply_10_full(diagram, site):
         partner[a % 6] = b % 6
         partner[b % 6] = a % 6
     slots = sorted(partner)
-    new_edges = []
+    joins = []
     loops_made = 0
     consumed = set()
     anchor = None
@@ -290,7 +307,7 @@ def _apply_10_full(diagram, site):
                 consumed.add(far[2])
                 cur = partner[far[2]]
             else:
-                new_edges.append((start, far))
+                joins.append((start, far))
                 anchor = start
                 break
     for s in slots:
@@ -304,33 +321,16 @@ def _apply_10_full(diagram, site):
             consumed.add(far[2])
             cur = partner[far[2]]
         loops_made += 1
-    for p, q in diagram.edge_list():
-        if ('c', c) == p[:2] or ('c', c) == q[:2]:
-            continue
-        new_edges.append((p, q))
-    crossings = [k for k in diagram.crossings if k != c]
-    new = TripleDiagram.from_edge_list(diagram.n, crossings, new_edges)
-    port_map = {}
-    face_map = _face_map(diagram, new, port_map, {})
-    extra = {}
-    if loops_made:
-        if anchor is not None:
-            home = new.face_of(anchor).key
-        else:
-            home = new.faces()[0].key
-        extra[home] = loops_made
-    new = new.with_loops(_carry_loops(diagram, new, face_map, extra))
-    return new, face_map
-
-
-def apply_10(diagram, site):
-    """Delete the crossing under an empty monogon; splices j+3<->j+4, j+2<->j+5."""
-    return _apply_10_full(diagram, site)[0]
-
-
-def move_10(diagram, site):
-    new, _ = _apply_10_full(diagram, site)
-    return new, Move('10', (site.crossing, site.slot))
+    new = _rewrite(diagram, joins, removed=c)
+    if diagram.loops or loops_made:
+        face_map = _face_map(diagram, new, {}, {}) if diagram.loops else {}
+        loops = _carry_loops(diagram, face_map)
+        if loops_made:
+            home = (new.faces()[0] if anchor is None
+                    else new.face_of(anchor)).key
+            loops[home] = loops.get(home, 0) + loops_made
+        new = new.with_loops(loops)
+    return new
 
 
 # ----------------------------------------------------------------------
@@ -345,11 +345,6 @@ def apply_01(diagram, edge_p, edge_q, side):
     strand through ``edge_p`` acquires a self-intersection at a fresh
     crossing; the matching is unchanged.
     """
-    new, _, _ = _apply_01_full(diagram, edge_p, edge_q, side)
-    return new
-
-
-def _apply_01_full(diagram, edge_p, edge_q, side):
     a_src = edge_p if is_source(edge_p) else diagram.edges[edge_p]
     c_src = edge_q if is_source(edge_q) else diagram.edges[edge_q]
     if a_src == c_src:
@@ -361,32 +356,21 @@ def _apply_01_full(diagram, edge_p, edge_q, side):
     if not (c_src in face.darts or d_dst in face.darts):
         raise MoveError("edges do not share the chosen face")
     c = max(diagram.crossings, default=-1) + 1
-    new_edges = [e for e in diagram.edge_list()
-                 if frozenset(e) not in (frozenset((a_src, b_dst)),
-                                         frozenset((c_src, d_dst)))]
     if face.color == 'black':
         # petal edge on slots (0, 1)
-        new_edges += [(a_src, ('c', c, 4)), (('c', c, 3), b_dst),
-                      (('c', c, 1), ('c', c, 0)),
-                      (c_src, ('c', c, 2)), (('c', c, 5), d_dst)]
-        petal = 0
+        joins = [(a_src, ('c', c, 4)), (('c', c, 3), b_dst),
+                 (('c', c, 1), ('c', c, 0)),
+                 (c_src, ('c', c, 2)), (('c', c, 5), d_dst)]
     else:
         # petal edge on slots (1, 2)
-        new_edges += [(a_src, ('c', c, 4)), (('c', c, 5), b_dst),
-                      (('c', c, 1), ('c', c, 2)),
-                      (c_src, ('c', c, 0)), (('c', c, 3), d_dst)]
-        petal = 1
-    new = TripleDiagram.from_edge_list(diagram.n, diagram.crossings + (c,),
-                                       new_edges)
-    port_map = {}
-    face_map = _face_map(diagram, new, port_map, {})
-    new = new.with_loops(_carry_loops(diagram, new, face_map))
-    return new, face_map, OneZeroSite(c, petal)
-
-
-def move_01(diagram, edge_p, edge_q, side):
-    new, _, site = _apply_01_full(diagram, edge_p, edge_q, side)
-    return new, Move('01', (edge_p, edge_q, side)), site
+        joins = [(a_src, ('c', c, 4)), (('c', c, 5), b_dst),
+                 (('c', c, 1), ('c', c, 2)),
+                 (c_src, ('c', c, 0)), (('c', c, 3), d_dst)]
+    new = _rewrite(diagram, joins, added=c)
+    if diagram.loops:
+        face_map = _face_map(diagram, new, {}, {})
+        new = new.with_loops(_carry_loops(diagram, face_map))
+    return new
 
 
 # ----------------------------------------------------------------------

@@ -29,7 +29,9 @@ crossing count never increases between the explicit 1->0 steps.
 """
 
 from .diagram import TripleDiagram, is_source
-from .standard import standard_diagram, select_interval, STRATEGIES
+from .domino import Region, Tiling, tiling_to_diagram
+from .standard import (standard_diagram, select_interval, interval_interior,
+                       STRATEGIES)
 from .moves import (Move, MoveError, find_22_sites,
                     find_10_sites, move_22, apply_move, make_log, is_minimal)
 
@@ -95,22 +97,11 @@ def extract_region(diagram, crossings):
     2<->2 and 1->0 moves found in the sub apply verbatim to the parent.
     """
     legs = region_legs(diagram, crossings)
-    cs = set(crossings)
-    edges = []
-    for i, (inner, outer) in enumerate(legs):
+    for i, (inner, _) in enumerate(legs):
         if (i % 2 == 0) == is_source(inner):
             raise ReductionError("region legs do not alternate")
-        edges.append((('b', i), inner))
-    for p, q in diagram.edge_list():
-        if p[0] == 'c' and p[1] in cs and q[0] == 'c' and q[1] in cs:
-            edges.append((p, q))
-    sub = TripleDiagram.from_edge_list(len(legs) // 2, sorted(cs), edges)
-    loops = {}
-    for key, count in diagram.loops.items():
-        face = diagram.face_by_key(key)
-        if face.darts and all(d[0] == 'c' and d[1] in cs for d in face.darts):
-            loops[key] = count
-    sub = sub.with_loops(loops)
+    sub = _build_residual(diagram, set(crossings),
+                          [(i, outer) for i, (_, outer) in enumerate(legs)])
     sub.check()
     return sub, legs
 
@@ -125,20 +116,11 @@ def _strand_from(diagram, idx):
     raise ReductionError("no strand at endpoint %d" % idx)
 
 
-def _interval_span(n, a, b, dirn):
-    out = []
-    cur = (a + dirn) % (2 * n)
-    while cur != b:
-        out.append(cur)
-        cur = (cur + dirn) % (2 * n)
-    return out
-
-
 def is_boundary_parallel(diagram, a, dirn):
     """Is the strand at ``a`` boundary-parallel along its dirn interval?"""
     s = _strand_from(diagram, a)
     b = s['end']
-    interior = _interval_span(diagram.n, a, b, dirn)
+    interior = interval_interior(2 * diagram.n, a, b, dirn)
     k = len(interior) // 2
     visits = s['visits']
     if len(visits) != k or len(set(c for c, _ in visits)) != k:
@@ -164,7 +146,7 @@ def _under_region(diagram, a, dirn):
     strand's edges and the interval's boundary arcs."""
     s = _strand_from(diagram, a)
     b = s['end']
-    interior = _interval_span(diagram.n, a, b, dirn)
+    interior = interval_interior(2 * diagram.n, a, b, dirn)
     span = [a] + interior + [b]
     blocked_arcs = set()
     for i in range(len(span) - 1):
@@ -438,7 +420,7 @@ def _clear_petal(diagram, strand, rev, log, depth):
 
 def _empty_side(sub, a, b):
     for dirn in (1, -1):
-        if not _interval_span(sub.n, a, b, dirn):
+        if not interval_interior(2 * sub.n, a, b, dirn):
             return dirn
     raise ReductionError("loop legs are not adjacent")
 
@@ -503,11 +485,11 @@ def _remove_double(diagram, a, dirn, dbl, log, depth):
         s_cross = set(c for c, _ in _strand_from(diagram, a)['visits'])
         dsub = None
         for cand in (1, -1):
-            span = _interval_span(sub.n, a_idx, b_idx, cand)
+            span = interval_interior(2 * sub.n, a_idx, b_idx, cand)
             if all(legs[t][1][0] == 'c' and legs[t][1][1] in s_cross
                    for t in span):
                 if dsub is None or len(span) < len(
-                        _interval_span(sub.n, a_idx, b_idx, dsub)):
+                        interval_interior(2 * sub.n, a_idx, b_idx, dsub)):
                     dsub = cand
         if dsub is None:
             raise ReductionError("no S-side span for the double piece")
@@ -552,7 +534,7 @@ def _comb_potential(diagram, a, dirn):
     under_faces, under_cross = _under_region(diagram, a, dirn)
     s_main = _strand_from(diagram, a)
     s_set = set(c for c, _ in s_main['visits'])
-    interior = _interval_span(diagram.n, a, s_main['end'], dirn)
+    interior = interval_interior(2 * diagram.n, a, s_main['end'], dirn)
     detours = 0
     for e in interior:
         strand = None
@@ -665,17 +647,15 @@ def to_standard(diagram, strategy="inclusion"):
     matching, _ = diagram.trace()
     log = []
     # top-level loops and floating junk go first
-    while diagram.loops:
-        key = sorted(diagram.loops)[0]
-        diagram = _apply_all(diagram, [Move('drop', (key,))], log)
     while True:
+        if diagram.loops:
+            key = sorted(diagram.loops)[0]
+            diagram = _apply_all(diagram, [Move('drop', (key,))], log)
+            continue
         moved = _dissolve_one_floating(diagram, log, 0)
         if moved is None:
             break
         diagram = moved
-        while diagram.loops:
-            key = sorted(diagram.loops)[0]
-            diagram = _apply_all(diagram, [Move('drop', (key,))], log)
 
     frozen = set()
     frontier = [(i, ('b', i)) for i in range(2 * diagram.n)]
@@ -706,7 +686,7 @@ def to_standard(diagram, strategy="inclusion"):
         # freeze the laid strand and swap the frontier keys over it
         s = _strand_from(sub2, a_idx)
         assert is_boundary_parallel(sub2, a_idx, dirn)
-        interior = _interval_span(sub2.n, a_idx, b_idx, dirn)
+        interior = interval_interior(2 * sub2.n, a_idx, b_idx, dirn)
         new_frontier = {k: p for k, p in frontier}
         for j, (c, e) in enumerate(s['visits']):
             o_key = keys[interior[2 * j]]
@@ -792,7 +772,6 @@ def pattern_tilings(pattern, repeats):
     across the strip, 'c' exchanges the horizontal and brick phases of
     a 3-row strip.
     """
-    from .domino import Region, Tiling
     r = repeats
     if r < 1:
         raise ValueError("need at least one central repeat")
@@ -821,14 +800,10 @@ def pattern_tilings(pattern, repeats):
 
 def pattern_template(pattern, repeats):
     """(left diagram, window ids in template order, right diagram)."""
-    from .domino import tiling_to_diagram
     left, right = pattern_tilings(pattern, repeats)
     d_left, dommap = tiling_to_diagram(left, with_map=True)
     d_right = tiling_to_diagram(right)
-    window = [None] * len(dommap)
-    for dom, idx in dommap.items():
-        window[idx] = idx
-    return d_left, window, d_right
+    return d_left, list(range(len(dommap))), d_right
 
 
 def match_window(diagram, template, window):

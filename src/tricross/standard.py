@@ -50,7 +50,7 @@ def minimal_crossing_count(matching, basepoint=0):
     return count
 
 
-def _interval_interior(m, pa, pb, dirn):
+def interval_interior(m, pa, pb, dirn):
     """Positions strictly between pa and pb walking in direction dirn."""
     out = []
     p = (pa + dirn) % m
@@ -79,7 +79,7 @@ def select_interval(keys, pairing, strategy):
                 if want_dirn is not None and dirn != want_dirn:
                     continue
                 interior = [keys[p] for p in
-                            _interval_interior(m, index[a], index[b], dirn)]
+                            interval_interior(m, index[a], index[b], dirn)]
                 inside = set(interior)
                 # laying across a fully-enclosed pair breaks minimality;
                 # only pair-free intervals are admissible

@@ -7,7 +7,7 @@ every list is emitted in a fixed order.
 import hashlib
 
 from .diagram import TripleDiagram, Matching, port_str, parse_port
-from .moves import Move, MoveLog, apply_move
+from .moves import Move, MoveLog, apply_move, move_22, resolve_22_by_darts
 from .domino import Region, Tiling
 
 
@@ -279,9 +279,8 @@ def read_movelog(text, initial, name="<movelog>"):
             if parts[0] == "22":
                 face = cur.faces()[int(parts[1])]
                 d1, d2 = face.darts
-                mv = Move('22', ((d1[1], d1[2]), (d2[1], d2[2]), None, None))
-                from .moves import resolve_22_by_darts, move_22
-                site = resolve_22_by_darts(cur, mv.data[0], mv.data[1])
+                site = resolve_22_by_darts(cur, (d1[1], d1[2]),
+                                           (d2[1], d2[2]))
                 cur, mv = move_22(cur, site)
             elif parts[0] == "10":
                 token = parts[1][1:] if parts[1].startswith("C") else parts[1]

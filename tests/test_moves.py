@@ -8,8 +8,8 @@ from tricross import (TripleDiagram, Matching, standard_diagram,
                       find_22_sites, find_10_sites, apply_22, apply_10,
                       apply_01, drop_loop, add_loop, find_badgons,
                       is_minimal, replay, MoveError)
-from tricross.moves import (move_22, move_01, move_10, OneZeroSite, LoopSite,
-                            make_log, Move, apply_move, face_map_22)
+from tricross.moves import (move_22, OneZeroSite, LoopSite, make_log, Move,
+                            apply_move, face_map_22)
 from tricross.reduce import pattern_template, inflate
 from tricross.diagram import is_source
 
@@ -283,3 +283,161 @@ def test_local_22_traces_no_faces_without_loops():
     left, _, _ = pattern_template('a', 2)
     for site in find_22_sites(left):
         assert 'faces' not in apply_22(left, site)._cache
+
+
+# ----------------------------------------------------------------------
+# the 1->0 and 0->1 moves as local rewrites
+
+def _rebuilt(d, crossings, cut, joins, made=0, home=None):
+    """Reference: a move as a full rebuild from the edge list.
+
+    The edges at the ports in ``cut`` give way to ``joins``.  Each old
+    face's free loops go to the new face of its first dart that survives
+    (the first new face when none does); ``made`` new loops go to the
+    face left of the dart ``home`` (the first new face when None)."""
+    edges = [e for e in d.edge_list() if not cut & set(e)] + joins
+    new = TripleDiagram.from_edge_list(d.n, crossings, edges)
+    face_at = {x: f.key for f in new.faces() for x in f.darts}
+    first = new.faces()[0].key
+    loops = {}
+    for f in d.faces():
+        if d.loops.get(f.key):
+            key = next((face_at[x] for x in f.darts if x in face_at), first)
+            loops[key] = loops.get(key, 0) + d.loops[f.key]
+    if made:
+        key = first if home is None else face_at[home]
+        loops[key] = loops.get(key, 0) + made
+    return new.with_loops(loops)
+
+
+def _rebuilt_10(d, site):
+    """Reference 1->0: every chain of edges through the deleted crossing
+    (slots j+2/j+5 and j+3/j+4 pass through) becomes one edge; chains
+    closed on the crossing become free loops, placed left of the outer
+    end at the lower slot of the chain whose lower slot is highest."""
+    c, j = site.crossing, site.slot
+    through = {}
+    for a, b in ((j + 2, j + 5), (j + 3, j + 4)):
+        through[a % 6], through[b % 6] = b % 6, a % 6
+
+    def run(s):
+        """(port the chain entering at slot s leaves by, slots it uses)."""
+        used = []
+        while True:
+            used += [s, through[s]]
+            q = d.edges[('c', c, through[s])]
+            if q[:2] != ('c', c) or q[2] == used[0]:
+                return q, used
+            s = q[2]
+
+    chains = []  # (outer end at the lower slot, other outer end, slots)
+    for s in sorted(through):
+        start = d.edges[('c', c, s)]
+        if start[:2] != ('c', c):
+            far, used = run(s)
+            if s < used[-1]:
+                chains.append((start, far, used))
+    used = {s for _, _, slots in chains for s in slots}
+    made = 0
+    for s in sorted(through):
+        if s not in used:
+            used.update(run(s)[1])
+            made += 1
+    joins = [(start, far) for start, far, _ in chains]
+    home = chains[-1][0] if chains else None
+    return _rebuilt(d, [k for k in d.crossings if k != c],
+                    {('c', c, s) for s in range(6)}, joins, made, home)
+
+
+def _rebuilt_01(d, edge_p, edge_q, side):
+    """Reference 0->1: the edges a->b of ``edge_p`` and c->e of ``edge_q``
+    detour through a new crossing k with its petal edge on slots (0, 1)
+    when the shared face is black, on (1, 2) when it is white."""
+    a = edge_p if is_source(edge_p) else d.edges[edge_p]
+    c = edge_q if is_source(edge_q) else d.edges[edge_q]
+    b, e = d.edges[a], d.edges[c]
+    k = max(d.crossings, default=-1) + 1
+    black = d.face_of(a if side == 'l' else b).color == 'black'
+    # the slots a enters at, b is left from, the petal's two, the slots
+    # c enters at and e is left from
+    ia, ob, (p, q), ic, oe = ((4, 3, (1, 0), 2, 5) if black
+                              else (4, 5, (1, 2), 0, 3))
+    joins = [(a, ('c', k, ia)), (('c', k, ob), b), (('c', k, p), ('c', k, q)),
+             (c, ('c', k, ic)), (('c', k, oe), e)]
+    return _rebuilt(d, d.crossings + (k,), {a, c}, joins)
+
+
+def _01_candidates(d):
+    """Every (edge_p, edge_q, side) that ``inflate`` can pick in ``d``."""
+    out = []
+    for f in d.faces():
+        darts, seen = [], set()
+        for x in f.darts:
+            if x[0] in ('b', 'c') and frozenset((x, d.edges[x])) not in seen:
+                seen.add(frozenset((x, d.edges[x])))
+                darts.append(x)
+        for dp in darts:
+            for dq in darts:
+                if dq != dp:
+                    out.append((dp if is_source(dp) else d.edges[dp],
+                                dq if is_source(dq) else d.edges[dq],
+                                'l' if is_source(dp) else 'r'))
+    return out
+
+
+def _same(new, ref):
+    # the move leaves no face table on its result
+    assert 'faces' not in new._cache
+    assert new.edges == ref.edges
+    assert new.crossings == ref.crossings
+    assert new.loops == ref.loops
+    assert new.validate() == []
+    return 1
+
+
+def _island():
+    return TripleDiagram.from_edge_list(
+        0, [7], [(('c', 7, 1), ('c', 7, 0)), (('c', 7, 3), ('c', 7, 4)),
+                 (('c', 7, 5), ('c', 7, 2))])
+
+
+def _10_01_diagrams():
+    """Seeded inflations with and without free loops, the floating
+    island alone and beside a standard diagram, and an arc through the
+    self-crossing of a closed figure eight (a 1->0 there closes a loop
+    beside the arc)."""
+    out = []
+    for seed in range(12):
+        rng = random.Random(seed)
+        n = 2 + seed % 3
+        outs = [2 * i + 1 for i in range(n)]
+        rng.shuffle(outs)
+        m = Matching.from_dict(n, dict(zip(range(0, 2 * n, 2), outs)))
+        d, _ = inflate(standard_diagram(m), 1 + seed % 3, 1 + seed % 2,
+                       rng.randint(0, 4), rng)
+        out += [d, d.with_loops({})]
+    d0 = standard_diagram(Matching.from_dict(2, {0: 3, 2: 1}))
+    out += [_island(), TripleDiagram.from_edge_list(
+        2, d0.crossings + (7,), d0.edge_list() + _island().edge_list())]
+    out.append(TripleDiagram.from_edge_list(1, [0], [
+        (('b', 0), ('c', 0, 2)), (('c', 0, 5), ('b', 1)),
+        (('c', 0, 1), ('c', 0, 0)), (('c', 0, 3), ('c', 0, 4))]))
+    return out
+
+
+def test_local_10_matches_the_full_rebuild():
+    checked = made = 0
+    for d in _10_01_diagrams():
+        for site in find_10_sites(d):
+            new = apply_10(d, site)
+            checked += _same(new, _rebuilt_10(d, site))
+            made += sum(new.loops.values()) > sum(d.loops.values())
+    assert checked >= 40 and made >= 6
+
+
+def test_local_01_matches_the_full_rebuild():
+    checked = 0
+    for d in _10_01_diagrams():
+        for cand in _01_candidates(d):
+            checked += _same(apply_01(d, *cand), _rebuilt_01(d, *cand))
+    assert checked >= 1000
