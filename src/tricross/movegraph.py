@@ -1,23 +1,25 @@
 """The 2<->2 move graph on minimal diagrams, with a brute-force oracle.
 
-``enumerate_component`` closes the standard diagram of a matching under
-2<->2 moves.  ``enumerate_connected_diagrams`` independently generates
-every connected diagram with a given trace and crossing count by
-recursive disk decomposition: the first boundary port of a sub-disk
-either closes to another of its boundary ports (splitting the disk in
-two) or feeds a fresh crossing whose remaining five legs join the
-working boundary.  Planarity is built in, every crossing hangs off the
-boundary circle, and duplicates are removed by canonical key.  The
-generator never consults the move system, so comparing the two sides
-genuinely checks the claim that 2<->2 moves connect all minimal
-diagrams of a matching.
+``closure`` is the one breadth-first walk over 2<->2 moves, optionally
+confined to a set of crossings.  ``enumerate_component`` consumes it to
+close the standard diagram of a matching under 2<->2 moves; so do the
+reducer's window searches and slide macros.
+``enumerate_connected_diagrams`` independently generates every connected
+diagram with a given trace and crossing count by recursive disk
+decomposition: the first boundary port of a sub-disk either closes to
+another of its boundary ports (splitting the disk in two) or feeds a
+fresh crossing whose remaining five legs join the working boundary.
+Planarity is built in, every crossing hangs off the boundary circle,
+and duplicates are removed by canonical key.  The generator never
+consults the move system, so comparing the two sides genuinely checks
+the claim that 2<->2 moves connect all minimal diagrams of a matching.
 """
 
 from dataclasses import dataclass
 
 from .diagram import TripleDiagram, is_source
 from .standard import standard_diagram, minimal_crossing_count
-from .moves import find_22_sites, apply_22, find_badgons
+from .moves import find_22_sites, move_22, find_badgons
 
 ORACLE_MAX_N = 4
 ORACLE_MAX_CROSSINGS = 5
@@ -37,27 +39,47 @@ class MoveGraph:
         return len(self.vertices)
 
 
+def closure(diagram, inside=None):
+    """Breadth-first walk of the 2<->2 moves reachable from ``diagram``.
+
+    Yields (d, site, move, nd, new) for every move taken, where ``move``
+    takes ``d`` at ``site`` to ``nd`` and ``new`` is true the first time
+    ``nd``'s canonical key appears; only new states are expanded.  With
+    ``inside`` (a set of crossing ids), only moves whose two crossings
+    are both in it are taken.
+    """
+    seen = {diagram.canonical_key()}
+    frontier = [diagram]
+    while frontier:
+        nxt = []
+        for d in frontier:
+            for site in find_22_sites(d):
+                if inside is not None and (site.x[0] not in inside
+                                           or site.y[0] not in inside):
+                    continue
+                nd, move = move_22(d, site)
+                key = nd.canonical_key()
+                new = key not in seen
+                if new:
+                    seen.add(key)
+                    nxt.append(nd)
+                yield d, site, move, nd, new
+        frontier = nxt
+
+
 def enumerate_component(matching, strategy="inclusion"):
     """BFS closure of the standard diagram under 2<->2 moves."""
     root = standard_diagram(matching, strategy)
     rk = root.canonical_key()
     vertices = {rk: root}
     edges = {}
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for d in frontier:
-            dk = d.canonical_key()
-            for site in find_22_sites(d):
-                nd = apply_22(d, site)
-                nk = nd.canonical_key()
-                pair = frozenset((dk, nk))
-                if pair not in edges:
-                    edges[pair] = d.face_by_key(site.face_key).index
-                if nk not in vertices:
-                    vertices[nk] = nd
-                    nxt.append(nd)
-        frontier = nxt
+    for d, site, _, nd, new in closure(root):
+        nk = nd.canonical_key()
+        if new:
+            vertices[nk] = nd
+        pair = frozenset((d.canonical_key(), nk))
+        if pair not in edges:
+            edges[pair] = d.face_by_key(site.face_key).index
     return MoveGraph(rk, vertices, edges)
 
 

@@ -396,42 +396,32 @@ def add_loop(diagram, face_key):
 # ----------------------------------------------------------------------
 # badgons and minimality
 
-def _has_forward(strand, x, y):
-    """Is there a subpath of the strand from crossing x to crossing y?"""
-    if strand['kind'] == 'closed':
-        return True
-    seq = [c for c, _ in strand['visits']]
-    first_x = min(i for i, c in enumerate(seq) if c == x)
-    return any(c == y for c in seq[first_x + 1:])
-
-
 def find_badgons(diagram):
     """Monogons, parallel bigons and free simple loops, complete list."""
     out = []
     strands = diagram.strands()
+    visits = []  # per strand: (closed, first visit, last visit) by crossing
     for idx, s in enumerate(strands):
-        seq = [c for c, _ in s['visits']]
-        seen = set()
-        dup = set()
-        for c in seq:
-            if c in seen:
-                dup.add(c)
-            seen.add(c)
-        for c in sorted(dup):
+        first, last = {}, {}
+        for t, (c, _) in enumerate(s['visits']):
+            first.setdefault(c, t)
+            last[c] = t
+        visits.append((s['kind'] == 'closed', first, last))
+        for c in sorted(c for c in first if last[c] != first[c]):
             out.append(Badgon('monogon', (idx, c)))
+
+    def forward(k, x, y):
+        # a subpath of strand k runs from crossing x to crossing y
+        closed, first, last = visits[k]
+        return closed or last[y] > first[x]
+
     for i in range(len(strands)):
         for j in range(i + 1, len(strands)):
-            si, sj = strands[i], strands[j]
-            shared = sorted(set(c for c, _ in si['visits'])
-                            & set(c for c, _ in sj['visits']))
-            if len(shared) < 2:
-                continue
-            for a in range(len(shared)):
-                for b in range(a + 1, len(shared)):
-                    x, y = shared[a], shared[b]
-                    if ((_has_forward(si, x, y) and _has_forward(sj, x, y))
-                            or (_has_forward(si, y, x)
-                                and _has_forward(sj, y, x))):
+            shared = sorted(visits[i][1].keys() & visits[j][1].keys())
+            for a, x in enumerate(shared):
+                for y in shared[a + 1:]:
+                    if ((forward(i, x, y) and forward(j, x, y))
+                            or (forward(i, y, x) and forward(j, y, x))):
                         out.append(Badgon('parallel-bigon', (i, j, x, y)))
     for key in sorted(diagram.loops):
         out.append(Badgon('simple-loop', (key, diagram.loops[key])))

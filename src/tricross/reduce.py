@@ -18,14 +18,16 @@ The worker loops over a fixed priority:
      petal then hugs an empty corner of the revisited crossing - clear
      the petal's interior by recursion, leaving an empty monogon;
   4. a strand crossing S twice: straighten its innermost under-piece by
-     recursion, then search (breadth-first over 2<->2 moves confined to
-     the window of involved crossings) for a state that either drops
-     the double crossing or exposes an empty monogon;
-  5. comb: search the window of S plus everything under it for a state
-     lowering (crossings under S, detours of the hanging strands).
+     recursion, then ``_search`` (breadth-first over 2<->2 moves
+     confined to the window of involved crossings, then over all moves)
+     for a state that either drops the double crossing or exposes an
+     empty monogon;
+  5. comb: ``_search`` the window of S plus everything under it, then
+     the whole diagram, for a state lowering (crossings under S,
+     detours of the hanging strands).
 
-Every sequence found by the window searches is 2<->2-only, so the
-crossing count never increases between the explicit 1->0 steps.
+Every sequence ``_search`` finds is 2<->2-only, so the crossing count
+never increases between the explicit 1->0 steps.
 """
 
 from .diagram import TripleDiagram, is_source
@@ -34,6 +36,7 @@ from .standard import (standard_diagram, select_interval, interval_interior,
                        STRATEGIES)
 from .moves import (Move, MoveError, find_22_sites,
                     find_10_sites, move_22, apply_move, make_log, is_minimal)
+from .movegraph import closure
 
 
 class ReductionError(RuntimeError):
@@ -148,42 +151,40 @@ def _under_region(diagram, a, dirn):
     b = s['end']
     interior = interval_interior(2 * diagram.n, a, b, dirn)
     span = [a] + interior + [b]
-    blocked_arcs = set()
-    for i in range(len(span) - 1):
-        lo = span[i] if dirn == 1 else span[i + 1]
-        blocked_arcs.add(lo)
-    s_edges = set(frozenset(e) for e in s['path'])
+    # ('+', i) is the boundary arc from endpoint i toward i+1
+    blocked_arcs = set(span[:-1] if dirn == 1 else span[1:])
     faces = diagram.faces()
-    reach = set()
-    todo = ['outer']
-    adj = {}
-    for f in faces:
-        for d in f.darts:
-            if d[0] == '+':
-                if d[1] in blocked_arcs:
-                    continue
-                adj.setdefault('outer', set()).add(f.key)
-                adj.setdefault(f.key, set()).add('outer')
-            elif d[0] in ('b', 'c'):
-                e = frozenset((d, diagram.edges[d]))
-                if e in s_edges:
-                    continue
-                other = diagram.face_of(diagram.edges[d]).key
-                adj.setdefault(f.key, set()).add(other)
-    while todo:
-        x = todo.pop()
-        if x in reach:
-            continue
-        reach.add(x)
-        todo.extend(adj.get(x, ()))
+    outer = [f for f in faces
+             if any(d[0] == '+' and d[1] not in blocked_arcs
+                    for d in f.darts)]
+    reach = _flood(diagram, outer, set(frozenset(e) for e in s['path']))
     s_cross = set(c for c, _ in s['visits'])
-    under_faces = [f for f in faces if f.key not in reach and 'outer' not in (f.key,)]
+    under_faces = [f for f in faces if f.key not in reach]
     under_cross = set()
     for f in under_faces:
         for d in f.darts:
             if d[0] == 'c' and d[1] not in s_cross:
                 under_cross.add(d[1])
     return set(f.key for f in under_faces), under_cross
+
+
+def _flood(diagram, starts, blocked):
+    """Keys of the faces reachable from the faces ``starts`` without
+    crossing an edge of ``blocked`` (a set of frozenset port pairs)."""
+    reach = set(f.key for f in starts)
+    todo = list(starts)
+    while todo:
+        for d in todo.pop().darts:
+            if d[0] not in ('b', 'c'):
+                continue
+            q = diagram.edges[d]
+            if frozenset((d, q)) in blocked:
+                continue
+            other = diagram.face_of(q)
+            if other.key not in reach:
+                reach.add(other.key)
+                todo.append(other)
+    return reach
 
 
 def _shared_crossings(s1, s2):
@@ -227,26 +228,11 @@ def _petal_region(diagram, strand, i, j):
     else:
         loop_edges = set(frozenset(path[t + 1]) for t in range(i, j))
     corner = (s_out if (s_in - s_out) % 6 == 1 else s_in)
-    corner_face = diagram.face_of(('c', x, corner))
-    # flood the face graph avoiding loop edges; petal = corner side
-    reach = {corner_face.key}
-    todo = [corner_face.key]
-    faces = {f.key: f for f in diagram.faces()}
-    while todo:
-        fk = todo.pop()
-        for d in faces[fk].darts:
-            if d[0] not in ('b', 'c'):
-                continue
-            e = frozenset((d, diagram.edges[d]))
-            if e in loop_edges:
-                continue
-            other = diagram.face_of(diagram.edges[d]).key
-            if other not in reach:
-                reach.add(other)
-                todo.append(other)
+    # the petal is the corner's side of the loop
+    reach = _flood(diagram, [diagram.face_of(('c', x, corner))], loop_edges)
     region = set()
     for fk in reach:
-        for d in faces[fk].darts:
+        for d in diagram.face_by_key(fk).darts:
             if d[0] in ('b', '+', '-'):
                 raise ReductionError("petal flood reached the boundary")
             if d[0] == 'c' and d[1] != x:
@@ -257,34 +243,31 @@ def _petal_region(diagram, strand, i, j):
 # ----------------------------------------------------------------------
 # window search
 
-def _window_bfs(diagram, window, goal, cap=30000):
-    """Shortest 2<->2-only move sequence inside ``window`` reaching goal.
+def _search(diagram, goal, stuck, window=None, cap=30000):
+    """Shortest 2<->2-only move sequence to a state meeting ``goal``.
 
-    Returns a list of Moves, or None when the window's closure has no
-    goal state.  ``goal`` takes a diagram.
+    Searches the moves inside ``window`` (a set of crossing ids) first,
+    then all moves; raises ReductionError(stuck) when neither reaches a
+    goal state.  The start state itself is never tested.
     """
     start = diagram.canonical_key()
-    seen = {start}
-    frontier = [(diagram, [])]
-    while frontier:
-        nxt = []
-        for cur, path in frontier:
-            for site in find_22_sites(cur):
-                if site.x[0] not in window or site.y[0] not in window:
-                    continue
-                nd, mv = move_22(cur, site)
-                key = nd.canonical_key()
-                if key in seen:
-                    continue
-                seen.add(key)
-                if len(seen) > cap:
-                    raise ReductionError("window search exceeded %d states"
-                                         % cap)
-                if goal(nd):
-                    return path + [mv]
-                nxt.append((nd, path + [mv]))
-        frontier = nxt
-    return None
+    for inside in (window, None) if window is not None else (None,):
+        parent = {}  # canonical key -> (parent key, Move)
+        for d, _, mv, nd, new in closure(diagram, inside):
+            if not new:
+                continue
+            key = nd.canonical_key()
+            parent[key] = (d.canonical_key(), mv)
+            if len(parent) >= cap:
+                raise ReductionError("window search exceeded %d states"
+                                     % cap)
+            if goal(nd):
+                path = []
+                while key != start:
+                    key, mv = parent[key]
+                    path.append(mv)
+                return path[::-1]
+    raise ReductionError(stuck)
 
 
 # ----------------------------------------------------------------------
@@ -311,13 +294,9 @@ def straighten(diagram, a, dirn, log=None, depth=0):
         if guard > 300 + 60 * (diagram.crossing_count() + 2):
             raise ReductionError("straightening stalled")
         # 0. loops and floating components
-        if diagram.loops:
-            key = sorted(diagram.loops)[0]
-            diagram = _apply_all(diagram, [Move('drop', (key,))], log)
-            continue
-        moved = _dissolve_one_floating(diagram, log, depth)
-        if moved is not None:
-            diagram = moved
+        tidied = _tidy(diagram, log, depth)
+        if tidied is not None:
+            diagram = tidied
             continue
         # 1. done?
         if is_boundary_parallel(diagram, a, dirn):
@@ -350,15 +329,16 @@ def straighten(diagram, a, dirn, log=None, depth=0):
         diagram = _comb(diagram, a, dirn, log)
 
 
-def _dissolve_one_floating(diagram, log, depth):
-    """Reduce one crossing of a floating component, or return None."""
-    if diagram.n > 0:
-        anchored = set()
-        for s in diagram.strands():
-            if s['kind'] == 'arc':
-                anchored.update(c for c, _ in s['visits'])
-    else:
-        anchored = set()
+def _tidy(diagram, log, depth):
+    """Drop one free loop, else reduce one crossing of a floating
+    component; None when there is neither."""
+    if diagram.loops:
+        return _apply_all(diagram, [Move('drop', (min(diagram.loops),))],
+                          log)
+    anchored = set()
+    for s in diagram.strands():
+        if s['kind'] == 'arc':
+            anchored.update(c for c, _ in s['visits'])
     floating = [c for c in diagram.crossings if c not in anchored]
     if not floating:
         return None
@@ -516,11 +496,7 @@ def _remove_double(diagram, a, dirn, dbl, log, depth):
             return False
         return len(_shared_crossings(sm, uu)) <= before - 2
 
-    path = _window_bfs(diagram, window, goal)
-    if path is None:
-        path = _window_bfs(diagram, set(diagram.crossings), goal)
-    if path is None:
-        raise ReductionError("double crossing is stuck")
+    path = _search(diagram, goal, "double crossing is stuck", window)
     return _apply_all(diagram, path, log)
 
 
@@ -570,11 +546,7 @@ def _comb(diagram, a, dirn, log):
     s_main = _strand_from(diagram, a)
     _, under_cross = _under_region(diagram, a, dirn)
     window = set(c for c, _ in s_main['visits']) | under_cross
-    path = _window_bfs(diagram, window, goal)
-    if path is None:
-        path = _window_bfs(diagram, set(diagram.crossings), goal)
-    if path is None:
-        raise ReductionError("combing is stuck")
+    path = _search(diagram, goal, "combing is stuck", window)
     return _apply_all(diagram, path, log)
 
 
@@ -647,15 +619,8 @@ def to_standard(diagram, strategy="inclusion"):
     matching, _ = diagram.trace()
     log = []
     # top-level loops and floating junk go first
-    while True:
-        if diagram.loops:
-            key = sorted(diagram.loops)[0]
-            diagram = _apply_all(diagram, [Move('drop', (key,))], log)
-            continue
-        moved = _dissolve_one_floating(diagram, log, 0)
-        if moved is None:
-            break
-        diagram = moved
+    while (tidied := _tidy(diagram, log, 0)) is not None:
+        diagram = tidied
 
     frozen = set()
     frontier = [(i, ('b', i)) for i in range(2 * diagram.n)]
@@ -875,9 +840,7 @@ def slide_macro(diagram, pattern, window, repeats=None):
     if goal(t_left):
         path = []
     else:
-        path = _window_bfs(t_left, set(t_left.crossings), goal)
-    if path is None:
-        raise ReductionError("pattern sides are not 2<->2 connected")
+        path = _search(t_left, goal, "pattern sides are not 2<->2 connected")
     moves = []
     for mv in path:
         x, y, nx, ny = mv.data

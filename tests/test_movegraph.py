@@ -6,6 +6,7 @@ from tricross import (Matching, enumerate_component, brute_force_minimal,
                       verify_theorem2, enumerate_connected_diagrams,
                       GuardExceeded, minimal_crossing_count, find_badgons,
                       standard_diagram)
+from tricross.movegraph import closure
 
 from conftest import all_matchings
 
@@ -62,3 +63,33 @@ def test_component_vertices_minimal_and_fixed_count():
     for key, d in g.vertices.items():
         assert is_minimal(d)
         assert d.crossing_count() == k
+
+
+def _dual_4x3_root():
+    from tricross import Region, enumerate_tilings, tiling_to_diagram
+    m = tiling_to_diagram(
+        enumerate_tilings(Region.rectangle(4, 3))[0]).trace()[0]
+    return m, standard_diagram(m)
+
+
+def test_closure_new_keys_are_the_component():
+    m, root = _dual_4x3_root()
+    new_keys = [nd.canonical_key()
+                for _, _, _, nd, new in closure(root) if new]
+    assert len(new_keys) == len(set(new_keys))
+    g = enumerate_component(m)
+    assert {root.canonical_key()} | set(new_keys) == set(g.vertices)
+    assert len(g.vertices) > 2
+
+
+def test_closure_inside_takes_only_moves_inside():
+    _, root = _dual_4x3_root()
+    everywhere = {nd.canonical_key() for *_, nd, _ in closure(root)}
+    for inside in (set(root.crossings[1:]), set(root.crossings[:-1])):
+        reached = set()
+        for d, site, move, nd, new in closure(root, inside):
+            assert site.x[0] in inside and site.y[0] in inside
+            assert {move.data[0][0], move.data[1][0]} <= inside
+            reached.add(nd.canonical_key())
+        assert reached and reached < everywhere
+    assert not list(closure(root, set()))

@@ -9,7 +9,7 @@ from tricross import (TripleDiagram, Matching, standard_diagram,
                       apply_01, drop_loop, add_loop, find_badgons,
                       is_minimal, replay, MoveError)
 from tricross.moves import (move_22, OneZeroSite, LoopSite, make_log, Move,
-                            apply_move, face_map_22)
+                            apply_move, face_map_22, Badgon)
 from tricross.reduce import pattern_template, inflate
 from tricross.diagram import is_source
 
@@ -151,6 +151,48 @@ def test_tiling_duals_badgon_free_with_antiparallel_bigons():
             if len(shared) >= 2:
                 sharing += 1
     assert sharing > 0  # anti-parallel bigons exist, none are badgons
+
+
+def _badgons_by_rescan(d):
+    """find_badgons' list, each parallel bigon found by rescanning the
+    strands for a subpath from x to y (the definition)."""
+    def forward(s, x, y):
+        seq = [c for c, _ in s['visits']]
+        return s['kind'] == 'closed' or y in seq[seq.index(x) + 1:]
+
+    strands = d.strands()
+    out = []
+    for idx, s in enumerate(strands):
+        seq = [c for c, _ in s['visits']]
+        out += [Badgon('monogon', (idx, c))
+                for c in sorted(set(c for c in seq if seq.count(c) > 1))]
+    for i, si in enumerate(strands):
+        for j in range(i + 1, len(strands)):
+            sj = strands[j]
+            shared = sorted(set(c for c, _ in si['visits'])
+                            & set(c for c, _ in sj['visits']))
+            for a, x in enumerate(shared):
+                for y in shared[a + 1:]:
+                    if ((forward(si, x, y) and forward(sj, x, y))
+                            or (forward(si, y, x) and forward(sj, y, x))):
+                        out.append(Badgon('parallel-bigon', (i, j, x, y)))
+    return out + [Badgon('simple-loop', (key, d.loops[key]))
+                  for key in sorted(d.loops)]
+
+
+def test_find_badgons_matches_the_rescan():
+    from tricross import enumerate_connected_diagrams, minimal_crossing_count
+    diagrams = list(_10_01_diagrams())
+    for m in all_matchings(2):
+        k = minimal_crossing_count(m)
+        for extra in (1, 2):
+            diagrams += enumerate_connected_diagrams(m, k + extra).values()
+    kinds = set()
+    for d in diagrams:
+        found = find_badgons(d)
+        assert found == _badgons_by_rescan(d)
+        kinds.update(b.kind for b in found)
+    assert kinds == {'monogon', 'parallel-bigon', 'simple-loop'}
 
 
 def test_is_minimal_cases(rotation3):

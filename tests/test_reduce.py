@@ -12,7 +12,8 @@ from tricross import (Matching, standard_diagram, to_standard,
 from tricross.diagram import port_str
 from tricross.moves import apply_move, MoveError
 from tricross.reduce import (straighten, is_boundary_parallel, extract_region,
-                             ReductionError)
+                             ReductionError, _search)
+from tricross.movegraph import closure
 
 from conftest import all_matchings
 
@@ -228,3 +229,90 @@ def test_extract_region_pinned():
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == ("c815fa4e000c102d3c9a3451e38af82c"
                       "ada23bc6d53c5fbc19fd983db39621a1")
+
+
+# ----------------------------------------------------------------------
+# the reducer's breadth-first search
+
+def _dual_4x3_distances():
+    """The 4x3 dual's standard diagram, and the move-graph distance of
+    every vertex of its component from it."""
+    from tricross import (Region, enumerate_tilings, tiling_to_diagram,
+                          enumerate_component)
+    m = tiling_to_diagram(
+        enumerate_tilings(Region.rectangle(4, 3))[0]).trace()[0]
+    g = enumerate_component(m)
+    adj = {}
+    for pair in g.edges:
+        a, b = min(pair), max(pair)
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    dist = {g.root: 0}
+    frontier = [g.root]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in adj[a]:
+                if b not in dist:
+                    dist[b] = dist[a] + 1
+                    nxt.append(b)
+        frontier = nxt
+    assert len(dist) == len(g.vertices) > 2
+    return g.vertices[g.root], dist
+
+
+def _reaches(root, path, target):
+    cur = root
+    for mv in path:
+        assert mv.kind == '22'
+        cur = apply_move(cur, mv)
+    return cur.canonical_key() == target
+
+
+def test_search_paths_are_shortest():
+    root, dist = _dual_4x3_distances()
+    for target, k in dist.items():
+        if k:
+            path = _search(root, lambda d: d.canonical_key() == target,
+                           "stuck")
+            assert len(path) == k and _reaches(root, path, target)
+
+
+def test_search_falls_back_past_the_window():
+    root, dist = _dual_4x3_distances()
+    fell_back = 0
+    for c in root.crossings:
+        window = set(root.crossings) - {c}
+        inside = {nd.canonical_key() for *_, nd, _ in closure(root, window)}
+        for target, k in dist.items():
+            if k and target not in inside:
+                path = _search(root, lambda d: d.canonical_key() == target,
+                               "stuck", window)
+                assert len(path) == k and _reaches(root, path, target)
+                assert any(c in (mv.data[0][0], mv.data[1][0])
+                           for mv in path)
+                fell_back += 1
+    assert fell_back
+
+
+def test_search_raises_stuck_when_no_goal_state():
+    root, dist = _dual_4x3_distances()
+    start = root.canonical_key()
+    for window in (None, set(root.crossings[1:])):
+        with pytest.raises(ReductionError, match="^nowhere$"):
+            _search(root, lambda d: False, "nowhere", window)
+        # the start state is never tested
+        with pytest.raises(ReductionError, match="^nowhere$"):
+            _search(root, lambda d: d.canonical_key() == start, "nowhere",
+                    window)
+
+
+def test_search_state_cap():
+    root, dist = _dual_4x3_distances()
+    states = len(dist)  # the start state counts
+    with pytest.raises(ReductionError, match="^nowhere$"):
+        _search(root, lambda d: False, "nowhere", cap=states)
+    for cap in (3, states - 1):
+        with pytest.raises(ReductionError,
+                           match="^window search exceeded %d states$" % cap):
+            _search(root, lambda d: False, "nowhere", cap=cap)
