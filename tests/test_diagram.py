@@ -105,6 +105,55 @@ def test_is_connected_cases():
     assert not island.is_connected()
 
 
+def _twisted(c):
+    # one crossing whose three strands all cross: V=1 E=3 F=2, a torus
+    return [(('c', c, 0), ('c', c, 3)), (('c', c, 1), ('c', c, 4)),
+            (('c', c, 2), ('c', c, 5))]
+
+
+def _petals(c):
+    return [(('c', c, 1), ('c', c, 0)), (('c', c, 3), ('c', c, 4)),
+            (('c', c, 5), ('c', c, 2))]
+
+
+def _euler(v, e, f):
+    return "Euler characteristic violated (component V=%d E=%d F=%d)" % (
+        v, e, f)
+
+
+def test_nonplanar_validation_texts():
+    """Exact violation lists: one line per nonplanar component, the
+    boundary's first, then floating groups by smallest crossing id."""
+    eight = [(('b', 0), ('c', 3, 2)), (('c', 3, 5), ('b', 1)),
+             (('c', 3, 1), ('c', 3, 0)), (('c', 3, 3), ('c', 3, 4))]
+    boundary = [(('b', 0), ('c', 6, 0)), (('b', 1), ('c', 6, 5)),
+                (('b', 2), ('c', 4, 0)), (('b', 3), ('c', 4, 1)),
+                (('c', 4, 2), ('c', 4, 3)), (('c', 4, 4), ('c', 6, 3)),
+                (('c', 4, 5), ('c', 6, 2)), (('c', 6, 1), ('c', 6, 4))]
+    pair = [(('c', 1, 0), ('c', 2, 1)), (('c', 1, 1), ('c', 2, 4)),
+            (('c', 1, 2), ('c', 2, 3)), (('c', 1, 3), ('c', 1, 4)),
+            (('c', 1, 5), ('c', 2, 0)), (('c', 2, 2), ('c', 2, 5))]
+    chords = [(('b', 0), ('b', 3)), (('b', 2), ('b', 5)),
+              (('b', 4), ('b', 1))]
+    cases = [
+        (0, [0], _twisted(0), [_euler(1, 3, 2)]),
+        # a planar boundary part beside a nonplanar floating crossing
+        (1, [0, 3], eight + _twisted(0), [_euler(1, 3, 2)]),
+        (2, [1, 4, 6], boundary + _twisted(1),
+         [_euler(6, 12, 6), _euler(1, 3, 2)]),
+        (0, [0, 1, 2, 4], _petals(0) + _twisted(4) + pair,
+         [_euler(2, 6, 4), _euler(1, 3, 2)]),
+        (3, [], chords, [_euler(6, 9, 3)]),
+        (3, [0], chords + _twisted(0), [_euler(6, 9, 3), _euler(1, 3, 2)]),
+        (1, [0, 3], eight + _petals(0), []),
+    ]
+    for n, crossings, edges, want in cases:
+        d = TripleDiagram.from_edge_list(n, crossings, edges)
+        assert d.validate() == want
+        # every case but the crossing-free chords has a floating group
+        assert d.is_connected() == (crossings == [])
+
+
 def test_canonical_key_invariant_under_relabeling():
     d1 = single_crossing()
     d2 = TripleDiagram.from_edge_list(

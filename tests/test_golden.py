@@ -6,6 +6,11 @@ connected diagram with n <= 2 at the minimal crossing count and one
 above, and the canonical key, diagram text and ``movelog v1`` text of
 seeded inflations that carry free loops (so the loop part of the key,
 loop placement across 2<->2 moves and the ``drop`` lines are covered).
+Floating components are pinned by key, labels, diagram text and
+``is_connected`` of inflated islands (groups of up to 21 crossings, so
+the string order of the floating codes differs from int order), and
+``validate()`` by its exact lists over a seeded corpus of mostly
+nonplanar port pairings.
 A change to the move engine or to the key that keeps its formats must
 leave every digest unchanged.
 """
@@ -144,3 +149,104 @@ def island():
 
 def test_floating_component_key_pinned():
     assert island().canonical_key() == ISLAND_KEY
+
+
+def side_by_side(parts, rng):
+    """The parts as one diagram (free loops left off), crossing ids
+    scrambled; at most one part has boundary endpoints."""
+    total = sum(len(p.crossings) for p in parts)
+    ids = iter(rng.sample(range(3 * total), total))
+    crossings, edges = [], []
+    for p in parts:
+        new = {c: next(ids) for c in p.crossings}
+        crossings += new.values()
+
+        def rename(port):
+            return port if port[0] == 'b' else ('c', new[port[1]], port[2])
+
+        edges += [(rename(a), rename(b)) for a, b in p.edge_list()]
+    return TripleDiagram.from_edge_list(max(p.n for p in parts), crossings,
+                                        edges)
+
+
+def floating_diagram(seed):
+    """An inflated island alone (seed % 3 == 0), beside a standard
+    diagram (1) or beside a second inflated island (2), then inflated
+    again with 0-2 bumps, 0-2 free loops and 2<->2 noise."""
+    rng = random.Random(seed)
+    parts = [inflate(island(), rng.randint(0, 14), 0, rng.randint(0, 6),
+                     rng)[0]]
+    if seed % 3 == 1:
+        n = rng.randint(1, 3)
+        outs = [2 * i + 1 for i in range(n)]
+        rng.shuffle(outs)
+        parts.append(standard_diagram(
+            Matching.from_dict(n, dict(zip(range(0, 2 * n, 2), outs)))))
+    elif seed % 3 == 2:
+        parts.append(inflate(island(), rng.randint(0, 4), 0,
+                             rng.randint(0, 3), rng)[0])
+    d = side_by_side(parts, rng)
+    return inflate(d, rng.randint(0, 2), rng.randint(0, 2),
+                   rng.randint(0, 4), rng)[0]
+
+
+def floating_text(d):
+    key, label = d.canonical_form()
+    return "\n".join([key, repr(sorted(label.items())),
+                      textio.write_diagram(d), repr(d.is_connected())])
+
+
+# key, labels, diagram text and is_connected of 30 floating diagrams, by
+# seed % 3: an island alone, beside a standard diagram, two islands
+FLOATING = [
+    "97469b9394056cf530b6cd2dbb43627bc234191737377a75a49f1a8609794d90",
+    "46e6dc9eb8561f1c5b83104deb43825dd0c8501e9370117904bba4e40ce2783e",
+    "923e9087bbc2df8cf3f76bab34a44086c7bfb017ba2a859ee810ee9f9595df92",
+]
+
+
+def test_floating_components_pinned():
+    texts = [[], [], []]
+    for seed in range(30):
+        d = floating_diagram(seed)
+        assert d.validate() == []
+        texts[seed % 3].append(floating_text(d))
+    assert [sha("\n".join(t)) for t in texts] == FLOATING
+    floats = [t.split("\x1f")[2] for group in texts for t in group]
+    # groups of 11 or more crossings, where "C10.x" sorts before "C2.x"
+    assert sum("C10." in f for f in floats) >= 5
+    assert sum("|" in f for f in floats) >= 5  # two floating groups
+    assert sum(bool(t.split("\x1f")[3].split("\n")[0])
+               for group in texts for t in group) >= 10  # free loops
+
+
+def random_pairing(rng):
+    """An orientation-respecting pairing of the ports of n <= 3 endpoint
+    pairs and k <= 4 crossings, most of them not planar."""
+    n, k = rng.randint(0, 3), rng.randint(1, 4)
+    ids = sorted(rng.sample(range(2 * k), k))
+    sources = ([('b', i) for i in range(0, 2 * n, 2)]
+               + [('c', c, s) for c in ids for s in (1, 3, 5)])
+    sinks = ([('b', i) for i in range(1, 2 * n, 2)]
+             + [('c', c, s) for c in ids for s in (0, 2, 4)])
+    rng.shuffle(sinks)
+    return TripleDiagram.from_edge_list(n, ids, list(zip(sources, sinks)))
+
+
+# validate(), is_connected and the key of 3000 seeded pairings
+PAIRINGS = ("de7aa0bde8111a63948b3c3e975e7239"
+            "eccd91fca83b5700d3f3f07097e4829f")
+
+
+def test_pairing_validation_pinned():
+    rng = random.Random(5)
+    texts = []
+    invalid = 0
+    for _ in range(3000):
+        d = random_pairing(rng)
+        violations = d.validate()
+        invalid += bool(violations)
+        texts.append("\n".join([repr(violations), repr(d.is_connected()),
+                                d.canonical_key()]))
+    assert sha("\n".join(texts)) == PAIRINGS
+    assert 1000 < invalid < 2900
