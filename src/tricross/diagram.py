@@ -30,6 +30,18 @@ Conventions (global, used by every other module):
   strand's travel direction (counterclockwise around the face), black
   when every strand dart runs against it.
 
+* One breadth-first walk, ``_label_walk``, says which crossings hang
+  together and in what canonical order.  From the endpoints, or from one
+  root crossing at an even phase, it labels each crossing ``(id, phase)``
+  in the order met and codes ports as ints that sort like their
+  normalized text (``i`` for ``Bi``, ``2n + 6*id + s`` for ``C<id>.<s>``).
+  The canonical key renders the endpoint walk's sorted edges.  A floating
+  component is walked from every root and phase, coded with ``n = 0``,
+  edges oriented and sorted by text (``C10.0`` before ``C2.0``); the least
+  code wins, ties to the first root.  ``is_connected`` asks whether the
+  endpoint walk labels every crossing; ``validate`` counts V, E and F
+  per walked component.
+
 Diagrams are immutable values by convention: all operations build new
 instances.
 """
@@ -282,6 +294,53 @@ class TripleDiagram:
         return face
 
     # ------------------------------------------------------------------
+    # the crossing walk
+
+    def _label_walk(self, root=None):
+        """Breadth-first labelling of the crossings reachable from the
+        endpoints, or from crossing ``root[0]`` at even phase ``root[1]``.
+
+        Returns ``(label, pairs)``.  ``label`` maps each crossing met to
+        ``(id, phase)``: ids count from 0 in the order met, and the phase
+        is the even rotation taking the slot it was entered by to 0 or 1.
+        ``pairs`` are the sorted edges, each coded once as ``a * width + b``
+        (``a < b``, ``width = 2n + 6k``) from the port codes ``i`` for
+        ``Bi`` and ``base + 6 * id + (s - phase) % 6`` for slot ``s``, where
+        ``base`` is ``2n`` from the endpoints and 0 from a root.
+        """
+        n2 = 2 * self.n
+        width = n2 + 6 * len(self.crossings)
+        if root is None:
+            base, order, ports = n2, [], [(i, ('b', i)) for i in range(n2)]
+        else:
+            base, order, ports = 0, [root], ()
+        edges = self.edges
+        label = {c: (j, phase) for j, (c, phase) in enumerate(order)}
+        pairs = []
+        k = 0
+        while True:
+            for pc, p in ports:
+                q = edges[p]
+                if q[0] == 'b':
+                    qc = q[1]
+                else:
+                    lab = label.get(q[1])
+                    if lab is None:
+                        lab = label[q[1]] = (len(order), q[2] - q[2] % 2)
+                        order.append((q[1], lab[1]))
+                    qc = base + 6 * lab[0] + (q[2] - lab[1]) % 6
+                if pc < qc:
+                    pairs.append(pc * width + qc)
+            if k == len(order):
+                break
+            c, phase = order[k]
+            cb = base + 6 * k
+            k += 1
+            ports = [(cb + s, ('c', c, (phase + s) % 6)) for s in range(6)]
+        pairs.sort()
+        return label, pairs
+
+    # ------------------------------------------------------------------
     # validation
 
     def validate(self):
@@ -337,7 +396,7 @@ class TripleDiagram:
                 violations.append("boundary endpoints do not bound a single "
                                   "outer face in cyclic order")
                 return violations
-        for comp_v, comp_e, comp_f in self._components(orbits, edge_list):
+        for comp_v, comp_e, comp_f in self._components(orbits):
             if comp_v - comp_e + comp_f != 2:
                 violations.append("Euler characteristic violated "
                                   "(component V=%d E=%d F=%d)"
@@ -359,49 +418,23 @@ class TripleDiagram:
                 violations.append("free loop count %d < 1 at %r" % (count, key))
         return violations
 
-    def _components(self, orbits, edge_list):
-        """(V, E, F) per connected component of the dart structure."""
-        parent = {}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-
-        verts = []
-        if self.n > 0:
-            verts.extend(('b', i) for i in range(2 * self.n))
-        verts.extend(('x', c) for c in self.crossings)
-        for v in verts:
-            parent[v] = v
-        if self.n > 0:
-            for i in range(2 * self.n):
-                union(('b', i), ('b', (i + 1) % (2 * self.n)))
-        for p, q in edge_list:
-            union(self._vert(p), self._vert(q))
-        comp_v = {}
-        for v in verts:
-            comp_v.setdefault(find(v), [0, 0, 0])[0] += 1
-        for p, q in edge_list:
-            comp_v[find(self._vert(p))][1] += 1
-        if self.n > 0:
-            root = find(('b', 0))
-            comp_v[root][1] += 2 * self.n  # boundary arcs
+    def _components(self, orbits):
+        """[V, E, F] per connected component of the dart structure: the
+        boundary's first (when n > 0), then the floating groups in the
+        order of their smallest crossing id."""
+        n2 = 2 * self.n
+        label, pairs = self._label_walk()
+        comp = dict.fromkeys(label, 0)
+        tally = [[n2 + len(label), n2 + len(pairs), 0]] if n2 else []
+        for c in self.crossings:
+            if c not in comp:
+                label, pairs = self._label_walk((c, 0))
+                comp.update(dict.fromkeys(label, len(tally)))
+                tally.append([len(label), len(pairs), 0])
         for orbit in orbits:
             d = orbit[0]
-            v = ('b', d[1]) if d[0] in ('b', '+', '-') else ('x', d[1])
-            comp_v[find(v)][2] += 1
-        return [tuple(t) for t in comp_v.values()]
-
-    @staticmethod
-    def _vert(port):
-        return ('b', port[1]) if port[0] == 'b' else ('x', port[1])
+            tally[comp[d[1]] if d[0] == 'c' else 0][2] += 1
+        return tally
 
     def check(self):
         violations = self.validate()
@@ -480,31 +513,8 @@ class TripleDiagram:
 
     def is_connected(self):
         """True iff strands plus the boundary circle form one component."""
-        if self.loops:
-            return False
-        if self.n == 0:
-            return not self.crossings
-        reach = set()
-        todo = [('b', 0)]
-        seen_b = set()
-        while todo:
-            v = todo.pop()
-            if v[0] == 'b':
-                if v[1] in seen_b:
-                    continue
-                seen_b.add(v[1])
-                todo.append(('b', (v[1] + 1) % (2 * self.n)))
-                todo.append(('b', (v[1] - 1) % (2 * self.n)))
-                q = self.edges[v]
-                todo.append(q if q[0] == 'b' else ('x', q[1]))
-            else:
-                if v in reach:
-                    continue
-                reach.add(v)
-                for s in range(6):
-                    q = self.edges[('c', v[1], s)]
-                    todo.append(q if q[0] == 'b' else ('x', q[1]))
-        return len(reach) == len(self.crossings)
+        return (not self.loops
+                and len(self._label_walk()[0]) == len(self.crossings))
 
     # ------------------------------------------------------------------
     # canonical form
@@ -518,132 +528,64 @@ class TripleDiagram:
         """
         if 'canon' in self._cache:
             return self._cache['canon']
-        label = {}
-
-        def norm(port):
-            if port[0] == 'b':
-                return port
-            cid, phase = label[port[1]]
-            return ('c', cid, (port[2] - phase) % 6)
-
-        # Breadth first from the endpoints, coding each port as an int
-        # that sorts like its normalized tuple: i for Bi, 2n + 6*cid + s
-        # for C<cid>.<s>.  Each edge (a, b), a < b, is met from both ends;
-        # it is coded a*width + b once, and the key lists it twice.
         n2 = 2 * self.n
         width = n2 + 6 * len(self.crossings)
-        edges = self.edges
-        order = []   # (crossing, phase) in label order
-        pairs = []
-        ports = [(i, ('b', i)) for i in range(n2)]
-        k = 0
-        while True:
-            for pc, p in ports:
-                q = edges[p]
-                if q[0] == 'b':
-                    qc = q[1]
-                else:
-                    lab = label.get(q[1])
-                    if lab is None:
-                        lab = label[q[1]] = (len(order), q[2] - q[2] % 2)
-                        order.append((q[1], lab[1]))
-                    qc = n2 + 6 * lab[0] + (q[2] - lab[1]) % 6
-                if pc < qc:
-                    pairs.append(pc * width + qc)
-            if k == len(order):
-                break
-            c, phase = order[k]
-            base = n2 + 6 * k
-            k += 1
-            ports = [(base + s, ('c', c, (phase + s) % 6)) for s in range(6)]
-        pairs.sort()
+        label, pairs = self._label_walk()
         text = _port_texts(self.n, len(self.crossings))
         edge_texts = []
         for e in pairs:
             t = text[e // width] + "-" + text[e % width]
-            edge_texts.append(t)
-            edge_texts.append(t)
+            edge_texts += (t, t)
 
-        nid = len(label)
-        # floating components: canonicalize each by minimizing over roots
-        floating = [c for c in self.crossings if c not in label]
+        def float_code(root, phase):
+            lab, fpairs = self._label_walk((root, phase))
+            ftext = _port_texts(0, len(lab))
+            texts = []
+            for e in fpairs:
+                a, b = ftext[e // width], ftext[e % width]
+                texts.append(a + "-" + b if a < b else b + "-" + a)
+            texts.sort()
+            return ";".join(texts), lab
+
+        # floating components: the least code over every root and phase
         float_codes = []
-        while floating:
-            comp = self._crossing_component(floating[0])
-            best = None
-            for root in sorted(comp):
+        for c in self.crossings:
+            if c in label:
+                continue
+            best = float_code(c, 0)
+            for root in sorted(best[1]):
                 for phase in (0, 2, 4):
-                    code, lab = self._float_code(root, phase)
-                    if best is None or code < best[0]:
-                        best = (code, lab, root, phase)
-            code, lab = best[0], best[1]
-            for c, v in lab.items():
-                label[c] = (v[0] + nid, v[1])
-            nid += len(comp)
-            float_codes.append(code)
-            floating = [c for c in self.crossings if c not in label]
+                    code = float_code(root, phase)
+                    if code[0] < best[0]:
+                        best = code
+            nid = len(label)
+            for x, (cid, phase) in best[1].items():
+                label[x] = (cid + nid, phase)
+            float_codes.append(best[0])
         float_codes.sort()
 
-        loop_keys = sorted((self._canonical_face_key(k, norm), v)
+        loop_keys = sorted((self._canonical_face_key(k, label), v)
                            for k, v in self.loops.items())
         parts = ["n=%d" % self.n,
                  ";".join(edge_texts),
                  "|".join(float_codes),
                  ",".join("%s:%d" % (k, v) for k, v in loop_keys)]
-        result = ("\x1f".join(parts), dict(label))
+        result = ("\x1f".join(parts), label)
         self._cache['canon'] = result
         return result
 
     def canonical_key(self):
         return self.canonical_form()[0]
 
-    def _canonical_face_key(self, key_dart, norm):
-        face = self.face_by_key(key_dart)
+    def _canonical_face_key(self, key_dart, label):
         cands = []
-        for d in face.darts:
+        for d in self.face_by_key(key_dart).darts:
             if d[0] == 'c':
-                cands.append(port_str(norm(d)))
-            elif d[0] == 'b':
-                cands.append(port_str(d))
+                cid, phase = label[d[1]]
+                cands.append("C%d.%d" % (cid, (d[2] - phase) % 6))
             else:
-                cands.append("%s%d" % (d[0], d[1]))
+                cands.append(port_str(d) if d[0] == 'b' else "%s%d" % d)
         return min(cands)
-
-    def _crossing_component(self, start):
-        comp = {start}
-        todo = [start]
-        while todo:
-            c = todo.pop()
-            for s in range(6):
-                q = self.edges[('c', c, s)]
-                if q[0] == 'c' and q[1] not in comp:
-                    comp.add(q[1])
-                    todo.append(q[1])
-        return comp
-
-    def _float_code(self, root, phase):
-        label = {root: (0, phase)}
-        order = [root]
-        edges_out = []
-
-        def norm(port):
-            cid, ph = label[port[1]]
-            return ('c', cid, (port[2] - ph) % 6)
-
-        qi = 0
-        pending = [('c', root, (phase + s) % 6) for s in range(6)]
-        while qi < len(pending):
-            p = pending[qi]
-            qi += 1
-            q = self.edges[p]
-            if q[1] not in label:
-                ph = q[2] - (q[2] % 2)
-                label[q[1]] = (len(order), ph % 6)
-                order.append(q[1])
-                pending.extend(('c', q[1], (ph + s) % 6) for s in range(6))
-            edges_out.append(tuple(sorted((port_str(norm(p)), port_str(norm(q))))))
-        code = ";".join("%s-%s" % e for e in sorted(set(edges_out)))
-        return code, label
 
     # ------------------------------------------------------------------
 
