@@ -86,7 +86,11 @@ def read_diagram(text, name="<diagram>"):
             elif parts[0] == "loops":
                 for item in parts[1:]:
                     fid, count = item.split(":")
-                    loops[int(fid)] = int(count)
+                    fid = int(fid)
+                    if fid < 0:
+                        raise ParseError(name, no,
+                                         "loop face %d out of range" % fid)
+                    loops[fid] = (int(count), no)
             else:
                 raise ParseError(name, no, "unknown record %r" % parts[0])
         except (IndexError, ValueError) as exc:
@@ -99,9 +103,9 @@ def read_diagram(text, name="<diagram>"):
     if loops:
         faces = diagram.faces()
         keyed = {}
-        for fid, count in loops.items():
+        for fid, (count, no) in loops.items():
             if fid >= len(faces):
-                raise ParseError(name, 1, "loop face %d out of range" % fid)
+                raise ParseError(name, no, "loop face %d out of range" % fid)
             keyed[faces[fid].key] = count
         diagram = diagram.with_loops(keyed)
     return diagram
@@ -181,7 +185,7 @@ def read_tiling(text, name="<tiling>"):
         if not line.strip():
             continue
         parts = line.split()
-        if parts[0] != "dom" or len(parts) != 4 or parts[3] not in "HV":
+        if parts[0] != "dom" or len(parts) != 4 or parts[3] not in ("H", "V"):
             raise ParseError(name, no, "expected 'dom x y H|V'")
         doms.append((int(parts[1]), int(parts[2]), parts[3] == "H"))
     squares = []
@@ -276,8 +280,12 @@ def read_movelog(text, initial, name="<movelog>"):
             continue
         parts = line.split()
         try:
+            if parts[0] in ("22", "drop", "add"):
+                index = int(parts[1])
+                if index < 0:  # a face index, not a count from the end
+                    raise IndexError("face index %d out of range" % index)
+                face = cur.faces()[index]
             if parts[0] == "22":
-                face = cur.faces()[int(parts[1])]
                 d1, d2 = face.darts
                 site = resolve_22_by_darts(cur, (d1[1], d1[2]),
                                            (d2[1], d2[2]))
@@ -292,7 +300,6 @@ def read_movelog(text, initial, name="<movelog>"):
                                  parts[3]))
                 cur = apply_move(cur, mv)
             elif parts[0] in ("drop", "add"):
-                face = cur.faces()[int(parts[1])]
                 mv = Move(parts[0], (face.key,))
                 cur = apply_move(cur, mv)
             else:

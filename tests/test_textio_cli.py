@@ -86,6 +86,37 @@ def test_movelog_roundtrip():
     assert [mv.kind for mv in parsed.moves] == [mv.kind for mv in log.moves]
 
 
+def test_negative_face_indices_are_refused(rotation3):
+    """A face index in a loops record or a move line counts from 0; a
+    negative one is a parse error on its own line, not a face taken from
+    the end of the list."""
+    d = standard_diagram(rotation3)
+    text = textio.write_diagram(d)
+    line_no = len(text.splitlines()) + 1
+    for record, fid in (("loops -1:2", -1),
+                        ("loops 0:1 %d:1" % len(d.faces()), len(d.faces()))):
+        with pytest.raises(textio.ParseError) as exc:
+            textio.read_diagram(text + record + "\n")
+        assert exc.value.line_no == line_no
+        assert exc.value.message == "loop face %d out of range" % fid
+    d = d.with_loops({d.faces()[-1].key: 1})
+    head = "movelog v1\ninitial %s\n" % textio.key_digest(d.canonical_key())
+    for line in ("22 -1", "drop -1", "add -1"):
+        with pytest.raises(textio.ParseError) as exc:
+            textio.read_movelog(head + line + "\n", d)
+        assert exc.value.line_no == 3
+        assert "face index -1 out of range" in exc.value.message
+
+
+def test_tiling_orientation_is_one_letter():
+    for letter in ("HV", "", "h"):
+        with pytest.raises(textio.ParseError) as exc:
+            textio.read_tiling("tiling v1\ndom 0 0 %s\n" % letter)
+        assert exc.value.line_no == 2
+    tiling = textio.read_tiling("tiling v1\ndom 0 0 V\n")
+    assert tiling.dominoes == {(0, 0, False)}
+
+
 def test_movegraph_format():
     m = tiling_to_diagram(
         enumerate_tilings(Region.rectangle(4, 2))[0]).trace()[0]
@@ -170,3 +201,16 @@ def test_cli_error_is_structured(tmp_path):
     out = run_cli("count", "--in", str(bad))
     assert out.returncode == 2
     assert out.stderr.startswith("error: ")
+
+
+def test_cli_reduce_refuses_a_negative_loop_face(tmp_path, rotation3):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(textio.write_diagram(standard_diagram(rotation3))
+                   + "loops -1:2\n")
+    out = run_cli("reduce", "--in", str(bad))
+    assert out.returncode == 2
+    assert out.stdout == ""
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ")
+    assert lines[0].endswith("loop face -1 out of range")
