@@ -5,8 +5,8 @@ from .diagram import TripleDiagram, Matching, Face, DiagramError, empty_diagram
 from .standard import standard_diagram, minimal_crossing_count, STRATEGIES
 from .moves import (TwoTwoSite, OneZeroSite, LoopSite, Move, MoveLog,
                     MoveError, Badgon, find_22_sites, find_10_sites,
-                    find_loop_sites, apply_22, apply_10, apply_01,
-                    drop_loop, add_loop, find_badgons, is_minimal, replay)
+                    apply_22, apply_10, apply_01, drop_loop, add_loop,
+                    find_badgons, is_minimal, replay)
 from .reduce import (straighten, to_standard, reduce_to_minimal,
                      connect_minimal, slide_macro, pattern_template,
                      inflate, ReductionError)

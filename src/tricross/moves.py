@@ -129,10 +129,6 @@ def find_10_sites(diagram):
     return sites
 
 
-def find_loop_sites(diagram):
-    return [LoopSite(key) for key in sorted(diagram.loops)]
-
-
 # ----------------------------------------------------------------------
 # the one rewrite behind every move, and the free loops it carries
 

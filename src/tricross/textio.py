@@ -248,10 +248,7 @@ def _move_to_line(diagram, move):
         ep, eq, side = move.data
         return "01 %s %s %s" % (port_str(ep), port_str(eq), side)
     if move.kind == 'drop' or move.kind == 'add':
-        key = move.data[0]
-        face = (diagram.faces()[0] if key == ()
-                else diagram.face_by_key(key))
-        return "%s %d" % (move.kind, face.index)
+        return "%s %d" % (move.kind, diagram.face_by_key(move.data[0]).index)
     raise ValueError(move.kind)
 
 
