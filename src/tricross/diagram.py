@@ -311,11 +311,12 @@ class TripleDiagram:
         n2 = 2 * self.n
         width = n2 + 6 * len(self.crossings)
         if root is None:
-            base, order, ports = n2, [], [(i, ('b', i)) for i in range(n2)]
+            base, order, label = n2, [], {}
+            ports = [(i, ('b', i)) for i in range(n2)]
         else:
-            base, order, ports = 0, [root], ()
+            base, order, label = 0, [root], {root[0]: (0, root[1])}
+            ports = ()
         edges = self.edges
-        label = {c: (j, phase) for j, (c, phase) in enumerate(order)}
         pairs = []
         k = 0
         while True:
@@ -535,7 +536,8 @@ class TripleDiagram:
         edge_texts = []
         for e in pairs:
             t = text[e // width] + "-" + text[e % width]
-            edge_texts += (t, t)
+            edge_texts.append(t)
+            edge_texts.append(t)
 
         def float_code(root, phase):
             lab, fpairs = self._label_walk((root, phase))
