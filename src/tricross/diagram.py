@@ -534,7 +534,7 @@ class TripleDiagram:
         label, pairs = self._label_walk()
         text = _port_texts(self.n, len(self.crossings))
         edge_texts = []
-        for e in pairs:
+        for e in pairs:  # the key lists each edge twice, once per end
             t = text[e // width] + "-" + text[e % width]
             edge_texts.append(t)
             edge_texts.append(t)
