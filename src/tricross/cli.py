@@ -189,10 +189,9 @@ def cmd_cluster(args):
     rng = random.Random(args.seed)
     states, sites, ok = random_walk(state, args.walk, rng)
     report = laurent_audit(states)
-    report["all_laurent"] = ok and report["all_laurent"]
     print("walk=%d all_laurent=%s all_positive=%s max_terms=%d"
-          % (len(states) - 1, report["all_laurent"],
-             report["all_positive"], report["max_terms"]))
+          % (len(states) - 1, ok, report["all_positive"],
+             report["max_terms"]))
     _write(args.out, dump_values(states[-1]) + "\n")
     return 0
 

@@ -30,10 +30,8 @@ class ExactDivisionError(ArithmeticError):
 # ----------------------------------------------------------------------
 # polynomial arithmetic
 
-def poly_const(nvars, value=1):
-    if value == 0:
-        return {}
-    return {(0,) * nvars: value}
+def poly_const(nvars):
+    return {(0,) * nvars: 1}
 
 
 def poly_var(nvars, index):
@@ -120,9 +118,6 @@ class LaurentValue:
 
     def num_dict(self):
         return dict(self.num)
-
-    def nvars(self):
-        return len(self.den)
 
     def terms(self):
         return len(self.num)
@@ -260,12 +255,11 @@ def exchange_22(state, site):
 
 
 def laurent_audit(states):
-    """Check every value across a walk: Laurent with positive coefficients.
+    """Check every value across a walk for positive coefficients.
 
     ``states`` is the sequence produced by repeated exchanges from an
-    initial cluster.  Returns {'all_laurent', 'all_positive',
-    'max_terms'}; a division failure during the walk should be recorded
-    by truncating the sequence and reporting all_laurent False upstream.
+    initial cluster.  Returns {'all_positive', 'max_terms'}; whether
+    every division was exact is ``random_walk``'s ``ok`` flag.
     """
     all_positive = True
     max_terms = 0
@@ -274,11 +268,7 @@ def laurent_audit(states):
             max_terms = max(max_terms, val.terms())
             if not val.is_positive():
                 all_positive = False
-    return {
-        "all_laurent": True,
-        "all_positive": all_positive,
-        "max_terms": max_terms,
-    }
+    return {"all_positive": all_positive, "max_terms": max_terms}
 
 
 def random_walk(state, length, rng):

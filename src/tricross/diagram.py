@@ -24,7 +24,7 @@ Conventions (global, used by every other module):
   ``phi(d) = sigma_inv(alpha(d))`` where ``sigma_inv`` rotates one step
   clockwise around the dart's vertex.  Interior faces of the disk are
   exactly the orbits other than the outer orbit (the one made of all
-  ``('-', i)`` darts).
+  ``('-', i)`` darts; ``phi(('-', i)) = ('-', i - 1)`` in every diagram).
 
 * A face is white when every strand dart on its boundary runs in the
   strand's travel direction (counterclockwise around the face), black
@@ -33,14 +33,15 @@ Conventions (global, used by every other module):
 * One breadth-first walk, ``_label_walk``, says which crossings hang
   together and in what canonical order.  From the endpoints, or from one
   root crossing at an even phase, it labels each crossing ``(id, phase)``
-  in the order met and codes ports as ints that sort like their
-  normalized text (``i`` for ``Bi``, ``2n + 6*id + s`` for ``C<id>.<s>``).
-  The canonical key renders the endpoint walk's sorted edges.  A floating
+  in the order met.  Only the canonical key codes the edges of a walk
+  (``_edge_codes``), as ints that sort like their normalized text (``i``
+  for ``Bi``, ``2n + 6*id + s`` for ``C<id>.<s>``), and renders the
+  endpoint walk's sorted edges.  A floating
   component is walked from every root and phase, coded with ``n = 0``,
   edges oriented and sorted by text (``C10.0`` before ``C2.0``); the least
   code wins, ties to the first root.  ``is_connected`` asks whether the
   endpoint walk labels every crossing; ``validate`` counts V, E and F
-  per walked component.
+  per walked component, E from the labels alone.
 
 Diagrams are immutable values by convention: all operations build new
 instances.
@@ -69,6 +70,11 @@ def port_str(port):
     if port[0] == 'b':
         return "B%d" % port[1]
     return "C%d.%d" % (port[1], port[2])
+
+
+# a crossing's slots in walk order, from each even phase
+_SLOTS_FROM = {0: (0, 1, 2, 3, 4, 5), 2: (2, 3, 4, 5, 0, 1),
+               4: (4, 5, 0, 1, 2, 3)}
 
 
 @lru_cache(maxsize=256)
@@ -300,46 +306,56 @@ class TripleDiagram:
         """Breadth-first labelling of the crossings reachable from the
         endpoints, or from crossing ``root[0]`` at even phase ``root[1]``.
 
-        Returns ``(label, pairs)``.  ``label`` maps each crossing met to
-        ``(id, phase)``: ids count from 0 in the order met, and the phase
-        is the even rotation taking the slot it was entered by to 0 or 1.
-        ``pairs`` are the sorted edges, each coded once as ``a * width + b``
-        (``a < b``, ``width = 2n + 6k``) from the port codes ``i`` for
-        ``Bi`` and ``base + 6 * id + (s - phase) % 6`` for slot ``s``, where
-        ``base`` is ``2n`` from the endpoints and 0 from a root.
+        Returns ``label``, mapping each crossing met to ``(id, phase)``:
+        ids count from 0 in the order met, and the phase is the even
+        rotation taking the slot it was entered by to 0 or 1.
         """
-        n2 = 2 * self.n
-        width = n2 + 6 * len(self.crossings)
-        if root is None:
-            base, order, label = n2, [], {}
-            ports = [(i, ('b', i)) for i in range(n2)]
-        else:
-            base, order, label = 0, [root], {root[0]: (0, root[1])}
-            ports = ()
         edges = self.edges
+        if root is None:
+            order, label = [], {}
+            for i in range(2 * self.n):
+                q = edges[('b', i)]
+                if q[0] == 'c' and q[1] not in label:
+                    label[q[1]] = (len(order), q[2] - q[2] % 2)
+                    order.append(q[1])
+        else:
+            order, label = [root[0]], {root[0]: (0, root[1])}
+        for c in order:  # order grows while it is read: breadth first
+            for s in _SLOTS_FROM[label[c][1]]:
+                q = edges[('c', c, s)]
+                if q[0] == 'c' and q[1] not in label:
+                    label[q[1]] = (len(order), q[2] - q[2] % 2)
+                    order.append(q[1])
+        return label
+
+    def _edge_codes(self, label, base):
+        """The edges of a walked component, sorted, each coded once as
+        ``a * width + b`` (``a < b``, ``width = 2n + 6k``) from the port
+        codes ``i`` for ``Bi`` and ``base + 6 * id + (s - phase) % 6`` for
+        slot ``s``.  ``base`` is ``2n`` for the endpoint walk's ``label``,
+        whose component holds the endpoints, and 0 for a root's."""
+        width = 2 * self.n + 6 * len(self.crossings)
+        at = {c: (base + 6 * cid, phase) for c, (cid, phase) in label.items()}
         pairs = []
-        k = 0
-        while True:
-            for pc, p in ports:
-                q = edges[p]
-                if q[0] == 'b':
-                    qc = q[1]
-                else:
-                    lab = label.get(q[1])
-                    if lab is None:
-                        lab = label[q[1]] = (len(order), q[2] - q[2] % 2)
-                        order.append((q[1], lab[1]))
-                    qc = base + 6 * lab[0] + (q[2] - lab[1]) % 6
-                if pc < qc:
-                    pairs.append(pc * width + qc)
-            if k == len(order):
-                break
-            c, phase = order[k]
-            cb = base + 6 * k
-            k += 1
-            ports = [(cb + s, ('c', c, (phase + s) % 6)) for s in range(6)]
+        for p, q in self.edges.items():
+            if p[0] == 'b':
+                if not base:
+                    continue
+                pc = p[1]
+            else:
+                o = at.get(p[1])
+                if o is None:
+                    continue
+                pc = o[0] + (p[2] - o[1]) % 6
+            if q[0] == 'b':
+                qc = q[1]
+            else:
+                o = at[q[1]]
+                qc = o[0] + (q[2] - o[1]) % 6
+            if pc < qc:
+                pairs.append(pc * width + qc)
         pairs.sort()
-        return label, pairs
+        return pairs
 
     # ------------------------------------------------------------------
     # validation
@@ -377,8 +393,7 @@ class TripleDiagram:
         if violations:
             return violations
 
-        # planarity: per-component Euler characteristic 2, and the outer
-        # orbit must be exactly the clockwise boundary arcs.
+        # planarity: per-component Euler characteristic 2
         try:
             orbits = self._orbits()
         except KeyError:
@@ -386,17 +401,6 @@ class TripleDiagram:
             return violations
         if 'faces' not in self._cache:
             self._cache['orbits'] = orbits
-        if self.n > 0:
-            outer = None
-            for orbit in orbits:
-                if ('-', 0) in orbit:
-                    outer = orbit
-                    break
-            expect = set(('-', i) for i in range(2 * self.n))
-            if outer is None or set(outer) != expect:
-                violations.append("boundary endpoints do not bound a single "
-                                  "outer face in cyclic order")
-                return violations
         for comp_v, comp_e, comp_f in self._components(orbits):
             if comp_v - comp_e + comp_f != 2:
                 violations.append("Euler characteristic violated "
@@ -423,15 +427,18 @@ class TripleDiagram:
         """[V, E, F] per connected component of the dart structure: the
         boundary's first (when n > 0), then the floating groups in the
         order of their smallest crossing id."""
+        # every endpoint brings one port and every crossing six, and each
+        # edge joins two of them; the boundary arcs add n2 edges
         n2 = 2 * self.n
-        label, pairs = self._label_walk()
+        label = self._label_walk()
         comp = dict.fromkeys(label, 0)
-        tally = [[n2 + len(label), n2 + len(pairs), 0]] if n2 else []
+        tally = ([[n2 + len(label), n2 + (n2 + 6 * len(label)) // 2, 0]]
+                 if n2 else [])
         for c in self.crossings:
             if c not in comp:
-                label, pairs = self._label_walk((c, 0))
+                label = self._label_walk((c, 0))
                 comp.update(dict.fromkeys(label, len(tally)))
-                tally.append([len(label), len(pairs), 0])
+                tally.append([len(label), 3 * len(label), 0])
         for orbit in orbits:
             d = orbit[0]
             tally[comp[d[1]] if d[0] == 'c' else 0][2] += 1
@@ -515,7 +522,7 @@ class TripleDiagram:
     def is_connected(self):
         """True iff strands plus the boundary circle form one component."""
         return (not self.loops
-                and len(self._label_walk()[0]) == len(self.crossings))
+                and len(self._label_walk()) == len(self.crossings))
 
     # ------------------------------------------------------------------
     # canonical form
@@ -531,7 +538,8 @@ class TripleDiagram:
             return self._cache['canon']
         n2 = 2 * self.n
         width = n2 + 6 * len(self.crossings)
-        label, pairs = self._label_walk()
+        label = self._label_walk()
+        pairs = self._edge_codes(label, n2)
         text = _port_texts(self.n, len(self.crossings))
         edge_texts = []
         for e in pairs:  # the key lists each edge twice, once per end
@@ -540,10 +548,10 @@ class TripleDiagram:
             edge_texts.append(t)
 
         def float_code(root, phase):
-            lab, fpairs = self._label_walk((root, phase))
+            lab = self._label_walk((root, phase))
             ftext = _port_texts(0, len(lab))
             texts = []
-            for e in fpairs:
+            for e in self._edge_codes(lab, 0):
                 a, b = ftext[e // width], ftext[e % width]
                 texts.append(a + "-" + b if a < b else b + "-" + a)
             texts.sort()
@@ -587,7 +595,7 @@ class TripleDiagram:
                 cands.append("C%d.%d" % (cid, (d[2] - phase) % 6))
             else:
                 cands.append(port_str(d) if d[0] == 'b' else "%s%d" % d)
-        return min(cands)
+        return min(cands, default="")  # the empty disk's face has no dart
 
     # ------------------------------------------------------------------
 
@@ -606,7 +614,5 @@ class TripleDiagram:
                 % (self.n, len(self.crossings), sum(self.loops.values())))
 
 
-def empty_diagram(n=0):
-    if n:
-        raise ValueError("use standard_diagram to realize matchings")
+def empty_diagram():
     return TripleDiagram(0, (), {})

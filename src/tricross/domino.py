@@ -256,25 +256,19 @@ def tiling_to_diagram(tiling, with_map=False):
     raise ValueError("no orientation makes endpoint 0 an in-endpoint")
 
 
-def flip_central_face(tiling, site, diagram=None, dommap=None):
-    """The 2<->2 site of the dual diagram matching a domino flip."""
-    if diagram is None:
-        diagram, dommap = tiling_to_diagram(tiling, with_map=True)
+def flips_commute_with_22(tiling, site):
+    """Check flip-then-dualize equals dualize-then-2<->2, by canonical key:
+    the 2<->2 move is the one whose central bigon lies between the two
+    dominoes of the flip."""
+    diagram, dommap = tiling_to_diagram(tiling, with_map=True)
     x, y, h = site
     if h:
         pair = {dommap[(x, y, True)], dommap[(x, y + 1, True)]}
     else:
         pair = {dommap[(x, y, False)], dommap[(x + 1, y, False)]}
-    for s in find_22_sites(diagram):
-        if {s.x[0], s.y[0]} == pair:
-            return s
-    raise ValueError("no central bigon for that flip")
-
-
-def flips_commute_with_22(tiling, site):
-    """Check flip-then-dualize equals dualize-then-2<->2, by canonical key."""
-    diagram, dommap = tiling_to_diagram(tiling, with_map=True)
-    s = flip_central_face(tiling, site, diagram, dommap)
-    via_move = apply_22(diagram, s)
+    sites = [s for s in find_22_sites(diagram) if {s.x[0], s.y[0]} == pair]
+    if not sites:
+        raise ValueError("no central bigon for that flip")
+    via_move = apply_22(diagram, sites[0])
     via_flip = tiling_to_diagram(apply_flip(tiling, site))
     return via_move.canonical_key() == via_flip.canonical_key()

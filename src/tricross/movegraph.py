@@ -10,7 +10,8 @@ decomposition: the first boundary port of a sub-disk either closes to
 another of its boundary ports (splitting the disk in two) or feeds a
 fresh crossing whose remaining five legs join the working boundary.
 Planarity is built in, every crossing hangs off the boundary circle,
-and duplicates are removed by canonical key.  The generator never
+and each diagram is emitted exactly once, so the fillings kept are the
+diagrams, with no duplicate to remove.  The generator never
 consults the move system, so comparing the two sides genuinely checks
 the claim that 2<->2 moves connect all minimal diagrams of a matching.
 """
@@ -130,11 +131,11 @@ def walk_fillings(n, crossings, emit, want=None):
     run(((tuple(('b', i) for i in range(2 * n)), crossings),), 0)
 
 
-def enumerate_connected_diagrams(matching, crossings, allow_closed=True):
+def enumerate_connected_diagrams(matching, crossings):
     """All connected diagrams with the given trace and crossing count.
 
-    Returns {canonical key: diagram}.  With ``allow_closed`` false,
-    diagrams containing closed strands are dropped.
+    Returns {canonical key: diagram}; a filling that fails validation is
+    a generator fault and raises DiagramError.
     """
     n = matching.n
     want = matching.as_dict()
@@ -142,23 +143,19 @@ def enumerate_connected_diagrams(matching, crossings, allow_closed=True):
 
     def emit(edges, ncross):
         d = TripleDiagram.from_edge_list(n, range(ncross), list(edges))
-        traced, loops = d.trace()
-        if traced.as_dict() != want:
+        if d.trace()[0].as_dict() != want:
             return
-        if loops and not allow_closed:
-            return
-        if d.validate():
-            return
+        d.check()
         results.setdefault(d.canonical_key(), d)
 
     walk_fillings(n, crossings, emit, want)
     return results
 
 
-def brute_force_minimal(matching, guard=True):
+def brute_force_minimal(matching):
     """Canonical keys of all minimal diagrams with the given matching."""
     k = minimal_crossing_count(matching)
-    if guard and (matching.n > ORACLE_MAX_N or k > ORACLE_MAX_CROSSINGS):
+    if matching.n > ORACLE_MAX_N or k > ORACLE_MAX_CROSSINGS:
         raise GuardExceeded("oracle guard: n <= %d and count <= %d"
                             % (ORACLE_MAX_N, ORACLE_MAX_CROSSINGS))
     found = enumerate_connected_diagrams(matching, k)

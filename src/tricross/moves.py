@@ -74,14 +74,10 @@ class Move:
     data: tuple
 
     def inverse(self):
-        if self.kind == '22':
-            x, y, nx, ny = self.data
-            return Move('22', (nx, ny, x, y))
-        if self.kind == 'drop':
-            return Move('add', self.data)
-        if self.kind == 'add':
-            return Move('drop', self.data)
-        raise MoveError("no recorded inverse for %s" % self.kind)
+        if self.kind != '22':
+            raise MoveError("no recorded inverse for %s" % self.kind)
+        x, y, nx, ny = self.data
+        return Move('22', (nx, ny, x, y))
 
 
 @dataclass

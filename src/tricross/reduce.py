@@ -33,7 +33,7 @@ never increases between the explicit 1->0 steps.
 from .diagram import TripleDiagram, is_source
 from .domino import Region, Tiling, tiling_to_diagram
 from .standard import (standard_diagram, select_interval, interval_interior,
-                       STRATEGIES)
+                       template_slots, STRATEGIES)
 from .moves import (Move, MoveError, find_22_sites,
                     find_10_sites, move_22, apply_move, make_log, is_minimal)
 from .movegraph import closure
@@ -132,10 +132,7 @@ def is_boundary_parallel(diagram, a, dirn):
         o = interior[2 * j]
         i = interior[2 * j + 1]
         c, e = visits[j]
-        if dirn == 1:
-            down_out, down_in = (e + 1) % 6, (e + 2) % 6
-        else:
-            down_out, down_in = (e + 5) % 6, (e + 4) % 6
+        down_out, down_in, _, _ = template_slots(e, dirn)
         if diagram.edges[('c', c, down_out)] != ('b', o):
             return False
         if diagram.edges[('c', c, down_in)] != ('b', i):
@@ -638,9 +635,8 @@ def to_standard(diagram, strategy="inclusion"):
         keys = [k for k, _ in frontier]
         sub = _build_residual(diagram, active, frontier)
         traced, _ = sub.trace()
+        # the frontier is not empty, so the sub-diagram has n >= 1 pairs
         pairing = {keys[i]: keys[o] for i, o in traced.pairs}
-        if not pairing:
-            break
         a_key, b_key, dirn, interior_keys = select_interval(
             keys, pairing, strategy)
         pos = {k: i for i, k in enumerate(keys)}
@@ -656,12 +652,9 @@ def to_standard(diagram, strategy="inclusion"):
         for j, (c, e) in enumerate(s['visits']):
             o_key = keys[interior[2 * j]]
             i_key = keys[interior[2 * j + 1]]
-            if dirn == 1:
-                t_up, u_up = ('c', c, (e + 4) % 6), ('c', c, (e + 5) % 6)
-            else:
-                t_up, u_up = ('c', c, (e + 2) % 6), ('c', c, (e + 1) % 6)
-            new_frontier[i_key] = t_up
-            new_frontier[o_key] = u_up
+            _, _, t_up, u_up = template_slots(e, dirn)
+            new_frontier[i_key] = ('c', c, t_up)
+            new_frontier[o_key] = ('c', c, u_up)
             frozen.add(c)
         del new_frontier[a_key], new_frontier[b_key]
         order = {k: t for t, k in enumerate(keys)}
@@ -766,9 +759,8 @@ def pattern_tilings(pattern, repeats):
 def pattern_template(pattern, repeats):
     """(left diagram, window ids in template order, right diagram)."""
     left, right = pattern_tilings(pattern, repeats)
-    d_left, dommap = tiling_to_diagram(left, with_map=True)
-    d_right = tiling_to_diagram(right)
-    return d_left, list(range(len(dommap))), d_right
+    d_left = tiling_to_diagram(left)
+    return d_left, list(d_left.crossings), tiling_to_diagram(right)
 
 
 def match_window(diagram, template, window):
@@ -817,17 +809,15 @@ def match_window(diagram, template, window):
     raise MoveError("window does not match the pattern's left side")
 
 
-def slide_macro(diagram, pattern, window, repeats=None):
+def slide_macro(diagram, pattern, window, repeats):
     """A 2<->2-only log turning the window into the pattern's right side.
 
     ``window`` lists the diagram crossings matching the pattern's left
-    side (template order); ``repeats`` defaults to the size implied by
-    the window.  The sequence is found by breadth-first search over
-    2<->2 moves confined to the template, then replayed through the
-    window, so it never touches outside crossings.
+    side (template order), with ``repeats`` central repeats.  The
+    sequence is found by breadth-first search over 2<->2 moves confined
+    to the template, then replayed through the window, so it never
+    touches outside crossings.
     """
-    if repeats is None:
-        repeats = _infer_repeats(pattern, len(window))
     t_left, t_window, t_right = pattern_template(pattern, repeats)
     if len(window) != len(t_window):
         raise MoveError("window size does not fit the pattern")
@@ -837,10 +827,8 @@ def slide_macro(diagram, pattern, window, repeats=None):
     def goal(d):
         return d.canonical_key() == target
 
-    if goal(t_left):
-        path = []
-    else:
-        path = _search(t_left, goal, "pattern sides are not 2<->2 connected")
+    # the two sides differ, so the path is never empty
+    path = _search(t_left, goal, "pattern sides are not 2<->2 connected")
     moves = []
     for mv in path:
         x, y, nx, ny = mv.data
@@ -852,18 +840,6 @@ def slide_macro(diagram, pattern, window, repeats=None):
         moves.append(Move('22', (tr(x), tr(y), tr(nx), tr(ny))))
     final, movelog = make_log(diagram, moves)
     return movelog
-
-
-def _infer_repeats(pattern, size):
-    if pattern == 'a':
-        r = size // 2          # 2-row strip of width 2r
-    elif pattern == 'b':
-        r = size - 2           # 2-row strip of width r+2
-    else:
-        r = (size - 3) // 3    # 3-row strip has 3(r+1) dominoes
-    if r < 1:
-        raise MoveError("window too small for the pattern")
-    return r
 
 
 # ----------------------------------------------------------------------
@@ -881,16 +857,9 @@ def inflate(diagram, bumps, loops, shuffles, rng):
     for _ in range(bumps):
         cands = []
         for f in cur.faces():
-            edge_darts = []
-            seen = set()
-            for d in f.darts:
-                if d[0] not in ('b', 'c'):
-                    continue
-                e = frozenset((d, cur.edges[d]))
-                if e in seen:
-                    continue
-                seen.add(e)
-                edge_darts.append(d)
+            # one dart per edge: an edge with both sides on one face would
+            # be a bridge, and every strand that crosses a cut crosses back
+            edge_darts = [d for d in f.darts if d[0] in ('b', 'c')]
             if len(edge_darts) >= 2:
                 cands.append((f, edge_darts))
         if not cands:

@@ -20,6 +20,11 @@ Crossing template, with the new strand entering at slot ``s_in``:
 * clockwise interval: ``s_in = 0``, exit 3; out-endpoint at slot 5,
   in-endpoint at slot 4; upper legs slot 1 (residual-in, key of the
   out-endpoint) and slot 2 (residual-out, key of the in-endpoint).
+
+Both are ``template_slots``: relative to the entry slot ``e``, slot
+``(e + k * dirn) % 6`` with k = 1, 2 for the hanging out- and in-slots
+and k = 4, 5 for the upper legs taking the in- and out-endpoint's key.
+The reducer reads laid strands through the same helper.
 """
 
 from .diagram import TripleDiagram, is_sink, is_source
@@ -100,6 +105,12 @@ def select_interval(keys, pairing, strategy):
     return chosen[2], chosen[3], chosen[4], chosen[1]
 
 
+def template_slots(e, dirn):
+    """(out-hanging, in-hanging, in-key upper, out-key upper) slots of a
+    crossing laid along a ``dirn`` interval and entered at slot ``e``."""
+    return tuple((e + k * dirn) % 6 for k in (1, 2, 4, 5))
+
+
 def lay_strand(frontier, pairing, partner, edges, a, b, dirn, interior,
                next_cross):
     """Lay one boundary-parallel strand; mutates the recursion state.
@@ -112,39 +123,30 @@ def lay_strand(frontier, pairing, partner, edges, a, b, dirn, interior,
     cur = frontier[a]
     assert is_source(cur), "interval must start at an in anchor"
     s_in, s_out = (2, 5) if dirn == 1 else (0, 3)
+    down_out, down_in, t_up, u_up = template_slots(s_in, dirn)
     new_ids = []
     for j in range(k):
         c = next_cross + j
         new_ids.append(c)
         o_key, i_key = interior[2 * j], interior[2 * j + 1]
         assert is_sink(frontier[o_key]) and is_source(frontier[i_key])
+        # t != i_key: select_interval admits no interval enclosing a pair
         t = partner[o_key]
         u = pairing[i_key]
         edges.append((cur, ('c', c, s_in)))
         cur = ('c', c, s_out)
-        if dirn == 1:
-            edges.append((('c', c, 3), frontier[o_key]))
-            edges.append((frontier[i_key], ('c', c, 4)))
-            t_up, u_up = ('c', c, 0), ('c', c, 1)
-        else:
-            edges.append((('c', c, 5), frontier[o_key]))
-            edges.append((frontier[i_key], ('c', c, 4)))
-            t_up, u_up = ('c', c, 2), ('c', c, 1)
+        edges.append((('c', c, down_out), frontier[o_key]))
+        edges.append((frontier[i_key], ('c', c, down_in)))
         # swap the crossed pairs: t's strand now ends over the in slot,
         # the out slot's key starts the strand running to u
-        frontier[i_key] = t_up
-        frontier[o_key] = u_up
+        frontier[i_key] = ('c', c, t_up)
+        frontier[o_key] = ('c', c, u_up)
         del pairing[i_key]
         del partner[o_key]
-        if t == i_key:
-            # single strand crossed twice at this crossing (U-turn pair)
-            pairing[o_key] = i_key
-            partner[i_key] = o_key
-        else:
-            pairing[t] = i_key
-            partner[i_key] = t
-            pairing[o_key] = u
-            partner[u] = o_key
+        pairing[t] = i_key
+        partner[i_key] = t
+        pairing[o_key] = u
+        partner[u] = o_key
     edges.append((cur, frontier[b]))
     del frontier[a], frontier[b]
     del pairing[a], partner[b]

@@ -90,6 +90,9 @@ def read_diagram(text, name="<diagram>"):
                     if fid < 0:
                         raise ParseError(name, no,
                                          "loop face %d out of range" % fid)
+                    if fid in loops:
+                        raise ParseError(name, no,
+                                         "loop face %d named twice" % fid)
                     loops[fid] = (int(count), no)
             else:
                 raise ParseError(name, no, "unknown record %r" % parts[0])

@@ -10,7 +10,7 @@ from tricross import (Matching, standard_diagram, empty_diagram, Region,
 from tricross.cluster import (poly_add, poly_mul, poly_div_exact, poly_var,
                               poly_const, LaurentValue, lv_var, lv_mul,
                               lv_add, lv_div_exact, ExactDivisionError,
-                              dump_values)
+                              ClusterState, dump_values)
 
 
 def rand_poly(rng, nvars, terms, deg=3, coeff=6):
@@ -142,14 +142,49 @@ def test_walk_audit_all_laurent_positive():
         states, sites, ok = random_walk(st, 20, rng)
         assert ok
         report = laurent_audit(states)
-        assert report["all_laurent"] and report["all_positive"]
+        assert report["all_positive"]
 
 
 def test_zero_move_walk_trivially_passes(rotation3):
     st = init_cluster(standard_diagram(rotation3))
-    report = laurent_audit([st])
-    assert report["all_laurent"] and report["all_positive"]
+    states, sites, ok = random_walk(st, 5, random.Random(0))
+    assert states == [st] and sites == []  # one crossing: no 2<->2 site
+    report = laurent_audit(states)
+    assert ok and report["all_positive"]
     assert report["max_terms"] == 1
+
+
+def test_audits_can_fail():
+    """A walk whose exchange does not divide exactly stops with ok False;
+    a value with a negative coefficient fails all_positive."""
+    st = init_cluster(tiling_to_diagram(
+        enumerate_tilings(Region.rectangle(4, 3))[0]))
+    one = LaurentValue.make(poly_const(st.nvars), (0,) * st.nvars)
+    # x + 1 on every face: (ac + bd) / e no longer divides exactly
+    shifted = ClusterState(st.diagram,
+                           {k: lv_add(v, one) for k, v in st.values.items()},
+                           st.frozen, st.nvars, st.var_names)
+    states, sites, ok = random_walk(shifted, 20, random.Random(1))
+    assert not ok and len(states) == len(sites) + 1 < 21
+    assert laurent_audit(states)["all_positive"]
+    minus = LaurentValue.make({(1,) + (0,) * (st.nvars - 1): -1},
+                              (0,) * st.nvars)
+    values = dict(st.values)
+    values[min(values)] = minus
+    negative = ClusterState(st.diagram, values, st.frozen, st.nvars,
+                            st.var_names)
+    assert not laurent_audit([st, negative])["all_positive"]
+
+
+def test_pretty_prints_every_term_shape():
+    v = LaurentValue.make({(1, 0): -1, (0, 1): 2, (0, 0): 3}, (0, 0))
+    assert v.pretty() == "-x0 + 2*x1 + 3"
+    assert str(LaurentValue.make({(1, 0): 1, (0, 1): -1}, (0, 0))) \
+        == "x0 - x1"
+    w = LaurentValue.make({(0, 2): 1, (1, 0): -1}, (1, 0))  # (b^2 - a) / a
+    assert w.pretty(("a", "b")) == "-1 + a^-1*b^2"
+    zero = lv_div_exact(LaurentValue.make({}, (0, 0)), lv_var(2, 0))
+    assert zero.num == () and str(zero) == "0"
 
 
 def test_dump_deterministic():

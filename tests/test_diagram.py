@@ -227,3 +227,24 @@ def test_face_by_key_finds_keys_only():
             d.face_by_key(stale)
     e = empty_diagram()
     assert e.face_by_key(()) is e.faces()[0]
+
+
+def test_outer_darts_form_one_clockwise_orbit():
+    """phi(('-', i)) is ('-', i - 1) on every diagram, so the outer orbit
+    is always the 2n clockwise boundary arcs."""
+    for n in range(1, 4):
+        for m in all_matchings(n):
+            d = standard_diagram(m)
+            for i in range(2 * n):
+                assert d.phi(('-', i)) == ('-', (i - 1) % (2 * n))
+
+
+def test_equality_hash_and_repr_follow_the_canonical_key():
+    d = single_crossing()
+    relabeled = TripleDiagram.from_edge_list(
+        3, [7], [(('b', i), ('c', 7, i)) for i in range(6)])
+    assert d == relabeled and hash(d) == hash(relabeled)
+    assert d != nested_arcs() and d != d.canonical_key()
+    looped = d.with_loops({d.faces()[0].key: 2})
+    assert looped != d
+    assert repr(looped) == "TripleDiagram(n=3, crossings=1, loops=2)"

@@ -106,3 +106,14 @@ def test_exact_cover_enforced():
     region = Region.rectangle(2, 2)
     with pytest.raises(ValueError):
         Tiling(region, [(0, 0, True)])
+
+
+def test_regions_that_are_not_simply_connected():
+    ring = Region((x, y) for x in range(3) for y in range(3) if (x, y) != (1, 1))
+    for region in (Region([]), Region([(0, 0), (2, 0)]), ring):
+        assert not region.is_simply_connected()
+    apart = Tiling(Region([(0, 0), (1, 0), (3, 0), (4, 0)]),
+                   [(0, 0, True), (3, 0, True)])
+    assert repr(apart) == "Tiling([(0, 0, True), (3, 0, True)])"
+    with pytest.raises(ValueError):
+        tiling_to_diagram(apart)

@@ -5,14 +5,14 @@ import random
 
 import pytest
 
-from tricross import (Matching, standard_diagram, to_standard,
+from tricross import (TripleDiagram, Matching, standard_diagram, to_standard,
                       reduce_to_minimal, connect_minimal, slide_macro,
                       pattern_template, inflate, is_minimal, replay,
                       find_badgons)
 from tricross.diagram import port_str
 from tricross.moves import apply_move, MoveError
 from tricross.reduce import (straighten, is_boundary_parallel, extract_region,
-                             ReductionError, _search)
+                             ReductionError, _search, match_window)
 from tricross.movegraph import closure
 
 from conftest import all_matchings
@@ -166,8 +166,27 @@ def test_slide_macro_rejects_wrong_window():
         slide_macro(left, 'a', window[:2], 2)
 
 
+def test_match_window_refuses_a_wrong_window_of_the_right_size():
+    """Each way a window can miss the template: an edge landing on the
+    wrong crossing, on a slot of the wrong parity, or at a phase that
+    another edge contradicts."""
+    left, window, _ = pattern_template('a', 2)
+    assert match_window(left, left, window) == dict.fromkeys(window, 0)
+    with pytest.raises(MoveError):
+        match_window(left, left, window[1:] + window[:1])
+    left, window, _ = pattern_template('a', 1)
+    # crossing 1 meets crossing 0 by two edges: slots 3 and 2 at crossing 1
+    for relabel in (lambda s: (s + 1) % 6,    # odd rotation: wrong parity
+                    lambda s: -s % 6):        # mirror: the phases disagree
+        def port(p):
+            return ('c', 1, relabel(p[2])) if p[:2] == ('c', 1) else p
+        moved = TripleDiagram(left.n, left.crossings,
+                              {port(p): port(q) for p, q in left.edges.items()})
+        with pytest.raises(MoveError):
+            match_window(moved, left, window)
+
+
 def test_reduce_drops_floating_component():
-    from tricross import TripleDiagram
     d0 = standard_diagram(Matching.from_dict(2, {0: 1, 2: 3}))
     edges = d0.edge_list() + [
         (('c', 9, 1), ('c', 9, 0)), (('c', 9, 3), ('c', 9, 4)),

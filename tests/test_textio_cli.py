@@ -10,6 +10,7 @@ import pytest
 from tricross import (Matching, standard_diagram, Region, enumerate_tilings,
                       tiling_to_diagram, enumerate_component, inflate,
                       to_standard)
+from tricross.moves import make_log
 from tricross import textio
 from tricross.render import render_diagram, render_tiling, RenderSpec
 
@@ -44,6 +45,59 @@ def test_diagram_roundtrip_with_loops(rotation3):
     assert back.canonical_key() == d.canonical_key()
 
 
+def test_loop_face_named_twice_is_refused(rotation3):
+    """``loops 0:1 0:2`` would otherwise read as 2 loops, not 3; the line
+    that names the face again is the error."""
+    text = textio.write_diagram(standard_diagram(rotation3))
+    line_no = len(text.splitlines()) + 1
+    for records, bad_line in (("loops 0:1 0:2\n", line_no),
+                              ("loops 0:1\n\nloops 1:1 0:2\n", line_no + 2)):
+        with pytest.raises(textio.ParseError) as exc:
+            textio.read_diagram(text + records)
+        assert exc.value.line_no == bad_line
+        assert exc.value.message == "loop face 0 named twice"
+
+
+def test_empty_disk_loops_roundtrip():
+    """The empty disk's face has no dart; its loops still have a key."""
+    from tricross import empty_diagram
+    d = empty_diagram().with_loops({(): 2})
+    text = textio.write_diagram(d)
+    assert text.splitlines()[-1] == "loops 0:2"
+    back = textio.read_diagram(text)
+    assert back.canonical_key() == d.canonical_key()
+    assert textio.write_diagram(back) == text
+    final, log = to_standard(d)
+    assert not final.loops and [mv.kind for mv in log.moves] == ["drop"] * 2
+
+
+def test_parsers_skip_blank_lines_and_refuse_unknown_records(rotation3):
+    d = standard_diagram(rotation3)
+    m = rotation3
+    region = Region.rectangle(2, 1)
+    tiling = enumerate_tilings(region)[0]
+    head = "movelog v1\ninitial %s\n" % textio.key_digest(d.canonical_key())
+    cases = ((textio.read_diagram, textio.write_diagram(d), d.canonical_key(),
+              lambda x: x.canonical_key()),
+             (textio.read_matching, textio.write_matching(m), m, None),
+             (textio.read_region, textio.write_region(region),
+              region.squares, lambda x: x.squares),
+             (textio.read_tiling, textio.write_tiling(tiling), tiling, None))
+    for read, text, want, view in cases:
+        first, rest = text.split("\n", 1)
+        got = read(first + "\n\n" + rest + "  \n")
+        assert (view(got) if view else got) == want
+        with pytest.raises(textio.ParseError) as exc:
+            read(text + "bogus 1\n")
+        assert exc.value.line_no == len(text.splitlines()) + 1
+    log, end = textio.read_movelog(head + "\n", d)
+    assert log.moves == [] and end is d
+    with pytest.raises(textio.ParseError) as exc:
+        textio.read_movelog(head + "\nswap 1\n", d)
+    assert exc.value.line_no == 4
+    assert exc.value.message == "unknown move 'swap'"
+
+
 def test_matching_roundtrip():
     for n in range(5):
         for m in all_matchings(n):
@@ -69,7 +123,9 @@ def test_ascii_inputs():
     region = textio.read_ascii_region("##\n##\n")
     assert len(region) == 4
     tiling = textio.read_ascii_tiling("ab\nab\n")
-    assert len(tiling.dominoes) == 2
+    assert tiling.dominoes == {(0, 0, False), (1, 0, False)}
+    tiling = textio.read_ascii_tiling("aa\nbb\n")
+    assert tiling.dominoes == {(0, 0, True), (0, 1, True)}
     with pytest.raises(ValueError):
         textio.read_ascii_tiling("aa\naa\n")
 
@@ -84,6 +140,26 @@ def test_movelog_roundtrip():
     parsed, end = textio.read_movelog(text, d)
     assert end.canonical_key() == final.canonical_key()
     assert [mv.kind for mv in parsed.moves] == [mv.kind for mv in log.moves]
+
+
+def test_movelog_roundtrip_every_move_kind():
+    """Inflation logs (01, add, 22) and reduction logs (22, 10, drop)
+    read back to the same moves and keys, and write back byte for byte."""
+    rng = random.Random(8)
+    kinds = set()
+    for m in (Matching.from_dict(3, {0: 3, 2: 5, 4: 1}),
+              Matching.from_dict(4, {0: 5, 2: 7, 4: 1, 6: 3})):
+        d0 = standard_diagram(m)
+        d, moves = inflate(d0, 2, 2, 4, rng)
+        _, grow = make_log(d0, moves)
+        _, shrink = to_standard(d)
+        for start, log in ((d0, grow), (d, shrink)):
+            text = textio.write_movelog(start, log)
+            parsed, _ = textio.read_movelog(text, start)
+            assert parsed.moves == log.moves and parsed.keys == log.keys
+            assert textio.write_movelog(start, parsed) == text
+            kinds.update(line.split()[0] for line in text.splitlines()[2:])
+    assert kinds == {"01", "add", "22", "10", "drop"}
 
 
 def test_negative_face_indices_are_refused(rotation3):
@@ -132,6 +208,8 @@ def test_render_outputs_svg(rotation3):
     d = standard_diagram(rotation3)
     svg = render_diagram(d, RenderSpec(shade_faces=True))
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
+    looped = d.with_loops({d.faces()[0].key: 2, d.faces()[1].key: 1})
+    assert render_diagram(looped).count('stroke="#3a3"') == 3
     t = enumerate_tilings(Region.rectangle(2, 2))[0]
     assert render_tiling(t).startswith("<svg")
     with pytest.raises(ValueError):
@@ -214,3 +292,16 @@ def test_cli_reduce_refuses_a_negative_loop_face(tmp_path, rotation3):
     assert len(lines) == 1
     assert lines[0].startswith("error: ")
     assert lines[0].endswith("loop face -1 out of range")
+
+
+def test_cli_reduce_refuses_a_loop_face_named_twice(tmp_path, rotation3):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(textio.write_diagram(standard_diagram(rotation3))
+                   + "loops 0:1 0:2\n")
+    out = run_cli("reduce", "--in", str(bad))
+    assert out.returncode == 2
+    assert out.stdout == ""
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ")
+    assert lines[0].endswith("loop face 0 named twice")
