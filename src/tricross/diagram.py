@@ -340,7 +340,7 @@ class TripleDiagram:
         for p, q in self.edges.items():
             if p[0] == 'b':
                 if not base:
-                    continue
+                    continue  # a root's component holds no endpoint
                 pc = p[1]
             else:
                 o = at.get(p[1])

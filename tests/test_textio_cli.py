@@ -9,7 +9,7 @@ import pytest
 
 from tricross import (Matching, standard_diagram, Region, enumerate_tilings,
                       tiling_to_diagram, enumerate_component, inflate,
-                      to_standard)
+                      to_standard, empty_diagram)
 from tricross.moves import make_log
 from tricross import textio
 from tricross.render import render_diagram, render_tiling, RenderSpec
@@ -60,7 +60,6 @@ def test_loop_face_named_twice_is_refused(rotation3):
 
 def test_empty_disk_loops_roundtrip():
     """The empty disk's face has no dart; its loops still have a key."""
-    from tricross import empty_diagram
     d = empty_diagram().with_loops({(): 2})
     text = textio.write_diagram(d)
     assert text.splitlines()[-1] == "loops 0:2"
@@ -73,13 +72,13 @@ def test_empty_disk_loops_roundtrip():
 
 def test_parsers_skip_blank_lines_and_refuse_unknown_records(rotation3):
     d = standard_diagram(rotation3)
-    m = rotation3
     region = Region.rectangle(2, 1)
     tiling = enumerate_tilings(region)[0]
     head = "movelog v1\ninitial %s\n" % textio.key_digest(d.canonical_key())
     cases = ((textio.read_diagram, textio.write_diagram(d), d.canonical_key(),
               lambda x: x.canonical_key()),
-             (textio.read_matching, textio.write_matching(m), m, None),
+             (textio.read_matching, textio.write_matching(rotation3),
+              rotation3, None),
              (textio.read_region, textio.write_region(region),
               region.squares, lambda x: x.squares),
              (textio.read_tiling, textio.write_tiling(tiling), tiling, None))
@@ -282,26 +281,16 @@ def test_cli_error_is_structured(tmp_path):
 
 
 def test_cli_reduce_refuses_a_negative_loop_face(tmp_path, rotation3):
+    """Also a face named twice: each is one error line and exit 2."""
     bad = tmp_path / "bad.txt"
-    bad.write_text(textio.write_diagram(standard_diagram(rotation3))
-                   + "loops -1:2\n")
-    out = run_cli("reduce", "--in", str(bad))
-    assert out.returncode == 2
-    assert out.stdout == ""
-    lines = out.stderr.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("error: ")
-    assert lines[0].endswith("loop face -1 out of range")
-
-
-def test_cli_reduce_refuses_a_loop_face_named_twice(tmp_path, rotation3):
-    bad = tmp_path / "bad.txt"
-    bad.write_text(textio.write_diagram(standard_diagram(rotation3))
-                   + "loops 0:1 0:2\n")
-    out = run_cli("reduce", "--in", str(bad))
-    assert out.returncode == 2
-    assert out.stdout == ""
-    lines = out.stderr.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("error: ")
-    assert lines[0].endswith("loop face 0 named twice")
+    for record, message in (("loops -1:2", "loop face -1 out of range"),
+                            ("loops 0:1 0:2", "loop face 0 named twice")):
+        bad.write_text(textio.write_diagram(standard_diagram(rotation3))
+                       + record + "\n")
+        out = run_cli("reduce", "--in", str(bad))
+        assert out.returncode == 2
+        assert out.stdout == ""
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert lines[0].endswith(message)
