@@ -101,8 +101,8 @@ class LaurentValue:
 
     @staticmethod
     def make(num_dict, den_exps):
-        if not num_dict:
-            return LaurentValue((), tuple(max(d, 0) for d in den_exps))
+        if not num_dict:  # zero has one form: denominator 1
+            return LaurentValue((), (0,) * len(den_exps))
         # a negative denominator exponent folds into the numerator
         lift = tuple(max(0, -d) for d in den_exps)
         if any(lift):

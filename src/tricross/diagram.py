@@ -43,6 +43,14 @@ Conventions (global, used by every other module):
   endpoint walk labels every crossing; ``validate`` counts V, E and F
   per walked component, E from the labels alone.
 
+* One kernel, ``trace_strands``, traces the strands of a raw edge dict,
+  for ``TripleDiagram.strands`` (which caches it), the oracle's fillings
+  and the tests.  A strand is an immutable ``(start, end, visits)``:
+  in- and out-endpoint for an arc, both None for a closed strand, and
+  its ``(crossing, entry slot)`` visits in order.  Its edge path is not
+  stored: ``strand_path`` derives it from the visits, since a strand
+  leaves visit ``(c, s)`` by slot ``(s + 3) % 6``.
+
 Diagrams are immutable values by convention: all operations build new
 instances.
 """
@@ -94,6 +102,89 @@ def parse_port(text):
     raise ValueError("bad port %r" % text)
 
 
+def trace_strands(n, crossings, edges):
+    """Every strand of the port pairing ``edges``, traced once.
+
+    Returns a tuple of ``(start, end, visits)``: first the arc from each
+    in-endpoint ``start`` to its out-endpoint ``end``, in order of
+    ``start``; then each closed strand (``start`` and ``end`` None), from
+    its least exit port, so ``crossings`` must be increasing.  ``visits``
+    lists the strand's ``(crossing, entry slot)`` pairs in order.
+
+    No walk takes more steps than the map has edges, so a corrupt map
+    cannot hang the trace.  It raises DiagramError on a strand that never
+    exits, a closed strand that reaches the boundary, a port paired with
+    nothing, and a port walked twice: two arcs ending at one endpoint, an
+    arc ending at an in-endpoint, or strands that do not enter each even
+    slot of each crossing exactly once.
+    """
+    steps = range(n + 3 * len(crossings))  # the map's edges
+    out = []
+    entered = set()
+    ends = set()
+    walked = 0
+    try:
+        for i in range(0, 2 * n, 2):
+            visits = []
+            q = edges['b', i]
+            for _ in steps:
+                if q[0] == 'b':
+                    break
+                visits.append(q[1:])
+                q = edges['c', q[1], (q[2] + 3) % 6]
+            else:
+                raise DiagramError("strand from endpoint %d never exits" % i)
+            end = q[1]
+            if end % 2 == 0 or end in ends:
+                raise DiagramError("trace revisits port B%d" % end)
+            ends.add(end)
+            walked += len(visits)
+            entered.update(visits)
+            out.append((i, end, tuple(visits)))
+        # a closed strand leaves each exit whose entry no strand took yet
+        for c in crossings:
+            for e in (4, 0, 2):
+                start = (c, e)
+                if start in entered:
+                    continue
+                visits = []
+                q = edges['c', c, (e + 3) % 6]
+                for _ in steps:
+                    if q[0] == 'b':
+                        raise DiagramError("closed trace leaked to the "
+                                           "boundary")
+                    v = q[1:]
+                    visits.append(v)
+                    if v == start:
+                        break
+                    q = edges['c', q[1], (q[2] + 3) % 6]
+                else:
+                    raise DiagramError("closed trace from C%d.%d never closes"
+                                       % (c, (e + 3) % 6))
+                walked += len(visits)
+                entered.update(visits)
+                out.append((None, None, tuple(visits)))
+    except KeyError as exc:
+        raise DiagramError("trace meets port %s, paired with nothing"
+                           % (exc.args[0],)) from None
+    if not walked == len(entered) == 3 * len(crossings):
+        raise DiagramError("trace revisits a port")
+    return tuple(out)
+
+
+def strand_path(strand):
+    """The edges ``strand`` traverses, as (source, sink) port pairs in
+    order.  Edge ``t`` enters visit ``t``; an arc's last edge reaches its
+    out-endpoint, and a closed strand's first edge leaves its last visit.
+    """
+    start, end, visits = strand
+    entries = [('c', c, s) for c, s in visits]
+    exits = [('c', c, (s + 3) % 6) for c, s in visits]
+    if start is None:
+        return tuple(zip(exits[-1:] + exits[:-1], entries))
+    return tuple(zip([('b', start)] + exits, entries + [('b', end)]))
+
+
 @dataclass(frozen=True)
 class Matching:
     """Bijection from in-endpoints (even) to out-endpoints (odd)."""
@@ -134,13 +225,15 @@ class Face:
 class TripleDiagram:
     """Planar combinatorial map of 6-valent crossings with boundary endpoints."""
 
-    def __init__(self, n, crossings, edges, loops=None):
+    def __init__(self, n, crossings, edges, loops=None, *, strands=None):
         self.n = n
         self.crossings = tuple(sorted(crossings))
         self.edges = dict(edges)
         # free crossing-free loops, keyed by the containing face's key dart
         self.loops = dict(loops) if loops else {}
-        self._cache = {}
+        # ``strands``: trace_strands of these edges, from a caller that
+        # has traced them already
+        self._cache = {} if strands is None else {'strands': strands}
 
     @staticmethod
     def from_edge_list(n, crossings, edge_list, loops=None):
@@ -362,38 +455,35 @@ class TripleDiagram:
 
     def validate(self):
         """Check every invariant; return a list of violations (empty = ok)."""
-        violations = []
-        ports = list(self.ports())
-        port_set = set(ports)
-        for p, q in self.edges.items():
-            if p not in port_set:
-                violations.append("unknown port %s" % port_str(p))
-                return violations
-            if q not in port_set:
-                violations.append("unknown port %s" % port_str(q))
-                return violations
-        for p in ports:
-            if p not in self.edges:
-                violations.append("uncovered port %s" % port_str(p))
-        if violations:
-            return violations
-        for p in ports:
-            q = self.edges[p]
+        ports = set(self.ports())
+        edges = self.edges
+        broken, clashes = [], []
+        for p, q in edges.items():
+            if p not in ports:
+                return ["unknown port %s" % port_str(p)]
+            if q not in ports:
+                return ["unknown port %s" % port_str(q)]
             if q == p:
-                violations.append("fixed point at %s" % port_str(p))
-            elif self.edges.get(q) != p:
-                violations.append("involution broken at %s" % port_str(p))
-        if violations:
-            return violations
-        edge_list = self.edge_list()
-        for p, q in edge_list:
-            if is_source(p) == is_source(q):
-                violations.append("orientation clash on edge %s %s"
-                                  % (port_str(p), port_str(q)))
-        if violations:
-            return violations
+                broken.append((p, "fixed point at %s"))
+            elif edges.get(q) != p:
+                broken.append((p, "involution broken at %s"))
+            # a source is an even endpoint or an odd slot, so an edge
+            # joins a source to a sink when its two ends' last fields
+            # differ in parity, a crossing port counting one more
+            elif p < q and (p[-1] + q[-1] + (p[0] == 'c')
+                            + (q[0] == 'c')) % 2 == 0:
+                clashes.append((p, q))
+        if len(edges) < len(ports):
+            return ["uncovered port %s" % port_str(p)
+                    for p in self.ports() if p not in edges]
+        if broken:
+            return [text % port_str(p) for p, text in sorted(broken)]
+        if clashes:
+            return ["orientation clash on edge %s %s"
+                    % (port_str(p), port_str(q)) for p, q in sorted(clashes)]
 
         # planarity: per-component Euler characteristic 2
+        violations = []
         try:
             orbits = self._orbits()
         except KeyError:
@@ -454,67 +544,21 @@ class TripleDiagram:
     # strands
 
     def strands(self):
-        """All strands: arcs from in-endpoints first, then closed strands.
-
-        Each strand is a dict with ``kind`` ('arc'|'closed'), ``start``/
-        ``end`` boundary indices for arcs, ``visits`` (tuple of
-        (crossing, entry_slot)) and ``path`` (tuple of traversed edges as
-        (src, dst))."""
-        if 'strands' in self._cache:
-            return self._cache['strands']
-        used = set()
-        out = []
-
-        def walk(src):
-            visits = []
-            path = []
-            cur = src
-            while True:
-                if cur in used:
-                    raise DiagramError("trace revisits port %s" % port_str(cur))
-                used.add(cur)
-                dst = self.edges[cur]
-                if dst in used:
-                    raise DiagramError("trace revisits port %s" % port_str(dst))
-                used.add(dst)
-                path.append((cur, dst))
-                if dst[0] == 'b':
-                    return visits, path, dst
-                c, s = dst[1], dst[2]
-                visits.append((c, s))
-                nxt = ('c', c, (s + 3) % 6)
-                if nxt == src:
-                    return visits, path, None
-                cur = nxt
-
-        for i in range(0, 2 * self.n, 2):
-            visits, path, end = walk(('b', i))
-            if end is None:
-                raise DiagramError("strand from endpoint %d never exits" % i)
-            out.append({'kind': 'arc', 'start': i, 'end': end[1],
-                        'visits': tuple(visits), 'path': tuple(path)})
-        remaining = sorted(p for p in self.ports()
-                           if p not in used and p[0] == 'c' and is_source(p))
-        for src in remaining:
-            if src in used:
-                continue
-            visits, path, end = walk(src)
-            if end is not None:
-                raise DiagramError("closed trace leaked to the boundary")
-            out.append({'kind': 'closed', 'start': None, 'end': None,
-                        'visits': tuple(visits), 'path': tuple(path)})
-        self._cache['strands'] = out
-        return out
+        """All strands, as ``trace_strands`` returns them; cached."""
+        if 'strands' not in self._cache:
+            self._cache['strands'] = trace_strands(self.n, self.crossings,
+                                                   self.edges)
+        return self._cache['strands']
 
     def trace(self):
         """(Matching, closed loop visit-sequences, incl. free loops)."""
         arcs = {}
         loops = []
-        for s in self.strands():
-            if s['kind'] == 'arc':
-                arcs[s['start']] = s['end']
+        for start, end, visits in self.strands():
+            if start is None:
+                loops.append(tuple(c for c, _ in visits))
             else:
-                loops.append(tuple(c for c, _ in s['visits']))
+                arcs[start] = end
         for key in sorted(self.loops):
             loops.extend(() for _ in range(self.loops[key]))
         return Matching.from_dict(self.n, arcs), loops

@@ -11,14 +11,17 @@ another of its boundary ports (splitting the disk in two) or feeds a
 fresh crossing whose remaining five legs join the working boundary.
 Planarity is built in, every crossing hangs off the boundary circle,
 and each diagram is emitted exactly once, so the fillings kept are the
-diagrams, with no duplicate to remove.  The generator never
+diagrams, with no duplicate to remove.  Most fillings have the wrong
+trace, so ``emit`` reads the arcs with ``trace_strands`` on the raw edge
+map first, and builds, checks and keys a diagram only for a filling
+with the wanted trace, handing it those strands.  The generator never
 consults the move system, so comparing the two sides genuinely checks
 the claim that 2<->2 moves connect all minimal diagrams of a matching.
 """
 
 from dataclasses import dataclass
 
-from .diagram import TripleDiagram, is_source
+from .diagram import DiagramError, TripleDiagram, is_source, trace_strands
 from .standard import standard_diagram, minimal_crossing_count
 from .moves import find_22_sites, move_22, find_badgons
 
@@ -142,9 +145,18 @@ def enumerate_connected_diagrams(matching, crossings):
     results = {}
 
     def emit(edges, ncross):
-        d = TripleDiagram.from_edge_list(n, range(ncross), list(edges))
-        if d.trace()[0].as_dict() != want:
-            return
+        pairing = {}
+        for p, q in edges:
+            pairing[p] = q
+            pairing[q] = p
+        if len(pairing) != 2 * len(edges):
+            raise DiagramError("a filling names a port twice")
+        crossings = range(ncross)
+        strands = trace_strands(n, crossings, pairing)
+        for start, end, _ in strands[:n]:
+            if want[start] != end:
+                return
+        d = TripleDiagram(n, crossings, pairing, strands=strands)
         d.check()
         results.setdefault(d.canonical_key(), d)
 

@@ -393,12 +393,12 @@ def find_badgons(diagram):
     out = []
     strands = diagram.strands()
     visits = []  # per strand: (closed, first visit, last visit) by crossing
-    for idx, s in enumerate(strands):
+    for idx, (start, _, seq) in enumerate(strands):
         first, last = {}, {}
-        for t, (c, _) in enumerate(s['visits']):
+        for t, (c, _) in enumerate(seq):
             first.setdefault(c, t)
             last[c] = t
-        visits.append((s['kind'] == 'closed', first, last))
+        visits.append((start is None, first, last))
         for c in sorted(c for c in first if last[c] != first[c]):
             out.append(Badgon('monogon', (idx, c)))
 

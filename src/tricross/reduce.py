@@ -30,7 +30,7 @@ Every sequence ``_search`` finds is 2<->2-only, so the crossing count
 never increases between the explicit 1->0 steps.
 """
 
-from .diagram import TripleDiagram, is_source
+from .diagram import TripleDiagram, is_source, strand_path
 from .domino import Region, Tiling, tiling_to_diagram
 from .standard import (standard_diagram, select_interval, interval_interior,
                        template_slots, STRATEGIES)
@@ -114,18 +114,16 @@ def extract_region(diagram, crossings):
 
 def _strand_from(diagram, idx):
     for s in diagram.strands():
-        if s['start'] == idx:
+        if s[0] == idx:
             return s
     raise ReductionError("no strand at endpoint %d" % idx)
 
 
 def is_boundary_parallel(diagram, a, dirn):
     """Is the strand at ``a`` boundary-parallel along its dirn interval?"""
-    s = _strand_from(diagram, a)
-    b = s['end']
+    _, b, visits = _strand_from(diagram, a)
     interior = interval_interior(2 * diagram.n, a, b, dirn)
     k = len(interior) // 2
-    visits = s['visits']
     if len(visits) != k or len(set(c for c, _ in visits)) != k:
         return False
     for j in range(k):
@@ -145,7 +143,7 @@ def _under_region(diagram, a, dirn):
     interval: flood face adjacency from the outer face, blocked by the
     strand's edges and the interval's boundary arcs."""
     s = _strand_from(diagram, a)
-    b = s['end']
+    b = s[1]
     interior = interval_interior(2 * diagram.n, a, b, dirn)
     span = [a] + interior + [b]
     # ('+', i) is the boundary arc from endpoint i toward i+1
@@ -154,8 +152,8 @@ def _under_region(diagram, a, dirn):
     outer = [f for f in faces
              if any(d[0] == '+' and d[1] not in blocked_arcs
                     for d in f.darts)]
-    reach = _flood(diagram, outer, set(frozenset(e) for e in s['path']))
-    s_cross = set(c for c, _ in s['visits'])
+    reach = _flood(diagram, outer, set(frozenset(e) for e in strand_path(s)))
+    s_cross = set(c for c, _ in s[2])
     under_faces = [f for f in faces if f.key not in reach]
     under_cross = set()
     for f in under_faces:
@@ -185,7 +183,7 @@ def _flood(diagram, starts, blocked):
 
 
 def _shared_crossings(s1, s2):
-    return set(c for c, _ in s1['visits']) & set(c for c, _ in s2['visits'])
+    return set(c for c, _ in s1[2]) & set(c for c, _ in s2[2])
 
 
 # ----------------------------------------------------------------------
@@ -194,7 +192,7 @@ def _shared_crossings(s1, s2):
 def _first_revisit(strand):
     """(i, j) positions of the first revisited crossing along the strand."""
     seen = {}
-    for j, (c, _) in enumerate(strand['visits']):
+    for j, (c, _) in enumerate(strand[2]):
         if c in seen:
             return seen[c], j
         seen[c] = j
@@ -210,17 +208,18 @@ def _petal_region(diagram, strand, i, j):
     is the side of the loop holding that corner.  Returns (region
     crossings, loop edges, x, entry slot of the final edge).
     """
-    m = len(strand['visits'])
-    x, e_i = strand['visits'][i % m]
-    _, e_j = strand['visits'][j % m]
+    start, _, visits = strand
+    m = len(visits)
+    x, e_i = visits[i % m]
+    _, e_j = visits[j % m]
     s_out = (e_i + 3) % 6
     s_in = e_j
     if (s_in - s_out) % 6 not in (1, 5):
         raise ReductionError("loop slots are not adjacent")
     # the loop's edge path: edges between exiting visit i and entering j;
     # path[t] is the edge into visit t, cyclically for closed strands
-    path = strand['path']
-    if strand['kind'] == 'closed':
+    path = strand_path(strand)
+    if start is None:
         loop_edges = set(frozenset(path[(t + 1) % m]) for t in range(i, j))
     else:
         loop_edges = set(frozenset(path[t + 1]) for t in range(i, j))
@@ -333,16 +332,16 @@ def _tidy(diagram, log, depth):
         return _apply_all(diagram, [Move('drop', (min(diagram.loops),))],
                           log)
     anchored = set()
-    for s in diagram.strands():
-        if s['kind'] == 'arc':
-            anchored.update(c for c, _ in s['visits'])
+    for start, _, visits in diagram.strands():
+        if start is not None:
+            anchored.update(c for c, _ in visits)
     floating = [c for c in diagram.crossings if c not in anchored]
     if not floating:
         return None
     for s in diagram.strands():
-        if s['kind'] != 'closed':
+        if s[0] is not None:
             continue
-        if not any(c in floating for c, _ in s['visits']):
+        if not any(c in floating for c, _ in s[2]):
             continue
         for rev in _closed_loop_candidates(s):
             try:
@@ -358,7 +357,7 @@ def _closed_loop_candidates(strand):
     Yields (i, j) with visits i and j at the same crossing and no
     repeated crossing strictly between (indices may wrap past the
     cycle's length)."""
-    seq = [c for c, _ in strand['visits']]
+    seq = [c for c, _ in strand[2]]
     m = len(seq)
     out = []
     for i in range(m):
@@ -405,14 +404,14 @@ def _empty_side(sub, a, b):
 def _innermost_double(diagram, a, dirn):
     """The innermost under-piece of a strand meeting S twice, if any."""
     s_main = _strand_from(diagram, a)
-    s_ids = [c for c, _ in s_main['visits']]
+    s_ids = [c for c, _ in s_main[2]]
     s_pos = {c: t for t, c in enumerate(s_ids)}
     under_faces, under_cross = _under_region(diagram, a, dirn)
     best = None
     for s in diagram.strands():
         if s is s_main:
             continue
-        seq = [c for c, _ in s['visits']]
+        seq = [c for c, _ in s[2]]
         hits = [t for t, c in enumerate(seq) if c in s_pos]
         for h in range(len(hits) - 1):
             t1, t2 = hits[h], hits[h + 1]
@@ -425,7 +424,7 @@ def _innermost_double(diagram, a, dirn):
                 if not all(c in under_cross for c in between):
                     continue
             else:
-                edge = s['path'][t1 + 1]
+                edge = strand_path(s)[t1 + 1]
                 f1 = diagram.face_of(edge[0]).key
                 f2 = diagram.face_of(diagram.edges[edge[0]]).key
                 if f1 not in under_faces and f2 not in under_faces:
@@ -441,14 +440,15 @@ def _innermost_double(diagram, a, dirn):
 
 def _remove_double(diagram, a, dirn, dbl, log, depth):
     s, t1, t2, c1, c2 = dbl
-    seq = [c for c, _ in s['visits']]
+    seq = [c for c, _ in s[2]]
     between = seq[t1 + 1:t2]
     if between:
         region = set(between)
         sub, legs = extract_region(diagram, region)
         a_idx = b_idx = None
-        ein = s['path'][t1 + 1]
-        eout = s['path'][t2]
+        path = strand_path(s)
+        ein = path[t1 + 1]
+        eout = path[t2]
         for idx, (inner, outer) in enumerate(legs):
             if inner in ein or inner in eout:
                 if is_source(inner):
@@ -459,7 +459,7 @@ def _remove_double(diagram, a, dirn, dbl, log, depth):
             raise ReductionError("double-piece legs not found")
         # straighten the piece along the side hugging S: its interior
         # legs all attach to crossings of S
-        s_cross = set(c for c, _ in _strand_from(diagram, a)['visits'])
+        s_cross = set(c for c, _ in _strand_from(diagram, a)[2])
         dsub = None
         for cand in (1, -1):
             span = interval_interior(2 * sub.n, a_idx, b_idx, cand)
@@ -477,10 +477,10 @@ def _remove_double(diagram, a, dirn, dbl, log, depth):
     u = _strand_at_same_ends(diagram, s)
     before = len(_shared_crossings(s_main, u))
     window = set([c1, c2])
-    spos = [c for c, _ in s_main['visits']]
+    spos = [c for c, _ in s_main[2]]
     i1, i2 = spos.index(c1), spos.index(c2)
     window.update(spos[min(i1, i2):max(i1, i2) + 1])
-    useq = [c for c, _ in u['visits']]
+    useq = [c for c, _ in u[2]]
     u1, u2 = useq.index(c1), useq.index(c2)
     window.update(useq[min(u1, u2):max(u1, u2) + 1])
 
@@ -498,25 +498,25 @@ def _remove_double(diagram, a, dirn, dbl, log, depth):
 
 
 def _strand_at_same_ends(diagram, s):
-    if s['kind'] == 'arc':
-        return _strand_from(diagram, s['start'])
+    if s[0] is not None:
+        return _strand_from(diagram, s[0])
     raise ReductionError("closed strand interlocked with the interval")
 
 
 def _comb_potential(diagram, a, dirn):
     under_faces, under_cross = _under_region(diagram, a, dirn)
     s_main = _strand_from(diagram, a)
-    s_set = set(c for c, _ in s_main['visits'])
-    interior = interval_interior(2 * diagram.n, a, s_main['end'], dirn)
+    s_set = set(c for c, _ in s_main[2])
+    interior = interval_interior(2 * diagram.n, a, s_main[1], dirn)
     detours = 0
     for e in interior:
         strand = None
         for s in diagram.strands():
-            if s['start'] == e or s['end'] == e:
+            if s[0] == e or s[1] == e:
                 strand = s
                 break
-        seq = [c for c, _ in strand['visits']]
-        if strand['end'] == e and strand['start'] != e:
+        seq = [c for c, _ in strand[2]]
+        if strand[1] == e and strand[0] != e:
             seq = list(reversed(seq))
         steps = 0
         for c in seq:
@@ -542,7 +542,7 @@ def _comb(diagram, a, dirn, log):
 
     s_main = _strand_from(diagram, a)
     _, under_cross = _under_region(diagram, a, dirn)
-    window = set(c for c, _ in s_main['visits']) | under_cross
+    window = set(c for c, _ in s_main[2]) | under_cross
     path = _search(diagram, goal, "combing is stuck", window)
     return _apply_all(diagram, path, log)
 
@@ -649,7 +649,7 @@ def to_standard(diagram, strategy="inclusion"):
         assert is_boundary_parallel(sub2, a_idx, dirn)
         interior = interval_interior(2 * sub2.n, a_idx, b_idx, dirn)
         new_frontier = {k: p for k, p in frontier}
-        for j, (c, e) in enumerate(s['visits']):
+        for j, (c, e) in enumerate(s[2]):
             o_key = keys[interior[2 * j]]
             i_key = keys[interior[2 * j + 1]]
             _, _, t_up, u_up = template_slots(e, dirn)

@@ -8,6 +8,8 @@ neighbors (boundary fixed), which keeps planar diagrams readable.
 from dataclasses import dataclass
 import math
 
+from .diagram import strand_path
+
 
 @dataclass
 class RenderSpec:
@@ -77,15 +79,14 @@ def render_diagram(diagram, spec=None):
                 parts.append('<polygon points="%s" fill="#ccc" '
                              'opacity="0.5"/>' % path)
     for strand in diagram.strands():
-        pts = []
-        first = strand['path'][0][0]
-        pts.append(_vertex_pos(first, pos, cross))
-        for src, dst in strand['path']:
+        path = strand_path(strand)
+        pts = [_vertex_pos(path[0][0], pos, cross)]
+        for src, dst in path:
             pts.append(_vertex_pos(dst, pos, cross))
         poly = " ".join("%.1f,%.1f" % p for p in pts)
         tag = '<polyline points="%s" fill="none" stroke="#223" ' \
               'stroke-width="%.1f"' % (poly, spec.stroke)
-        if spec.arrowheads and strand['kind'] == 'arc':
+        if spec.arrowheads and strand[0] is not None:
             tag += ' marker-end="url(#tip)"'
         parts.append(tag + '/>')
     for c in diagram.crossings:

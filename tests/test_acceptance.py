@@ -23,6 +23,7 @@ from tricross import (Matching, standard_diagram, minimal_crossing_count,
                       random_walk, laurent_audit, find_22_sites,
                       slide_macro, pattern_template)
 from tricross.moves import apply_move
+from tricross.diagram import trace_strands
 from tricross.movegraph import walk_fillings
 
 from conftest import all_matchings
@@ -75,55 +76,30 @@ def _fast_theorem4_check(n, k, min_counts):
         for p, q in edges:
             adj[p] = q
             adj[q] = p
-        strands = []
-        used = set()
-        for i in range(0, 2 * n, 2):
-            seq = []
-            cur = ('b', i)
-            while True:
-                used.add(cur)
-                nxt = adj[cur]
-                used.add(nxt)
-                if nxt[0] == 'b':
-                    end = nxt[1]
-                    break
-                seq.append(nxt[1])
-                cur = ('c', nxt[1], (nxt[2] + 3) % 6)
-            strands.append((i, end, seq))
-        closed = []
-        for c in range(ncross):
-            for s in (1, 3, 5):
-                start = ('c', c, s)
-                if start in used:
-                    continue
-                seq = []
-                cur = start
-                while cur not in used:
-                    used.add(cur)
-                    nxt = adj[cur]
-                    used.add(nxt)
-                    seq.append(nxt[1])
-                    cur = ('c', nxt[1], (nxt[2] + 3) % 6)
-                closed.append(seq)
-        matching = tuple(sorted((i, o) for i, o, _ in strands))
+        strands = trace_strands(n, range(ncross), adj)
+        matching = tuple([s[:2] for s in strands[:n]])
         kmin = min_counts[matching]
         minimal = (ncross == kmin)
-        # badgons: self-intersections, then parallel bigons
+        # badgons: self-intersections (a crossing met twice leaves fewer
+        # keys than visits), then parallel bigons
         bad = False
-        allseqs = [(seq, False) for _, _, seq in strands] \
-            + [(seq, True) for seq in closed]
-        for seq, _ in allseqs:
-            if len(set(seq)) != len(seq):
+        walks = []
+        for start, _, visits in strands:
+            at = dict(visits)
+            if len(at) != len(visits):
                 bad = True
                 break
+            walks.append((at, visits, start is None))
         if not bad:
-            for a in range(len(allseqs)):
-                for b in range(a + 1, len(allseqs)):
-                    sa, ca = allseqs[a]
-                    sb, cb = allseqs[b]
-                    shared = set(sa) & set(sb)
+            for a in range(len(walks)):
+                for b in range(a + 1, len(walks)):
+                    da, va, ca = walks[a]
+                    db, vb, cb = walks[b]
+                    shared = da.keys() & db.keys()
                     if len(shared) < 2:
                         continue
+                    sa = [c for c, _ in va]
+                    sb = [c for c, _ in vb]
                     for x in shared:
                         for y in shared:
                             if x == y:

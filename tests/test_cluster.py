@@ -187,6 +187,13 @@ def test_pretty_prints_every_term_shape():
     assert zero.num == () and str(zero) == "0"
 
 
+def test_zero_has_one_form():
+    zero = LaurentValue.make({}, (0, 0))
+    quotient = lv_div_exact(zero, lv_var(2, 0))
+    assert quotient == zero and hash(quotient) == hash(zero)
+    assert LaurentValue.make({}, (3, -1)) == zero
+
+
 def test_dump_deterministic():
     d = tiling_to_diagram(enumerate_tilings(Region.rectangle(2, 2))[0])
     st = init_cluster(d)

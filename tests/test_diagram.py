@@ -55,6 +55,50 @@ def test_uncovered_port_detected():
     assert any("uncovered" in v for v in d2.validate())
 
 
+def test_port_violation_texts_pinned():
+    """Exact lists of the port checks, each kind met out of port order:
+    the first unknown port alone, else every uncovered port, else every
+    fixed point and broken pair, else every clash, all in port order."""
+    def B(i):
+        return ('b', i)
+
+    def C(c, s):
+        return ('c', c, s)
+
+    def both_ways(pairs):
+        return dict(e for p, q in pairs for e in ((p, q), (q, p)))
+
+    broken = dict([(C(2, s), C(2, s)) for s in (5, 3, 1)]
+                  + [(C(2, s), C(0, s)) for s in (4, 2, 0)]
+                  + [(C(0, s), C(2, (s + 1) % 6)) for s in range(6)]
+                  + [(B(1), B(0)), (B(0), B(0))])
+    cases = [
+        (1, (0,), {B(1): B(1), C(9, 0): B(0), B(0): C(9, 0)},
+         ["unknown port C9.0"]),
+        (1, (0,), {B(0): B(1), B(1): C(0, 7)}, ["unknown port C0.7"]),
+        (2, (0, 4), {C(4, 1): C(4, 0), C(4, 0): C(4, 1), B(3): B(0),
+                     B(0): B(3)},
+         ["uncovered port %s" % p for p in
+          ("B1", "B2", "C0.0", "C0.1", "C0.2", "C0.3", "C0.4", "C0.5",
+           "C4.2", "C4.3", "C4.4", "C4.5")]),
+        (1, (0, 2), broken,
+         ["fixed point at B0", "involution broken at B1"]
+         + ["involution broken at C0.%d" % s for s in range(6)]
+         + ["involution broken at C2.0", "fixed point at C2.1",
+            "involution broken at C2.2", "fixed point at C2.3",
+            "involution broken at C2.4", "fixed point at C2.5"]),
+        (3, (0,), both_ways([(B(4), C(0, 3)), (B(0), C(0, 1)),
+                             (B(1), C(0, 0)), (B(2), C(0, 2)),
+                             (B(3), B(5)), (C(0, 4), C(0, 5))]),
+         ["orientation clash on edge B0 C0.1",
+          "orientation clash on edge B1 C0.0",
+          "orientation clash on edge B3 B5",
+          "orientation clash on edge B4 C0.3"]),
+    ]
+    for n, crossings, edges, want in cases:
+        assert TripleDiagram(n, crossings, edges).validate() == want
+
+
 def test_single_crossing_faces_alternate():
     d = single_crossing()
     faces = d.faces()

@@ -146,8 +146,8 @@ def test_tiling_duals_badgon_free_with_antiparallel_bigons():
     sharing = 0
     for i in range(len(strands)):
         for j in range(i + 1, len(strands)):
-            shared = set(c for c, _ in strands[i]['visits']) \
-                & set(c for c, _ in strands[j]['visits'])
+            shared = set(c for c, _ in strands[i][2]) \
+                & set(c for c, _ in strands[j][2])
             if len(shared) >= 2:
                 sharing += 1
     assert sharing > 0  # anti-parallel bigons exist, none are badgons
@@ -157,20 +157,20 @@ def _badgons_by_rescan(d):
     """find_badgons' list, each parallel bigon found by rescanning the
     strands for a subpath from x to y (the definition)."""
     def forward(s, x, y):
-        seq = [c for c, _ in s['visits']]
-        return s['kind'] == 'closed' or y in seq[seq.index(x) + 1:]
+        seq = [c for c, _ in s[2]]
+        return s[0] is None or y in seq[seq.index(x) + 1:]
 
     strands = d.strands()
     out = []
     for idx, s in enumerate(strands):
-        seq = [c for c, _ in s['visits']]
+        seq = [c for c, _ in s[2]]
         out += [Badgon('monogon', (idx, c))
                 for c in sorted(set(c for c in seq if seq.count(c) > 1))]
     for i, si in enumerate(strands):
         for j in range(i + 1, len(strands)):
             sj = strands[j]
-            shared = sorted(set(c for c, _ in si['visits'])
-                            & set(c for c, _ in sj['visits']))
+            shared = sorted(set(c for c, _ in si[2])
+                            & set(c for c, _ in sj[2]))
             for a, x in enumerate(shared):
                 for y in shared[a + 1:]:
                     if ((forward(si, x, y) and forward(sj, x, y))
