@@ -394,13 +394,14 @@ def find_badgons(diagram):
     strands = diagram.strands()
     visits = []  # per strand: (closed, first visit, last visit) by crossing
     for idx, (start, _, seq) in enumerate(strands):
-        first, last = {}, {}
-        for t, (c, _) in enumerate(seq):
-            first.setdefault(c, t)
-            last[c] = t
+        first = last = {c: t for t, (c, _) in enumerate(seq)}
+        if len(last) < len(seq):  # a crossing met twice
+            first = {}
+            for t, (c, _) in enumerate(seq):
+                first.setdefault(c, t)
+            for c in sorted(c for c in first if last[c] != first[c]):
+                out.append(Badgon('monogon', (idx, c)))
         visits.append((start is None, first, last))
-        for c in sorted(c for c in first if last[c] != first[c]):
-            out.append(Badgon('monogon', (idx, c)))
 
     def forward(k, x, y):
         # a subpath of strand k runs from crossing x to crossing y
@@ -409,7 +410,10 @@ def find_badgons(diagram):
 
     for i in range(len(strands)):
         for j in range(i + 1, len(strands)):
-            shared = sorted(visits[i][1].keys() & visits[j][1].keys())
+            shared = visits[i][1].keys() & visits[j][1].keys()
+            if len(shared) < 2:
+                continue
+            shared = sorted(shared)
             for a, x in enumerate(shared):
                 for y in shared[a + 1:]:
                     if ((forward(i, x, y) and forward(j, x, y))
