@@ -131,7 +131,13 @@ def walk_fillings(n, crossings, emit, want=None):
             run(((legs + rest, budget - 1),) + tail, next_id + 1)
             edges.pop()
 
-    run(((tuple(('b', i) for i in range(2 * n)), crossings),), 0)
+    try:
+        run(((tuple(('b', i) for i in range(2 * n)), crossings),), 0)
+    finally:
+        # ``run`` reaches itself through its closure; break that cycle so
+        # that ``emit`` and all it holds are freed now, not at whichever
+        # later full garbage collection happens to find them
+        del run
 
 
 def enumerate_connected_diagrams(matching, crossings):

@@ -1,5 +1,8 @@
 """Move-graph enumeration against the independent brute-force oracle."""
 
+import gc
+import weakref
+
 import pytest
 
 from tricross import (Matching, enumerate_component, brute_force_minimal,
@@ -51,6 +54,21 @@ def test_enumeration_at_one_extra_crossing_has_badgons(rotation3):
     assert found
     for key, d in found.items():
         assert find_badgons(d), "non-minimal diagram must carry a badgon"
+
+
+def test_enumeration_frees_its_diagrams_without_the_cycle_collector(
+        rotation3):
+    # the enumerator leaves no reference cycle holding its results, so
+    # they are freed as soon as the caller drops them, not at a later
+    # full collection, whose timing would set the oracle's peak memory
+    gc.disable()
+    try:
+        found = enumerate_connected_diagrams(rotation3, 2)
+        kept = weakref.ref(next(iter(found.values())))
+        del found
+        assert kept() is None
+    finally:
+        gc.enable()
 
 
 def test_component_vertices_minimal_and_fixed_count():
