@@ -30,18 +30,25 @@ Conventions (global, used by every other module):
   strand's travel direction (counterclockwise around the face), black
   when every strand dart runs against it.
 
-* One breadth-first walk, ``_label_walk``, says which crossings hang
-  together and in what canonical order.  From the endpoints, or from one
-  root crossing at an even phase, it labels each crossing ``(id, phase)``
-  in the order met.  Only the canonical key codes the edges of a walk
-  (``_edge_codes``), as ints that sort like their normalized text (``i``
-  for ``Bi``, ``2n + 6*id + s`` for ``C<id>.<s>``), and renders the
-  endpoint walk's sorted edges.  A floating
-  component is walked from every root and phase, coded with ``n = 0``,
-  edges oriented and sorted by text (``C10.0`` before ``C2.0``); the least
-  code wins, ties to the first root.  ``is_connected`` asks whether the
-  endpoint walk labels every crossing; ``validate`` counts V, E and F
-  per walked component, E from the labels alone.
+* The kernels run on a flat int partner array, ``partners()``: port
+  ``Bi`` has code ``i``, ``C<c>.<s>`` code ``2n + 6c + s`` (raw ids), a
+  code with no port -1.  A move patches a copy of its parent's array.
+  Dart codes put ``('+', i)`` at ``i``, ``('-', i)`` at ``2n + i`` and a
+  port at ``4n`` plus its code, so int order is tuple order.
+
+* One breadth-first walk, ``_walk``, labels the crossings reachable from
+  the endpoints, or from one root crossing at an even phase, ``(id,
+  phase)`` in the order met.  It codes each edge once, at its smaller
+  end, as ``a * width + b`` (``width = 2n + 6k``) from the canonical port
+  codes ``i`` for ``Bi`` and ``2n + 6*id + (s - phase) % 6`` for slot
+  ``s``; ends are met in increasing order, so the codes come out sorted,
+  as their text sorts.  The canonical key renders the endpoint walk's
+  codes; ``canonical_code`` is those codes, for a connected diagram with
+  no free loop.  A floating component is walked from every root and
+  phase, its text sorted (``C10.0`` before ``C2.0``); the least wins,
+  ties to the first root.  ``is_connected`` asks whether the endpoint
+  walk labels every crossing; ``validate`` counts V, E and F per walked
+  component, E from the labels alone.
 
 * One kernel, ``trace_strands``, traces the strands of a raw edge dict,
   for ``TripleDiagram.strands`` (which caches it), the oracle's fillings
@@ -57,6 +64,7 @@ instances.
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 
 
 class DiagramError(ValueError):
@@ -80,17 +88,27 @@ def port_str(port):
     return "C%d.%d" % (port[1], port[2])
 
 
-# a crossing's slots in walk order, from each even phase
-_SLOTS_FROM = {0: (0, 1, 2, 3, 4, 5), 2: (2, 3, 4, 5, 0, 1),
-               4: (4, 5, 0, 1, 2, 3)}
+def port_code(n, port):
+    """The code of ``port`` in the partner array of a diagram with ``n``
+    endpoint pairs: ``i`` for ``Bi``, ``2n + 6c + s`` for ``C<c>.<s>``."""
+    return port[1] if port[0] == 'b' else 2 * n + 6 * port[1] + port[2]
 
 
 @lru_cache(maxsize=256)
-def _port_texts(n, crossings):
-    """Port texts by int code: ``B0 .. B{2n-1}``, then ``C0.0 .. C{k-1}.5``."""
-    return tuple(["B%d" % i for i in range(2 * n)]
-                 + ["C%d.%d" % (c, s) for c in range(crossings)
-                    for s in range(6)])
+def _tables(n, size):
+    """For a partner array of ``size`` slots: by dart code, the dart tuples
+    and their kinds (1 a source port, 2 a sink port, plus 4 on the
+    boundary circle); by port code, the port texts; and at row
+    ``3 * c + phase // 2``, crossing ``c``'s port codes in walk order."""
+    m = 2 * n
+    k = (size - m) // 6
+    texts = (["B%d" % i for i in range(m)]
+             + ["C%d.%d" % (c, s) for c in range(k) for s in range(6)])
+    return (tuple([('+', i) for i in range(m)] + [('-', i) for i in range(m)]
+                  + [parse_port(t) for t in texts]),
+            tuple([4] * 2 * m + [5, 6] * n + [2, 1] * 3 * k), tuple(texts),
+            tuple(tuple(m + 6 * c + (p + t) % 6 for t in range(6))
+                  for c in range(k) for p in (0, 2, 4)))
 
 
 def parse_port(text):
@@ -225,15 +243,18 @@ class Face:
 class TripleDiagram:
     """Planar combinatorial map of 6-valent crossings with boundary endpoints."""
 
-    def __init__(self, n, crossings, edges, loops=None, *, strands=None):
+    def __init__(self, n, crossings, edges, loops=None, *, strands=None,
+                 partners=None):
         self.n = n
         self.crossings = tuple(sorted(crossings))
         self.edges = dict(edges)
         # free crossing-free loops, keyed by the containing face's key dart
         self.loops = dict(loops) if loops else {}
-        # ``strands``: trace_strands of these edges, from a caller that
-        # has traced them already
-        self._cache = {} if strands is None else {'strands': strands}
+        # ``strands``: trace_strands of these edges, ``partners``: their
+        # partner array, from a caller that has them already
+        self._cache = {k: v for k, v in (('strands', strands),
+                                         ('partners', partners))
+                       if v is not None}
 
     @staticmethod
     def from_edge_list(n, crossings, edge_list, loops=None):
@@ -264,37 +285,18 @@ class TripleDiagram:
     def crossing_count(self):
         return len(self.crossings)
 
-    # ------------------------------------------------------------------
-    # dart structure
-
-    def alpha(self, d):
-        if d[0] == '+':
-            return ('-', (d[1] + 1) % (2 * self.n))
-        if d[0] == '-':
-            return ('+', (d[1] - 1) % (2 * self.n))
-        return self.edges[d]
-
-    @staticmethod
-    def sigma_inv(d):
-        tag = d[0]
-        if tag == 'c':
-            return ('c', d[1], (d[2] - 1) % 6)
-        if tag == '+':
-            return ('-', d[1])
-        if tag == '-':
-            return ('b', d[1])
-        return ('+', d[1])  # boundary port
-
-    def phi(self, d):
-        """Next dart of the face on the left of ``d``."""
-        return self.sigma_inv(self.alpha(d))
-
-    def all_darts(self):
-        """Every dart, in sorted order: the arc darts, then the ports."""
-        darts = [('+', i) for i in range(2 * self.n)]
-        darts += [('-', i) for i in range(2 * self.n)]
-        darts.extend(self.ports())
-        return darts
+    def partners(self):
+        """The partner array of ``edges`` (module docstring), built once;
+        callers must not change it."""
+        if 'partners' not in self._cache:
+            n2 = 2 * self.n
+            partner = [-1] * (n2 + 6 * (self.crossings[-1] + 1
+                                        if self.crossings else 0))
+            for p, q in self.edges.items():
+                partner[p[1] if p[0] == 'b' else n2 + 6 * p[1] + p[2]] = (
+                    q[1] if q[0] == 'b' else n2 + 6 * q[1] + q[2])
+            self._cache['partners'] = partner
+        return self._cache['partners']
 
     # ------------------------------------------------------------------
     # faces
@@ -308,71 +310,59 @@ class TripleDiagram:
         orbits = self._cache.pop('orbits', None)
         if orbits is None:
             orbits = self._orbits()
-        records = []
+        names, kinds, _, _ = _tables(self.n, len(self.partners()))
+        faces = []
         for orbit in orbits:
-            if self.n > 0 and orbit[0][0] == '-':
-                continue  # the outer face
-            # a strand dart is a source port: an even endpoint, an odd slot
-            sources = sinks = 0
-            boundary = False
+            if self.n > 0 and orbit[0] == 2 * self.n:
+                continue  # the outer face, from ('-', 0)
+            # white when its strand darts are all sources, black all sinks
+            kind = 0
             for d in orbit:
-                tag = d[0]
-                if tag == 'c':
-                    if d[2] % 2:
-                        sources += 1
-                    else:
-                        sinks += 1
-                else:
-                    boundary = True
-                    if tag == 'b':
-                        if d[1] % 2:
-                            sinks += 1
-                        else:
-                            sources += 1
-            if sources and not sinks:
-                color = 'white'
-            elif sinks and not sources:
-                color = 'black'
-            else:
+                kind |= kinds[d]
+            if kind & 3 not in (1, 2):
                 raise DiagramError("face with inconsistent strand orientations")
-            records.append((orbit, color, boundary))
+            darts = tuple(map(names.__getitem__, orbit))
+            faces.append(Face(len(faces), darts, 'white' if kind & 1 else
+                              'black', kind > 3, darts[0]))
         if self.n == 0 and not self.crossings:
-            faces = (Face(0, (), 'white', True, ()),)
-        else:
-            faces = tuple(Face(i, r[0], r[1], r[2], r[0][0])
-                          for i, r in enumerate(records))
-        self._cache['faces'] = faces
+            faces = [Face(0, (), 'white', True, ())]
+        self._cache['faces'] = faces = tuple(faces)
         return faces
 
     def _orbits(self):
-        """All phi-orbits, each starting at its minimal dart, in order.
-
-        The darts are swept in sorted order, so each dart not yet seen is
-        the minimum of its orbit."""
+        """All phi-orbits as tuples of dart codes (module docstring), each
+        from its least dart, in order: the darts are swept in increasing
+        order.  A port paired with nothing raises KeyError, a dart met
+        twice (no involution) DiagramError."""
         m = 2 * self.n
-        edges = self.edges
-        seen = set()
+        partner = self.partners()
+        # ('+', i) -> ('b', i + 1), ('-', i) -> ('-', i - 1), and a port ->
+        # ('+', j) when its partner is Bj, else the slot before its partner
+        phi = ([2 * m + (i + 1) % m for i in range(m)]
+               + [m + (i - 1) % m for i in range(m)]
+               + [q if q < m else 2 * m + (q - 1 if (q - m) % 6 else q + 5)
+                  for q in partner])
+        seen = bytearray(len(phi) + 1)
+        seen[-1] = 1  # phi leads to -1 from a port paired with nothing
         orbits = []
-        for start in self.all_darts():
-            if start in seen:
+        slots = [range(3 * m + 6 * c, 3 * m + 6 * c + 6)
+                 for c in self.crossings]  # no slot of an absent id
+        for start in chain(range(3 * m), *slots):
+            if seen[start]:
                 continue
             orbit = [start]
-            d = start
-            while True:
-                # d = self.phi(d), inlined: the trace's inner loop
-                tag = d[0]
-                if tag == '+':
-                    d = ('b', (d[1] + 1) % m)
-                elif tag == '-':
-                    d = ('-', (d[1] - 1) % m)
-                else:
-                    q = edges[d]
-                    d = (('c', q[1], (q[2] - 1) % 6) if q[0] == 'c'
-                         else ('+', q[1]))
-                if d == start:
-                    break
+            seen[start] = 1
+            d = phi[start]
+            while d != start:
+                if seen[d]:
+                    names = _tables(self.n, len(partner))[0]
+                    if d < 0:
+                        raise KeyError(names[orbit[-1]])
+                    raise DiagramError("edges are no involution at %s"
+                                       % (names[d],))
                 orbit.append(d)
-            seen.update(orbit)
+                seen[d] = 1
+                d = phi[d]
             orbits.append(tuple(orbit))
         return orbits
 
@@ -395,60 +385,48 @@ class TripleDiagram:
     # ------------------------------------------------------------------
     # the crossing walk
 
-    def _label_walk(self, root=None):
-        """Breadth-first labelling of the crossings reachable from the
+    def _walk(self, root=None):
+        """Breadth-first walk of the crossings reachable from the
         endpoints, or from crossing ``root[0]`` at even phase ``root[1]``.
 
-        Returns ``label``, mapping each crossing met to ``(id, phase)``:
-        ids count from 0 in the order met, and the phase is the even
-        rotation taking the slot it was entered by to 0 or 1.
+        Returns ``label``, mapping each crossing met to ``(id, phase)``
+        (ids count from 0 in the order met; the phase is the even rotation
+        taking the slot it was entered by to 0 or 1), and the walked
+        component's edge codes, sorted (module docstring).
         """
-        edges = self.edges
+        n2 = 2 * self.n
+        width = n2 + 6 * len(self.crossings)
+        partner = self.partners()
+        rows = _tables(self.n, len(partner))[3]
+        # scan: port codes by canonical code; canon: its inverse, -1 at the
+        # ports of crossings not met yet.  Slot s of a crossing met at
+        # phase p has canonical rank (s - p) % 6: row -p of ``rows``
+        canon = [-1] * len(partner)
         if root is None:
-            order, label = [], {}
-            for i in range(2 * self.n):
-                q = edges[('b', i)]
-                if q[0] == 'c' and q[1] not in label:
-                    label[q[1]] = (len(order), q[2] - q[2] % 2)
-                    order.append(q[1])
+            label, scan, first = {}, list(range(n2)), 0
+            canon[:n2] = scan
         else:
-            order, label = [root[0]], {root[0]: (0, root[1])}
-        for c in order:  # order grows while it is read: breadth first
-            for s in _SLOTS_FROM[label[c][1]]:
-                q = edges[('c', c, s)]
-                if q[0] == 'c' and q[1] not in label:
-                    label[q[1]] = (len(order), q[2] - q[2] % 2)
-                    order.append(q[1])
-        return label
-
-    def _edge_codes(self, label, base):
-        """The edges of a walked component, sorted, each coded once as
-        ``a * width + b`` (``a < b``, ``width = 2n + 6k``) from the port
-        codes ``i`` for ``Bi`` and ``base + 6 * id + (s - phase) % 6`` for
-        slot ``s``.  ``base`` is ``2n`` for the endpoint walk's ``label``,
-        whose component holds the endpoints, and 0 for a root's."""
-        width = 2 * self.n + 6 * len(self.crossings)
-        at = {c: (base + 6 * cid, phase) for c, (cid, phase) in label.items()}
-        pairs = []
-        for p, q in self.edges.items():
-            if p[0] == 'b':
-                if not base:
-                    continue  # a root's component holds no endpoint
-                pc = p[1]
-            else:
-                o = at.get(p[1])
-                if o is None:
-                    continue
-                pc = o[0] + (p[2] - o[1]) % 6
-            if q[0] == 'b':
-                qc = q[1]
-            else:
-                o = at[q[1]]
-                qc = o[0] + (q[2] - o[1]) % 6
-            if pc < qc:
-                pairs.append(pc * width + qc)
-        pairs.sort()
-        return pairs
+            c, phase = root
+            label, scan = {c: (0, phase)}, list(rows[3 * c + phase // 2])
+            first = n2
+            canon[n2 + 6 * c:n2 + 6 * c + 6] = rows[(3 - phase // 2) % 3]
+        codes = []
+        # scan grows while it is read: breadth first.  A crossing met for
+        # the first time gets codes above every code read so far, so
+        # emitting each edge at its smaller end emits the codes sorted
+        for a, p in enumerate(scan, first):
+            q = partner[p]
+            b = canon[q]
+            if b < 0:
+                c, s = divmod(q - n2, 6)
+                scan += rows[3 * c + s // 2]
+                canon[q - s:q - s + 6] = rows[3 * len(label)
+                                               + (3 - s // 2) % 3]
+                label[c] = (len(label), s - s % 2)
+                b = canon[q]
+            if a < b:
+                codes.append(a * width + b)
+        return label, codes
 
     # ------------------------------------------------------------------
     # validation
@@ -520,18 +498,18 @@ class TripleDiagram:
         # every endpoint brings one port and every crossing six, and each
         # edge joins two of them; the boundary arcs add n2 edges
         n2 = 2 * self.n
-        label = self._label_walk()
+        label = self._walk()[0]
         comp = dict.fromkeys(label, 0)
         tally = ([[n2 + len(label), n2 + (n2 + 6 * len(label)) // 2, 0]]
                  if n2 else [])
         for c in self.crossings:
             if c not in comp:
-                label = self._label_walk((c, 0))
+                label = self._walk((c, 0))[0]
                 comp.update(dict.fromkeys(label, len(tally)))
                 tally.append([len(label), 3 * len(label), 0])
-        for orbit in orbits:
-            d = orbit[0]
-            tally[comp[d[1]] if d[0] == 'c' else 0][2] += 1
+        for orbit in orbits:  # from its least dart: a slot if any
+            d = orbit[0] - 3 * n2
+            tally[comp[d // 6] if d >= 0 else 0][2] += 1
         return tally
 
     def check(self):
@@ -566,7 +544,7 @@ class TripleDiagram:
     def is_connected(self):
         """True iff strands plus the boundary circle form one component."""
         return (not self.loops
-                and len(self._label_walk()) == len(self.crossings))
+                and len(self._walk()[0]) == len(self.crossings))
 
     # ------------------------------------------------------------------
     # canonical form
@@ -580,26 +558,19 @@ class TripleDiagram:
         """
         if 'canon' in self._cache:
             return self._cache['canon']
-        n2 = 2 * self.n
-        width = n2 + 6 * len(self.crossings)
-        label = self._label_walk()
-        pairs = self._edge_codes(label, n2)
-        text = _port_texts(self.n, len(self.crossings))
-        edge_texts = []
-        for e in pairs:  # the key lists each edge twice, once per end
-            t = text[e // width] + "-" + text[e % width]
-            edge_texts.append(t)
-            edge_texts.append(t)
+        width = 2 * self.n + 6 * len(self.crossings)
+        label, codes = self._walk()
+        text = _tables(self.n, len(self.partners()))[2]
+        # the key lists each edge twice, once per end
+        edge_texts = [text[e // width] + "-" + text[e % width]
+                      for e in codes for _ in (0, 1)]
 
         def float_code(root, phase):
-            lab = self._label_walk((root, phase))
-            ftext = _port_texts(0, len(lab))
-            texts = []
-            for e in self._edge_codes(lab, 0):
-                a, b = ftext[e // width], ftext[e % width]
-                texts.append(a + "-" + b if a < b else b + "-" + a)
-            texts.sort()
-            return ";".join(texts), lab
+            # each edge oriented by text, the edges sorted by text
+            lab, codes = self._walk((root, phase))
+            return ";".join(sorted("-".join(sorted((text[e // width],
+                                                    text[e % width])))
+                                   for e in codes)), lab
 
         # floating components: the least code over every root and phase
         float_codes = []
@@ -631,6 +602,18 @@ class TripleDiagram:
     def canonical_key(self):
         return self.canonical_form()[0]
 
+    def canonical_code(self):
+        """A hashable value equal for two diagrams exactly when their
+        canonical keys are: ``(n, k, edge codes)`` for a connected diagram
+        with no free loop, else the key text."""
+        if 'code' not in self._cache:
+            label, codes = self._walk()
+            self._cache['code'] = (
+                (self.n, len(self.crossings), tuple(codes))
+                if not self.loops and len(label) == len(self.crossings)
+                else self.canonical_key())
+        return self._cache['code']
+
     def _canonical_face_key(self, key_dart, label):
         cands = []
         for d in self.face_by_key(key_dart).darts:
@@ -644,7 +627,12 @@ class TripleDiagram:
     # ------------------------------------------------------------------
 
     def with_loops(self, loops):
-        return TripleDiagram(self.n, self.crossings, self.edges, loops)
+        """This map with other free loops, keeping the tables that do not
+        depend on them."""
+        new = TripleDiagram(self.n, self.crossings, self.edges, loops)
+        new._cache = {k: v for k, v in self._cache.items()
+                      if k in ('faces', 'face_of', 'strands', 'partners')}
+        return new
 
     def __eq__(self, other):
         return (isinstance(other, TripleDiagram)

@@ -48,11 +48,11 @@ def closure(diagram, inside=None):
 
     Yields (d, site, move, nd, new) for every move taken, where ``move``
     takes ``d`` at ``site`` to ``nd`` and ``new`` is true the first time
-    ``nd``'s canonical key appears; only new states are expanded.  With
+    ``nd``'s canonical code appears; only new states are expanded.  With
     ``inside`` (a set of crossing ids), only moves whose two crossings
     are both in it are taken.
     """
-    seen = {diagram.canonical_key()}
+    seen = {diagram.canonical_code()}
     frontier = [diagram]
     while frontier:
         nxt = []
@@ -62,26 +62,28 @@ def closure(diagram, inside=None):
                                            or site.y[0] not in inside):
                     continue
                 nd, move = move_22(d, site)
-                key = nd.canonical_key()
-                new = key not in seen
+                code = nd.canonical_code()
+                new = code not in seen
                 if new:
-                    seen.add(key)
+                    seen.add(code)
                     nxt.append(nd)
                 yield d, site, move, nd, new
         frontier = nxt
 
 
 def enumerate_component(matching, strategy="inclusion"):
-    """BFS closure of the standard diagram under 2<->2 moves."""
+    """BFS closure of the standard diagram under 2<->2 moves; the key text
+    is rendered for new vertices only."""
     root = standard_diagram(matching, strategy)
     rk = root.canonical_key()
     vertices = {rk: root}
+    key_of = {root.canonical_code(): rk}
     edges = {}
     for d, site, _, nd, new in closure(root):
-        nk = nd.canonical_key()
         if new:
-            vertices[nk] = nd
-        pair = frozenset((d.canonical_key(), nk))
+            key_of[nd.canonical_code()] = nd.canonical_key()
+            vertices[nd.canonical_key()] = nd
+        pair = frozenset((d.canonical_key(), key_of[nd.canonical_code()]))
         if pair not in edges:
             edges[pair] = d.face_by_key(site.face_key).index
     return MoveGraph(rk, vertices, edges)

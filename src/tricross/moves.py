@@ -24,10 +24,10 @@ strand loses its last crossing.  The 0->1 move (``apply_01``) is its
 inverse: it detours two edges of a face through a new crossing.
 
 Every move is a local rewrite of the edge involution by one helper,
-``_rewrite``: it copies the edge dict, deletes the ports of a removed
-crossing and joins the given port pairs, so only the ports next to the
-move change.  The new 2<->2 site, the central bigon with darts
-``(X, x1+4)`` and ``(Y, y1+4)``, is read off the template.  The new
+``_rewrite``: it copies the edge dict and the partner array, deletes the
+ports of a removed crossing and joins the given port pairs, so only the
+ports next to the move change.  The new 2<->2 site, the central bigon
+with darts ``(X, x1+4)`` and ``(Y, y1+4)``, is read off the template.  The new
 faces are traced only to carry free loops, in one step that runs only
 when the input has loops or a 1->0 move closes one: the face
 correspondence (old face key -> new face key; ``face_map_22`` for the
@@ -37,7 +37,7 @@ variables) places them, and they land on a ``with_loops`` copy.
 
 from dataclasses import dataclass
 
-from .diagram import TripleDiagram, is_source
+from .diagram import TripleDiagram, is_source, port_code
 
 
 @dataclass(frozen=True)
@@ -131,13 +131,19 @@ def find_10_sites(diagram):
 def _rewrite(diagram, joins, removed=None, added=None):
     """A copy of ``diagram``, free loops left off, with the ports of
     crossing ``removed`` deleted and each port pair of ``joins`` made an
-    edge, in order; ``added`` names a new crossing."""
+    edge, in order; ``added`` names a new crossing.  The copy's partner
+    array is the parent's, patched at the same ports."""
+    n2 = 2 * diagram.n
     crossings = diagram.crossings
+    partner = list(diagram.partners())
     if removed is not None:
         crossings = [c for c in crossings if c != removed]
+        partner[n2 + 6 * removed:n2 + 6 * removed + 6] = [-1] * 6
     if added is not None:
         crossings += (added,)
-    new = TripleDiagram(diagram.n, crossings, diagram.edges)
+        partner += [-1] * (n2 + 6 * added + 6 - len(partner))
+    new = TripleDiagram(diagram.n, crossings, diagram.edges,
+                        partners=partner)
     edges = new.edges  # the new diagram's own copy
     if removed is not None:
         for s in range(6):
@@ -145,6 +151,8 @@ def _rewrite(diagram, joins, removed=None, added=None):
     for p, q in joins:
         edges[p] = q
         edges[q] = p
+        a, b = port_code(diagram.n, p), port_code(diagram.n, q)
+        partner[a], partner[b] = b, a
     return new
 
 

@@ -246,14 +246,14 @@ def _search(diagram, goal, stuck, window=None, cap=30000):
     then all moves; raises ReductionError(stuck) when neither reaches a
     goal state.  The start state itself is never tested.
     """
-    start = diagram.canonical_key()
+    start = diagram.canonical_code()
     for inside in (window, None) if window is not None else (None,):
-        parent = {}  # canonical key -> (parent key, Move)
+        parent = {}  # canonical code -> (parent code, Move)
         for d, _, mv, nd, new in closure(diagram, inside):
             if not new:
                 continue
-            key = nd.canonical_key()
-            parent[key] = (d.canonical_key(), mv)
+            key = nd.canonical_code()
+            parent[key] = (d.canonical_code(), mv)
             if len(parent) >= cap:
                 raise ReductionError("window search exceeded %d states"
                                      % cap)

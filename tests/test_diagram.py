@@ -7,6 +7,7 @@ from tricross import (TripleDiagram, Matching, empty_diagram, standard_diagram,
 from tricross.diagram import is_source, port_str, parse_port
 
 from conftest import all_matchings
+from test_kernel import reference_darts, reference_phi
 
 
 def single_crossing():
@@ -237,7 +238,7 @@ def test_port_string_round_trip():
 
 def test_sigma_alpha_orbits_cover_all_darts(rotation3):
     d = standard_diagram(rotation3)
-    darts = set(d.all_darts())
+    darts = set(reference_darts(d))
     seen = set()
     for f in d.faces():
         seen.update(f.darts)
@@ -254,7 +255,7 @@ def test_faces_are_phi_orbits_from_their_minimal_dart():
         for f in d.faces():
             assert f.key == min(f.darts) == f.darts[0]
             for a, b in zip(f.darts, f.darts[1:] + f.darts[:1]):
-                assert d.phi(a) == b
+                assert reference_phi(d, a) == b
             keys.append(f.key)
         assert keys == sorted(keys)
 
@@ -279,8 +280,11 @@ def test_outer_darts_form_one_clockwise_orbit():
     for n in range(1, 4):
         for m in all_matchings(n):
             d = standard_diagram(m)
+            # dart ('-', i) has code 2n + i
+            outer = tuple(2 * n + (-i % (2 * n)) for i in range(2 * n))
+            assert outer in d._orbits()
             for i in range(2 * n):
-                assert d.phi(('-', i)) == ('-', (i - 1) % (2 * n))
+                assert reference_phi(d, ('-', i)) == ('-', (i - 1) % (2 * n))
 
 
 def test_equality_hash_and_repr_follow_the_canonical_key():

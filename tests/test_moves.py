@@ -259,6 +259,7 @@ def _rebuilt_22_edges(d, site):
 def _check_local_22(d, site):
     nd, mv = move_22(d, site)
     assert nd.edges == _rebuilt_22_edges(d, site)
+    _carries_its_array(nd)
     assert nd.validate() == []
     assert apply_move(nd, mv.inverse()).canonical_key() == d.canonical_key()
     (matching, closed), (matching2, closed2) = d.trace(), nd.trace()
@@ -427,9 +428,25 @@ def _01_candidates(d):
     return out
 
 
+def _carries_its_array(new):
+    """The move handed ``new`` its parent's partner array, patched, and it
+    equals the array rebuilt from ``new.edges`` (up to trailing holes a
+    deleted last crossing leaves)."""
+    assert 'partners' in new._cache
+    carried = new.partners()
+    rebuilt = TripleDiagram(new.n, new.crossings, new.edges).partners()
+    assert carried[:len(rebuilt)] == rebuilt
+    assert set(carried[len(rebuilt):]) <= {-1}
+
+
 def _same(new, ref):
-    # the move leaves no face table on its result
-    assert 'faces' not in new._cache
+    # the move traces faces only to place free loops, and the faces it
+    # keeps are those of a fresh trace
+    if new.loops:
+        assert new.faces() == ref.faces()
+    else:
+        assert 'faces' not in new._cache
+    _carries_its_array(new)
     assert new.edges == ref.edges
     assert new.crossings == ref.crossings
     assert new.loops == ref.loops

@@ -13,7 +13,9 @@ Run it on two checkouts and compare the lines:
 * ``validate``: ``validate()`` of the golden tests' 3,000 seeded port
   pairings;
 * ``cluster``: the sites, final values and audit of every walk of the
-  benchmark's cluster workload for seed 1.
+  benchmark's cluster workload for seed 1;
+* ``closure``: the ``movegraph v1`` text of the 6x4 and 6x5 domino
+  duals' move graphs.
 
 Stdlib only; takes about 15 seconds.
 """
@@ -27,9 +29,11 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"),
                 str(ROOT / "tests")]
 
+from tricross import enumerate_component, textio  # noqa: E402
 from tricross.render import render_diagram  # noqa: E402
 import workloads  # noqa: E402
-from test_golden import floating_diagram, random_pairing  # noqa: E402
+from test_golden import (dual_matching, floating_diagram,  # noqa: E402
+                         random_pairing)
 
 
 def sha(parts):
@@ -61,6 +65,8 @@ def main():
                                audit))
                          for states, sites, ok, audit
                          in map(cluster.run, cluster.items)))
+    print("closure", sha(textio.write_movegraph(enumerate_component(
+        dual_matching(w, h))) for w, h in ((6, 4), (6, 5))))
 
 
 if __name__ == "__main__":
