@@ -292,7 +292,7 @@ class TripleDiagram:
             n2 = 2 * self.n
             partner = [-1] * (n2 + 6 * (self.crossings[-1] + 1
                                         if self.crossings else 0))
-            for p, q in self.edges.items():
+            for p, q in self.edges.items():  # port_code, inlined
                 partner[p[1] if p[0] == 'b' else n2 + 6 * p[1] + p[2]] = (
                     q[1] if q[0] == 'b' else n2 + 6 * q[1] + q[2])
             self._cache['partners'] = partner
@@ -507,7 +507,7 @@ class TripleDiagram:
                 label = self._walk((c, 0))[0]
                 comp.update(dict.fromkeys(label, len(tally)))
                 tally.append([len(label), 3 * len(label), 0])
-        for orbit in orbits:  # from its least dart: a slot if any
+        for orbit in orbits:  # its least dart is on the boundary if any is
             d = orbit[0] - 3 * n2
             tally[comp[d // 6] if d >= 0 else 0][2] += 1
         return tally
