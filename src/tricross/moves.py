@@ -27,12 +27,24 @@ Every move is a local rewrite of the edge involution by one helper,
 ``_rewrite``: it copies the edge dict and the partner array, deletes the
 ports of a removed crossing and joins the given port pairs, so only the
 ports next to the move change.  The new 2<->2 site, the central bigon
-with darts ``(X, x1+4)`` and ``(Y, y1+4)``, is read off the template.  The new
-faces are traced only to carry free loops, in one step that runs only
-when the input has loops or a 1->0 move closes one: the face
-correspondence (old face key -> new face key; ``face_map_22`` for the
-2<->2 move, which the cluster exchange also uses to carry its
-variables) places them, and they land on a ``with_loops`` copy.
+with darts ``(X, x1+4)`` and ``(Y, y1+4)``, is read off the template.
+
+Free loops are keyed by face.  A move that carries loops, or a 1->0
+move that closes one, traces the new faces and places them by the
+template: a face's loops follow its first dart that the move keeps
+(2<->2 renames the carried legs by ``_moved_22``, sends the centre's two
+darts to the new centre's ``(X, x1+4)`` and drops the other two bigon
+ports; 1->0 and 0->1 keep every port but the removed crossing's).  The
+kept darts of an old face lie in one new face, except that 0->1 splits
+the face it bumps into; its loops stay with its first dart.  1->0 merges
+the faces at its corners ``j+2, j+3`` and ``j+4, j+5`` into its centre,
+the new face of the old partner of slot ``j+3`` (of ``j+5`` when that is
+the crossing's own).  The loops it closes go there, outside the edge
+that closes them, and so do those of a face that keeps no dart.  A
+floating part records no outer face, so a loop closed around one lands
+on the centre, inside it, and a floating crossing removed whole leaves
+its loops on the first face.  ``face_map_22`` is the rule over every
+face, by which the cluster exchange carries its variables.
 """
 
 from dataclasses import dataclass
@@ -156,35 +168,25 @@ def _rewrite(diagram, joins, removed=None, added=None):
     return new
 
 
-def _face_map(old, new, port_map, forced):
-    """Map each old face key to a new face key via surviving darts."""
-    mapping = dict(forced)
-    for face in old.faces():
-        if face.key in mapping:
-            continue
-        target = None
-        for d in face.darts:
-            nd = port_map.get(d, d) if d[0] == 'c' else d
-            if nd is None:
-                continue
-            try:
-                target = new.face_of(nd).key
-            except KeyError:
-                continue
-            break
-        if target is None:
-            target = new.faces()[0].key
-        mapping[face.key] = target
-    return mapping
+def _image(new, face, renamed, centre=None):
+    """The face of ``new`` that ``face`` becomes: that of its first dart
+    the move keeps, named as ``renamed`` says (None: deleted), else
+    ``centre`` (module docstring)."""
+    for d in face.darts:
+        d = renamed.get(d, d)
+        if d is not None:
+            return new.face_of(d).key
+    return centre
 
 
-def _carry_loops(old, face_map):
-    """The free loops of ``old``, moved to their faces under ``face_map``."""
-    loops = {}
+def _carry_loops(old, new, renamed, centre=None, made=0):
+    """``new`` with the free loops of ``old`` moved to their faces, and
+    ``made`` new ones on face ``centre``."""
+    loops = {centre: made} if made else {}
     for key, count in old.loops.items():
-        nk = face_map[key]
+        nk = _image(new, old.face_by_key(key), renamed, centre)
         loops[nk] = loops.get(nk, 0) + count
-    return loops
+    return new.with_loops(loops)
 
 
 # ----------------------------------------------------------------------
@@ -205,8 +207,7 @@ def _apply_22_full(diagram, site):
     joins += [(nx, ('c', Y, (y1 + 5) % 6)), (ny, ('c', X, (x1 + 5) % 6))]
     new = _rewrite(diagram, joins)
     if diagram.loops:
-        face_map = face_map_22(diagram, new, site)
-        new = new.with_loops(_carry_loops(diagram, face_map))
+        new = _carry_loops(diagram, new, _renamed_22(site))
     return new, TwoTwoSite(min(nx, ny), nx[1:], ny[1:])
 
 
@@ -218,18 +219,24 @@ def _moved_22(X, x1, Y, y1):
             ('c', Y, (y1 + 5) % 6): ('c', X, (x1 + 1) % 6)}
 
 
+def _renamed_22(site):
+    """Old dart -> new dart across the 2<->2 move at ``site``: the carried
+    legs, the centre's darts sent to the new centre's, the other bigon
+    ports None."""
+    (X, x1), (Y, y1) = site.x, site.y
+    renamed = _moved_22(X, x1, Y, y1)
+    centre = ('c', X, (x1 + 4) % 6)
+    renamed.update({('c', X, x1): centre, ('c', Y, y1): centre,
+                    ('c', X, (x1 + 1) % 6): None,
+                    ('c', Y, (y1 + 1) % 6): None})
+    return renamed
+
+
 def face_map_22(old, new, site):
     """Old face key -> new face key across the 2<->2 move at ``site``
     that took ``old`` to ``new``; traces the faces of ``new``."""
-    (X, x1), (Y, y1) = site.x, site.y
-    port_map = _moved_22(X, x1, Y, y1)
-    # the old bigon-edge ports carry different edges afterwards; never
-    # use them as face-correspondence witnesses
-    for port in (('c', X, x1), ('c', X, (x1 + 1) % 6),
-                 ('c', Y, y1), ('c', Y, (y1 + 1) % 6)):
-        port_map[port] = None
-    new_center = new.face_of(('c', X, (x1 + 4) % 6)).key
-    return _face_map(old, new, port_map, {site.face_key: new_center})
+    renamed = _renamed_22(site)
+    return {f.key: _image(new, f, renamed) for f in old.faces()}
 
 
 def _resolve_22(diagram, site):
@@ -282,54 +289,32 @@ def apply_10(diagram, site):
     if diagram.loops.get(face.key):
         raise MoveError("1->0 site carries free loops")
 
-    partner = {}
+    through = {}
     for a, b in ((j + 2, j + 5), (j + 3, j + 4)):
-        partner[a % 6] = b % 6
-        partner[b % 6] = a % 6
-    slots = sorted(partner)
-    joins = []
-    loops_made = 0
-    consumed = set()
-    anchor = None
-    for s in slots:
-        # chains anchored at an external end
-        if s in consumed:
-            continue
-        start = diagram.edges[('c', c, s)]
-        if start[:2] == ('c', c):
-            continue
-        consumed.add(s)
-        cur = partner[s]
-        while True:
-            consumed.add(cur)
-            far = diagram.edges[('c', c, cur)]
-            if far[:2] == ('c', c):
-                consumed.add(far[2])
-                cur = partner[far[2]]
-            else:
+        through[a % 6], through[b % 6] = b % 6, a % 6
+    # a chain of passes and self-edges from an outer end becomes one
+    # edge; the chains left close into free loops
+    joins, loops_made, left = [], 0, set(through)
+    outer = [s for s in through if diagram.edges['c', c, s][:2] != ('c', c)]
+    for s in outer + list(through):
+        start = diagram.edges['c', c, s]
+        while s in left:
+            left -= {s, through[s]}
+            far = diagram.edges['c', c, through[s]]
+            if far[:2] != ('c', c):
                 joins.append((start, far))
-                anchor = start
-                break
-    for s in slots:
-        # leftover internal cycles close into free loops
-        if s in consumed:
-            continue
-        cur = s
-        while cur not in consumed:
-            consumed.add(cur)
-            far = diagram.edges[('c', c, cur)]
-            consumed.add(far[2])
-            cur = partner[far[2]]
-        loops_made += 1
+            elif far[2] not in left:
+                loops_made += 1
+            else:
+                s = far[2]
     new = _rewrite(diagram, joins, removed=c)
     if diagram.loops or loops_made:
-        face_map = _face_map(diagram, new, {}, {}) if diagram.loops else {}
-        loops = _carry_loops(diagram, face_map)
-        if loops_made:
-            home = (new.faces()[0] if anchor is None
-                    else new.face_of(anchor)).key
-            loops[home] = loops.get(home, 0) + loops_made
-        new = new.with_loops(loops)
+        kept = [q for q in (diagram.edges[('c', c, (j + 3) % 6)],
+                            diagram.edges[('c', c, (j + 5) % 6)])
+                if q[:2] != ('c', c)]
+        centre = (new.face_of(kept[0]) if kept else new.faces()[0]).key
+        new = _carry_loops(diagram, new, {('c', c, s): None for s in range(6)},
+                           centre, loops_made)
     return new
 
 
@@ -368,8 +353,7 @@ def apply_01(diagram, edge_p, edge_q, side):
                  (c_src, ('c', c, 0)), (('c', c, 3), d_dst)]
     new = _rewrite(diagram, joins, added=c)
     if diagram.loops:
-        face_map = _face_map(diagram, new, {}, {})
-        new = new.with_loops(_carry_loops(diagram, face_map))
+        new = _carry_loops(diagram, new, {})
     return new
 
 

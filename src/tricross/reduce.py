@@ -270,7 +270,13 @@ def _search(diagram, goal, stuck, window=None, cap=30000):
 # the worker
 
 def _apply_all(diagram, moves, log):
+    """Apply ``moves`` to ``diagram`` and log them.  They may come from a
+    sub-diagram, which keeps crossing ids and slots but not face keys, so
+    a ``drop`` is replayed on the least face holding loops: the one
+    ``_tidy`` picks, and after a sub-diagram's 1->0 move the only one."""
     for mv in moves:
+        if mv.kind == 'drop':
+            mv = Move('drop', (min(diagram.loops),))
         diagram = apply_move(diagram, mv)
         log.append(mv)
     return diagram

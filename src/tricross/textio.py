@@ -82,7 +82,7 @@ def read_diagram(text, name="<diagram>"):
             elif parts[0] == "crossings":
                 k = int(parts[1])
             elif parts[0] == "edge":
-                edges.append((parse_port(parts[1]), parse_port(parts[2])))
+                edges.append((no, parse_port(parts[1]), parse_port(parts[2])))
             elif parts[0] == "loops":
                 for item in parts[1:]:
                     fid, count = item.split(":")
@@ -102,7 +102,14 @@ def read_diagram(text, name="<diagram>"):
             raise ParseError(name, no, "bad record: %s" % line)
     if n is None or k is None:
         raise ParseError(name, len(lines), "missing n or crossings")
-    diagram = TripleDiagram.from_edge_list(n, range(k), edges)
+    for no, p, q in edges:
+        for port in (p, q):
+            bounds = (2 * n,) if port[0] == 'b' else (k, 6)
+            if not all(0 <= x < b for x, b in zip(port[1:], bounds)):
+                raise ParseError(name, no, "port %s out of range"
+                                 % port_str(port))
+    diagram = TripleDiagram.from_edge_list(n, range(k),
+                                           [e[1:] for e in edges])
     if loops:
         faces = diagram.faces()
         keyed = {}

@@ -1,6 +1,7 @@
 """Local moves: sites, the 2<->2 template, 1->0 splices, badgons, logs."""
 
 import random
+from itertools import chain
 
 import pytest
 
@@ -240,13 +241,19 @@ def test_badgon_presence_invariant_under_22():
 # ----------------------------------------------------------------------
 # the 2<->2 move as a local rewrite
 
+def _legs_22(site):
+    """Old port -> new port of the four legs a 2<->2 move carries."""
+    (X, x1), (Y, y1) = site.x, site.y
+    return {('c', X, (x1 + 4) % 6): ('c', Y, y1),
+            ('c', X, (x1 + 5) % 6): ('c', Y, (y1 + 1) % 6),
+            ('c', Y, (y1 + 4) % 6): ('c', X, x1),
+            ('c', Y, (y1 + 5) % 6): ('c', X, (x1 + 1) % 6)}
+
+
 def _rebuilt_22_edges(d, site):
     """Reference: the 2<->2 move as a full rebuild from the edge list."""
     (X, x1), (Y, y1) = site.x, site.y
-    port_map = {('c', X, (x1 + 4) % 6): ('c', Y, y1),
-                ('c', X, (x1 + 5) % 6): ('c', Y, (y1 + 1) % 6),
-                ('c', Y, (y1 + 4) % 6): ('c', X, x1),
-                ('c', Y, (y1 + 5) % 6): ('c', X, (x1 + 1) % 6)}
+    port_map = _legs_22(site)
     bigon = ({('c', X, x1), ('c', Y, (y1 + 1) % 6)},
              {('c', Y, y1), ('c', X, (x1 + 1) % 6)})
     edges = [(port_map.get(p, p), port_map.get(q, q))
@@ -331,33 +338,36 @@ def test_local_22_traces_no_faces_without_loops():
 # ----------------------------------------------------------------------
 # the 1->0 and 0->1 moves as local rewrites
 
-def _rebuilt(d, crossings, cut, joins, made=0, home=None):
+def _rebuilt(d, crossings, cut, joins, made=0, centre=()):
     """Reference: a move as a full rebuild from the edge list.
 
     The edges at the ports in ``cut`` give way to ``joins``.  Each old
-    face's free loops go to the new face of its first dart that survives
-    (the first new face when none does); ``made`` new loops go to the
-    face left of the dart ``home`` (the first new face when None)."""
+    face's free loops go to the new face of its first dart that survives.
+    The loops of a face with none, and ``made`` new loops, go where the
+    first face left of a dart of ``centre`` that has one goes (to the
+    first new face when none has)."""
     edges = [e for e in d.edge_list() if not cut & set(e)] + joins
     new = TripleDiagram.from_edge_list(d.n, crossings, edges)
     face_at = {x: f.key for f in new.faces() for x in f.darts}
-    first = new.faces()[0].key
+    image = {f.key: next((face_at[x] for x in f.darts if x in face_at), None)
+             for f in d.faces()}
+    home = next((image[d.face_of(x).key] for x in centre
+                 if image[d.face_of(x).key] is not None), new.faces()[0].key)
     loops = {}
-    for f in d.faces():
-        if d.loops.get(f.key):
-            key = next((face_at[x] for x in f.darts if x in face_at), first)
-            loops[key] = loops.get(key, 0) + d.loops[f.key]
+    for key, count in d.loops.items():
+        key = home if image[key] is None else image[key]
+        loops[key] = loops.get(key, 0) + count
     if made:
-        key = first if home is None else face_at[home]
-        loops[key] = loops.get(key, 0) + made
+        loops[home] = loops.get(home, 0) + made
     return new.with_loops(loops)
 
 
 def _rebuilt_10(d, site):
     """Reference 1->0: every chain of edges through the deleted crossing
     (slots j+2/j+5 and j+3/j+4 pass through) becomes one edge; chains
-    closed on the crossing become free loops, placed left of the outer
-    end at the lower slot of the chain whose lower slot is highest."""
+    closed on the crossing become free loops.  They lie outside the edge
+    that closes them, where the faces at the corners j+2..j+3 and
+    j+4..j+5 (left of the darts at slots j+2 and j+4) merge."""
     c, j = site.crossing, site.slot
     through = {}
     for a, b in ((j + 2, j + 5), (j + 3, j + 4)):
@@ -373,23 +383,21 @@ def _rebuilt_10(d, site):
                 return q, used
             s = q[2]
 
-    chains = []  # (outer end at the lower slot, other outer end, slots)
+    joins, used = [], set()
     for s in sorted(through):
         start = d.edges[('c', c, s)]
-        if start[:2] != ('c', c):
-            far, used = run(s)
-            if s < used[-1]:
-                chains.append((start, far, used))
-    used = {s for _, _, slots in chains for s in slots}
+        if start[:2] != ('c', c) and s not in used:
+            far, slots = run(s)
+            joins.append((start, far))
+            used.update(slots)
     made = 0
     for s in sorted(through):
         if s not in used:
             used.update(run(s)[1])
             made += 1
-    joins = [(start, far) for start, far, _ in chains]
-    home = chains[-1][0] if chains else None
     return _rebuilt(d, [k for k in d.crossings if k != c],
-                    {('c', c, s) for s in range(6)}, joins, made, home)
+                    {('c', c, s) for s in range(6)}, joins, made,
+                    (('c', c, (j + 2) % 6), ('c', c, (j + 4) % 6)))
 
 
 def _rebuilt_01(d, edge_p, edge_q, side):
@@ -500,3 +508,43 @@ def test_local_01_matches_the_full_rebuild():
         for cand in _01_candidates(d):
             checked += _same(apply_01(d, *cand), _rebuilt_01(d, *cand))
     assert checked >= 1000
+
+
+# ----------------------------------------------------------------------
+# where free loops go
+
+def test_kept_darts_of_an_old_face_stay_in_one_new_face():
+    """Loops follow their face's darts that a move keeps, so a 2<->2 or
+    1->0 move must never split those darts across two new faces."""
+    images = 0
+    for d in chain(_dual_4x3_graph().vertices.values(),
+                   _diagrams_with_loops(), _10_01_diagrams()):
+        moves = []
+        for site in find_22_sites(d):
+            (X, x1), (Y, y1) = site.x, site.y
+            gone = [('c', X, x1), ('c', X, (x1 + 1) % 6),
+                    ('c', Y, y1), ('c', Y, (y1 + 1) % 6)]
+            moves.append((apply_22(d, site),
+                          {**_legs_22(site), **dict.fromkeys(gone)}))
+        for site in find_10_sites(d):
+            gone = [('c', site.crossing, s) for s in range(6)]
+            moves.append((apply_10(d, site), dict.fromkeys(gone)))
+        for new, renamed in moves:
+            for f in d.faces():
+                kept = [renamed.get(x, x) for x in f.darts]
+                faces = {new.face_of(x).key for x in kept if x is not None}
+                assert len(faces) <= 1
+                images += len(faces)
+    assert images > 2000
+
+
+def test_a_closed_loop_lands_outside_the_edge_that_closes_it():
+    """In the figure eight beside an arc, C0.3-C0.4 closes a monogon; the
+    loop that the 1->0 move at (0, 0) makes lies outside it, on the
+    arc's side that ends at B1, face ('+', 0)."""
+    eight = _10_01_diagrams()[-1]
+    assert eight.face_of(('c', 0, 3)).darts == (('c', 0, 3),)
+    assert ('b', 1) in eight.face_of(('c', 0, 4)).darts
+    new = apply_10(eight, OneZeroSite(0, 0))
+    assert new.loops == {('+', 0): 1}
+    assert new.face_of(('b', 1)).key == ('+', 0)

@@ -294,3 +294,18 @@ def test_cli_reduce_refuses_a_negative_loop_face(tmp_path, rotation3):
         assert len(lines) == 1
         assert lines[0].startswith("error: ")
         assert lines[0].endswith(message)
+
+
+def test_cli_refuses_a_port_outside_the_diagram(tmp_path):
+    """A slot past 5, a crossing past ``crossings`` or an endpoint past
+    2n is one error line on its record, exit 2.  Unchecked, C0.9 failed
+    in the kernel with a traceback and C0.7 of two crossings stood for
+    C1.1's entry of the partner array."""
+    bad = tmp_path / "bad.txt"
+    for k, port in ((1, "C0.9"), (2, "C0.7"), (1, "C1.0"), (1, "B2")):
+        bad.write_text("triple-diagram v1\nn 1\ncrossings %d\n"
+                       "edge %s B1\nloops 0:1\n" % (k, port))
+        out = run_cli("minimal", "--in", str(bad))
+        assert out.returncode == 2 and out.stdout == ""
+        assert out.stderr.splitlines() == [
+            "error: %s:4: port %s out of range" % (bad, port)]

@@ -1,0 +1,43 @@
+"""Reduce every connected diagram with n <= 3 endpoint pairs at 1 to 3
+crossings over the minimum, and print a table of the cells: diagrams,
+failures by class, seconds.
+
+    python3 tools/reduce_corpus.py
+
+Each cell runs ``reduce_cell`` of tests/test_reduce.py, the generator of
+the tier-1 slice test over the smallest cells, so every log is replayed
+the same way: its crossing count never rises and it ends on the
+standard diagram.  Stdlib only; takes about 7 minutes.
+"""
+
+import sys
+import time
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+from test_reduce import reduce_cell  # noqa: E402
+
+
+def main():
+    total = Counter()
+    print("| n | extra | diagrams | failed | seconds |")
+    print("|---|-------|---------:|-------:|--------:|")
+    for n in (1, 2, 3):
+        for extra in (1, 2, 3):
+            start = time.perf_counter()
+            diagrams, failures = reduce_cell(n, extra)
+            total += failures
+            print("| %d | +%d | %d | %d | %.1f |"
+                  % (n, extra, diagrams, sum(failures.values()),
+                     time.perf_counter() - start), flush=True)
+    print()
+    for text, count in total.most_common():
+        print("%d  %s" % (count, text))
+    print("%d failed in all" % sum(total.values()))
+
+
+if __name__ == "__main__":
+    main()
