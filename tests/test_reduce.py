@@ -218,7 +218,7 @@ def test_loops_closed_in_a_sub_diagram_drop_in_its_parent():
 
 
 # the reducer's open defects: the messages of the ReductionErrors that
-# every connected diagram of a cell may still raise
+# a connected diagram may still raise
 OPEN_DEFECTS = ("closed strand interlocked with the interval",
                 "floating component with no clearable loop",
                 "petal flood reached the boundary")
