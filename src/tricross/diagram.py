@@ -36,6 +36,22 @@ Conventions (global, used by every other module):
   Dart codes put ``('+', i)`` at ``i``, ``('-', i)`` at ``2n + i`` and a
   port at ``4n`` plus its code, so int order is tuple order.
 
+* ``faces()`` lists the interior faces in key order, a face's key being
+  its least dart, and a face's ``index`` is its position in that order.
+  A move result carries its parent's faces, lazily: it holds the
+  parent's face tuple and ``face_of`` table and the codes of the ports
+  whose partner the move changed (each joined port and a removed
+  crossing's six), never the parent diagram.  Its first ``faces()``
+  traces phi again only through the touched ports still in the map;
+  those orbits cover the darts of the parent faces that hold a touched
+  port, less a removed crossing's ports, plus an added crossing's.
+  Every other face keeps its record, re-created only when its index
+  shifts, and the ``face_of`` table is patched to match.  Every move
+  reads its parent's ``face_of`` table first; a parent without one (its
+  faces untraced, or carried and still pending) hands on nothing, and
+  the result traces all its faces.  Both traces run through one
+  routine, ``_trace``, over one phi.
+
 * One breadth-first walk, ``_walk``, labels the crossings reachable from
   the endpoints, or from one root crossing at an even phase, ``(id,
   phase)`` in the order met.  It codes each edge once, at its smaller
@@ -48,7 +64,8 @@ Conventions (global, used by every other module):
   phase, its text sorted (``C10.0`` before ``C2.0``); the least wins,
   ties to the first root.  ``is_connected`` asks whether the endpoint
   walk labels every crossing; ``validate`` counts V, E and F per walked
-  component, E from the labels alone.
+  component, E from the labels alone.  These callers share one endpoint
+  walk per diagram, dropped once the key text is rendered.
 
 * One kernel, ``trace_strands``, traces the strands of a raw edge dict,
   for ``TripleDiagram.strands`` (which caches it), the oracle's fillings
@@ -98,17 +115,28 @@ def port_code(n, port):
 def _tables(n, size):
     """For a partner array of ``size`` slots: by dart code, the dart tuples
     and their kinds (1 a source port, 2 a sink port, plus 4 on the
-    boundary circle); by port code, the port texts; and at row
-    ``3 * c + phase // 2``, crossing ``c``'s port codes in walk order."""
+    boundary circle); by port code, the port texts; at row
+    ``3 * c + phase // 2``, crossing ``c``'s port codes in walk order;
+    and phi on the arc darts, and by partner code (-1 last) the dart phi
+    sends a port to."""
     m = 2 * n
     k = (size - m) // 6
     texts = (["B%d" % i for i in range(m)]
              + ["C%d.%d" % (c, s) for c in range(k) for s in range(6)])
-    return (tuple([('+', i) for i in range(m)] + [('-', i) for i in range(m)]
-                  + [parse_port(t) for t in texts]),
-            tuple([4] * 2 * m + [5, 6] * n + [2, 1] * 3 * k), tuple(texts),
+    names = tuple([('+', i) for i in range(m)] + [('-', i) for i in range(m)]
+                  + [parse_port(t) for t in texts])
+    # ('+', i) -> ('b', i + 1), ('-', i) -> ('-', i - 1), and a port ->
+    # ('+', j) when its partner is Bj, else the slot before its partner
+    arcs = tuple([2 * m + (i + 1) % m for i in range(m)]
+                 + [m + (i - 1) % m for i in range(m)])
+    after = tuple(list(range(m))
+                  + [2 * m + (q - 1 if (q - m) % 6 else q + 5)
+                     for q in range(m, size)] + [-1])
+    return (names, tuple([4] * 2 * m + [5, 6] * n + [2, 1] * 3 * k),
+            tuple(texts),
             tuple(tuple(m + 6 * c + (p + t) % 6 for t in range(6))
-                  for c in range(k) for p in (0, 2, 4)))
+                  for c in range(k) for p in (0, 2, 4)),
+            arcs, after)
 
 
 def parse_port(text):
@@ -244,7 +272,7 @@ class TripleDiagram:
     """Planar combinatorial map of 6-valent crossings with boundary endpoints."""
 
     def __init__(self, n, crossings, edges, loops=None, *, strands=None,
-                 partners=None):
+                 partners=None, carry=None):
         self.n = n
         self.crossings = tuple(sorted(crossings))
         self.edges = dict(edges)
@@ -255,6 +283,13 @@ class TripleDiagram:
         self._cache = {k: v for k, v in (('strands', strands),
                                          ('partners', partners))
                        if v is not None}
+        # ``carry``: (parent, codes of the ports whose partner differs
+        # from the parent's), from a move.  Only the parent's traced faces
+        # and face table are kept, never the parent nor a pending carry
+        if carry is not None and 'face_of' in carry[0]._cache:
+            parent, touched = carry
+            self._cache['carry'] = (parent._cache['faces'],
+                                    parent._cache['face_of'], touched)
 
     @staticmethod
     def from_edge_list(n, crossings, edge_list, loops=None):
@@ -302,74 +337,137 @@ class TripleDiagram:
     # faces
 
     def faces(self):
-        """Interior faces with checkerboard colors, deterministic order."""
+        """Interior faces with checkerboard colors, in key order: a face's
+        ``index`` is its position.  After a move, only the faces around
+        it are traced again (module docstring)."""
         if 'faces' in self._cache:
             return self._cache['faces']
-        # validate() leaves the orbits it traced here for this one use, so
-        # the orbits are not traced twice, nor kept beside the faces
-        orbits = self._cache.pop('orbits', None)
-        if orbits is None:
-            orbits = self._orbits()
-        names, kinds, _, _ = _tables(self.n, len(self.partners()))
-        faces = []
+        carry = self._cache.pop('carry', None)
+        if carry is not None:
+            faces = self._carried_faces(*carry)
+        else:
+            # validate() leaves the orbits it traced here for this one use,
+            # so the orbits are not traced twice, nor kept beside the faces
+            orbits = self._cache.pop('orbits', None)
+            if orbits is None:
+                orbits = self._orbits()
+            faces = tuple(Face(i, darts, color, boundary, darts[0])
+                          for i, (darts, color, boundary)
+                          in enumerate(self._face_fields(orbits)))
+        if self.n == 0 and not self.crossings:
+            faces = (Face(0, (), 'white', True, ()),)
+        self._cache['faces'] = faces
+        return faces
+
+    def _face_fields(self, orbits):
+        """(darts, color, boundary) of each face among ``orbits``, the
+        outer one left out; DiagramError for a face of both colors."""
+        names, kinds = _tables(self.n, len(self.partners()))[:2]
+        outer = 2 * self.n if self.n else -1  # ('-', 0)
         for orbit in orbits:
-            if self.n > 0 and orbit[0] == 2 * self.n:
-                continue  # the outer face, from ('-', 0)
+            if orbit[0] == outer:
+                continue
             # white when its strand darts are all sources, black all sinks
             kind = 0
             for d in orbit:
                 kind |= kinds[d]
             if kind & 3 not in (1, 2):
                 raise DiagramError("face with inconsistent strand orientations")
-            darts = tuple(map(names.__getitem__, orbit))
-            faces.append(Face(len(faces), darts, 'white' if kind & 1 else
-                              'black', kind > 3, darts[0]))
-        if self.n == 0 and not self.crossings:
-            faces = [Face(0, (), 'white', True, ())]
-        self._cache['faces'] = faces = tuple(faces)
-        return faces
+            yield (tuple(map(names.__getitem__, orbit)),
+                   'white' if kind & 1 else 'black', kind > 3)
+
+    def _carried_faces(self, faces, face_of, touched):
+        """The faces, from the parent's ``faces`` and ``face_of`` table:
+        the parent faces that hold a port of ``touched`` give way to the
+        orbits through the touched ports still in the map, which cover
+        the same darts less a removed crossing's, plus an added one's.
+        Every other face is kept, re-created only when its index shifts;
+        the table is patched to match."""
+        m4 = 4 * self.n
+        partner = self.partners()
+        names = _tables(self.n, len(partner))[0]
+        ports = [names[m4 + a] for a in touched]
+        old = {id(face_of[p]) for p in ports if p in face_of}
+        kept = [f for f in faces if id(f) not in old]
+        # a new orbit holds a touched port: else phi kept it, and it was
+        # an old face.  The ports of a removed crossing are gone
+        orbits = []
+        for orbit in self._trace(sorted({m4 + a for a in touched
+                                         if partner[a] >= 0})):
+            i = orbit.index(min(orbit))
+            orbits.append(orbit[i:] + orbit[:i])
+        orbits.sort()
+        merged, made = [], []
+        kept.append(None)  # sentinel
+        i = 0
+        for darts, color, boundary in self._face_fields(orbits):
+            while kept[i] is not None and kept[i].key < darts[0]:
+                merged.append(kept[i])
+                i += 1
+            merged.append(Face(len(merged), darts, color, boundary, darts[0]))
+            made.append(merged[-1])
+        merged += kept[i:-1]
+        for j, f in enumerate(merged):
+            if f.index != j:
+                merged[j] = f = Face(j, f.darts, f.color, f.boundary, f.key)
+                made.append(f)
+        table = dict(face_of)
+        for a, p in zip(touched, ports):
+            if partner[a] < 0:
+                table.pop(p, None)
+        for f in made:
+            for d in f.darts:
+                table[d] = f
+        self._cache['face_of'] = table
+        return tuple(merged)
 
     def _orbits(self):
-        """All phi-orbits as tuples of dart codes (module docstring), each
-        from its least dart, in order: the darts are swept in increasing
-        order.  A port paired with nothing raises KeyError, a dart met
-        twice (no involution) DiagramError."""
+        """All phi-orbits (``_trace`` from every dart)."""
         m = 2 * self.n
+        return self._trace(chain(range(3 * m), *[
+            range(3 * m + 6 * c, 3 * m + 6 * c + 6)
+            for c in self.crossings]))  # no slot of an absent id
+
+    def _trace(self, starts):
+        """The phi-orbits through ``starts`` as tuples of dart codes
+        (module docstring), each from the first of its darts in
+        ``starts``: from its least dart when ``starts`` is increasing
+        and covers it.  A port paired with nothing raises KeyError, a
+        dart met twice (no involution) DiagramError."""
         partner = self.partners()
-        # ('+', i) -> ('b', i + 1), ('-', i) -> ('-', i - 1), and a port ->
-        # ('+', j) when its partner is Bj, else the slot before its partner
-        phi = ([2 * m + (i + 1) % m for i in range(m)]
-               + [m + (i - 1) % m for i in range(m)]
-               + [q if q < m else 2 * m + (q - 1 if (q - m) % 6 else q + 5)
-                  for q in partner])
-        seen = bytearray(len(phi) + 1)
+        tables = _tables(self.n, len(partner))
+        # phi on an arc dart, and on a port by its partner
+        arcs, after = tables[4], tables[5]
+        m2 = len(arcs)
+        seen = bytearray(m2 + len(partner) + 1)
         seen[-1] = 1  # phi leads to -1 from a port paired with nothing
         orbits = []
-        slots = [range(3 * m + 6 * c, 3 * m + 6 * c + 6)
-                 for c in self.crossings]  # no slot of an absent id
-        for start in chain(range(3 * m), *slots):
+        for start in starts:
             if seen[start]:
                 continue
             orbit = [start]
             seen[start] = 1
-            d = phi[start]
+            d = arcs[start] if start < m2 else after[partner[start - m2]]
             while d != start:
                 if seen[d]:
-                    names = _tables(self.n, len(partner))[0]
+                    names = tables[0]
                     if d < 0:
                         raise KeyError(names[orbit[-1]])
                     raise DiagramError("edges are no involution at %s"
                                        % (names[d],))
                 orbit.append(d)
                 seen[d] = 1
-                d = phi[d]
+                d = arcs[d] if d < m2 else after[partner[d - m2]]
             orbits.append(tuple(orbit))
         return orbits
 
     def face_of(self, dart):
         """The interior face whose left-boundary contains ``dart``."""
         if 'face_of' not in self._cache:
-            self._cache['face_of'] = {d: f for f in self.faces() for d in f.darts}
+            faces = self.faces()  # a carry may bring the table
+            if 'face_of' not in self._cache:
+                self._cache['face_of'] = {d: f for f in faces
+                                          for d in f.darts}
         return self._cache['face_of'][dart]
 
     def face_by_key(self, key):
@@ -392,8 +490,12 @@ class TripleDiagram:
         Returns ``label``, mapping each crossing met to ``(id, phase)``
         (ids count from 0 in the order met; the phase is the even rotation
         taking the slot it was entered by to 0 or 1), and the walked
-        component's edge codes, sorted (module docstring).
+        component's edge codes, sorted (module docstring).  The endpoint
+        walk is kept, for its callers to share, until the key text is
+        rendered; they must not change it.
         """
+        if root is None and 'walk' in self._cache:
+            return self._cache['walk']
         n2 = 2 * self.n
         width = n2 + 6 * len(self.crossings)
         partner = self.partners()
@@ -426,7 +528,10 @@ class TripleDiagram:
                 b = canon[q]
             if a < b:
                 codes.append(a * width + b)
-        return label, codes
+        if root is not None:
+            return label, codes
+        self._cache['walk'] = walk = label, tuple(codes)
+        return walk
 
     # ------------------------------------------------------------------
     # validation
@@ -467,7 +572,7 @@ class TripleDiagram:
         except KeyError:
             violations.append("corrupted involution")
             return violations
-        if 'faces' not in self._cache:
+        if 'faces' not in self._cache and 'carry' not in self._cache:
             self._cache['orbits'] = orbits
         for comp_v, comp_e, comp_f in self._components(orbits):
             if comp_v - comp_e + comp_f != 2:
@@ -560,6 +665,9 @@ class TripleDiagram:
             return self._cache['canon']
         width = 2 * self.n + 6 * len(self.crossings)
         label, codes = self._walk()
+        # no later call needs the walk; and the label gains the floating
+        # crossings below, which is_connected must not read
+        del self._cache['walk']
         text = _tables(self.n, len(self.partners()))[2]
         # the key lists each edge twice, once per end
         edge_texts = [text[e // width] + "-" + text[e % width]
@@ -609,7 +717,7 @@ class TripleDiagram:
         if 'code' not in self._cache:
             label, codes = self._walk()
             self._cache['code'] = (
-                (self.n, len(self.crossings), tuple(codes))
+                (self.n, len(self.crossings), codes)
                 if not self.loops and len(label) == len(self.crossings)
                 else self.canonical_key())
         return self._cache['code']
@@ -631,7 +739,8 @@ class TripleDiagram:
         depend on them."""
         new = TripleDiagram(self.n, self.crossings, self.edges, loops)
         new._cache = {k: v for k, v in self._cache.items()
-                      if k in ('faces', 'face_of', 'strands', 'partners')}
+                      if k in ('faces', 'face_of', 'carry', 'strands',
+                               'partners')}
         return new
 
     def __eq__(self, other):

@@ -26,8 +26,13 @@ inverse: it detours two edges of a face through a new crossing.
 Every move is a local rewrite of the edge involution by one helper,
 ``_rewrite``: it copies the edge dict and the partner array, deletes the
 ports of a removed crossing and joins the given port pairs, so only the
-ports next to the move change.  The new 2<->2 site, the central bigon
-with darts ``(X, x1+4)`` and ``(Y, y1+4)``, is read off the template.
+ports next to the move change.  Those ports, each joined one and a
+removed crossing's six, name the faces the move changes: the new
+diagram carries its parent's faces and, on its first ``faces()``,
+traces only the parent faces that hold one of them again (with an
+added crossing's ports); every other face keeps its darts and key
+(``diagram.py``).  The new 2<->2 site, the central bigon with darts
+``(X, x1+4)`` and ``(Y, y1+4)``, is read off the template.
 
 Free loops are keyed by face.  A move that carries loops, or a 1->0
 move that closes one, traces the new faces and places them by the
@@ -43,11 +48,13 @@ the crossing's own).  The loops it closes go there, outside the edge
 that closes them, and so do those of a face that keeps no dart.  A
 floating part records no outer face, so a loop closed around one lands
 on the centre, inside it, and a floating crossing removed whole leaves
-its loops on the first face.  ``face_map_22`` is the rule over every
-face, by which the cluster exchange carries its variables.
+its loops on the first face.  ``face_map_22`` maps the faces a 2<->2
+move traces again by this rule and every other face to itself; the
+cluster exchange carries its variables by it.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .diagram import TripleDiagram, is_source, port_code
 
@@ -144,18 +151,25 @@ def _rewrite(diagram, joins, removed=None, added=None):
     """A copy of ``diagram``, free loops left off, with the ports of
     crossing ``removed`` deleted and each port pair of ``joins`` made an
     edge, in order; ``added`` names a new crossing.  The copy's partner
-    array is the parent's, patched at the same ports."""
+    array is the parent's, patched at the same ports, and those ports
+    are the ones whose faces it traces again."""
     n2 = 2 * diagram.n
     crossings = diagram.crossings
     partner = list(diagram.partners())
+    touched = []
     if removed is not None:
         crossings = [c for c in crossings if c != removed]
         partner[n2 + 6 * removed:n2 + 6 * removed + 6] = [-1] * 6
+        touched += range(n2 + 6 * removed, n2 + 6 * removed + 6)
     if added is not None:
         crossings += (added,)
         partner += [-1] * (n2 + 6 * added + 6 - len(partner))
+    for p, q in joins:
+        a, b = port_code(diagram.n, p), port_code(diagram.n, q)
+        partner[a], partner[b] = b, a
+        touched += (a, b)
     new = TripleDiagram(diagram.n, crossings, diagram.edges,
-                        partners=partner)
+                        partners=partner, carry=(diagram, touched))
     edges = new.edges  # the new diagram's own copy
     if removed is not None:
         for s in range(6):
@@ -163,8 +177,6 @@ def _rewrite(diagram, joins, removed=None, added=None):
     for p, q in joins:
         edges[p] = q
         edges[q] = p
-        a, b = port_code(diagram.n, p), port_code(diagram.n, q)
-        partner[a], partner[b] = b, a
     return new
 
 
@@ -195,20 +207,27 @@ def _carry_loops(old, new, renamed, centre=None, made=0):
 def _apply_22_full(diagram, site):
     """(new diagram, new site) by the local rewrite of the module docstring."""
     _resolve_22(diagram, site)
+    new = _rewrite(diagram, _joins_22(diagram, site))
+    if diagram.loops:
+        new = _carry_loops(diagram, new, _renamed_22(site))
     (X, x1), (Y, y1) = site.x, site.y
-    # the four carried legs take over the old bigon ports; a leg whose
-    # partner is carried too follows it there
+    nx, ny = (X, (x1 + 4) % 6), (Y, (y1 + 4) % 6)
+    return new, TwoTwoSite(('c',) + min(nx, ny), nx, ny)
+
+
+def _joins_22(diagram, site):
+    """The edges the 2<->2 move at ``site`` makes: the four carried legs
+    take over the old bigon ports (a leg whose partner is carried too
+    follows it there), and the new central bigon."""
+    (X, x1), (Y, y1) = site.x, site.y
     moved = _moved_22(X, x1, Y, y1)
     joins = []
     for port, to in moved.items():
         far = diagram.edges[port]
         joins.append((to, moved.get(far, far)))
     nx, ny = ('c', X, (x1 + 4) % 6), ('c', Y, (y1 + 4) % 6)
-    joins += [(nx, ('c', Y, (y1 + 5) % 6)), (ny, ('c', X, (x1 + 5) % 6))]
-    new = _rewrite(diagram, joins)
-    if diagram.loops:
-        new = _carry_loops(diagram, new, _renamed_22(site))
-    return new, TwoTwoSite(min(nx, ny), nx[1:], ny[1:])
+    return joins + [(nx, ('c', Y, (y1 + 5) % 6)),
+                    (ny, ('c', X, (x1 + 5) % 6))]
 
 
 def _moved_22(X, x1, Y, y1):
@@ -234,9 +253,15 @@ def _renamed_22(site):
 
 def face_map_22(old, new, site):
     """Old face key -> new face key across the 2<->2 move at ``site``
-    that took ``old`` to ``new``; traces the faces of ``new``."""
+    that took ``old`` to ``new``.  Only the faces holding a port the move
+    joins anew are mapped by the template: every other face keeps its
+    darts, so its key."""
     renamed = _renamed_22(site)
-    return {f.key: _image(new, f, renamed) for f in old.faces()}
+    fmap = {f.key: f.key for f in old.faces()}
+    for p in chain.from_iterable(_joins_22(old, site)):
+        face = old.face_of(p)
+        fmap[face.key] = _image(new, face, renamed)
+    return fmap
 
 
 def _resolve_22(diagram, site):

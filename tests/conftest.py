@@ -1,8 +1,19 @@
+import importlib.util
 import itertools
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+# The tests run this checkout's package.  A script that puts another
+# checkout's src first and then imports a test module would otherwise
+# test this checkout's package without a word, or the other one with
+# this checkout's helpers: refuse both.
+SRC = Path(__file__).resolve().parent.parent / "src"
+_found = importlib.util.find_spec("tricross")
+if _found is not None and (_found.origin is None or Path(
+        _found.origin).resolve().parent.parent != SRC):
+    raise ImportError("tests in %s need tricross from %s, but it resolves "
+                      "to %s" % (SRC.parent, SRC, _found.origin))
+sys.path.insert(0, str(SRC))
 
 import pytest
 

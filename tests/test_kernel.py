@@ -6,23 +6,29 @@ have, kept here as the reference for the trace on the partner array.
 ``canonical_code`` must split diagrams exactly as ``canonical_key`` does,
 a copy with other free loops must reuse every table that does not
 depend on them, and its partner array must equal one rebuilt from its
-edges (``test_moves.py`` checks the same after the other moves).
+edges (``test_moves.py`` checks the same after the other moves).  The
+faces a move result carries over from its parent, with their face
+table, must equal a full trace of its map, and the endpoint walk must
+run once per diagram.
 """
 
 import random
 
 import pytest
 
-from tricross import (DiagramError, Region, TripleDiagram,
-                      add_loop, drop_loop, enumerate_component,
-                      enumerate_connected_diagrams, enumerate_tilings,
+from tricross import (DiagramError, Region, TripleDiagram, TwoTwoSite,
+                      add_loop, apply_01, apply_10, apply_22, drop_loop,
+                      enumerate_component, enumerate_connected_diagrams,
+                      enumerate_tilings, find_10_sites, find_22_sites,
                       minimal_crossing_count, tiling_to_diagram)
 from tricross import diagram as diagram_module
 from tricross import textio
-from tricross.moves import LoopSite
+from tricross.moves import LoopSite, _joins_22, _rewrite, move_22
 
 from conftest import all_matchings
-from test_golden import floating_diagram, inflation, random_pairing
+from test_golden import (dual_matching, floating_diagram, inflation,
+                         random_pairing)
+from test_moves import _01_candidates, _10_01_diagrams, _diagrams_with_loops
 
 
 def reference_darts(d):
@@ -221,3 +227,157 @@ def test_loop_moves_trace_nothing(monkeypatch):
         rebuilt = fresh(new)
         assert new.partners() == rebuilt.partners()
         assert new.canonical_key() == rebuilt.canonical_key()
+
+
+# ----------------------------------------------------------------------
+# faces carried through moves
+
+def same_as_fresh(new):
+    """``new``'s faces and face table, carried or traced, equal those of
+    a full trace of its map, field for field."""
+    ref = fresh(new)
+    assert new.faces() == ref.faces()
+    table = {x: f for f in ref.faces() for x in f.darts}
+    assert {x: new.face_of(x) for x in table} == table
+    assert len(new._cache.get('face_of', table)) == len(table)
+    return 1
+
+
+def test_carried_faces_equal_a_full_trace_after_every_22_move():
+    carried = 0
+    for w, h in ((4, 3), (6, 4)):
+        for d in enumerate_component(dual_matching(w, h)).vertices.values():
+            for site in find_22_sites(d):
+                new = apply_22(d, site)
+                carried += 'carry' in new._cache
+                same_as_fresh(new)
+    assert carried == 28 + 1656
+
+
+def test_carried_faces_equal_a_full_trace_after_1_0_and_0_1_moves():
+    """A free loop to place makes the move resolve the carry itself."""
+    checked = pending = 0
+    for d in (_10_01_diagrams() + _diagrams_with_loops()
+              + [inflation(seed) for seed in range(12)]):
+        news = [apply_10(d, site) for site in find_10_sites(d)]
+        news += [apply_01(d, *cand) for cand in _01_candidates(d)]
+        for new in news:
+            pending += 'carry' in new._cache
+            checked += same_as_fresh(new)
+    assert checked >= 3400 and pending >= 500 and checked - pending >= 2500
+
+
+def test_carries_build_on_carries_along_move_chains():
+    chains = 0
+    for seed in range(12):
+        rng = random.Random(seed)
+        d = inflation(seed).with_loops({})
+        for _ in range(20):
+            moves = ([(apply_22, site) for site in find_22_sites(d)]
+                     + [(apply_10, site) for site in find_10_sites(d)])
+            if not moves or rng.random() < 0.2:
+                d = apply_01(d, *rng.choice(_01_candidates(d)))
+            else:
+                move, site = rng.choice(moves)
+                d = move(d, site)
+            assert 'carry' in d._cache
+            chains += same_as_fresh(d)
+    assert chains == 240
+
+
+def test_no_carry_from_an_untraced_or_pending_parent():
+    """A move result gets a carry only from a parent whose faces are
+    traced: never from one whose own carry is still pending."""
+    d = dual_4x3_vertices()[3]
+    site = find_22_sites(d)[0]
+    untraced = fresh(d)
+    new = _rewrite(untraced, _joins_22(untraced, site))
+    assert 'carry' not in new._cache
+    same_as_fresh(new)
+    mid, mv = move_22(d, site)
+    assert 'carry' in mid._cache
+    back = _rewrite(mid, _joins_22(mid, TwoTwoSite(
+        ('c',) + min(mv.data[2], mv.data[3]), mv.data[2], mv.data[3])))
+    assert 'carry' not in back._cache and 'carry' in mid._cache
+    assert back.canonical_key() == d.canonical_key()
+    same_as_fresh(back)
+    same_as_fresh(mid)
+
+
+def test_a_copy_with_loops_keeps_a_pending_carry():
+    d = dual_4x3_vertices()[3]
+    new, mv = move_22(d, find_22_sites(d)[0])
+    centre = ('c',) + min(mv.data[2], mv.data[3])
+    copy = new.with_loops({centre: 2})
+    assert 'carry' in copy._cache
+    same_as_fresh(copy)
+    assert copy.validate() == []
+    same_as_fresh(new)
+
+
+def test_validate_leaves_no_orbits_beside_a_carry():
+    for d in dual_4x3_vertices():
+        for site in find_22_sites(d):
+            new = apply_22(d, site)
+            assert new.validate() == []
+            assert 'orbits' not in new._cache and 'carry' not in new._cache
+            same_as_fresh(new)
+
+
+def test_a_22_move_traces_only_the_faces_around_it(monkeypatch):
+    """With the parent traced, the new faces come without a full trace,
+    from fewer darts than the map has."""
+    d = dual_4x3_vertices()[3]
+    site = find_22_sites(d)[0]
+    new = apply_22(d, site)
+    traced = []
+    trace = TripleDiagram._trace
+
+    def counted(self, starts):
+        orbits = trace(self, starts)
+        traced.extend(orbits)
+        return orbits
+
+    def no_full_trace(self):
+        raise AssertionError("a carried face tuple traced every orbit")
+
+    monkeypatch.setattr(TripleDiagram, "_orbits", no_full_trace)
+    monkeypatch.setattr(TripleDiagram, "_trace", counted)
+    faces = new.faces()
+    monkeypatch.undo()
+    assert faces == fresh(new).faces()
+    assert 0 < sum(map(len, traced)) < sum(map(len, fresh(new)._orbits())) / 2
+
+
+# ----------------------------------------------------------------------
+# one endpoint walk per diagram
+
+def test_one_endpoint_walk_serves_every_caller(monkeypatch):
+    """check, is_connected, canonical_code and the key share one walk,
+    which the rendered key drops; the key's floating labels must not
+    leak into is_connected."""
+    walks = []
+    walk = TripleDiagram._walk
+
+    def counted(self, root=None):
+        if root is None and 'walk' not in self._cache:
+            walks.append(self)
+        return walk(self, root)
+
+    diagrams = [fresh(d) for d in ([floating_diagram(seed)
+                                    for seed in range(10)]
+                                   + dual_4x3_vertices())]
+    monkeypatch.setattr(TripleDiagram, "_walk", counted)
+    connected = []
+    for d in diagrams:
+        connected.append(d.is_connected())
+        d.check()
+        d.canonical_code()
+        d.canonical_key()
+        assert 'walk' not in d._cache
+    assert list(map(id, walks)) == list(map(id, diagrams))
+    monkeypatch.undo()
+    assert [d.is_connected() for d in diagrams] == connected
+    # floating crossings and no free loop: is_connected reads the label
+    assert sum(not c and not d.loops
+               for d, c in zip(diagrams, connected)) >= 2

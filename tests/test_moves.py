@@ -284,6 +284,15 @@ def _check_local_22(d, site):
     for f in d.faces():
         if not any(x[0] == 'c' and x[1] in moved for x in f.darts):
             assert fmap[f.key] == f.key
+    # the template's rule over every face: the new face of the first dart
+    # the move keeps, the centre's darts renamed to the new centre's
+    (X, x1), (Y, y1) = site.x, site.y
+    renamed = {**_legs_22(site), ('c', X, x1): center.darts[0],
+               ('c', Y, y1): center.darts[0],
+               ('c', X, (x1 + 1) % 6): None, ('c', Y, (y1 + 1) % 6): None}
+    for f in d.faces():
+        kept = [renamed.get(x, x) for x in f.darts]
+        assert fmap[f.key] == nd.face_of(next(x for x in kept if x)).key
     return 1
 
 

@@ -14,6 +14,8 @@ Run it on two checkouts and compare the lines:
   pairings;
 * ``cluster``: the sites, final values and audit of every walk of the
   benchmark's cluster workload for seed 1;
+* ``cluster-dump``: ``dump_values`` of every state of those walks, the
+  one cluster output that names faces by ``Face.index``;
 * ``closure``: the ``movegraph v1`` text of the 6x4 and 6x5 domino
   duals' move graphs.
 
@@ -30,6 +32,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"),
                 str(ROOT / "tests")]
 
 from tricross import enumerate_component, textio  # noqa: E402
+from tricross.cluster import dump_values  # noqa: E402
 from tricross.render import render_diagram  # noqa: E402
 import workloads  # noqa: E402
 from test_golden import (dual_matching, floating_diagram,  # noqa: E402
@@ -61,10 +64,12 @@ def main():
     print("validate", sha(repr(random_pairing(rng).validate())
                           for _ in range(3000)))
     cluster = workloads.Cluster(1)
+    walks = list(map(cluster.run, cluster.items))
     print("cluster", sha(repr((sites, ok, sorted(states[-1].values.items()),
                                audit))
-                         for states, sites, ok, audit
-                         in map(cluster.run, cluster.items)))
+                         for states, sites, ok, audit in walks))
+    print("cluster-dump", sha(dump_values(state) for states, _, _, _ in walks
+                              for state in states))
     print("closure", sha(textio.write_movegraph(enumerate_component(
         dual_matching(w, h))) for w, h in ((6, 4), (6, 5))))
 
