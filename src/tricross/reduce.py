@@ -1,33 +1,38 @@
 """Reduction to standard form with a verifiable move log.
 
-The reducer straightens strands along minimal intervals, innermost
-first, exactly mirroring the standard construction: a frontier of
-anchor ports (real endpoints, later the upper legs of frozen crossings)
-carries persistent position keys, the same interval selector picks the
-next pair, and a worker makes that strand boundary-parallel inside the
+The reducer first makes the diagram minimal.  A connected diagram is
+minimal exactly when it has no badgons, so ``_minimise`` repeats:
+
+  1. drop the least free loop;
+  2. otherwise fire the first empty monogon (a 1->0 move);
+  3. otherwise stop when the diagram is minimal;
+  4. otherwise ``_search`` (breadth-first over 2<->2 moves) for a state
+     with an empty monogon.
+
+A 2<->2 move keeps the crossing count and makes no free loop, so the
+search needs no other goal, and the crossing count never rises.
+
+It then straightens strands along minimal intervals, innermost first,
+exactly mirroring the standard construction: a frontier of anchor ports
+(real endpoints, later the upper legs of frozen crossings) carries
+persistent position keys, the same interval selector picks the next
+pair, and ``straighten`` makes that strand boundary-parallel inside the
 sub-diagram spanned by the not-yet-frozen crossings.  Because both
 pipelines share keys and selector, reducing any diagram reproduces the
 standard diagram of its matching up to canonical relabeling.
 
-The worker loops over a fixed priority:
+Every sub-diagram of a minimal diagram is minimal: it has no free
+loops, monogons, self-intersecting or closed strands, and 2<->2 moves
+keep it so.  ``straighten`` therefore loops over two rules only, until
+the strand S is boundary-parallel:
 
-  0. drop free loops, dissolve floating components;
-  1. done when the strand is boundary-parallel;
-  2. fire any empty monogon (a 1->0 move, strictly fewer crossings);
-  3. a self-intersecting strand: take its first-revisit loop - the
-     petal then hugs an empty corner of the revisited crossing - clear
-     the petal's interior by recursion, leaving an empty monogon;
-  4. a strand crossing S twice: straighten its innermost under-piece by
-     recursion, then ``_search`` (breadth-first over 2<->2 moves
-     confined to the window of involved crossings, then over all moves)
-     for a state that either drops the double crossing or exposes an
-     empty monogon;
-  5. comb: ``_search`` the window of S plus everything under it, then
-     the whole diagram, for a state lowering (crossings under S,
-     detours of the hanging strands).
-
-Every sequence ``_search`` finds is 2<->2-only, so the crossing count
-never increases between the explicit 1->0 steps.
+  * double crossing (``_remove_double``): for a strand crossing S
+    twice, straighten its innermost under-piece by recursion, then
+    ``_search`` the window of involved crossings, then the whole
+    diagram, for a state that drops the double crossing;
+  * comb (``_comb``), when no strand crosses S twice: ``_search`` the
+    window of S plus everything under it, then the whole diagram, for a
+    state lowering (crossings under S, detours of the hanging strands).
 """
 
 from .diagram import TripleDiagram, is_source, strand_path
@@ -40,7 +45,7 @@ from .movegraph import closure
 
 
 class ReductionError(RuntimeError):
-    """The reducer could not make progress (unsupported interlocking)."""
+    """The reducer could not make progress."""
 
 
 # ----------------------------------------------------------------------
@@ -149,25 +154,11 @@ def _under_region(diagram, a, dirn):
     # ('+', i) is the boundary arc from endpoint i toward i+1
     blocked_arcs = set(span[:-1] if dirn == 1 else span[1:])
     faces = diagram.faces()
-    outer = [f for f in faces
-             if any(d[0] == '+' and d[1] not in blocked_arcs
-                    for d in f.darts)]
-    reach = _flood(diagram, outer, set(frozenset(e) for e in strand_path(s)))
-    s_cross = set(c for c, _ in s[2])
-    under_faces = [f for f in faces if f.key not in reach]
-    under_cross = set()
-    for f in under_faces:
-        for d in f.darts:
-            if d[0] == 'c' and d[1] not in s_cross:
-                under_cross.add(d[1])
-    return set(f.key for f in under_faces), under_cross
-
-
-def _flood(diagram, starts, blocked):
-    """Keys of the faces reachable from the faces ``starts`` without
-    crossing an edge of ``blocked`` (a set of frozenset port pairs)."""
-    reach = set(f.key for f in starts)
-    todo = list(starts)
+    todo = [f for f in faces
+            if any(d[0] == '+' and d[1] not in blocked_arcs
+                   for d in f.darts)]
+    reach = set(f.key for f in todo)
+    blocked = set(frozenset(e) for e in strand_path(s))
     while todo:
         for d in todo.pop().darts:
             if d[0] not in ('b', 'c'):
@@ -179,7 +170,14 @@ def _flood(diagram, starts, blocked):
             if other.key not in reach:
                 reach.add(other.key)
                 todo.append(other)
-    return reach
+    s_cross = set(c for c, _ in s[2])
+    under_faces = [f for f in faces if f.key not in reach]
+    under_cross = set()
+    for f in under_faces:
+        for d in f.darts:
+            if d[0] == 'c' and d[1] not in s_cross:
+                under_cross.add(d[1])
+    return set(f.key for f in under_faces), under_cross
 
 
 def _shared_crossings(s1, s2):
@@ -187,57 +185,7 @@ def _shared_crossings(s1, s2):
 
 
 # ----------------------------------------------------------------------
-# petals
-
-def _first_revisit(strand):
-    """(i, j) positions of the first revisited crossing along the strand."""
-    seen = {}
-    for j, (c, _) in enumerate(strand[2]):
-        if c in seen:
-            return seen[c], j
-        seen[c] = j
-    return None
-
-
-def _petal_region(diagram, strand, i, j):
-    """Crossings to clear so the self-intersection becomes removable.
-
-    The loop runs from the exit of visit ``i`` back to the entry of
-    visit ``j`` at the same crossing x.  Its two slots at x are
-    cyclically adjacent, so the corner between them is a face; the petal
-    is the side of the loop holding that corner.  Returns (region
-    crossings, loop edges, x, entry slot of the final edge).
-    """
-    start, _, visits = strand
-    m = len(visits)
-    x, e_i = visits[i % m]
-    _, e_j = visits[j % m]
-    s_out = (e_i + 3) % 6
-    s_in = e_j
-    if (s_in - s_out) % 6 not in (1, 5):
-        raise ReductionError("loop slots are not adjacent")
-    # the loop's edge path: edges between exiting visit i and entering j;
-    # path[t] is the edge into visit t, cyclically for closed strands
-    path = strand_path(strand)
-    if start is None:
-        loop_edges = set(frozenset(path[(t + 1) % m]) for t in range(i, j))
-    else:
-        loop_edges = set(frozenset(path[t + 1]) for t in range(i, j))
-    corner = (s_out if (s_in - s_out) % 6 == 1 else s_in)
-    # the petal is the corner's side of the loop
-    reach = _flood(diagram, [diagram.face_of(('c', x, corner))], loop_edges)
-    region = set()
-    for fk in reach:
-        for d in diagram.face_by_key(fk).darts:
-            if d[0] in ('b', '+', '-'):
-                raise ReductionError("petal flood reached the boundary")
-            if d[0] == 'c' and d[1] != x:
-                region.add(d[1])
-    return region, loop_edges, x, (s_out, s_in)
-
-
-# ----------------------------------------------------------------------
-# window search
+# breadth-first search over 2<->2 moves
 
 def _search(diagram, goal, stuck, window=None, cap=30000):
     """Shortest 2<->2-only move sequence to a state meeting ``goal``.
@@ -267,144 +215,55 @@ def _search(diagram, goal, stuck, window=None, cap=30000):
 
 
 # ----------------------------------------------------------------------
-# the worker
+# minimisation
 
 def _apply_all(diagram, moves, log):
-    """Apply ``moves`` to ``diagram`` and log them.  They may come from a
-    sub-diagram, which keeps crossing ids and slots but not face keys, so
-    a ``drop`` is replayed on the least face holding loops: the one
-    ``_tidy`` picks, and after a sub-diagram's 1->0 move the only one."""
+    """Apply ``moves`` to ``diagram`` and log them."""
     for mv in moves:
-        if mv.kind == 'drop':
-            mv = Move('drop', (min(diagram.loops),))
         diagram = apply_move(diagram, mv)
         log.append(mv)
     return diagram
 
 
+def _minimise(diagram, log):
+    """Reduce ``diagram`` to a minimal one by drops, 1->0 moves and the
+    2<->2 moves that expose an empty monogon; logs them."""
+    while True:
+        if diagram.loops:
+            moves = [Move('drop', (min(diagram.loops),))]
+        elif sites := find_10_sites(diagram):
+            moves = [Move('10', (sites[0].crossing, sites[0].slot))]
+        elif is_minimal(diagram):
+            return diagram
+        else:
+            moves = _search(diagram, find_10_sites, "no empty monogon "
+                            "within reach of a non-minimal diagram")
+        diagram = _apply_all(diagram, moves, log)
+
+
+# ----------------------------------------------------------------------
+# straightening
+
 def straighten(diagram, a, dirn, log=None, depth=0):
-    """Make the strand at in-endpoint ``a`` boundary-parallel along its
-    dirn-side interval.  Returns (diagram, moves); the interval must be
-    minimal for the diagram's matching."""
+    """Make the strand at in-endpoint ``a`` of a minimal diagram
+    boundary-parallel along its dirn-side interval by 2<->2 moves.
+    Returns (diagram, moves); the interval must be minimal for the
+    diagram's matching."""
     if log is None:
         log = []
     if depth > 60:
         raise ReductionError("straightening recursion too deep")
     guard = 0
-    while True:
+    while not is_boundary_parallel(diagram, a, dirn):
         guard += 1
         if guard > 300 + 60 * (diagram.crossing_count() + 2):
             raise ReductionError("straightening stalled")
-        # 0. loops and floating components
-        tidied = _tidy(diagram, log, depth)
-        if tidied is not None:
-            diagram = tidied
-            continue
-        # 1. done?
-        if is_boundary_parallel(diagram, a, dirn):
-            return diagram, log
-        # 2. empty monogons
-        sites = find_10_sites(diagram)
-        if sites:
-            diagram = _apply_all(
-                diagram, [Move('10', (sites[0].crossing, sites[0].slot))],
-                log)
-            continue
-        # 3. self-intersections (the interval strand first)
-        strands = diagram.strands()
-        s_main = _strand_from(diagram, a)
-        chosen = None
-        for s in [s_main] + [t for t in strands if t is not s_main]:
-            rev = _first_revisit(s)
-            if rev:
-                chosen = (s, rev)
-                break
-        if chosen:
-            diagram = _clear_petal(diagram, chosen[0], chosen[1], log, depth)
-            continue
-        # 4. strands crossing S twice
         dbl = _innermost_double(diagram, a, dirn)
         if dbl:
             diagram = _remove_double(diagram, a, dirn, dbl, log, depth)
-            continue
-        # 5. comb
-        diagram = _comb(diagram, a, dirn, log)
-
-
-def _tidy(diagram, log, depth):
-    """Drop one free loop, else reduce one crossing of a floating
-    component; None when there is neither."""
-    if diagram.loops:
-        return _apply_all(diagram, [Move('drop', (min(diagram.loops),))],
-                          log)
-    anchored = set()
-    for start, _, visits in diagram.strands():
-        if start is not None:
-            anchored.update(c for c, _ in visits)
-    floating = [c for c in diagram.crossings if c not in anchored]
-    if not floating:
-        return None
-    for s in diagram.strands():
-        if s[0] is not None:
-            continue
-        if not any(c in floating for c, _ in s[2]):
-            continue
-        for rev in _closed_loop_candidates(s):
-            try:
-                return _clear_petal(diagram, s, rev, log, depth)
-            except ReductionError:
-                continue
-    raise ReductionError("floating component with no clearable loop")
-
-
-def _closed_loop_candidates(strand):
-    """Self-intersection segments of a closed strand, small spans first.
-
-    Yields (i, j) with visits i and j at the same crossing and no
-    repeated crossing strictly between (indices may wrap past the
-    cycle's length)."""
-    seq = [c for c, _ in strand[2]]
-    m = len(seq)
-    out = []
-    for i in range(m):
-        for span in range(1, m):
-            j = i + span
-            if seq[j % m] != seq[i]:
-                continue
-            inner = [seq[t % m] for t in range(i + 1, j)]
-            if len(set(inner)) == len(inner) and seq[i] not in inner:
-                out.append((span, i, j))
-    out.sort()
-    return [(i, j) for _, i, j in out]
-
-
-def _clear_petal(diagram, strand, rev, log, depth):
-    i, j = rev
-    region, loop_edges, x, (s_out, s_in) = _petal_region(diagram, strand, i, j)
-    if not region:
-        # the loop is a single edge already: an empty monogon
-        lo = s_out if (s_in - s_out) % 6 == 1 else s_in
-        return _apply_all(diagram, [Move('10', (x, lo))], log)
-    sub, legs = extract_region(diagram, region)
-    # the loop's two cut legs sit at the crossing x
-    a_idx = b_idx = None
-    for idx, (inner, outer) in enumerate(legs):
-        if outer == ('c', x, s_out):
-            a_idx = idx
-        if outer == ('c', x, s_in):
-            b_idx = idx
-    if a_idx is None or b_idx is None:
-        raise ReductionError("petal legs not found")
-    dirn = _empty_side(sub, a_idx, b_idx)
-    sub2, submoves = straighten(sub, a_idx, dirn, None, depth + 1)
-    return _apply_all(diagram, submoves, log)
-
-
-def _empty_side(sub, a, b):
-    for dirn in (1, -1):
-        if not interval_interior(2 * sub.n, a, b, dirn):
-            return dirn
-    raise ReductionError("loop legs are not adjacent")
+        else:
+            diagram = _comb(diagram, a, dirn, log)
+    return diagram, log
 
 
 def _innermost_double(diagram, a, dirn):
@@ -478,9 +337,9 @@ def _remove_double(diagram, a, dirn, dbl, log, depth):
             raise ReductionError("no S-side span for the double piece")
         sub2, submoves = straighten(sub, a_idx, dsub, None, depth + 1)
         diagram = _apply_all(diagram, submoves, log)
-    # window search: kill the double crossing or expose a monogon
+    # window search: kill the double crossing
     s_main = _strand_from(diagram, a)
-    u = _strand_at_same_ends(diagram, s)
+    u = _strand_from(diagram, s[0])
     before = len(_shared_crossings(s_main, u))
     window = set([c1, c2])
     spos = [c for c, _ in s_main[2]]
@@ -491,22 +350,11 @@ def _remove_double(diagram, a, dirn, dbl, log, depth):
     window.update(useq[min(u1, u2):max(u1, u2) + 1])
 
     def goal(d):
-        if find_10_sites(d):
-            return True
-        sm = _strand_from(d, a)
-        uu = _strand_at_same_ends(d, u)
-        if _first_revisit(sm):
-            return False
-        return len(_shared_crossings(sm, uu)) <= before - 2
+        return len(_shared_crossings(_strand_from(d, a),
+                                     _strand_from(d, u[0]))) <= before - 2
 
     path = _search(diagram, goal, "double crossing is stuck", window)
     return _apply_all(diagram, path, log)
-
-
-def _strand_at_same_ends(diagram, s):
-    if s[0] is not None:
-        return _strand_from(diagram, s[0])
-    raise ReductionError("closed strand interlocked with the interval")
 
 
 def _comb_potential(diagram, a, dirn):
@@ -537,14 +385,8 @@ def _comb(diagram, a, dirn, log):
     base = _comb_potential(diagram, a, dirn)
 
     def goal(d):
-        if find_10_sites(d):
-            return True
-        sm = _strand_from(d, a)
-        if _first_revisit(sm):
-            return False
-        if _innermost_double(d, a, dirn):
-            return False
-        return _comb_potential(d, a, dirn) < base
+        return (not _innermost_double(d, a, dirn)
+                and _comb_potential(d, a, dirn) < base)
 
     s_main = _strand_from(diagram, a)
     _, under_cross = _under_region(diagram, a, dirn)
@@ -556,13 +398,15 @@ def _comb(diagram, a, dirn, log):
 def straighten_interval(diagram, interval):
     """Public wrapper: ``interval`` is (in_endpoint, out_endpoint, side)
     with side +1 for the counterclockwise interval, -1 for clockwise.
-    Returns (diagram, MoveLog); the interval must be minimal."""
+    Returns (diagram, MoveLog); the interval must be minimal.  The
+    diagram is made minimal first."""
     a, b, dirn = interval
     diagram.check()
     matching, _ = diagram.trace()
     if matching[a] != b:
         raise MoveError("interval endpoints are not a matched pair")
-    final, moves = straighten(diagram, a, dirn)
+    moves = []
+    final, _ = straighten(_minimise(diagram, moves), a, dirn, moves)
     if not is_boundary_parallel(final, a, dirn):
         raise ReductionError("straightening finished off-template")
     return make_log(diagram, moves)
@@ -621,15 +465,10 @@ def to_standard(diagram, strategy="inclusion"):
     start = diagram
     matching, _ = diagram.trace()
     log = []
-    # top-level loops and floating junk go first
-    while (tidied := _tidy(diagram, log, 0)) is not None:
-        diagram = tidied
-
+    diagram = _minimise(diagram, log)
     frozen = set()
     frontier = [(i, ('b', i)) for i in range(2 * diagram.n)]
     while frontier:
-        # moves inside the worker may delete crossings, so the active
-        # set is recomputed from what is left and what was frozen
         active = set(diagram.crossings) - frozen
         # sub-endpoint 0 must be an in-anchor; rotating the frontier
         # keeps the cyclic key order that interval selection relies on

@@ -151,6 +151,16 @@ def test_straighten_interval_wrapper(rotation3):
     assert final.trace()[0] == m
 
 
+def test_straighten_interval_minimises_first(rotation3):
+    from tricross.reduce import straighten_interval
+    d0 = standard_diagram(rotation3)
+    d, _ = inflate(d0, 2, 1, 3, random.Random(4))
+    final, log = straighten_interval(d, (0, rotation3[0], 1))
+    assert log.counts()['10'] == 2 and log.counts()['drop'] == 1
+    assert is_boundary_parallel(final, 0, 1)
+    assert replay(d, log).canonical_key() == final.canonical_key()
+
+
 def test_slide_macros_all_patterns():
     for pattern in ('a', 'b', 'c'):
         for r in (1, 2):
@@ -202,13 +212,18 @@ def test_reduce_drops_floating_component():
     assert kinds.get('10', 0) == 1 and kinds.get('drop', 0) == 2
 
 
+def _diagram(n, crossings, edges):
+    return textio.read_diagram("triple-diagram v1\nn %d\ncrossings %d\n%s" % (
+        n, crossings, "".join("edge %s %s\n" % tuple(e.split("-"))
+                              for e in edges.split())))
+
+
 def test_loops_closed_in_a_sub_diagram_drop_in_its_parent():
     """Three closed strands, each closed into a free loop by a 1->0 move
-    inside an extracted sub-diagram, whose drop names a parent face."""
-    d = textio.read_diagram("triple-diagram v1\nn 1\ncrossings 3\n" + "".join(
-        "edge %s %s\n" % tuple(e.split("-")) for e in (
-            "B0-C0.0 B1-C0.1 C0.2-C1.1 C0.3-C0.4 C0.5-C1.0 C1.2-C1.5 "
-            "C1.3-C2.0 C1.4-C2.3 C2.1-C2.2 C2.4-C2.5").split()))
+    of the minimisation, whose drop names the face the move left it on;
+    the log replays from its text."""
+    d = _diagram(1, 3, "B0-C0.0 B1-C0.1 C0.2-C1.1 C0.3-C0.4 C0.5-C1.0 "
+                       "C1.2-C1.5 C1.3-C2.0 C1.4-C2.3 C2.1-C2.2 C2.4-C2.5")
     final, log = reduce_to_minimal(d)
     assert log.counts() == {'10': 3, 'drop': 3}
     parsed, end = textio.read_movelog(textio.write_movelog(d, log), d)
@@ -217,11 +232,83 @@ def test_loops_closed_in_a_sub_diagram_drop_in_its_parent():
     assert replay(d, parsed).canonical_key() == end.canonical_key() == target
 
 
+def test_closed_strands_interlocked_with_the_arc_reduce():
+    """The arc and two closed strands through both of its crossings: a
+    2<->2 move exposes the first empty monogon."""
+    d = _diagram(1, 2, "B0-C0.0 B1-C1.1 C0.1-C1.0 C0.2-C1.5 C0.3-C1.4 "
+                       "C0.4-C1.3 C0.5-C1.2")
+    final, log = reduce_to_minimal(d)
+    assert [mv.kind for mv in log.moves] == ['22', '10', 'drop', '10', 'drop']
+    assert final.canonical_key() == standard_diagram(
+        d.trace()[0]).canonical_key()
+
+
+# minimal sub-diagrams of the reduce benchmark's inflations (seed 1) on
+# which straightening the strand at endpoint 0 along (0, +1) combs
+COMBED = (
+    (6, 6, "B0-C0.0 B1-C0.1 B10-C5.2 B11-C5.3 B2-C1.0 B3-C1.1 B4-C1.2 "
+           "B5-C2.1 B6-C3.0 B7-C3.1 B8-C4.0 B9-C5.1 C0.2-C1.5 C0.3-C2.4 "
+           "C0.4-C4.3 C0.5-C5.4 C1.3-C2.0 C1.4-C2.5 C2.2-C3.5 C2.3-C3.4 "
+           "C3.2-C4.5 C3.3-C4.4 C4.1-C5.0 C4.2-C5.5"),
+    (5, 4, "B0-C0.0 B1-C1.1 B2-C1.2 B3-C1.3 B4-C2.0 B5-C2.1 B6-C2.2 "
+           "B7-C3.1 B8-C3.2 B9-C3.3 C0.1-C1.0 C0.2-C1.5 C0.3-C2.4 "
+           "C0.4-C3.5 C0.5-C3.4 C1.4-C2.5 C2.3-C3.0"),
+)
+
+
+@pytest.mark.parametrize("n, crossings, edges", COMBED)
+def test_comb_straightens_when_no_strand_crosses_twice(monkeypatch, n,
+                                                       crossings, edges):
+    from tricross import reduce as reducer
+    d = _diagram(n, crossings, edges)
+    assert is_minimal(d)
+    combs = []
+    comb = reducer._comb
+
+    def counted(*args):
+        combs.append(args[1:3])
+        return comb(*args)
+
+    monkeypatch.setattr(reducer, "_comb", counted)
+    final, moves = straighten(d, 0, 1)
+    assert combs and set(combs) == {(0, 1)}
+    assert moves and all(mv.kind == '22' for mv in moves)
+    assert is_boundary_parallel(final, 0, 1)
+    final, log = to_standard(d)
+    assert final.canonical_key() == standard_diagram(
+        d.trace()[0]).canonical_key()
+
+
+def test_double_crossing_straightens_its_under_piece_first(monkeypatch):
+    """Of the 4x3 domino duals only the eighth has a strand whose piece
+    under S, between its two crossings with S, holds a crossing: the
+    double-crossing rule straightens that piece by recursion."""
+    from tricross import (reduce as reducer, Region, enumerate_tilings,
+                          tiling_to_diagram)
+    depths = []
+    outer = reducer.straighten
+
+    def traced(diagram, a, dirn, log=None, depth=0):
+        depths.append(depth)
+        return outer(diagram, a, dirn, log, depth)
+
+    monkeypatch.setattr(reducer, "straighten", traced)
+    recursed = []
+    for i, t in enumerate(enumerate_tilings(Region.rectangle(4, 3))):
+        d = tiling_to_diagram(t)
+        del depths[:]
+        final, log = to_standard(d)
+        assert all(mv.kind == '22' for mv in log.moves)
+        assert final.canonical_key() == standard_diagram(
+            d.trace()[0]).canonical_key()
+        if max(depths) > 0:
+            recursed.append((i, max(depths)))
+    assert recursed == [(7, 1)]
+
+
 # the reducer's open defects: the messages of the ReductionErrors that
-# a connected diagram may still raise
-OPEN_DEFECTS = ("closed strand interlocked with the interval",
-                "floating component with no clearable loop",
-                "petal flood reached the boundary")
+# a connected diagram may still raise; none is known
+OPEN_DEFECTS = ()
 
 
 def reduce_cell(n, extra):
@@ -253,7 +340,7 @@ def reduce_cell(n, extra):
 
 def test_reduce_every_connected_diagram_of_the_small_cells():
     """n=1 at +1..+3, n=2 at +1..+2 and n=3 at +1 crossings over the
-    minimum: 3,870 diagrams, failing only by an open defect."""
+    minimum: 3,870 diagrams, none failing."""
     total, failed = 0, Counter()
     for n, extra in ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)):
         diagrams, failures = reduce_cell(n, extra)
@@ -261,7 +348,7 @@ def test_reduce_every_connected_diagram_of_the_small_cells():
         failed += failures
     assert total == 3870
     assert set(failed) <= {"ReductionError: " + m for m in OPEN_DEFECTS}
-    assert sum(failed.values()) <= 66, failed
+    assert sum(failed.values()) == 0, failed
 
 
 def _extract_region_cases():
