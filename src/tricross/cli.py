@@ -46,13 +46,7 @@ def _write(path, data):
 
 
 def _load_diagram(path):
-    text, name = _read(path)
-    d = textio.read_diagram(text, name)
-    violations = d.validate()
-    if violations:
-        raise CliError("%s:1: invalid diagram: %s"
-                       % (name, "; ".join(violations)))
-    return d
+    return textio.read_diagram(*_read(path))  # refuses an invalid diagram
 
 
 def _load_matching(path):

@@ -14,8 +14,12 @@ Conventions (global, used by every other module):
   ``('c', c, s)`` for slot ``s`` of crossing ``c``.  Every edge joins a
   source port (even boundary endpoint, or odd slot) to a sink port.
 
-* ``edges`` is stored as a fixed-point-free involution: a dict mapping
-  each port to its partner, both directions present.
+* A diagram stores its edges only as a flat int partner array,
+  ``partners()``: port ``Bi`` has code ``i``, ``C<c>.<s>`` code ``2n + 6c
+  + s`` (raw ids), a code with no port or no partner holds -1.
+  ``partner(port)`` reads it by port tuple; ``edges`` (each port to its
+  partner, both ways) and ``edge_list()`` are built from it on demand.
+  A move patches a copy of its parent's array.
 
 * Faces are computed from the rotation system.  Darts are ports plus,
   for ``n > 0``, the boundary-arc darts ``('+', i)`` (arc from endpoint
@@ -30,10 +34,7 @@ Conventions (global, used by every other module):
   strand's travel direction (counterclockwise around the face), black
   when every strand dart runs against it.
 
-* The kernels run on a flat int partner array, ``partners()``: port
-  ``Bi`` has code ``i``, ``C<c>.<s>`` code ``2n + 6c + s`` (raw ids), a
-  code with no port -1.  A move patches a copy of its parent's array.
-  Dart codes put ``('+', i)`` at ``i``, ``('-', i)`` at ``2n + i`` and a
+* Dart codes put ``('+', i)`` at ``i``, ``('-', i)`` at ``2n + i`` and a
   port at ``4n`` plus its code, so int order is tuple order.
 
 * ``faces()`` lists the interior faces in key order, a face's key being
@@ -67,7 +68,7 @@ Conventions (global, used by every other module):
   component, E from the labels alone.  These callers share one endpoint
   walk per diagram, dropped once the key text is rendered.
 
-* One kernel, ``trace_strands``, traces the strands of a raw edge dict,
+* One kernel, ``trace_strands``, traces the strands of a partner array,
   for ``TripleDiagram.strands`` (which caches it), the oracle's fillings
   and the tests.  A strand is an immutable ``(start, end, visits)``:
   in- and out-endpoint for an arc, both None for a closed strand, and
@@ -95,10 +96,6 @@ def is_source(port):
     return port[2] % 2 == 1
 
 
-def is_sink(port):
-    return not is_source(port)
-
-
 def port_str(port):
     if port[0] == 'b':
         return "B%d" % port[1]
@@ -117,8 +114,9 @@ def _tables(n, size):
     and their kinds (1 a source port, 2 a sink port, plus 4 on the
     boundary circle); by port code, the port texts; at row
     ``3 * c + phase // 2``, crossing ``c``'s port codes in walk order;
-    and phi on the arc darts, and by partner code (-1 last) the dart phi
-    sends a port to."""
+    phi on the arc darts, and by partner code (-1 last) the dart phi
+    sends a port to; by partner code (-1 last, None), the port tuples;
+    and the code of each port tuple."""
     m = 2 * n
     k = (size - m) // 6
     texts = (["B%d" % i for i in range(m)]
@@ -132,11 +130,13 @@ def _tables(n, size):
     after = tuple(list(range(m))
                   + [2 * m + (q - 1 if (q - m) % 6 else q + 5)
                      for q in range(m, size)] + [-1])
+    ports = names[2 * m:]
     return (names, tuple([4] * 2 * m + [5, 6] * n + [2, 1] * 3 * k),
             tuple(texts),
             tuple(tuple(m + 6 * c + (p + t) % 6 for t in range(6))
                   for c in range(k) for p in (0, 2, 4)),
-            arcs, after)
+            arcs, after, ports + (None,),
+            {p: a for a, p in enumerate(ports)})
 
 
 def parse_port(text):
@@ -148,8 +148,8 @@ def parse_port(text):
     raise ValueError("bad port %r" % text)
 
 
-def trace_strands(n, crossings, edges):
-    """Every strand of the port pairing ``edges``, traced once.
+def trace_strands(n, crossings, partner):
+    """Every strand of the partner array ``partner``, traced once.
 
     Returns a tuple of ``(start, end, visits)``: first the arc from each
     in-endpoint ``start`` to its out-endpoint ``end``, in order of
@@ -164,56 +164,50 @@ def trace_strands(n, crossings, edges):
     arc ending at an in-endpoint, or strands that do not enter each even
     slot of each crossing exactly once.
     """
+    m = 2 * n
     steps = range(n + 3 * len(crossings))  # the map's edges
     out = []
-    entered = set()
+    # by code, the ports walked into; an arc's ``start`` reads the last
+    entered = bytearray(len(partner) + 1)
     ends = set()
     walked = 0
-    try:
-        for i in range(0, 2 * n, 2):
-            visits = []
-            q = edges['b', i]
-            for _ in steps:
-                if q[0] == 'b':
-                    break
-                visits.append(q[1:])
-                q = edges['c', q[1], (q[2] + 3) % 6]
-            else:
-                raise DiagramError("strand from endpoint %d never exits" % i)
-            end = q[1]
-            if end % 2 == 0 or end in ends:
-                raise DiagramError("trace revisits port B%d" % end)
-            ends.add(end)
-            walked += len(visits)
-            entered.update(visits)
-            out.append((i, end, tuple(visits)))
-        # a closed strand leaves each exit whose entry no strand took yet
-        for c in crossings:
-            for e in (4, 0, 2):
-                start = (c, e)
-                if start in entered:
-                    continue
-                visits = []
-                q = edges['c', c, (e + 3) % 6]
-                for _ in steps:
-                    if q[0] == 'b':
-                        raise DiagramError("closed trace leaked to the "
-                                           "boundary")
-                    v = q[1:]
-                    visits.append(v)
-                    if v == start:
-                        break
-                    q = edges['c', q[1], (q[2] + 3) % 6]
-                else:
-                    raise DiagramError("closed trace from C%d.%d never closes"
-                                       % (c, (e + 3) % 6))
-                walked += len(visits)
-                entered.update(visits)
-                out.append((None, None, tuple(visits)))
-    except KeyError as exc:
-        raise DiagramError("trace meets port %s, paired with nothing"
-                           % (exc.args[0],)) from None
-    if not walked == len(entered) == 3 * len(crossings):
+    # p: the port walked from, q: its partner, the port walked into.  A
+    # closed strand leaves each exit whose entry no strand took yet
+    for p0 in chain(range(0, m, 2), [m + 6 * c + x for c in crossings
+                                     for x in (1, 3, 5)]):
+        start = -1 if p0 < m else p0 + 3 if (p0 - m) % 6 < 3 else p0 - 3
+        if entered[start]:
+            continue
+        visits = []
+        p = p0
+        for _ in steps:
+            q = partner[p]
+            if q < m or q == start:
+                break
+            c, s = divmod(q - m, 6)
+            visits.append((c, s))
+            entered[q] = 1
+            p = q + 3 if s < 3 else q - 3
+        else:
+            raise DiagramError("strand from endpoint %d never exits" % p0
+                               if p0 < m else "closed trace from C%d.%d "
+                               "never closes" % divmod(p0 - m, 6))
+        if q < 0:
+            raise DiagramError("trace meets port %s, paired with nothing"
+                               % (_tables(n, len(partner))[6][p],))
+        if start >= 0:
+            if q < m:
+                raise DiagramError("closed trace leaked to the boundary")
+            visits.append(divmod(q - m, 6))
+            entered[q] = 1
+            out.append((None, None, tuple(visits)))
+        elif q % 2 == 0 or q in ends:
+            raise DiagramError("trace revisits port B%d" % q)
+        else:
+            ends.add(q)
+            out.append((p0, q, tuple(visits)))
+        walked += len(visits)
+    if not walked == entered.count(1) == 3 * len(crossings):
         raise DiagramError("trace revisits a port")
     return tuple(out)
 
@@ -275,14 +269,13 @@ class TripleDiagram:
                  partners=None, carry=None):
         self.n = n
         self.crossings = tuple(sorted(crossings))
-        self.edges = dict(edges)
         # free crossing-free loops, keyed by the containing face's key dart
         self.loops = dict(loops) if loops else {}
-        # ``strands``: trace_strands of these edges, ``partners``: their
-        # partner array, from a caller that has them already
-        self._cache = {k: v for k, v in (('strands', strands),
-                                         ('partners', partners))
-                       if v is not None}
+        # ``edges`` maps ports to ports; a caller with the partner array
+        # passes it instead, with ``strands``, its trace, if it has them
+        self._cache = {} if strands is None else {'strands': strands}
+        self._partner = self._array(edges) if partners is None else partners
+        self._ports = _tables(n, len(self._partner))[6]
         # ``carry``: (parent, codes of the ports whose partner differs
         # from the parent's), from a move.  Only the parent's traced faces
         # and face table are kept, never the parent nor a pending carry
@@ -291,47 +284,64 @@ class TripleDiagram:
             self._cache['carry'] = (parent._cache['faces'],
                                     parent._cache['face_of'], touched)
 
+    def _array(self, edges):
+        """The partner array of the port map ``edges``, less its first port
+        that is no port of this diagram, kept for ``validate``."""
+        m = 2 * self.n
+        cs = self.crossings
+        size = m + 6 * (cs[-1] + 1) if cs else m
+        ports, code = _tables(self.n, size)[6:]
+        if 6 * len(cs) + m < size:  # ids skip values
+            code = {ports[a]: a for a in self._codes()}
+        partner = [-1] * size
+        for p, q in edges.items():
+            a, b = code.get(p), code.get(q)
+            if a is None or b is None:
+                self._cache.setdefault('unknown', q if a is not None else p)
+            else:
+                partner[a] = b
+        return partner
+
     @staticmethod
     def from_edge_list(n, crossings, edge_list, loops=None):
         edges = {}
         for p, q in edge_list:
-            edges[p] = q
-            edges[q] = p
+            edges[p], edges[q] = q, p
         return TripleDiagram(n, crossings, edges, loops)
 
+    @property
+    def edges(self):
+        """Each port to its partner, both ways: a dict built per read."""
+        ports = self._ports
+        return {ports[a]: ports[b] for a, b in enumerate(self._partner)
+                if b >= 0}
+
     def edge_list(self):
-        seen = set()
-        out = []
-        for p, q in self.edges.items():
-            if p in seen or q in seen:
-                continue
-            seen.add(p)
-            seen.add(q)
-            out.append(tuple(sorted((p, q))))
-        return sorted(out)
+        """Each edge once, as its two ports in order, sorted."""
+        ports = self._ports
+        return [(ports[a], ports[b]) for a, b in enumerate(self._partner)
+                if a < b]
+
+    def partner(self, port):
+        """The port paired with ``port`` (None: none), by one array read."""
+        return self._ports[self._partner[
+            port[1] if port[0] == 'b' else 2 * self.n + 6 * port[1] + port[2]]]
+
+    def _codes(self):
+        """The port codes, increasing: none at an absent crossing id."""
+        m = 2 * self.n
+        return chain(range(m), *[range(m + 6 * c, m + 6 * c + 6)
+                                 for c in self.crossings])
 
     def ports(self):
-        for i in range(2 * self.n):
-            yield ('b', i)
-        for c in self.crossings:
-            for s in range(6):
-                yield ('c', c, s)
+        return map(self._ports.__getitem__, self._codes())
 
     def crossing_count(self):
         return len(self.crossings)
 
     def partners(self):
-        """The partner array of ``edges`` (module docstring), built once;
-        callers must not change it."""
-        if 'partners' not in self._cache:
-            n2 = 2 * self.n
-            partner = [-1] * (n2 + 6 * (self.crossings[-1] + 1
-                                        if self.crossings else 0))
-            for p, q in self.edges.items():  # port_code, inlined
-                partner[p[1] if p[0] == 'b' else n2 + 6 * p[1] + p[2]] = (
-                    q[1] if q[0] == 'b' else n2 + 6 * q[1] + q[2])
-            self._cache['partners'] = partner
-        return self._cache['partners']
+        """The partner array (module docstring); do not change it."""
+        return self._partner
 
     # ------------------------------------------------------------------
     # faces
@@ -423,10 +433,8 @@ class TripleDiagram:
 
     def _orbits(self):
         """All phi-orbits (``_trace`` from every dart)."""
-        m = 2 * self.n
-        return self._trace(chain(range(3 * m), *[
-            range(3 * m + 6 * c, 3 * m + 6 * c + 6)
-            for c in self.crossings]))  # no slot of an absent id
+        m4 = 4 * self.n
+        return self._trace(chain(range(m4), map(m4.__add__, self._codes())))
 
     def _trace(self, starts):
         """The phi-orbits through ``starts`` as tuples of dart codes
@@ -538,47 +546,38 @@ class TripleDiagram:
 
     def validate(self):
         """Check every invariant; return a list of violations (empty = ok)."""
-        ports = set(self.ports())
-        edges = self.edges
+        if 'unknown' in self._cache:
+            return ["unknown port %s" % port_str(self._cache['unknown'])]
+        partner = self._partner
+        m = 2 * self.n
+        tables = _tables(self.n, len(partner))
+        kinds, text = tables[1][2 * m:], tables[2]
+        codes = list(self._codes())
+        uncovered = [a for a in codes if partner[a] < 0]
+        if uncovered:
+            return ["uncovered port %s" % text[a] for a in uncovered]
         broken, clashes = [], []
-        for p, q in edges.items():
-            if p not in ports:
-                return ["unknown port %s" % port_str(p)]
-            if q not in ports:
-                return ["unknown port %s" % port_str(q)]
-            if q == p:
-                broken.append((p, "fixed point at %s"))
-            elif edges.get(q) != p:
-                broken.append((p, "involution broken at %s"))
-            # a source is an even endpoint or an odd slot, so an edge
-            # joins a source to a sink when its two ends' last fields
-            # differ in parity, a crossing port counting one more
-            elif p < q and (p[-1] + q[-1] + (p[0] == 'c')
-                            + (q[0] == 'c')) % 2 == 0:
-                clashes.append((p, q))
-        if len(edges) < len(ports):
-            return ["uncovered port %s" % port_str(p)
-                    for p in self.ports() if p not in edges]
-        if broken:
-            return [text % port_str(p) for p, text in sorted(broken)]
-        if clashes:
-            return ["orientation clash on edge %s %s"
-                    % (port_str(p), port_str(q)) for p, q in sorted(clashes)]
+        for a in codes:
+            b = partner[a]
+            if b == a:
+                broken.append("fixed point at %s" % text[a])
+            elif partner[b] != a:
+                broken.append("involution broken at %s" % text[a])
+            # an edge joins a source to a sink
+            elif a < b and kinds[a] & 3 == kinds[b] & 3:
+                clashes.append("orientation clash on edge %s %s"
+                               % (text[a], text[b]))
+        if broken or clashes:
+            return broken or clashes
 
-        # planarity: per-component Euler characteristic 2
-        violations = []
-        try:
-            orbits = self._orbits()
-        except KeyError:
-            violations.append("corrupted involution")
-            return violations
+        # planarity: per-component Euler characteristic 2.  The map is an
+        # involution now, so phi is a permutation
+        orbits = self._orbits()
         if 'faces' not in self._cache and 'carry' not in self._cache:
             self._cache['orbits'] = orbits
-        for comp_v, comp_e, comp_f in self._components(orbits):
-            if comp_v - comp_e + comp_f != 2:
-                violations.append("Euler characteristic violated "
-                                  "(component V=%d E=%d F=%d)"
-                                  % (comp_v, comp_e, comp_f))
+        violations = ["Euler characteristic violated (component V=%d E=%d "
+                      "F=%d)" % tuple(vef) for vef in self._components(orbits)
+                      if vef[0] - vef[1] + vef[2] != 2]
         if violations:
             return violations
 
@@ -586,8 +585,7 @@ class TripleDiagram:
         try:
             faces = self.faces()
         except DiagramError as exc:
-            violations.append(str(exc))
-            return violations
+            return [str(exc)]
         keys = set(f.key for f in faces)
         for key, count in self.loops.items():
             if key not in keys:
@@ -630,7 +628,7 @@ class TripleDiagram:
         """All strands, as ``trace_strands`` returns them; cached."""
         if 'strands' not in self._cache:
             self._cache['strands'] = trace_strands(self.n, self.crossings,
-                                                   self.edges)
+                                                   self._partner)
         return self._cache['strands']
 
     def trace(self):
@@ -737,10 +735,11 @@ class TripleDiagram:
     def with_loops(self, loops):
         """This map with other free loops, keeping the tables that do not
         depend on them."""
-        new = TripleDiagram(self.n, self.crossings, self.edges, loops)
+        new = TripleDiagram(self.n, self.crossings, None, loops,
+                            partners=self._partner)
         new._cache = {k: v for k, v in self._cache.items()
                       if k in ('faces', 'face_of', 'carry', 'strands',
-                               'partners')}
+                               'unknown')}
         return new
 
     def __eq__(self, other):

@@ -12,16 +12,17 @@ fresh crossing whose remaining five legs join the working boundary.
 Planarity is built in, every crossing hangs off the boundary circle,
 and each diagram is emitted exactly once, so the fillings kept are the
 diagrams, with no duplicate to remove.  Most fillings have the wrong
-trace, so ``emit`` reads the arcs with ``trace_strands`` on the raw edge
-map first, and builds, checks and keys a diagram only for a filling
-with the wanted trace, handing it those strands.  The generator never
-consults the move system, so comparing the two sides genuinely checks
-the claim that 2<->2 moves connect all minimal diagrams of a matching.
+trace, so ``emit`` reads the arcs with ``trace_strands`` on the
+filling's partner array first, and builds, checks and keys a diagram
+only for a filling with the wanted trace, handing it that array and
+those strands.  The generator never consults the move system, so
+comparing the two sides genuinely checks the claim that 2<->2 moves
+connect all minimal diagrams of a matching.
 """
 
 from dataclasses import dataclass
 
-from .diagram import DiagramError, TripleDiagram, is_source, trace_strands
+from .diagram import DiagramError, TripleDiagram, trace_strands
 from .standard import standard_diagram, minimal_crossing_count
 from .moves import find_22_sites, move_22, find_badgons
 
@@ -90,7 +91,8 @@ def enumerate_component(matching, strategy="inclusion"):
 
 
 def walk_fillings(n, crossings, emit, want=None):
-    """Stream every planar filling of the disk to ``emit(edges, ncross)``.
+    """Stream every planar filling of the disk to ``emit(pairs, ncross)``,
+    ``pairs`` listing its edges as pairs of port codes (``diagram.py``).
 
     The recursion closes the first open boundary port against a later
     one (splitting the disk; both ports real) or feeds it into a fresh
@@ -99,7 +101,8 @@ def walk_fillings(n, crossings, emit, want=None):
     planar and connected by construction.  ``want`` (a matching dict)
     prunes boundary-to-boundary chords early.
     """
-    edges = []
+    m = 2 * n
+    pairs = []
 
     def run(items, next_id):
         # items: pending (sub-boundary, exact budget) regions
@@ -108,7 +111,7 @@ def walk_fillings(n, crossings, emit, want=None):
                 return
             items = items[1:]
         if not items:
-            emit(edges, next_id)
+            emit(pairs, next_id)
             return
         boundary, budget = items[0]
         tail = items[1:]
@@ -116,25 +119,26 @@ def walk_fillings(n, crossings, emit, want=None):
         rest = boundary[1:]
         for j in range(0, len(rest), 2):
             pj = rest[j]
-            if p0[0] == 'b' and pj[0] == 'b' and want is not None:
-                i, o = (p0[1], pj[1]) if p0[1] % 2 == 0 else (pj[1], p0[1])
+            if p0 < m and pj < m and want is not None:
+                i, o = (p0, pj) if p0 % 2 == 0 else (pj, p0)
                 if want.get(i) != o:
                     continue
-            edges.append((p0, pj))
+            pairs.append((p0, pj))
             left, right = rest[:j], rest[j + 1:]
             for b1 in range(budget + 1):
                 run(((left, b1), (right, budget - b1)) + tail, next_id)
-            edges.pop()
+            pairs.pop()
         if budget >= 1:
-            c = next_id
-            s = 0 if is_source(p0) else 1
-            legs = tuple(('c', c, (s + k) % 6) for k in (5, 4, 3, 2, 1))
-            edges.append((p0, ('c', c, s)))
+            # an entry (even slot) meets a source: even Bi, odd slot
+            base = m + 6 * next_id
+            s = 0 if (p0 < m) == (p0 % 2 == 0) else 1
+            legs = tuple(base + (s + k) % 6 for k in (5, 4, 3, 2, 1))
+            pairs.append((p0, base + s))
             run(((legs + rest, budget - 1),) + tail, next_id + 1)
-            edges.pop()
+            pairs.pop()
 
     try:
-        run(((tuple(('b', i) for i in range(2 * n)), crossings),), 0)
+        run(((tuple(range(m)), crossings),), 0)
     finally:
         # ``run`` reaches itself through its closure; break that cycle so
         # that ``emit`` and all it holds are freed now, not at whichever
@@ -152,19 +156,19 @@ def enumerate_connected_diagrams(matching, crossings):
     want = matching.as_dict()
     results = {}
 
-    def emit(edges, ncross):
-        pairing = {}
-        for p, q in edges:
-            pairing[p] = q
-            pairing[q] = p
-        if len(pairing) != 2 * len(edges):
+    def emit(pairs, ncross):
+        partner = [-1] * (2 * n + 6 * ncross)
+        for a, b in pairs:
+            partner[a], partner[b] = b, a
+        if len(partner) - partner.count(-1) != 2 * len(pairs):
             raise DiagramError("a filling names a port twice")
         crossings = range(ncross)
-        strands = trace_strands(n, crossings, pairing)
+        strands = trace_strands(n, crossings, partner)
         for start, end, _ in strands[:n]:
             if want[start] != end:
                 return
-        d = TripleDiagram(n, crossings, pairing, strands=strands)
+        d = TripleDiagram(n, crossings, None, partners=partner,
+                          strands=strands)
         d.check()
         results.setdefault(d.canonical_key(), d)
 

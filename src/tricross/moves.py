@@ -24,9 +24,9 @@ strand loses its last crossing.  The 0->1 move (``apply_01``) is its
 inverse: it detours two edges of a face through a new crossing.
 
 Every move is a local rewrite of the edge involution by one helper,
-``_rewrite``: it copies the edge dict and the partner array, deletes the
-ports of a removed crossing and joins the given port pairs, so only the
-ports next to the move change.  Those ports, each joined one and a
+``_rewrite``: it copies the partner array, clears the ports of a
+removed crossing and joins the given port pairs, so only the ports next
+to the move change.  Those ports, each joined one and a
 removed crossing's six, name the faces the move changes: the new
 diagram carries its parent's faces and, on its first ``faces()``,
 traces only the parent faces that hold one of them again (with an
@@ -168,16 +168,8 @@ def _rewrite(diagram, joins, removed=None, added=None):
         a, b = port_code(diagram.n, p), port_code(diagram.n, q)
         partner[a], partner[b] = b, a
         touched += (a, b)
-    new = TripleDiagram(diagram.n, crossings, diagram.edges,
-                        partners=partner, carry=(diagram, touched))
-    edges = new.edges  # the new diagram's own copy
-    if removed is not None:
-        for s in range(6):
-            del edges[('c', removed, s)]
-    for p, q in joins:
-        edges[p] = q
-        edges[q] = p
-    return new
+    return TripleDiagram(diagram.n, crossings, None, partners=partner,
+                         carry=(diagram, touched))
 
 
 def _image(new, face, renamed, centre=None):
@@ -223,7 +215,7 @@ def _joins_22(diagram, site):
     moved = _moved_22(X, x1, Y, y1)
     joins = []
     for port, to in moved.items():
-        far = diagram.edges[port]
+        far = diagram.partner(port)
         joins.append((to, moved.get(far, far)))
     nx, ny = ('c', X, (x1 + 4) % 6), ('c', Y, (y1 + 4) % 6)
     return joins + [(nx, ('c', Y, (y1 + 5) % 6)),
@@ -306,7 +298,8 @@ def resolve_22_by_darts(diagram, x, y):
 def apply_10(diagram, site):
     """Delete the crossing under an empty monogon; splices j+3<->j+4, j+2<->j+5."""
     c, j = site.crossing, site.slot
-    if diagram.edges.get(('c', c, j)) != ('c', c, (j + 1) % 6):
+    if (c not in diagram.crossings or j not in range(6)
+            or diagram.partner(('c', c, j)) != ('c', c, (j + 1) % 6)):
         raise MoveError("stale 1->0 site: no monogon edge")
     face = diagram.face_of(('c', c, j))
     if len(face.darts) != 1:
@@ -320,12 +313,13 @@ def apply_10(diagram, site):
     # a chain of passes and self-edges from an outer end becomes one
     # edge; the chains left close into free loops
     joins, loops_made, left = [], 0, set(through)
-    outer = [s for s in through if diagram.edges['c', c, s][:2] != ('c', c)]
+    legs = [diagram.partner(('c', c, s)) for s in range(6)]
+    outer = [s for s in through if legs[s][:2] != ('c', c)]
     for s in outer + list(through):
-        start = diagram.edges['c', c, s]
+        start = legs[s]
         while s in left:
             left -= {s, through[s]}
-            far = diagram.edges['c', c, through[s]]
+            far = legs[through[s]]
             if far[:2] != ('c', c):
                 joins.append((start, far))
             elif far[2] not in left:
@@ -334,8 +328,7 @@ def apply_10(diagram, site):
                 s = far[2]
     new = _rewrite(diagram, joins, removed=c)
     if diagram.loops or loops_made:
-        kept = [q for q in (diagram.edges[('c', c, (j + 3) % 6)],
-                            diagram.edges[('c', c, (j + 5) % 6)])
+        kept = [q for q in (legs[(j + 3) % 6], legs[(j + 5) % 6])
                 if q[:2] != ('c', c)]
         centre = (new.face_of(kept[0]) if kept else new.faces()[0]).key
         new = _carry_loops(diagram, new, {('c', c, s): None for s in range(6)},
@@ -355,12 +348,12 @@ def apply_01(diagram, edge_p, edge_q, side):
     strand through ``edge_p`` acquires a self-intersection at a fresh
     crossing; the matching is unchanged.
     """
-    a_src = edge_p if is_source(edge_p) else diagram.edges[edge_p]
-    c_src = edge_q if is_source(edge_q) else diagram.edges[edge_q]
+    a_src = edge_p if is_source(edge_p) else diagram.partner(edge_p)
+    c_src = edge_q if is_source(edge_q) else diagram.partner(edge_q)
     if a_src == c_src:
         raise MoveError("monogon insertion needs two distinct edges")
-    b_dst = diagram.edges[a_src]
-    d_dst = diagram.edges[c_src]
+    b_dst = diagram.partner(a_src)
+    d_dst = diagram.partner(c_src)
     dart = a_src if side == 'l' else b_dst
     face = diagram.face_of(dart)
     if not (c_src in face.darts or d_dst in face.darts):

@@ -59,22 +59,17 @@ def region_legs(diagram, crossings):
     a single circle (the set is not a disk-like region).
     """
     cs = set(crossings)
-    cuts = []
-    for p, q in diagram.edge_list():
-        pin = p[0] == 'c' and p[1] in cs
-        qin = q[0] == 'c' and q[1] in cs
-        if pin and not qin:
-            cuts.append(p)
-        elif qin and not pin:
-            cuts.append(q)
+    inside = {('c', c) for c in cs}  # a port's first two fields
+    cuts = [('c', c, s) for c in cs for s in range(6)
+            if diagram.partner(('c', c, s))[:2] not in inside]
     if not cuts:
         raise ReductionError("region has no frontier")
 
     def next_cut(port):
         d = ('c', port[1], (port[2] - 1) % 6)
         while True:
-            q = diagram.edges[d]
-            if q[0] == 'c' and q[1] in cs:
+            q = diagram.partner(d)
+            if q[:2] in inside:
                 d = ('c', q[1], (q[2] - 1) % 6)
             else:
                 return d
@@ -94,7 +89,7 @@ def region_legs(diagram, crossings):
         raise ReductionError("region frontier has no in-leg")
     best = min(ins, key=lambda i: order[i])
     order = order[best:] + order[:best]
-    return [(p, diagram.edges[p]) for p in order]
+    return [(p, diagram.partner(p)) for p in order]
 
 
 def extract_region(diagram, crossings):
@@ -136,9 +131,9 @@ def is_boundary_parallel(diagram, a, dirn):
         i = interior[2 * j + 1]
         c, e = visits[j]
         down_out, down_in, _, _ = template_slots(e, dirn)
-        if diagram.edges[('c', c, down_out)] != ('b', o):
+        if diagram.partner(('c', c, down_out)) != ('b', o):
             return False
-        if diagram.edges[('c', c, down_in)] != ('b', i):
+        if diagram.partner(('c', c, down_in)) != ('b', i):
             return False
     return True
 
@@ -163,7 +158,7 @@ def _under_region(diagram, a, dirn):
         for d in todo.pop().darts:
             if d[0] not in ('b', 'c'):
                 continue
-            q = diagram.edges[d]
+            q = diagram.partner(d)
             if frozenset((d, q)) in blocked:
                 continue
             other = diagram.face_of(q)
@@ -291,7 +286,7 @@ def _innermost_double(diagram, a, dirn):
             else:
                 edge = strand_path(s)[t1 + 1]
                 f1 = diagram.face_of(edge[0]).key
-                f2 = diagram.face_of(diagram.edges[edge[0]]).key
+                f2 = diagram.face_of(edge[1]).key
                 if f1 not in under_faces and f2 not in under_faces:
                     continue
             span = abs(s_pos[c1] - s_pos[c2])
@@ -427,7 +422,7 @@ def _build_residual(diagram, active, frontier):
     edges = []
     seen = set()
     for i, (key, port) in enumerate(frontier):
-        q = diagram.edges[port]
+        q = diagram.partner(port)
         if q[0] == 'c' and q[1] in active:
             edges.append((('b', i), q))
         else:
@@ -438,9 +433,11 @@ def _build_residual(diagram, active, frontier):
             if (i, j) not in seen:
                 edges.append((('b', i), ('b', j)))
                 seen.add((j, i))
-    for p, q in diagram.edge_list():
-        if p[0] == 'c' and p[1] in active and q[0] == 'c' and q[1] in active:
-            edges.append((p, q))
+    for c in active:
+        for s in range(6):
+            p, q = ('c', c, s), diagram.partner(('c', c, s))
+            if q[0] == 'c' and q[1] in active and p < q:
+                edges.append((p, q))
     sub = TripleDiagram.from_edge_list(len(frontier) // 2,
                                        sorted(active), edges)
     loops = {}
@@ -616,10 +613,14 @@ def match_window(diagram, template, window):
     ((i, s), (j, t)) appears in the diagram as
     ((window[i], s+phase[i]), (window[j], t+phase[j])).
     """
+    if not set(window) <= set(diagram.crossings):
+        raise MoveError("window does not match the pattern's left side")
     internal = []
-    for p, q in template.edge_list():
-        if p[0] == 'c' and q[0] == 'c':
-            internal.append((p, q))
+    for c in template.crossings:
+        for s in range(6):
+            q = template.partner(('c', c, s))
+            if q[0] == 'c' and ('c', c, s) < q:
+                internal.append((('c', c, s), q))
     if not internal:
         raise MoveError("template has no internal edges")
     adj = {}
@@ -633,7 +634,7 @@ def match_window(diagram, template, window):
         while todo and ok:
             i = todo.pop()
             for (p, q) in adj.get(i, ()):
-                got = diagram.edges.get(
+                got = diagram.partner(
                     ('c', window[i], (p[2] + phases[i]) % 6))
                 if got is None or got[0] != 'c' or got[1] != window[q[1]]:
                     ok = False
@@ -715,8 +716,8 @@ def inflate(diagram, bumps, loops, shuffles, rng):
         while dq == dp:
             dq = darts[rng.randrange(len(darts))]
         side = 'l' if is_source(dp) else 'r'
-        mv = Move('01', (dp if is_source(dp) else cur.edges[dp],
-                         dq if is_source(dq) else cur.edges[dq], side))
+        mv = Move('01', (dp if is_source(dp) else cur.partner(dp),
+                         dq if is_source(dq) else cur.partner(dq), side))
         cur = apply_move(cur, mv)
         moves.append(mv)
     for _ in range(loops):
@@ -732,4 +733,5 @@ def inflate(diagram, bumps, loops, shuffles, rng):
         site = sites[rng.randrange(len(sites))]
         cur, mv = move_22(cur, site)
         moves.append(mv)
+    cur.faces()  # resolve the last move's carry, freeing its parent's faces
     return cur, moves

@@ -35,12 +35,13 @@ def _positions(diagram, spec):
         pos[('b', i)] = (cx + radius * math.cos(theta),
                          cy - radius * math.sin(theta))
     cross = {c: (cx, cy) for c in diagram.crossings}
+    legs = {c: [diagram.partner(('c', c, s)) for s in range(6)]
+            for c in diagram.crossings}
     for _ in range(spec.iterations):
         nxt = {}
         for c in diagram.crossings:
             xs = ys = 0.0
-            for s in range(6):
-                q = diagram.edges[('c', c, s)]
+            for q in legs[c]:
                 px, py = pos[q] if q[0] == 'b' else cross[q[1]]
                 xs += px
                 ys += py
@@ -70,7 +71,7 @@ def render_diagram(diagram, spec=None):
             for d in face.darts:
                 if d[0] in ('b', 'c'):
                     x, y = _vertex_pos(d, pos, cross)
-                    qx, qy = _vertex_pos(diagram.edges[d], pos, cross)
+                    qx, qy = _vertex_pos(diagram.partner(d), pos, cross)
                     pts.append(((x + qx) / 2, (y + qy) / 2))
                 elif d[0] == '+':
                     pts.append(pos[('b', d[1])])

@@ -27,7 +27,7 @@ and k = 4, 5 for the upper legs taking the in- and out-endpoint's key.
 The reducer reads laid strands through the same helper.
 """
 
-from .diagram import TripleDiagram, is_sink, is_source
+from .diagram import TripleDiagram, is_source
 
 STRATEGIES = ("inclusion", "cw", "ccw")
 
@@ -129,7 +129,7 @@ def lay_strand(frontier, pairing, partner, edges, a, b, dirn, interior,
         c = next_cross + j
         new_ids.append(c)
         o_key, i_key = interior[2 * j], interior[2 * j + 1]
-        assert is_sink(frontier[o_key]) and is_source(frontier[i_key])
+        assert not is_source(frontier[o_key]) and is_source(frontier[i_key])
         # t != i_key: select_interval admits no interval enclosing a pair
         t = partner[o_key]
         u = pairing[i_key]

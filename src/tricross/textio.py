@@ -36,38 +36,31 @@ def key_digest(key):
 def write_diagram(diagram):
     _, label = diagram.canonical_form()
 
-    def cport(port):
-        if port[0] == 'b':
-            return port
-        cid, phase = label[port[1]]
-        return ('c', cid, (port[2] - phase) % 6)
-
-    def cdart(d):
-        return cport(d) if d[0] == 'c' else d
+    def cdart(d):  # a port or an arc dart, crossings renamed canonically
+        if d[0] != 'c':
+            return d
+        cid, phase = label[d[1]]
+        return ('c', cid, (d[2] - phase) % 6)
 
     remapped = TripleDiagram.from_edge_list(
         diagram.n, range(diagram.crossing_count()),
-        [(cport(p), cport(q)) for p, q in diagram.edge_list()])
+        [(cdart(p), cdart(q)) for p, q in diagram.edge_list()])
     out = ["triple-diagram v1", "n %d" % diagram.n,
            "crossings %d" % diagram.crossing_count()]
-    lines = []
-    for p, q in remapped.edge_list():
-        lines.append("edge %s %s" % (port_str(p), port_str(q)))
-    out.extend(sorted(lines))
+    out.extend(sorted("edge %s %s" % (port_str(p), port_str(q))
+                      for p, q in remapped.edge_list()))
     if diagram.loops:
         items = []
         for key, count in diagram.loops.items():
-            face = diagram.face_by_key(key)
-            if not face.darts:
-                items.append((0, count))
-            else:
-                items.append((remapped.face_of(cdart(face.darts[0])).index,
-                              count))
+            darts = diagram.face_by_key(key).darts  # none: the empty disk's
+            items.append((remapped.face_of(cdart(darts[0])).index
+                          if darts else 0, count))
         out.append("loops " + " ".join("%d:%d" % it for it in sorted(items)))
     return "\n".join(out) + "\n"
 
 
 def read_diagram(text, name="<diagram>"):
+    """The diagram of a ``triple-diagram v1`` text; refuses an invalid one."""
     lines = _lines(text, name, "triple-diagram v1")
     n = k = None
     edges = []
@@ -102,15 +95,20 @@ def read_diagram(text, name="<diagram>"):
             raise ParseError(name, no, "bad record: %s" % line)
     if n is None or k is None:
         raise ParseError(name, len(lines), "missing n or crossings")
+    named = set()
     for no, p, q in edges:
         for port in (p, q):
             bounds = (2 * n,) if port[0] == 'b' else (k, 6)
             if not all(0 <= x < b for x, b in zip(port[1:], bounds)):
                 raise ParseError(name, no, "port %s out of range"
                                  % port_str(port))
+            if port in named:
+                raise ParseError(name, no, "port %s named twice"
+                                 % port_str(port))
+            named.add(port)
     diagram = TripleDiagram.from_edge_list(n, range(k),
                                            [e[1:] for e in edges])
-    if loops:
+    if loops and not diagram.validate():  # faces need a valid map
         faces = diagram.faces()
         keyed = {}
         for fid, (count, no) in loops.items():
@@ -118,6 +116,9 @@ def read_diagram(text, name="<diagram>"):
                 raise ParseError(name, no, "loop face %d out of range" % fid)
             keyed[faces[fid].key] = count
         diagram = diagram.with_loops(keyed)
+    violations = diagram.validate()
+    if violations:
+        raise ParseError(name, 1, "invalid diagram: " + "; ".join(violations))
     return diagram
 
 

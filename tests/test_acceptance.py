@@ -71,12 +71,11 @@ def _fast_theorem4_check(n, k, min_counts):
     """Stream all fillings at (n, k); assert badgon-free <=> k == minimum."""
     stats = {"total": 0, "minimal": 0}
 
-    def emit(edges, ncross):
-        adj = {}
-        for p, q in edges:
-            adj[p] = q
-            adj[q] = p
-        strands = trace_strands(n, range(ncross), adj)
+    def emit(pairs, ncross):
+        partner = [-1] * (2 * n + 6 * ncross)
+        for a, b in pairs:
+            partner[a], partner[b] = b, a
+        strands = trace_strands(n, range(ncross), partner)
         matching = tuple([s[:2] for s in strands[:n]])
         kmin = min_counts[matching]
         minimal = (ncross == kmin)

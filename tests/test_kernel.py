@@ -131,11 +131,13 @@ def test_orbits_raise_on_a_corrupt_map():
 
 def test_reading_a_corrupt_diagram_with_loops_ends():
     """The loops record makes the reader trace faces before any check; a
-    port named twice must raise, not hang."""
+    port named twice must raise, not hang: the reader refuses its
+    second record."""
     text = ("triple-diagram v1\nn 1\ncrossings 1\nedge B0 C0.0\n"
             "edge C0.3 B1\nedge C0.1 C0.2\nedge C0.5 C0.4\n"
             "edge C0.5 C0.2\nloops 0:1\n")
-    with pytest.raises(DiagramError):
+    with pytest.raises(textio.ParseError,
+                       match="^<diagram>:8: port C0.5 named twice$"):
         textio.read_diagram(text)
 
 
@@ -302,6 +304,14 @@ def test_no_carry_from_an_untraced_or_pending_parent():
     assert back.canonical_key() == d.canonical_key()
     same_as_fresh(back)
     same_as_fresh(mid)
+
+
+def test_an_inflation_holds_no_pending_carry():
+    """inflate resolves its last move's carry: its result keeps no dead
+    parent's face tuple and face table alive."""
+    for seed in range(30):
+        for d in (inflation(seed), floating_diagram(seed)):
+            assert 'carry' not in d._cache
 
 
 def test_a_copy_with_loops_keeps_a_pending_carry():

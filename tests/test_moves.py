@@ -446,10 +446,8 @@ def _01_candidates(d):
 
 
 def _carries_its_array(new):
-    """The move handed ``new`` its parent's partner array, patched, and it
-    equals the array rebuilt from ``new.edges`` (up to trailing holes a
-    deleted last crossing leaves)."""
-    assert 'partners' in new._cache
+    """The partner array the move patched equals the array rebuilt from
+    ``new.edges`` (up to trailing holes a deleted last crossing leaves)."""
     carried = new.partners()
     rebuilt = TripleDiagram(new.n, new.crossings, new.edges).partners()
     assert carried[:len(rebuilt)] == rebuilt

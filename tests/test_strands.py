@@ -67,7 +67,7 @@ def assert_kernel_matches(d):
     """The kernel, the diagram's strands and their paths equal the
     reference; returns the number of closed strands."""
     ref = reference_strands(d)
-    got = trace_strands(d.n, d.crossings, d.edges)
+    got = trace_strands(d.n, d.crossings, d.partners())
     assert got == tuple((s['start'], s['end'], s['visits']) for s in ref)
     assert d.strands() == got
     assert [strand_path(s) for s in got] == [s['path'] for s in ref]
@@ -128,13 +128,15 @@ def test_kernel_matches_reference_on_closed_strands_and_loops():
      "revisits a port"),
 ])
 def test_corrupt_map_raises(n, crossings, edges, why):
+    """Each port map is traced as its partner array."""
+    partner = TripleDiagram(n, crossings, edges).partners()
     with pytest.raises(DiagramError, match=why):
-        trace_strands(n, crossings, edges)
+        trace_strands(n, crossings, partner)
 
 
 def test_filling_naming_a_port_twice_raises(monkeypatch):
     def walk_fillings(n, crossings, emit, want=None):
-        emit([(('b', 0), ('b', 1)), (('b', 1), ('b', 0))], 0)
+        emit([(0, 1), (1, 0)], 0)  # B0-B1 and B1-B0
 
     monkeypatch.setattr(movegraph, "walk_fillings", walk_fillings)
     with pytest.raises(DiagramError, match="names a port twice"):

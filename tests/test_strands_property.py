@@ -21,7 +21,7 @@ from test_strands import reference_strands  # noqa: E402
 def test_kernel_matches_reference_on_pairings(seed):
     d = random_pairing(random.Random(seed))
     ref = reference_strands(d)
-    got = trace_strands(d.n, d.crossings, d.edges)
+    got = trace_strands(d.n, d.crossings, d.partners())
     assert got == tuple((s['start'], s['end'], s['visits']) for s in ref)
     assert [strand_path(s) for s in got] == [s['path'] for s in ref]
 
@@ -37,9 +37,10 @@ def test_kernel_on_any_map_raises_or_matches_reference(seed):
     ports = ([('b', i) for i in range(2 * n)]
              + [('c', c, s) for c in crossings for s in range(6)])
     edges = {p: rng.choice(ports) for p in ports if rng.random() < 0.97}
+    d = TripleDiagram(n, crossings, edges)
     try:
-        got = trace_strands(n, crossings, edges)
+        got = trace_strands(n, crossings, d.partners())
     except DiagramError:
         return
-    ref = reference_strands(TripleDiagram(n, crossings, edges))
+    ref = reference_strands(d)
     assert got == tuple((s['start'], s['end'], s['visits']) for s in ref)

@@ -309,3 +309,41 @@ def test_cli_refuses_a_port_outside_the_diagram(tmp_path):
         assert out.returncode == 2 and out.stdout == ""
         assert out.stderr.splitlines() == [
             "error: %s:4: port %s out of range" % (bad, port)]
+
+
+def test_cli_refuses_a_port_named_twice(tmp_path):
+    """A port on a second ``edge`` line is one error line on that line,
+    exit 2, also when the line repeats an edge."""
+    bad = tmp_path / "bad.txt"
+    for edge in ("B0 C0.2", "B0 C0.0", "C0.0 B0"):
+        bad.write_text("triple-diagram v1\nn 1\ncrossings 1\n"
+                       "edge B0 C0.0\nedge %s\n" % edge)
+        out = run_cli("minimal", "--in", str(bad))
+        assert out.returncode == 2 and out.stdout == ""
+        assert out.stderr.splitlines() == [
+            "error: %s:5: port %s named twice" % (bad, edge.split()[0])]
+
+
+def test_cli_render_refuses_an_invalid_diagram(tmp_path):
+    """render validates a diagram as every other command does: an edge
+    line left out, or two edges joining like ports, is one error line and
+    exit 2, not a traceback or a tracing error; so is an edge line left
+    out beside a ``loops`` record, whose faces need a valid map."""
+    bad = tmp_path / "bad.txt"
+    head = "triple-diagram v1\nn 3\ncrossings 1\n"
+    missing = "B0 C0.2,B1 C0.3,B2 C0.4,B3 C0.5,B4 C0.0"
+    cases = [
+        (missing, "", "uncovered port B5; uncovered port C0.1"),
+        (missing, "loops 0:1\n", "uncovered port B5; uncovered port C0.1"),
+        ("B0 C0.2,B1 C0.3,B2 C0.4,B3 C0.5,B4 C0.1,B5 C0.0", "",
+         "orientation clash on edge B4 C0.1; "
+         "orientation clash on edge B5 C0.0"),
+    ]
+    for edges, loops, violations in cases:
+        bad.write_text(head + "".join("edge %s\n" % e
+                                      for e in edges.split(",")) + loops)
+        for command in ("render", "trace"):
+            out = run_cli(command, "--in", str(bad))
+            assert out.returncode == 2 and out.stdout == ""
+            assert out.stderr.splitlines() == [
+                "error: %s:1: invalid diagram: %s" % (bad, violations)]

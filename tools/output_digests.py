@@ -1,8 +1,11 @@
 """Print sha256 digests of output bytes a speed-up must not change.
 
-Run it on two checkouts and compare the lines:
+``tools/output_digests.txt`` holds the expected lines; CI compares them:
 
-    python3 tools/output_digests.py
+    python3 tools/output_digests.py | diff tools/output_digests.txt -
+
+A change that alters one of these outputs on purpose updates that file
+and says why.
 
 * ``oracle``: the benchmark's oracle sweep, every (key, badgon-free)
   pair of its 51 cells;
