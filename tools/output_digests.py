@@ -20,7 +20,9 @@ and says why.
 * ``cluster-dump``: ``dump_values`` of every state of those walks, the
   one cluster output that names faces by ``Face.index``;
 * ``closure``: the ``movegraph v1`` text of the 6x4 and 6x5 domino
-  duals' move graphs.
+  duals' move graphs;
+* ``slide``: the ``movelog v1`` texts, concatenated, of ``slide_macro``
+  for patterns a, b and c at 1-3 repeats: the paths ``_search`` finds.
 
 Stdlib only; takes about 15 seconds.
 """
@@ -36,6 +38,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"),
 
 from tricross import enumerate_component, textio  # noqa: E402
 from tricross.cluster import dump_values  # noqa: E402
+from tricross.reduce import pattern_template, slide_macro  # noqa: E402
 from tricross.render import render_diagram  # noqa: E402
 import workloads  # noqa: E402
 from test_golden import (dual_matching, floating_diagram,  # noqa: E402
@@ -75,6 +78,13 @@ def main():
                               for state in states))
     print("closure", sha(textio.write_movegraph(enumerate_component(
         dual_matching(w, h))) for w, h in ((6, 4), (6, 5))))
+    logs = []
+    for pattern in "abc":
+        for repeats in (1, 2, 3):
+            left, window, _ = pattern_template(pattern, repeats)
+            logs.append(textio.write_movelog(
+                left, slide_macro(left, pattern, window, repeats)))
+    print("slide", sha(["".join(logs)]))
 
 
 if __name__ == "__main__":
