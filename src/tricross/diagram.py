@@ -66,7 +66,8 @@ Conventions (global, used by every other module):
   ties to the first root.  ``is_connected`` asks whether the endpoint
   walk labels every crossing; ``validate`` counts V, E and F per walked
   component, E from the labels alone.  These callers share one endpoint
-  walk per diagram, dropped once the key text is rendered.
+  walk per diagram, dropped once the key text is rendered; ``walk_label``
+  reads its label, from the canonical form after that.
 
 * One kernel, ``trace_strands``, traces the strands of a partner array,
   for ``TripleDiagram.strands`` (which caches it), the oracle's fillings
@@ -321,6 +322,13 @@ class TripleDiagram:
         ports = self._ports
         return [(ports[a], ports[b]) for a, b in enumerate(self._partner)
                 if a < b]
+
+    def has_port(self, port):
+        """True when ``port`` names an endpoint or a slot of a crossing of
+        this diagram."""
+        if port[0] == 'b':
+            return 0 <= port[1] < 2 * self.n
+        return port[1] in self.crossings and 0 <= port[2] < 6
 
     def partner(self, port):
         """The port paired with ``port`` (None: none), by one array read."""
@@ -707,6 +715,16 @@ class TripleDiagram:
 
     def canonical_key(self):
         return self.canonical_form()[0]
+
+    def walk_label(self):
+        """{crossing: (canonical id, phase)} of the endpoint walk, read
+        from the canonical form once the key text is rendered; do not
+        change it.  When ``canonical_code`` is the int codes, it is the
+        one isomorphism to the canonical form: slot ``s`` of crossing
+        ``c`` is slot ``(s - phase) % 6`` of canonical crossing ``id``."""
+        if 'canon' in self._cache:
+            return self._cache['canon'][1]
+        return self._walk()[0]
 
     def canonical_code(self):
         """A hashable value equal for two diagrams exactly when their

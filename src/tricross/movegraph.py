@@ -3,7 +3,10 @@
 ``closure`` is the one breadth-first walk over 2<->2 moves, optionally
 confined to a set of crossings.  ``enumerate_component`` consumes it to
 close the standard diagram of a matching under 2<->2 moves; so do the
-reducer's window searches and slide macros.
+reducer's window searches and slide macros.  A 2<->2 move is an
+involution, so the closure does not take the inverse of a move it took:
+that move only leads back to a state already seen.  Between diagrams
+keyed by int codes it takes each edge of the move graph once.
 ``enumerate_connected_diagrams`` independently generates every connected
 diagram with a given trace and crossing count by recursive disk
 decomposition: the first boundary port of a sub-disk either closes to
@@ -52,24 +55,59 @@ def closure(diagram, inside=None):
     ``nd``'s canonical code appears; only new states are expanded.  With
     ``inside`` (a set of crossing ids), only moves whose two crossings
     are both in it are taken.
+
+    The inverse of a move taken is not taken again.  A 2<->2 move is an
+    involution: the move at the site the template makes,
+    ``move.data[2:]``, leads back to an isomorph of ``d``.  When ``nd``'s
+    code is the int code, its walk label is the one isomorphism to the
+    canonical form, so that site is recorded in canonical terms against
+    the number of ``nd``'s vertex, and the expansion of that vertex skips
+    it.  A skipped move would lead to a vertex already seen, so the
+    ``new`` yields, their order and the first move seen between two
+    vertices are those of a walk that takes every move; each edge of a
+    graph of such diagrams is taken once, from the end expanded first.
+    A diagram keyed by its text takes every move.
     """
-    seen = {diagram.canonical_code()}
+    seen = {diagram.canonical_code(): 0}  # code -> vertex number
+    # vertex number -> canonical sites of the moves its expansion skips,
+    # kept until it is expanded
+    skips = {}
+    number = 0  # vertices are expanded in the order they are numbered
     frontier = [diagram]
     while frontier:
         nxt = []
         for d in frontier:
+            skip = skips.setdefault(number, set())
             for site in find_22_sites(d):
                 if inside is not None and (site.x[0] not in inside
                                            or site.y[0] not in inside):
                     continue
+                if skip and _canonical_site(d, site.x, site.y) in skip:
+                    continue
                 nd, move = move_22(d, site)
                 code = nd.canonical_code()
-                new = code not in seen
+                vertex = seen.get(code)
+                new = vertex is None
                 if new:
-                    seen.add(code)
+                    vertex = seen[code] = len(seen)
                     nxt.append(nd)
+                if vertex >= number and isinstance(code, tuple):
+                    skips.setdefault(vertex, set()).add(
+                        _canonical_site(nd, *move.data[2:]))
                 yield d, site, move, nd, new
+            del skips[number]
+            number += 1
         frontier = nxt
+
+
+def _canonical_site(d, x, y):
+    """The 2<->2 site of darts ``x`` and ``y`` of ``d`` as its two darts in
+    the canonical form, ``6 * id + slot``, sorted; ``d`` keyed by the int
+    code."""
+    label = d.walk_label()
+    (cx, px), (cy, py) = label[x[0]], label[y[0]]
+    a, b = 6 * cx + (x[1] - px) % 6, 6 * cy + (y[1] - py) % 6
+    return (a, b) if a < b else (b, a)
 
 
 def enumerate_component(matching, strategy="inclusion"):

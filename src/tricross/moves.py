@@ -56,7 +56,7 @@ cluster exchange carries its variables by it.
 from dataclasses import dataclass
 from itertools import chain
 
-from .diagram import TripleDiagram, is_source, port_code
+from .diagram import TripleDiagram, is_source, port_code, port_str
 
 
 @dataclass(frozen=True)
@@ -346,8 +346,12 @@ def apply_01(diagram, edge_p, edge_q, side):
     border a common face; ``side`` is 'l' or 'r', the side of ``edge_p``
     (relative to its travel direction) on which that face lies.  The
     strand through ``edge_p`` acquires a self-intersection at a fresh
-    crossing; the matching is unchanged.
+    crossing; the matching is unchanged.  A port outside the diagram
+    raises MoveError.
     """
+    for port in (edge_p, edge_q):
+        if not diagram.has_port(port):
+            raise MoveError("port %s out of range" % port_str(port))
     a_src = edge_p if is_source(edge_p) else diagram.partner(edge_p)
     c_src = edge_q if is_source(edge_q) else diagram.partner(edge_q)
     if a_src == c_src:

@@ -1,6 +1,7 @@
 """Move-graph enumeration against the independent brute-force oracle."""
 
 import gc
+import random
 import weakref
 
 import pytest
@@ -10,8 +11,11 @@ from tricross import (Matching, enumerate_component, brute_force_minimal,
                       GuardExceeded, minimal_crossing_count, find_badgons,
                       standard_diagram)
 from tricross.movegraph import closure
+from tricross.moves import find_22_sites, move_22
+from tricross.reduce import inflate
 
 from conftest import all_matchings
+from test_golden import dual_matching, floating_diagram
 
 
 def test_noncrossing_component_is_one_vertex(nested3):
@@ -111,3 +115,111 @@ def test_closure_inside_takes_only_moves_inside():
             reached.add(nd.canonical_key())
         assert reached and reached < everywhere
     assert not list(closure(root, set()))
+
+
+def _site_in_canonical_form(d, x, y):
+    """(code of ``d``, the 2<->2 site of darts ``x`` and ``y`` as the two
+    canonical (id, slot) darts, sorted), from ``d``'s walk label."""
+    label = d.walk_label()
+    return d.canonical_code(), tuple(sorted(
+        (label[c][0], (s - label[c][1]) % 6) for c, s in (x, y)))
+
+
+@pytest.mark.parametrize("w, h, edges", [(4, 3, 14), (4, 4, 70),
+                                         (6, 4, 828)])
+def test_closure_takes_each_edge_once(w, h, edges):
+    """Every site of every vertex is a move taken or the site its inverse
+    starts from, never both; so the closure takes one move per edge,
+    half the sites."""
+    m = dual_matching(w, h)
+    root = standard_diagram(m)
+    vertices = [root]
+    taken, inverses = [], set()
+    for d, site, move, nd, new in closure(root):
+        if new:
+            vertices.append(nd)
+        taken.append(_site_in_canonical_form(d, site.x, site.y))
+        inverses.add(_site_in_canonical_form(nd, *move.data[2:]))
+    assert len(enumerate_component(m).edges) == edges
+    assert len(taken) == len(set(taken)) == len(inverses) == edges
+    assert not inverses & set(taken)
+    sites = {_site_in_canonical_form(v, s.x, s.y) for v in vertices
+             for s in find_22_sites(v)}
+    assert len(sites) == 2 * edges
+    assert inverses | set(taken) == sites
+
+
+def _closure_taking_every_move(diagram):
+    """The closure with no move skipped: every move of every new state."""
+    seen = {diagram.canonical_code()}
+    frontier = [diagram]
+    while frontier:
+        nxt = []
+        for d in frontier:
+            for site in find_22_sites(d):
+                nd, move = move_22(d, site)
+                code = nd.canonical_code()
+                new = code not in seen
+                if new:
+                    seen.add(code)
+                    nxt.append(nd)
+                yield d, site, move, nd, new
+        frontier = nxt
+
+
+def _summary(walk, diagram):
+    """The codes of the new states in order, the number of moves, and the
+    first move seen between each two states, of ``walk(diagram)``."""
+    news, moves, first = [], 0, {}
+    for d, site, _, nd, new in walk(diagram):
+        a, b = d.canonical_code(), nd.canonical_code()
+        if new:
+            news.append(b)
+        moves += 1
+        first.setdefault(frozenset((a, b)), (a, site))
+    return news, moves, first
+
+
+def test_closure_of_int_keyed_diagrams_takes_half_the_moves():
+    """From connected inflations with no free loop, whose move graphs hold
+    isomorphs that differ in slot phases, the closure reaches the same
+    new states in the same order, sees each edge first at the same move,
+    and takes one move of each inverse pair."""
+    rng = random.Random(4)
+    moves = 0
+    for n in (2, 3, 4):
+        for m in all_matchings(n):
+            for bumps in (1, 2, 3):
+                d = inflate(standard_diagram(m), bumps, 0, 3, rng)[0]
+                assert isinstance(d.canonical_code(), tuple)
+                news, taken, first = _summary(closure, d)
+                want = _summary(_closure_taking_every_move, d)
+                assert (news, 2 * taken, first) == want
+                moves += taken
+    assert moves > 300
+
+
+def _text_keyed_diagrams():
+    # floating parts (the seeds with the smaller closures), then
+    # connected inflations with free loops
+    out = [floating_diagram(seed) for seed in (1, 7, 9, 14, 25, 27, 28)]
+    rng = random.Random(3)
+    for m in (Matching.from_dict(3, {0: 3, 2: 5, 4: 1}),
+              Matching.from_dict(4, {0: 5, 2: 7, 4: 1, 6: 3})):
+        for bumps in (1, 2, 3):
+            out.append(inflate(standard_diagram(m), bumps, 1, 2, rng)[0])
+    return out
+
+
+def test_closure_of_text_keyed_diagrams_takes_every_move():
+    """Keyed by text, a diagram has no walk label that is canonical, so
+    the closure skips nothing: the same new states in the same order,
+    the same first move per edge and the same number of moves as a
+    closure that takes every move."""
+    moves = 0
+    for d in _text_keyed_diagrams():
+        assert isinstance(d.canonical_code(), str)
+        got = _summary(closure, d)
+        assert got == _summary(_closure_taking_every_move, d)
+        moves += got[1]
+    assert moves > 500

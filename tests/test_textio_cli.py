@@ -10,7 +10,8 @@ import pytest
 from tricross import (Matching, standard_diagram, Region, enumerate_tilings,
                       tiling_to_diagram, enumerate_component, inflate,
                       to_standard, empty_diagram)
-from tricross.moves import make_log
+from tricross.diagram import parse_port
+from tricross.moves import MoveError, apply_01, make_log
 from tricross import textio
 from tricross.render import render_diagram, render_tiling, RenderSpec
 
@@ -181,6 +182,24 @@ def test_negative_face_indices_are_refused(rotation3):
             textio.read_movelog(head + line + "\n", d)
         assert exc.value.line_no == 3
         assert "face index -1 out of range" in exc.value.message
+
+
+def test_01_ports_outside_the_diagram_are_refused():
+    """A ``01`` move naming a port outside the diagram is a parse error on
+    its line, and ``apply_01`` refuses it: ``C0.7`` is no alias of C1.1,
+    nor ``C-1.1`` of a slot counted from the end."""
+    d = standard_diagram(Matching.from_dict(4, {0: 5, 2: 7, 4: 1, 6: 3}))
+    assert d.crossings == (0, 1)
+    head = "movelog v1\ninitial %s\n" % textio.key_digest(d.canonical_key())
+    for port in ("C9.0", "C0.9", "C-1.1", "C0.7", "B8", "B-1"):
+        for line in ("01 %s B1 l" % port, "01 B1 %s r" % port):
+            with pytest.raises(textio.ParseError) as exc:
+                textio.read_movelog(head + line + "\n", d)
+            assert exc.value.line_no == 3
+            assert exc.value.message == "port %s out of range" % port
+        with pytest.raises(MoveError) as exc:
+            apply_01(d, parse_port(port), ('b', 1), 'l')
+        assert str(exc.value) == "port %s out of range" % port
 
 
 def test_tiling_orientation_is_one_letter():
