@@ -304,12 +304,8 @@ def read_movelog(text, initial, name="<movelog>"):
                 mv = Move('10', (int(c), int(s)))
                 cur = apply_move(cur, mv)
             elif parts[0] == "01":
-                ports = parse_port(parts[1]), parse_port(parts[2])
-                for port in ports:
-                    if not cur.has_port(port):
-                        raise ParseError(name, no, "port %s out of range"
-                                         % port_str(port))
-                mv = Move('01', ports + (parts[3],))
+                mv = Move('01', (parse_port(parts[1]), parse_port(parts[2]),
+                                 parts[3]))
                 cur = apply_move(cur, mv)
             elif parts[0] in ("drop", "add"):
                 mv = Move(parts[0], (face.key,))

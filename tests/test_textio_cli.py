@@ -196,7 +196,7 @@ def test_01_ports_outside_the_diagram_are_refused():
             with pytest.raises(textio.ParseError) as exc:
                 textio.read_movelog(head + line + "\n", d)
             assert exc.value.line_no == 3
-            assert exc.value.message == "port %s out of range" % port
+            assert "port %s out of range" % port in exc.value.message
         with pytest.raises(MoveError) as exc:
             apply_01(d, parse_port(port), ('b', 1), 'l')
         assert str(exc.value) == "port %s out of range" % port
