@@ -331,9 +331,13 @@ class TripleDiagram:
         return port[1] in self.crossings and 0 <= port[2] < 6
 
     def partner(self, port):
-        """The port paired with ``port`` (None: none), by one array read."""
-        return self._ports[self._partner[
-            port[1] if port[0] == 'b' else 2 * self.n + 6 * port[1] + port[2]]]
+        """The port paired with ``port`` (None: none), by one array read;
+        KeyError for a port the array has no slot for (``C0.7``, ``B-1``)."""
+        code = (port[1] if port[0] == 'b'
+                else 2 * self.n + 6 * port[1] + port[2])
+        if not 0 <= code < len(self._partner) or self._ports[code] != port:
+            raise KeyError(port)
+        return self._ports[self._partner[code]]
 
     def _codes(self):
         """The port codes, increasing: none at an absent crossing id."""

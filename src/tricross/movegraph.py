@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .diagram import DiagramError, TripleDiagram, trace_strands
 from .standard import standard_diagram, minimal_crossing_count
-from .moves import find_22_sites, move_22, find_badgons
+from .moves import find_22_sites, move_22, scan_badgons
 
 ORACLE_MAX_N = 4
 ORACLE_MAX_CROSSINGS = 5
@@ -221,7 +221,8 @@ def brute_force_minimal(matching):
         raise GuardExceeded("oracle guard: n <= %d and count <= %d"
                             % (ORACLE_MAX_N, ORACLE_MAX_CROSSINGS))
     found = enumerate_connected_diagrams(matching, k)
-    return {key for key, d in found.items() if not find_badgons(d)}
+    return {key for key, d in found.items()
+            if not any(scan_badgons(d.strands()))}
 
 
 def verify_theorem2(matching, strategy="inclusion"):

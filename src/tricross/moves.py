@@ -54,7 +54,8 @@ cluster exchange carries its variables by it.
 """
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, combinations
+from typing import NamedTuple
 
 from .diagram import TripleDiagram, is_source, port_code, port_str
 
@@ -77,8 +78,7 @@ class LoopSite:
     face_key: tuple
 
 
-@dataclass(frozen=True)
-class Badgon:
+class Badgon(NamedTuple):  # cheaper to make than a frozen dataclass
     kind: str       # 'monogon' | 'parallel-bigon' | 'simple-loop'
     detail: tuple
 
@@ -346,9 +346,11 @@ def apply_01(diagram, edge_p, edge_q, side):
     border a common face; ``side`` is 'l' or 'r', the side of ``edge_p``
     (relative to its travel direction) on which that face lies.  The
     strand through ``edge_p`` acquires a self-intersection at a fresh
-    crossing; the matching is unchanged.  A port outside the diagram
-    raises MoveError.
+    crossing; the matching is unchanged.  A port outside the diagram,
+    or another ``side``, raises MoveError.
     """
+    if side not in ('l', 'r'):
+        raise MoveError("side %r is not l or r" % (side,))
     for port in (edge_p, edge_q):
         if not diagram.has_port(port):
             raise MoveError("port %s out of range" % port_str(port))
@@ -402,19 +404,22 @@ def add_loop(diagram, face_key):
 # ----------------------------------------------------------------------
 # badgons and minimality
 
-def find_badgons(diagram):
-    """Monogons, parallel bigons and free simple loops, complete list."""
-    out = []
-    strands = diagram.strands()
-    visits = []  # per strand: (closed, first visit, last visit) by crossing
-    for idx, (start, _, seq) in enumerate(strands):
-        first = last = {c: t for t, (c, _) in enumerate(seq)}
+def scan_badgons(strands):
+    """The monogons, then the parallel bigons, of ``strands`` (as
+    ``trace_strands`` returns them) in ``find_badgons`` order, lazily: ``any``
+    stops at the first.  The one badgon scan of library, oracle and tests."""
+    for idx, (_, _, seq) in enumerate(strands):
+        last = dict(seq)  # by crossing, the slot of its last visit
         if len(last) < len(seq):  # a crossing met twice
-            first = {}
-            for t, (c, _) in enumerate(seq):
-                first.setdefault(c, t)
-            for c in sorted(c for c in first if last[c] != first[c]):
-                out.append(Badgon('monogon', (idx, c)))
+            first = dict(reversed(seq))
+            for c in sorted(last):
+                if first[c] != last[c]:
+                    yield Badgon('monogon', (idx, c))
+    visits = []  # per strand: (closed, first visit, last visit) by crossing
+    for start, _, seq in strands:
+        last = {c: t for t, (c, _) in enumerate(seq)}
+        first = last if len(last) == len(seq) else {
+            c: t for t, (c, _) in reversed(list(enumerate(seq)))}
         visits.append((start is None, first, last))
 
     def forward(k, x, y):
@@ -422,26 +427,28 @@ def find_badgons(diagram):
         closed, first, last = visits[k]
         return closed or last[y] > first[x]
 
-    for i in range(len(strands)):
-        for j in range(i + 1, len(strands)):
-            shared = visits[i][1].keys() & visits[j][1].keys()
-            if len(shared) < 2:
-                continue
-            shared = sorted(shared)
-            for a, x in enumerate(shared):
-                for y in shared[a + 1:]:
-                    if ((forward(i, x, y) and forward(j, x, y))
-                            or (forward(i, y, x) and forward(j, y, x))):
-                        out.append(Badgon('parallel-bigon', (i, j, x, y)))
-    for key in sorted(diagram.loops):
-        out.append(Badgon('simple-loop', (key, diagram.loops[key])))
-    return out
+    for i, j in combinations(range(len(strands)), 2):
+        shared = visits[i][1].keys() & visits[j][1].keys()
+        if len(shared) > 1:
+            for x, y in combinations(sorted(shared), 2):
+                if ((forward(i, x, y) and forward(j, x, y))
+                        or (forward(i, y, x) and forward(j, y, x))):
+                    yield Badgon('parallel-bigon', (i, j, x, y))
+
+
+def find_badgons(diagram):
+    """Every badgon: ``scan_badgons`` on the strands, then the free loops."""
+    return list(scan_badgons(diagram.strands())) + [
+        Badgon('simple-loop', (key, diagram.loops[key]))
+        for key in sorted(diagram.loops)]
 
 
 def is_minimal(diagram):
-    """Connected and badgon-free; equivalently, fewest crossings for the
-    matching (checked against the brute-force oracle in the test suite)."""
-    return diagram.is_connected() and not find_badgons(diagram)
+    """Badgon-free and connected: by the paper's minimality theorem,
+    fewest crossings for the matching, as criterion 3 checks on every
+    filling.  Badgons first: the endpoint walk runs only without them."""
+    return (not diagram.loops and not any(scan_badgons(diagram.strands()))
+            and diagram.is_connected())
 
 
 # ----------------------------------------------------------------------

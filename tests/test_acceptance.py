@@ -1,6 +1,7 @@
 """Acceptance suite: one test per criterion, one printed line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
+Criterion 3 asks the library's badgon scan about every filling.
 Criterion 3's heaviest cell (the two n=4 matchings needing 2 crossings,
 checked with 2 extra: 24.5 million raw fillings) is gated behind
 TRICROSS_T4_FULL=1; the default run covers every other (matching, extra)
@@ -10,6 +11,7 @@ cell exactly.
 import itertools
 import os
 import random
+import re
 import time
 
 import pytest
@@ -22,7 +24,7 @@ from tricross import (Matching, standard_diagram, minimal_crossing_count,
                       enumerate_component, init_cluster, exchange_22,
                       random_walk, laurent_audit, find_22_sites,
                       slide_macro, pattern_template)
-from tricross.moves import apply_move
+from tricross import moves
 from tricross.diagram import trace_strands
 from tricross.movegraph import walk_fillings
 
@@ -69,7 +71,7 @@ def test_criterion_2_count_theorem():
 
 def _fast_theorem4_check(n, k, min_counts):
     """Stream all fillings at (n, k); assert badgon-free <=> k == minimum."""
-    stats = {"total": 0, "minimal": 0}
+    stats = {"total": 0}
 
     def emit(pairs, ncross):
         partner = [-1] * (2 * n + 6 * ncross)
@@ -79,44 +81,9 @@ def _fast_theorem4_check(n, k, min_counts):
         matching = tuple([s[:2] for s in strands[:n]])
         kmin = min_counts[matching]
         minimal = (ncross == kmin)
-        # badgons: self-intersections (a crossing met twice leaves fewer
-        # keys than visits), then parallel bigons
-        bad = False
-        walks = []
-        for start, _, visits in strands:
-            at = dict(visits)
-            if len(at) != len(visits):
-                bad = True
-                break
-            walks.append((at, visits, start is None))
-        if not bad:
-            for a in range(len(walks)):
-                for b in range(a + 1, len(walks)):
-                    da, va, ca = walks[a]
-                    db, vb, cb = walks[b]
-                    shared = da.keys() & db.keys()
-                    if len(shared) < 2:
-                        continue
-                    sa = [c for c, _ in va]
-                    sb = [c for c, _ in vb]
-                    for x in shared:
-                        for y in shared:
-                            if x == y:
-                                continue
-                            fa = ca or sa.index(x) < sa.index(y)
-                            fb = cb or sb.index(x) < sb.index(y)
-                            if fa and fb:
-                                bad = True
-                                break
-                        if bad:
-                            break
-                    if bad:
-                        break
-                if bad:
-                    break
+        bad = any(moves.scan_badgons(strands))
         assert bad != minimal, (matching, ncross, kmin)
         stats["total"] += 1
-        stats["minimal"] += minimal
 
     walk_fillings(n, k, emit)
     return stats
@@ -147,6 +114,16 @@ def test_criterion_3_theorem4():
             "in %d (n, crossings) cells%s" % (totals, cells, capped))
 
 
+def test_criterion_3_fails_on_a_scan_blind_to_parallel_bigons(monkeypatch):
+    """Criterion 3 can fail: a filling with n=1 and 2 crossings has
+    parallel bigons and no monogon."""
+    scan = moves.scan_badgons
+    monkeypatch.setattr(moves, "scan_badgons", lambda strands: (
+        b for b in scan(strands) if b.kind != 'parallel-bigon'))
+    with pytest.raises(AssertionError, match=re.escape("(((0, 1),), 2, 0)")):
+        _fast_theorem4_check(1, 2, {((0, 1),): 0})
+
+
 def test_criterion_4_reduction():
     t0 = time.time()
     rng = random.Random(20260808)
@@ -171,7 +148,7 @@ def test_criterion_4_reduction():
         cur = d
         prev = cur.crossing_count()
         for mv in log.moves:
-            cur = apply_move(cur, mv)
+            cur = moves.apply_move(cur, mv)
             assert cur.crossing_count() <= prev
             prev = cur.crossing_count()
     dt = time.time() - t0

@@ -10,7 +10,7 @@ from tricross import (TripleDiagram, Matching, standard_diagram,
                       apply_01, drop_loop, add_loop, find_badgons,
                       is_minimal, replay, MoveError)
 from tricross.moves import (move_22, OneZeroSite, LoopSite, make_log, Move,
-                            apply_move, face_map_22, Badgon)
+                            apply_move, face_map_22, Badgon, scan_badgons)
 from tricross.reduce import pattern_template, inflate
 from tricross.diagram import is_source
 
@@ -192,6 +192,8 @@ def test_find_badgons_matches_the_rescan():
     for d in diagrams:
         found = find_badgons(d)
         assert found == _badgons_by_rescan(d)
+        assert next(scan_badgons(d.strands()), None) == next(
+            (b for b in found if b.kind != 'simple-loop'), None)
         kinds.update(b.kind for b in found)
     assert kinds == {'monogon', 'parallel-bigon', 'simple-loop'}
 

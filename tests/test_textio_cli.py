@@ -185,9 +185,10 @@ def test_negative_face_indices_are_refused(rotation3):
 
 
 def test_01_ports_outside_the_diagram_are_refused():
-    """A ``01`` move naming a port outside the diagram is a parse error on
-    its line, and ``apply_01`` refuses it: ``C0.7`` is no alias of C1.1,
-    nor ``C-1.1`` of a slot counted from the end."""
+    """A ``01`` move naming a port outside the diagram, or a side other
+    than ``l`` or ``r``, is a parse error on its line, and ``apply_01``
+    refuses it, as ``partner`` does the port: ``C0.7`` is no alias of
+    C1.1, nor ``C-1.1`` of a slot counted from the end, nor ``x`` of r."""
     d = standard_diagram(Matching.from_dict(4, {0: 5, 2: 7, 4: 1, 6: 3}))
     assert d.crossings == (0, 1)
     head = "movelog v1\ninitial %s\n" % textio.key_digest(d.canonical_key())
@@ -200,6 +201,13 @@ def test_01_ports_outside_the_diagram_are_refused():
         with pytest.raises(MoveError) as exc:
             apply_01(d, parse_port(port), ('b', 1), 'l')
         assert str(exc.value) == "port %s out of range" % port
+        with pytest.raises(KeyError):
+            d.partner(parse_port(port))
+    with pytest.raises(textio.ParseError) as exc:
+        textio.read_movelog(head + "01 B0 C0.3 x\n", d)
+    assert "side 'x' is not l or r" in exc.value.message
+    with pytest.raises(MoveError, match="side '' is not l or r"):
+        apply_01(d, ('b', 0), ('c', 0, 3), '')
 
 
 def test_tiling_orientation_is_one_letter():
