@@ -22,7 +22,13 @@ and says why.
 * ``closure``: the ``movegraph v1`` text of the 6x4 and 6x5 domino
   duals' move graphs;
 * ``slide``: the ``movelog v1`` texts, concatenated, of ``slide_macro``
-  for patterns a, b and c at 1-3 repeats: the paths ``_search`` finds.
+  for patterns a, b and c at 1-3 repeats: the paths ``_search`` finds;
+* ``components``: the ``movelog v1`` texts of ``reduce_to_minimal``,
+  under each strategy, of every vertex of the move-graph components of
+  40 random matchings each for n=7 and n=8 (rng seed 7; the components
+  have at most 70 vertices).  Unlike the reduce workload, these inputs
+  reach ``_remove_double``'s recursion: 22 of its depth-1
+  ``straighten`` calls make moves.
 
 Stdlib only; takes about 15 seconds.
 """
@@ -36,7 +42,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"),
                 str(ROOT / "tests")]
 
-from tricross import enumerate_component, textio  # noqa: E402
+from tricross import (STRATEGIES, enumerate_component,  # noqa: E402
+                      reduce_to_minimal, textio)
 from tricross.cluster import dump_values  # noqa: E402
 from tricross.reduce import pattern_template, slide_macro  # noqa: E402
 from tricross.render import render_diagram  # noqa: E402
@@ -85,6 +92,14 @@ def main():
             logs.append(textio.write_movelog(
                 left, slide_macro(left, pattern, window, repeats)))
     print("slide", sha(["".join(logs)]))
+    rng = random.Random(7)
+    matchings = [workloads.random_matching(n, rng)
+                 for n in (7, 8) for _ in range(40)]
+    print("components", sha(
+        textio.write_movelog(d, reduce_to_minimal(d, strategy)[1])
+        for m in matchings
+        for d in enumerate_component(m).vertices.values()
+        for strategy in STRATEGIES))
 
 
 if __name__ == "__main__":
