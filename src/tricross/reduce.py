@@ -12,14 +12,15 @@ minimal exactly when it has no badgons, so ``_minimise`` repeats:
 A 2<->2 move keeps the crossing count and makes no free loop, so the
 search needs no other goal, and the crossing count never rises.
 
-It then straightens strands along minimal intervals, innermost first,
-exactly mirroring the standard construction: a frontier of anchor ports
-(real endpoints, later the upper legs of frozen crossings) carries
-persistent position keys, the same interval selector picks the next
-pair, and ``straighten`` makes that strand boundary-parallel inside the
-sub-diagram spanned by the not-yet-frozen crossings.  Because both
-pipelines share keys and selector, reducing any diagram reproduces the
-standard diagram of its matching up to canonical relabeling.
+It then lays strands in the standard construction's order
+(``standard.lay_order``): for each scheduled interval, ``straighten``
+makes that strand boundary-parallel inside the sub-diagram spanned by
+the not-yet-frozen crossings, and ``standard.freeze`` moves the
+frontier's persistent position keys (real endpoints, later the upper
+legs of frozen crossings) over it, as the construction does.  A strand
+that ends off its scheduled interval raises ``ReductionError``; else
+reducing any diagram reproduces the standard diagram of its matching
+up to canonical relabeling.
 
 Every sub-diagram of a minimal diagram is minimal: it has no free
 loops, monogons, self-intersecting or closed strands, and 2<->2 moves
@@ -37,8 +38,8 @@ the strand S is boundary-parallel:
 
 from .diagram import TripleDiagram, is_source, strand_path
 from .domino import Region, Tiling, tiling_to_diagram
-from .standard import (standard_diagram, select_interval, interval_interior,
-                       template_slots, STRATEGIES)
+from .standard import (standard_diagram, lay_order, freeze,
+                       interval_interior, template_slots)
 from .moves import (Move, MoveError, find_22_sites,
                     find_10_sites, move_22, apply_move, make_log, is_minimal)
 from .movegraph import closure
@@ -104,7 +105,7 @@ def extract_region(diagram, crossings):
         if (i % 2 == 0) == is_source(inner):
             raise ReductionError("region legs do not alternate")
     sub = _build_residual(diagram, set(crossings),
-                          [(i, outer) for i, (_, outer) in enumerate(legs)])
+                          [outer for _, outer in legs])
     sub.check()
     return sub, legs
 
@@ -413,15 +414,14 @@ def straighten_interval(diagram, interval):
 def _build_residual(diagram, active, frontier):
     """Sub-diagram spanned by the active crossings over the frontier.
 
-    ``frontier`` is the list of (key, port) anchors in counterclockwise
-    key order; ports are real endpoints or upper legs of frozen
-    crossings.  Returns the standalone diagram whose boundary endpoint i
-    is the i-th frontier anchor.
+    ``frontier`` is the list of anchor ports in counterclockwise order:
+    real endpoints or upper legs of frozen crossings.  Returns the
+    standalone diagram whose boundary endpoint i is the i-th anchor.
     """
-    index = {port: i for i, (key, port) in enumerate(frontier)}
+    index = {port: i for i, port in enumerate(frontier)}
     edges = []
     seen = set()
-    for i, (key, port) in enumerate(frontier):
+    for i, port in enumerate(frontier):
         q = diagram.partner(port)
         if q[0] == 'c' and q[1] in active:
             edges.append((('b', i), q))
@@ -456,53 +456,38 @@ def to_standard(diagram, strategy="inclusion"):
     minimal input it is 2<->2-only.  The result's canonical key equals
     ``standard_diagram(trace, strategy)``'s.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError("unknown strategy %r" % strategy)
     diagram.check()
     start = diagram
     matching, _ = diagram.trace()
+    target = standard_diagram(matching, strategy)
     log = []
     diagram = _minimise(diagram, log)
     frozen = set()
-    frontier = [(i, ('b', i)) for i in range(2 * diagram.n)]
-    while frontier:
-        active = set(diagram.crossings) - frozen
-        # sub-endpoint 0 must be an in-anchor; rotating the frontier
-        # keeps the cyclic key order that interval selection relies on
-        ins = [t for t, (_, port) in enumerate(frontier)
-               if is_source(port)]
-        if not ins:
-            raise ReductionError("frontier lost its in-anchors")
-        frontier = frontier[ins[0]:] + frontier[:ins[0]]
-        keys = [k for k, _ in frontier]
-        sub = _build_residual(diagram, active, frontier)
-        traced, _ = sub.trace()
-        # the frontier is not empty, so the sub-diagram has n >= 1 pairs
-        pairing = {keys[i]: keys[o] for i, o in traced.pairs}
-        a_key, b_key, dirn, interior_keys = select_interval(
-            keys, pairing, strategy)
-        pos = {k: i for i, k in enumerate(keys)}
-        a_idx, b_idx = pos[a_key], pos[b_key]
+    frontier = {i: ('b', i) for i in range(2 * diagram.n)}  # key -> port
+    first = 0
+    for a_key, b_key, dirn, interior in lay_order(matching, strategy):
+        # sub-endpoint 0 must be an in-anchor: the first at or after the
+        # last step's, in cyclic key order (the frontier's in-anchors are
+        # the scheduled pairing's in-keys, so there is one)
+        keys = sorted(frontier, key=lambda k: (k < first, k))
+        t = [is_source(frontier[k]) for k in keys].index(True)
+        keys = keys[t:] + keys[:t]
+        first = keys[0]
+        sub = _build_residual(diagram, set(diagram.crossings) - frozen,
+                              [frontier[k] for k in keys])
+        a_idx = keys.index(a_key)
         sub2, submoves = straighten(sub, a_idx, dirn)
         diagram = _apply_all(diagram, submoves, log)
         sub2.check()
-        # freeze the laid strand and swap the frontier keys over it
-        s = _strand_from(sub2, a_idx)
-        assert is_boundary_parallel(sub2, a_idx, dirn)
-        interior = interval_interior(2 * sub2.n, a_idx, b_idx, dirn)
-        new_frontier = {k: p for k, p in frontier}
-        for j, (c, e) in enumerate(s[2]):
-            o_key = keys[interior[2 * j]]
-            i_key = keys[interior[2 * j + 1]]
-            _, _, t_up, u_up = template_slots(e, dirn)
-            new_frontier[i_key] = ('c', c, t_up)
-            new_frontier[o_key] = ('c', c, u_up)
-            frozen.add(c)
-        del new_frontier[a_key], new_frontier[b_key]
-        order = {k: t for t, k in enumerate(keys)}
-        frontier = sorted(new_frontier.items(), key=lambda kv: order[kv[0]])
+        _, b_idx, visits = _strand_from(sub2, a_idx)
+        if keys[b_idx] != b_key \
+                or not is_boundary_parallel(sub2, a_idx, dirn):
+            raise ReductionError("straightened strand is off its "
+                                 "scheduled interval")
+        freeze(frontier, interior, visits, dirn)
+        del frontier[a_key], frontier[b_key]
+        frozen.update(c for c, _ in visits)
     final, movelog = make_log(start, log)
-    target = standard_diagram(matching, strategy)
     if final.canonical_key() != target.canonical_key():
         raise ReductionError("reduction did not reach the standard diagram")
     return final, movelog

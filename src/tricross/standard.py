@@ -4,10 +4,10 @@ The construction realizes any matching by repeatedly laying a
 boundary-parallel strand along a minimal interval of the pairing.  Each
 consecutive (out, in) pair of endpoints interior to the interval
 produces one triple crossing.  The residual pairing on the region above
-the laid strand swaps the two strands crossed at every new crossing;
-the swap is carried structurally on the half-edge map, with frontier
-ports tagged by persistent position keys so that rebuilding the same
-matching always selects the same intervals.
+the laid strand swaps the two strands crossed at every new crossing.
+``lay_order`` schedules the intervals over persistent position keys,
+which ``freeze`` moves onto the new crossings' upper legs.  The reducer
+follows both, straightening each scheduled strand instead of laying it.
 
 Crossing template, with the new strand entering at slot ``s_in``:
 
@@ -24,7 +24,6 @@ Crossing template, with the new strand entering at slot ``s_in``:
 Both are ``template_slots``: relative to the entry slot ``e``, slot
 ``(e + k * dirn) % 6`` with k = 1, 2 for the hanging out- and in-slots
 and k = 4, 5 for the upper legs taking the in- and out-endpoint's key.
-The reducer reads laid strands through the same helper.
 """
 
 from .diagram import TripleDiagram, is_source
@@ -71,38 +70,26 @@ def select_interval(keys, pairing, strategy):
     ``keys``: frontier position keys in counterclockwise order.
     ``pairing``: dict in-key -> out-key.  Returns (in_key, out_key, dirn,
     interior keys in walk order); dirn is +1 counterclockwise, -1
-    clockwise.  Ties break on (interior size, in-key, ccw first).
+    clockwise.  The interval is a shortest pair-free one, so no other
+    lies inside it; ties break on (in-key, ccw first).
     """
     index = {k: i for i, k in enumerate(keys)}
-    m = len(keys)
-
-    def collect(want_dirn):
-        out = []
-        for a in sorted(pairing):
-            b = pairing[a]
-            for dirn in (1, -1):
-                if want_dirn is not None and dirn != want_dirn:
-                    continue
-                interior = [keys[p] for p in
-                            interval_interior(m, index[a], index[b], dirn)]
-                inside = set(interior)
-                # laying across a fully-enclosed pair breaks minimality;
-                # only pair-free intervals are admissible
-                if any(t in inside and u in inside for t, u in pairing.items()):
-                    continue
-                out.append((frozenset(interior), interior, a, b, dirn))
-        return out
-
-    want = {"inclusion": None, "ccw": 1, "cw": -1}[strategy]
-    candidates = collect(want)
-    if not candidates:
-        # no pair-free interval runs the preferred way; fall back to all
-        candidates = collect(None)
-    minimal = [c for c in candidates
-               if not any(o[0] < c[0] for o in candidates)]
-    minimal.sort(key=lambda c: (len(c[1]), c[2], 0 if c[4] == 1 else 1))
-    chosen = minimal[0]
-    return chosen[2], chosen[3], chosen[4], chosen[1]
+    candidates = []
+    for a in sorted(pairing):
+        for dirn in (1, -1):
+            interior = [keys[p] for p in interval_interior(
+                len(keys), index[a], index[pairing[a]], dirn)]
+            inside = set(interior)
+            # laying across a fully-enclosed pair breaks minimality;
+            # only pair-free intervals are admissible
+            if not any(t in inside and u in inside
+                       for t, u in pairing.items()):
+                candidates.append((len(interior), a, -dirn, interior))
+    want = {"ccw": 1, "cw": -1}.get(strategy)
+    # with no pair-free interval running the preferred way, take any
+    _, a, back, interior = min([c for c in candidates if -c[2] == want]
+                               or candidates)
+    return a, pairing[a], -back, interior
 
 
 def template_slots(e, dirn):
@@ -111,64 +98,61 @@ def template_slots(e, dirn):
     return tuple((e + k * dirn) % 6 for k in (1, 2, 4, 5))
 
 
-def lay_strand(frontier, pairing, partner, edges, a, b, dirn, interior,
-               next_cross):
-    """Lay one boundary-parallel strand; mutates the recursion state.
+def lay_order(matching, strategy):
+    """Yield the construction's (in_key, out_key, dirn, interior keys) for
+    each strand laid.  Keys persist (``freeze``); laying across (o, i)
+    makes i end the strand from partner[o], and o start the one that ran
+    to pairing[i]: the pairing's update depends only on the matching."""
+    if strategy not in STRATEGIES:
+        raise ValueError("unknown strategy %r" % strategy)
+    pairing = dict(matching.pairs)  # in-key -> out-key
+    partner = {b: a for a, b in pairing.items()}
+    while pairing:
+        a, b, dirn, interior = select_interval(
+            sorted({*pairing, *partner}), pairing, strategy)
+        yield a, b, dirn, interior
+        for o_key, i_key in zip(interior[::2], interior[1::2]):
+            # t != i_key: select_interval admits no interval enclosing a pair
+            t, u = partner.pop(o_key), pairing.pop(i_key)
+            pairing[t], partner[i_key] = i_key, t
+            pairing[o_key], partner[u] = u, o_key
+        del pairing[a], partner[b]
 
-    Returns the list of new crossing ids.  ``frontier`` maps key -> port,
-    ``pairing`` in-key -> out-key, ``partner`` its inverse.
-    """
-    assert len(interior) % 2 == 0, "interval interior must be even"
-    k = len(interior) // 2
-    cur = frontier[a]
-    assert is_source(cur), "interval must start at an in anchor"
-    s_in, s_out = (2, 5) if dirn == 1 else (0, 3)
-    down_out, down_in, t_up, u_up = template_slots(s_in, dirn)
-    new_ids = []
-    for j in range(k):
-        c = next_cross + j
-        new_ids.append(c)
-        o_key, i_key = interior[2 * j], interior[2 * j + 1]
-        assert not is_source(frontier[o_key]) and is_source(frontier[i_key])
-        # t != i_key: select_interval admits no interval enclosing a pair
-        t = partner[o_key]
-        u = pairing[i_key]
-        edges.append((cur, ('c', c, s_in)))
-        cur = ('c', c, s_out)
-        edges.append((('c', c, down_out), frontier[o_key]))
-        edges.append((frontier[i_key], ('c', c, down_in)))
-        # swap the crossed pairs: t's strand now ends over the in slot,
-        # the out slot's key starts the strand running to u
-        frontier[i_key] = ('c', c, t_up)
-        frontier[o_key] = ('c', c, u_up)
-        del pairing[i_key]
-        del partner[o_key]
-        pairing[t] = i_key
-        partner[i_key] = t
-        pairing[o_key] = u
-        partner[u] = o_key
-    edges.append((cur, frontier[b]))
-    del frontier[a], frontier[b]
-    del pairing[a], partner[b]
-    return new_ids
+
+def freeze(frontier, interior, visits, dirn):
+    """Move a laid strand's interior keys (``frontier``: key -> port) to
+    the upper legs of its ``visits``, (crossing, entry slot) pairs."""
+    for j, (c, e) in enumerate(visits):
+        _, _, t_up, u_up = template_slots(e, dirn)
+        frontier[interior[2 * j + 1]] = ('c', c, t_up)
+        frontier[interior[2 * j]] = ('c', c, u_up)
 
 
 def standard_diagram(matching, strategy="inclusion"):
     """Build the standard diagram realizing ``matching`` (no closed loops)."""
-    if strategy not in STRATEGIES:
-        raise ValueError("unknown strategy %r" % strategy)
     n = matching.n
     frontier = {i: ('b', i) for i in range(2 * n)}
-    pairing = dict(matching.pairs)
-    partner = {b: a for a, b in pairing.items()}
     edges = []
     next_cross = 0
-    while pairing:
-        keys = sorted(frontier)
-        a, b, dirn, interior = select_interval(keys, pairing, strategy)
-        new_ids = lay_strand(frontier, pairing, partner, edges,
-                             a, b, dirn, interior, next_cross)
-        next_cross += len(new_ids)
+    for a, b, dirn, interior in lay_order(matching, strategy):
+        assert len(interior) % 2 == 0, "interval interior must be even"
+        cur = frontier.pop(a)
+        assert is_source(cur), "interval must start at an in anchor"
+        s_in, s_out = (2, 5) if dirn == 1 else (0, 3)
+        down_out, down_in, _, _ = template_slots(s_in, dirn)
+        visits = []
+        for o_key, i_key in zip(interior[::2], interior[1::2]):
+            assert not is_source(frontier[o_key]) \
+                and is_source(frontier[i_key])
+            c = next_cross + len(visits)
+            visits.append((c, s_in))
+            edges.append((cur, ('c', c, s_in)))
+            cur = ('c', c, s_out)
+            edges.append((('c', c, down_out), frontier[o_key]))
+            edges.append((frontier[i_key], ('c', c, down_in)))
+        edges.append((cur, frontier.pop(b)))
+        freeze(frontier, interior, visits, dirn)
+        next_cross += len(visits)
     diagram = TripleDiagram.from_edge_list(n, range(next_cross), edges)
     diagram.check()
     traced, loops = diagram.trace()

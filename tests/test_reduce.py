@@ -306,6 +306,38 @@ def test_double_crossing_straightens_its_under_piece_first(monkeypatch):
     assert recursed == [(7, 1)]
 
 
+def test_the_double_crossing_recursion_moves_on_a_minimal_diagram(
+        monkeypatch):
+    """On this minimal 6-crossing diagram of {0:7, 2:9, 4:3, 6:11, 8:13,
+    10:1, 12:5}, the innermost under-piece is not boundary-parallel in
+    its sub-diagram: the depth-1 straightening makes a move, so the
+    recursion cannot be deleted."""
+    from tricross import reduce as reducer
+    d = _diagram(7, 6, "B0-C0.0 B1-C0.1 B10-C4.0 B11-C4.1 B12-C4.2 "
+                       "B13-C0.5 B2-C1.0 B3-B4 B5-C1.1 B6-C2.0 B7-C3.1 "
+                       "B8-C3.2 B9-C3.3 C0.2-C1.5 C0.3-C5.0 C0.4-C4.3 "
+                       "C1.2-C2.5 C1.3-C2.4 C1.4-C5.1 C2.1-C3.0 C2.2-C3.5 "
+                       "C2.3-C5.2 C3.4-C5.3 C4.4-C5.5 C4.5-C5.4")
+    assert is_minimal(d)
+    assert dict(d.trace()[0].pairs) == {0: 7, 2: 9, 4: 3, 6: 11, 8: 13,
+                                        10: 1, 12: 5}
+    nested = []
+    outer = reducer.straighten
+
+    def traced(diagram, a, dirn, log=None, depth=0):
+        result = outer(diagram, a, dirn, log, depth)
+        if depth == 1:
+            nested.append(len(result[1]))  # a nested call keeps its own log
+        return result
+
+    monkeypatch.setattr(reducer, "straighten", traced)
+    final, log = to_standard(d)
+    assert nested and max(nested) >= 1
+    assert [mv.kind for mv in log.moves] == ['22'] * 7
+    assert final.canonical_key() == standard_diagram(
+        d.trace()[0]).canonical_key()
+
+
 # the reducer's open defects: the messages of the ReductionErrors that
 # a connected diagram may still raise; none is known
 OPEN_DEFECTS = ()
