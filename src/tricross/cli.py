@@ -157,6 +157,8 @@ def cmd_domino(args):
     elif args.action == "check":
         target = region if region is not None else tiling.region
         tilings = enumerate_tilings(target, args.guard or 36)
+        if not tilings:
+            raise CliError("region has no domino tiling")
         keys = set()
         matchings = set()
         for t in tilings:

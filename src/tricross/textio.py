@@ -70,6 +70,8 @@ def read_diagram(text, name="<diagram>"):
             continue
         parts = line.split()
         try:
+            if parts[0] in ("n", "crossings") and int(parts[1]) < 0:
+                raise ParseError(name, no, "negative %s" % parts[0])
             if parts[0] == "n":
                 n = int(parts[1])
             elif parts[0] == "crossings":
@@ -143,6 +145,8 @@ def read_matching(text, name="<matching>"):
         try:
             if parts[0] == "n":
                 n = int(parts[1])
+                if n < 0:
+                    raise ParseError(name, no, "negative n")
             elif parts[0] == "pair":
                 pairs[int(parts[1])] = int(parts[2])
             else:
@@ -178,7 +182,10 @@ def read_region(text, name="<region>"):
         parts = line.split()
         if parts[0] != "sq" or len(parts) != 3:
             raise ParseError(name, no, "expected 'sq x y'")
-        squares.append((int(parts[1]), int(parts[2])))
+        try:
+            squares.append((int(parts[1]), int(parts[2])))
+        except ValueError:
+            raise ParseError(name, no, "coordinates must be integers")
     return Region(squares)
 
 
@@ -198,7 +205,10 @@ def read_tiling(text, name="<tiling>"):
         parts = line.split()
         if parts[0] != "dom" or len(parts) != 4 or parts[3] not in ("H", "V"):
             raise ParseError(name, no, "expected 'dom x y H|V'")
-        doms.append((int(parts[1]), int(parts[2]), parts[3] == "H"))
+        try:
+            doms.append((int(parts[1]), int(parts[2]), parts[3] == "H"))
+        except ValueError:
+            raise ParseError(name, no, "coordinates must be integers")
     squares = []
     for x, y, h in doms:
         squares.append((x, y))

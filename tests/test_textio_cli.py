@@ -111,6 +111,33 @@ def test_matching_parse_errors():
         textio.read_matching("wrong header\n")
 
 
+def test_negative_counts_are_refused():
+    """A negative ``n`` or ``crossings`` is a parse error on its line:
+    unchecked, ``crossings -2`` with ``edge B0 B1`` read as a valid
+    diagram, and a matching's ``n -1`` surfaced later, in another
+    message."""
+    cases = [
+        (textio.read_diagram, "triple-diagram v1\nn 1\ncrossings -2\n"
+                              "edge B0 B1\n", 3, "negative crossings"),
+        (textio.read_diagram, "triple-diagram v1\nn -1\ncrossings 0\n",
+         2, "negative n"),
+        (textio.read_matching, "matching v1\nn -1\n", 2, "negative n"),
+    ]
+    for read, text, line_no, message in cases:
+        with pytest.raises(textio.ParseError) as exc:
+            read(text)
+        assert (exc.value.line_no, exc.value.message) == (line_no, message)
+
+
+def test_non_integer_coordinates_name_their_line():
+    for read, text in ((textio.read_region, "region v1\nsq 0 0\nsq a 0\n"),
+                       (textio.read_tiling, "tiling v1\ndom 0 0.5 H\n")):
+        with pytest.raises(textio.ParseError) as exc:
+            read(text)
+        assert exc.value.line_no == len(text.splitlines())
+        assert exc.value.message == "coordinates must be integers"
+
+
 def test_region_tiling_roundtrip():
     region = Region.rectangle(4, 2)
     assert textio.read_region(textio.write_region(region)).squares \
@@ -305,6 +332,14 @@ def test_cli_error_is_structured(tmp_path):
     out = run_cli("count", "--in", str(bad))
     assert out.returncode == 2
     assert out.stderr.startswith("error: ")
+
+
+def test_cli_domino_check_refuses_a_region_without_tilings(tmp_path):
+    region = tmp_path / "r.txt"
+    region.write_text("region v1\nsq 0 0\n")
+    out = run_cli("domino", "check", "--in", str(region))
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.splitlines() == ["error: region has no domino tiling"]
 
 
 def test_cli_reduce_refuses_a_negative_loop_face(tmp_path, rotation3):
