@@ -86,7 +86,8 @@ def select_interval(keys, pairing, strategy):
                        for t, u in pairing.items()):
                 candidates.append((len(interior), a, -dirn, interior))
     want = {"ccw": 1, "cw": -1}.get(strategy)
-    # with no pair-free interval running the preferred way, take any
+    # 'inclusion' prefers neither way; 'ccw' and 'cw' take either way
+    # when no pair-free interval runs theirs
     _, a, back, interior = min([c for c in candidates if -c[2] == want]
                                or candidates)
     return a, pairing[a], -back, interior
