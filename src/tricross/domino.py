@@ -246,6 +246,8 @@ def _build_dual(tiling, white_parity):
 
 def tiling_to_diagram(tiling, with_map=False):
     """Dual triple diagram of a tiling of a simply connected region."""
+    if not tiling.region.squares:
+        raise ValueError("region is empty")
     if not tiling.region.is_simply_connected():
         raise ValueError("region must be simply connected")
     for parity in (0, 1):

@@ -36,12 +36,12 @@ the strand S is boundary-parallel:
     state lowering (crossings under S, detours of the hanging strands).
 """
 
-from .diagram import TripleDiagram, is_source, strand_path
+from .diagram import TripleDiagram, is_source, port_code, strand_path
 from .domino import Region, Tiling, tiling_to_diagram
-from .standard import (standard_diagram, lay_order, freeze,
-                       interval_interior, template_slots)
-from .moves import (Move, MoveError, find_22_sites,
-                    find_10_sites, move_22, apply_move, make_log, is_minimal)
+from .standard import (lay_strands, lay_order, freeze, interval_interior,
+                       template_slots)
+from .moves import (Move, MoveError, MoveLog, find_22_sites, find_10_sites,
+                    move_22, apply_move, make_log, is_minimal)
 from .movegraph import closure
 
 
@@ -213,17 +213,21 @@ def _search(diagram, goal, stuck, window=None, cap=30000):
 # ----------------------------------------------------------------------
 # minimisation
 
-def _apply_all(diagram, moves, log):
-    """Apply ``moves`` to ``diagram`` and log them."""
+def _apply_all(diagram, moves, log, keys=None):
+    """Apply ``moves`` to ``diagram`` and log them; with ``keys``, also
+    the canonical key after each move, for the MoveLog."""
     for mv in moves:
         diagram = apply_move(diagram, mv)
         log.append(mv)
+        if keys is not None:
+            keys.append(diagram.canonical_key())
     return diagram
 
 
-def _minimise(diagram, log):
+def _minimise(diagram, log, keys=None):
     """Reduce ``diagram`` to a minimal one by drops, 1->0 moves and the
-    2<->2 moves that expose an empty monogon; logs them."""
+    2<->2 moves that expose an empty monogon; logs them (and their keys,
+    as ``_apply_all``)."""
     while True:
         if diagram.loops:
             moves = [Move('drop', (min(diagram.loops),))]
@@ -234,7 +238,7 @@ def _minimise(diagram, log):
         else:
             moves = _search(diagram, find_10_sites, "no empty monogon "
                             "within reach of a non-minimal diagram")
-        diagram = _apply_all(diagram, moves, log)
+        diagram = _apply_all(diagram, moves, log, keys)
 
 
 # ----------------------------------------------------------------------
@@ -417,36 +421,41 @@ def _build_residual(diagram, active, frontier):
     ``frontier`` is the list of anchor ports in counterclockwise order:
     real endpoints or upper legs of frozen crossings.  Returns the
     standalone diagram whose boundary endpoint i is the i-th anchor.
+    Its partner array is written directly: crossing ids are kept, so a
+    slot's code moves by the change in the endpoint count.
     """
-    index = {port: i for i, port in enumerate(frontier)}
-    edges = []
-    seen = set()
-    for i, port in enumerate(frontier):
-        q = diagram.partner(port)
-        if q[0] == 'c' and q[1] in active:
-            edges.append((('b', i), q))
+    n = diagram.n
+    sub_n = len(frontier) // 2
+    shift = 2 * (sub_n - n)
+    parent = diagram.partners()
+    crossings = sorted(active)
+    partner = [-1] * (2 * sub_n + 6 * (crossings[-1] + 1 if crossings
+                                       else 0))
+
+    def inside(q):
+        return q >= 2 * n and (q - 2 * n) // 6 in active
+
+    index = {port_code(n, port): i for i, port in enumerate(frontier)}
+    for a, i in index.items():
+        q = parent[a]
+        if inside(q):
+            partner[i], partner[q + shift] = q + shift, i
+        elif q in index:
+            partner[i] = index[q]
         else:
-            j = index.get(q)
-            if j is None:
-                raise ReductionError("frontier strand leaks out of the "
-                                     "residual region")
-            if (i, j) not in seen:
-                edges.append((('b', i), ('b', j)))
-                seen.add((j, i))
-    for c in active:
-        for s in range(6):
-            p, q = ('c', c, s), diagram.partner(('c', c, s))
-            if q[0] == 'c' and q[1] in active and p < q:
-                edges.append((p, q))
-    sub = TripleDiagram.from_edge_list(len(frontier) // 2,
-                                       sorted(active), edges)
+            raise ReductionError("frontier strand leaks out of the "
+                                 "residual region")
+    for c in crossings:
+        for a in range(2 * n + 6 * c, 2 * n + 6 * c + 6):
+            if inside(parent[a]):
+                partner[a + shift] = parent[a] + shift
     loops = {}
     for fk, count in diagram.loops.items():
         face = diagram.face_by_key(fk)
         if face.darts and all(d[0] == 'c' and d[1] in active
                               for d in face.darts):
             loops[fk] = count
-    return sub.with_loops(loops)
+    return TripleDiagram(sub_n, crossings, None, loops, partners=partner)
 
 
 def to_standard(diagram, strategy="inclusion"):
@@ -454,18 +463,22 @@ def to_standard(diagram, strategy="inclusion"):
 
     The log contains only 2<->2, 1->0 and loop-dropping moves; on a
     minimal input it is 2<->2-only.  The result's canonical key equals
-    ``standard_diagram(trace, strategy)``'s.
+    that of the standard diagram of the trace under ``strategy``; one
+    listing of ``lay_order`` builds that target and drives the strands'
+    order.  The log's keys are read as the moves apply; ``replay``
+    re-applies them independently.
     """
     diagram.check()
     start = diagram
     matching, _ = diagram.trace()
-    target = standard_diagram(matching, strategy)
-    log = []
-    diagram = _minimise(diagram, log)
+    schedule = list(lay_order(matching, strategy))
+    target = lay_strands(matching, schedule)
+    log, log_keys = [], []
+    diagram = _minimise(diagram, log, log_keys)
     frozen = set()
     frontier = {i: ('b', i) for i in range(2 * diagram.n)}  # key -> port
     first = 0
-    for a_key, b_key, dirn, interior in lay_order(matching, strategy):
+    for a_key, b_key, dirn, interior in schedule:
         # sub-endpoint 0 must be an in-anchor: the first at or after the
         # last step's, in cyclic key order (the frontier's in-anchors are
         # the scheduled pairing's in-keys, so there is one)
@@ -477,7 +490,7 @@ def to_standard(diagram, strategy="inclusion"):
                               [frontier[k] for k in keys])
         a_idx = keys.index(a_key)
         sub2, submoves = straighten(sub, a_idx, dirn)
-        diagram = _apply_all(diagram, submoves, log)
+        diagram = _apply_all(diagram, submoves, log, log_keys)
         sub2.check()
         _, b_idx, visits = _strand_from(sub2, a_idx)
         if keys[b_idx] != b_key \
@@ -487,10 +500,9 @@ def to_standard(diagram, strategy="inclusion"):
         freeze(frontier, interior, visits, dirn)
         del frontier[a_key], frontier[b_key]
         frozen.update(c for c, _ in visits)
-    final, movelog = make_log(start, log)
-    if final.canonical_key() != target.canonical_key():
+    if diagram.canonical_key() != target.canonical_key():
         raise ReductionError("reduction did not reach the standard diagram")
-    return final, movelog
+    return diagram, MoveLog(start.canonical_key(), log, log_keys)
 
 
 def reduce_to_minimal(diagram, strategy="inclusion"):

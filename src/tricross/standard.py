@@ -6,8 +6,10 @@ consecutive (out, in) pair of endpoints interior to the interval
 produces one triple crossing.  The residual pairing on the region above
 the laid strand swaps the two strands crossed at every new crossing.
 ``lay_order`` schedules the intervals over persistent position keys,
-which ``freeze`` moves onto the new crossings' upper legs.  The reducer
-follows both, straightening each scheduled strand instead of laying it.
+which ``freeze`` moves onto the new crossings' upper legs, and
+``lay_strands`` lays a schedule.  The reducer lists the schedule once,
+lays it for its target and follows it, straightening each scheduled
+strand instead of laying it.
 
 Crossing template, with the new strand entering at slot ``s_in``:
 
@@ -71,26 +73,28 @@ def select_interval(keys, pairing, strategy):
     ``pairing``: dict in-key -> out-key.  Returns (in_key, out_key, dirn,
     interior keys in walk order); dirn is +1 counterclockwise, -1
     clockwise.  The interval is a shortest pair-free one, so no other
-    lies inside it; ties break on (in-key, ccw first).
+    lies inside it; ties break on (in-key, ccw first).  'ccw' and 'cw'
+    take their own way when some pair-free interval runs it, else either.
+
+    The candidates are ranked by size, read off index differences, and
+    only their interiors are tested, in that order: an interior is
+    pair-free when no in-key in it has its out-key in it.
     """
+    m = len(keys)
     index = {k: i for i, k in enumerate(keys)}
-    candidates = []
-    for a in sorted(pairing):
-        for dirn in (1, -1):
-            interior = [keys[p] for p in interval_interior(
-                len(keys), index[a], index[pairing[a]], dirn)]
-            inside = set(interior)
-            # laying across a fully-enclosed pair breaks minimality;
-            # only pair-free intervals are admissible
-            if not any(t in inside and u in inside
-                       for t, u in pairing.items()):
-                candidates.append((len(interior), a, -dirn, interior))
     want = {"ccw": 1, "cw": -1}.get(strategy)
-    # 'inclusion' prefers neither way; 'ccw' and 'cw' take either way
-    # when no pair-free interval runs theirs
-    _, a, back, interior = min([c for c in candidates if -c[2] == want]
-                               or candidates)
-    return a, pairing[a], -back, interior
+    # 'inclusion' (want None) ranks both ways alike
+    ranked = sorted(
+        (dirn != want, (index[b] - index[a]) * dirn % m - 1, a, -dirn)
+        for a, b in pairing.items() for dirn in (1, -1))
+    for _, _, a, back in ranked:
+        interior = [keys[p] for p in interval_interior(
+            m, index[a], index[pairing[a]], -back)]
+        inside = set(interior)
+        # laying across a fully-enclosed pair breaks minimality
+        if not any(pairing.get(t) in inside for t in interior):
+            return a, pairing[a], -back, interior
+    raise ValueError("the pairing has no pair-free interval")
 
 
 def template_slots(e, dirn):
@@ -131,11 +135,17 @@ def freeze(frontier, interior, visits, dirn):
 
 def standard_diagram(matching, strategy="inclusion"):
     """Build the standard diagram realizing ``matching`` (no closed loops)."""
+    return lay_strands(matching, lay_order(matching, strategy))
+
+
+def lay_strands(matching, schedule):
+    """Build the standard diagram of ``matching`` by laying the strands of
+    ``schedule``, its ``lay_order`` under some strategy, in order."""
     n = matching.n
     frontier = {i: ('b', i) for i in range(2 * n)}
     edges = []
     next_cross = 0
-    for a, b, dirn, interior in lay_order(matching, strategy):
+    for a, b, dirn, interior in schedule:
         assert len(interior) % 2 == 0, "interval interior must be even"
         cur = frontier.pop(a)
         assert is_source(cur), "interval must start at an in anchor"

@@ -175,7 +175,7 @@ def write_region(region):
 
 def read_region(text, name="<region>"):
     lines = _lines(text, name, "region v1")
-    squares = []
+    squares = set()
     for no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -183,9 +183,12 @@ def read_region(text, name="<region>"):
         if parts[0] != "sq" or len(parts) != 3:
             raise ParseError(name, no, "expected 'sq x y'")
         try:
-            squares.append((int(parts[1]), int(parts[2])))
+            sq = (int(parts[1]), int(parts[2]))
         except ValueError:
             raise ParseError(name, no, "coordinates must be integers")
+        if sq in squares:
+            raise ParseError(name, no, "square %d %d named twice" % sq)
+        squares.add(sq)
     return Region(squares)
 
 
@@ -198,7 +201,7 @@ def write_tiling(tiling):
 
 def read_tiling(text, name="<tiling>"):
     lines = _lines(text, name, "tiling v1")
-    doms = []
+    doms = set()
     for no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -206,9 +209,13 @@ def read_tiling(text, name="<tiling>"):
         if parts[0] != "dom" or len(parts) != 4 or parts[3] not in ("H", "V"):
             raise ParseError(name, no, "expected 'dom x y H|V'")
         try:
-            doms.append((int(parts[1]), int(parts[2]), parts[3] == "H"))
+            dom = (int(parts[1]), int(parts[2]), parts[3] == "H")
         except ValueError:
             raise ParseError(name, no, "coordinates must be integers")
+        if dom in doms:
+            raise ParseError(name, no, "domino %d %d %s named twice"
+                             % (dom[0], dom[1], parts[3]))
+        doms.add(dom)
     squares = []
     for x, y, h in doms:
         squares.append((x, y))

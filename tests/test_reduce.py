@@ -11,13 +11,16 @@ from tricross import (TripleDiagram, Matching, standard_diagram, to_standard,
                       pattern_template, inflate, is_minimal, replay,
                       find_badgons, enumerate_connected_diagrams,
                       minimal_crossing_count, textio)
-from tricross.diagram import port_str
-from tricross.moves import apply_move, MoveError
+from tricross import reduce as reducer
+from tricross.diagram import DiagramError, port_str
+from tricross.moves import apply_move, make_log, MoveError
 from tricross.reduce import (straighten, is_boundary_parallel, extract_region,
-                             ReductionError, _search, match_window)
+                             region_legs, ReductionError, _build_residual,
+                             _search, match_window)
 from tricross.movegraph import closure
 
 from conftest import all_matchings
+from test_golden import inflation
 
 
 def test_to_standard_fixes_standard_diagrams():
@@ -83,6 +86,19 @@ def test_reduce_5x4_dual():
     final, log = to_standard(d)
     assert final.crossing_count() == 10
     assert not any(mv.kind == '10' for mv in log.moves)
+
+
+def test_reduce_6x5_dual_clockwise():
+    """The first tiling of the 6x5 rectangle under 'cw': here
+    ``_innermost_double`` meets a piece between two crossings of S with
+    a crossing outside S's under region, and skips it."""
+    from tricross import Region, enumerate_tilings, tiling_to_diagram
+    d = tiling_to_diagram(enumerate_tilings(Region.rectangle(6, 5))[0])
+    final, log = to_standard(d, "cw")
+    assert all(mv.kind == '22' for mv in log.moves)
+    assert final.canonical_key() == standard_diagram(
+        d.trace()[0], "cw").canonical_key()
+    assert replay(d, log).canonical_key() == final.canonical_key()
 
 
 def test_straighten_interval_monogon_ends_in_one_10():
@@ -198,12 +214,17 @@ def test_match_window_refuses_a_wrong_window_of_the_right_size():
             match_window(moved, left, window)
 
 
-def test_reduce_drops_floating_component():
+def _with_floating_crossing():
+    """The two-arc standard diagram beside a floating crossing."""
     d0 = standard_diagram(Matching.from_dict(2, {0: 1, 2: 3}))
     edges = d0.edge_list() + [
         (('c', 9, 1), ('c', 9, 0)), (('c', 9, 3), ('c', 9, 4)),
         (('c', 9, 5), ('c', 9, 2))]
-    d = TripleDiagram.from_edge_list(2, [9], edges)
+    return d0, TripleDiagram.from_edge_list(2, [9], edges)
+
+
+def test_reduce_drops_floating_component():
+    d0, d = _with_floating_crossing()
     assert d.validate() == []
     assert not d.is_connected()
     final, log = reduce_to_minimal(d)
@@ -218,12 +239,17 @@ def _diagram(n, crossings, edges):
                               for e in edges.split())))
 
 
+def _three_closed_strands():
+    return _diagram(1, 3, "B0-C0.0 B1-C0.1 C0.2-C1.1 C0.3-C0.4 C0.5-C1.0 "
+                          "C1.2-C1.5 C1.3-C2.0 C1.4-C2.3 C2.1-C2.2 "
+                          "C2.4-C2.5")
+
+
 def test_loops_closed_in_a_sub_diagram_drop_in_its_parent():
     """Three closed strands, each closed into a free loop by a 1->0 move
     of the minimisation, whose drop names the face the move left it on;
     the log replays from its text."""
-    d = _diagram(1, 3, "B0-C0.0 B1-C0.1 C0.2-C1.1 C0.3-C0.4 C0.5-C1.0 "
-                       "C1.2-C1.5 C1.3-C2.0 C1.4-C2.3 C2.1-C2.2 C2.4-C2.5")
+    d = _three_closed_strands()
     final, log = reduce_to_minimal(d)
     assert log.counts() == {'10': 3, 'drop': 3}
     parsed, end = textio.read_movelog(textio.write_movelog(d, log), d)
@@ -243,6 +269,119 @@ def test_closed_strands_interlocked_with_the_arc_reduce():
         d.trace()[0]).canonical_key()
 
 
+def _recorded_key_inputs():
+    yield from (inflation(seed) for seed in range(20))
+    yield _with_floating_crossing()[1]
+    yield _three_closed_strands()
+    yield _recursing_diagram()
+
+
+@pytest.mark.parametrize("strategy", ["inclusion", "cw", "ccw"])
+def test_to_standard_records_the_keys_a_fresh_replay_reads(strategy):
+    """The keys read as the reducer applies its moves, nested
+    straightenings' moves included once, are those of applying the
+    logged moves again from the input."""
+    for d in _recorded_key_inputs():
+        final, log = to_standard(d, strategy)
+        end, fresh = make_log(d, log.moves)
+        assert log.initial_key == fresh.initial_key
+        assert log.keys == fresh.keys
+        assert len(log.keys) == len(log.moves)
+        assert final.canonical_key() == end.canonical_key()
+
+
+def _corrupted(diagram):
+    """``diagram`` with two ports' partners swapped: the partner array
+    is no longer an involution."""
+    partner = list(diagram.partners())
+    paired = [x for x, q in enumerate(partner) if q >= 0]
+    a = paired[0]
+    b = next(x for x in paired if x not in (a, partner[a]))
+    partner[a], partner[b] = partner[b], partner[a]
+    return TripleDiagram(diagram.n, diagram.crossings, None, diagram.loops,
+                         partners=partner)
+
+
+def test_a_corrupted_residual_fails_extract_region(monkeypatch):
+    d = inflation(3)
+    extract_region(d, d.crossings)
+    build = reducer._build_residual
+    monkeypatch.setattr(reducer, "_build_residual",
+                        lambda *args: _corrupted(build(*args)))
+    with pytest.raises(DiagramError, match="involution broken"):
+        extract_region(d, d.crossings)
+
+
+def test_a_corrupted_straightened_residual_fails_its_check(monkeypatch):
+    outer = reducer.straighten
+
+    def corrupting(diagram, a, dirn, log=None, depth=0):
+        sub2, moves = outer(diagram, a, dirn, log, depth)
+        return (_corrupted(sub2) if depth == 0 else sub2), moves
+
+    monkeypatch.setattr(reducer, "straighten", corrupting)
+    with pytest.raises(DiagramError, match="involution broken"):
+        to_standard(inflation(3))
+
+
+def _reference_residual(diagram, active, frontier):
+    """The residual built through an edge list, as ``from_edge_list``
+    reads one, with the free loops whose faces lie inside it."""
+    index = {port: i for i, port in enumerate(frontier)}
+    edges = []
+    for i, port in enumerate(frontier):
+        q = diagram.partner(port)
+        if q[0] == 'c' and q[1] in active:
+            edges.append((('b', i), q))
+        elif i < index[q]:
+            edges.append((('b', i), ('b', index[q])))
+    for c in active:
+        for s in range(6):
+            p, q = ('c', c, s), diagram.partner(('c', c, s))
+            if q[0] == 'c' and q[1] in active and p < q:
+                edges.append((p, q))
+    loops = {k: v for k, v in diagram.loops.items()
+             if all(d[0] == 'c' and d[1] in active
+                    for d in diagram.face_by_key(k).darts)}
+    return TripleDiagram.from_edge_list(len(frontier) // 2, sorted(active),
+                                        edges, loops)
+
+
+def _same_residual(got, want):
+    assert got.partners() == want.partners()
+    assert (got.n, got.crossings, got.loops) \
+        == (want.n, want.crossings, want.loops)
+
+
+def test_build_residual_writes_the_edge_list_residual(monkeypatch):
+    """On crossing regions and on every residual of ``to_standard``, whose
+    frontier strands may join two anchors directly."""
+    built = 0
+    for d, region in _extract_region_cases():
+        try:
+            legs = region_legs(d, region)
+        except ReductionError:
+            continue
+        frontier = [outer for _, outer in legs]
+        _same_residual(_build_residual(d, set(region), frontier),
+                       _reference_residual(d, set(region), frontier))
+        built += 1
+    assert built == 205
+    chords = []
+
+    def checked(diagram, active, frontier):
+        got = _build_residual(diagram, active, frontier)
+        _same_residual(got, _reference_residual(diagram, active, frontier))
+        m = 2 * got.n
+        chords.append(sum(0 <= q < m for q in got.partners()[:m]) // 2)
+        return got
+
+    monkeypatch.setattr(reducer, "_build_residual", checked)
+    for d in _recorded_key_inputs():
+        to_standard(d)
+    assert (len(chords), sum(chords)) == (101, 175)
+
+
 # minimal sub-diagrams of the reduce benchmark's inflations (seed 1) on
 # which straightening the strand at endpoint 0 along (0, +1) combs
 COMBED = (
@@ -259,7 +398,6 @@ COMBED = (
 @pytest.mark.parametrize("n, crossings, edges", COMBED)
 def test_comb_straightens_when_no_strand_crosses_twice(monkeypatch, n,
                                                        crossings, edges):
-    from tricross import reduce as reducer
     d = _diagram(n, crossings, edges)
     assert is_minimal(d)
     combs = []
@@ -306,18 +444,22 @@ def test_double_crossing_straightens_its_under_piece_first(monkeypatch):
     assert recursed == [(7, 1)]
 
 
+def _recursing_diagram():
+    return _diagram(7, 6, "B0-C0.0 B1-C0.1 B10-C4.0 B11-C4.1 B12-C4.2 "
+                          "B13-C0.5 B2-C1.0 B3-B4 B5-C1.1 B6-C2.0 B7-C3.1 "
+                          "B8-C3.2 B9-C3.3 C0.2-C1.5 C0.3-C5.0 C0.4-C4.3 "
+                          "C1.2-C2.5 C1.3-C2.4 C1.4-C5.1 C2.1-C3.0 "
+                          "C2.2-C3.5 C2.3-C5.2 C3.4-C5.3 C4.4-C5.5 "
+                          "C4.5-C5.4")
+
+
 def test_the_double_crossing_recursion_moves_on_a_minimal_diagram(
         monkeypatch):
     """On this minimal 6-crossing diagram of {0:7, 2:9, 4:3, 6:11, 8:13,
     10:1, 12:5}, the innermost under-piece is not boundary-parallel in
     its sub-diagram: the depth-1 straightening makes a move, so the
     recursion cannot be deleted."""
-    from tricross import reduce as reducer
-    d = _diagram(7, 6, "B0-C0.0 B1-C0.1 B10-C4.0 B11-C4.1 B12-C4.2 "
-                       "B13-C0.5 B2-C1.0 B3-B4 B5-C1.1 B6-C2.0 B7-C3.1 "
-                       "B8-C3.2 B9-C3.3 C0.2-C1.5 C0.3-C5.0 C0.4-C4.3 "
-                       "C1.2-C2.5 C1.3-C2.4 C1.4-C5.1 C2.1-C3.0 C2.2-C3.5 "
-                       "C2.3-C5.2 C3.4-C5.3 C4.4-C5.5 C4.5-C5.4")
+    d = _recursing_diagram()
     assert is_minimal(d)
     assert dict(d.trace()[0].pairs) == {0: 7, 2: 9, 4: 3, 6: 11, 8: 13,
                                         10: 1, 12: 5}

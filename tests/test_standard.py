@@ -1,11 +1,13 @@
 """Standard construction and the parallel-pair crossing count."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from tricross import (Matching, standard_diagram, minimal_crossing_count,
-                      STRATEGIES, is_minimal)
+                      STRATEGIES, is_minimal, standard)
+from tricross.standard import interval_interior, lay_order
 
 from conftest import all_matchings
 
@@ -113,3 +115,46 @@ def test_bad_strategy_rejected(rotation3):
 def test_basepoint_out_of_range(rotation3):
     with pytest.raises(ValueError):
         minimal_crossing_count(rotation3, 6)
+
+
+def reference_select_interval(keys, pairing, strategy):
+    """The all-pairs definition: of the intervals that enclose no pair,
+    the least by (size, in-key, ccw first), within the strategy's way
+    when some interval runs it."""
+    index = {k: i for i, k in enumerate(keys)}
+    candidates = []
+    for a in sorted(pairing):
+        for dirn in (1, -1):
+            interior = [keys[p] for p in interval_interior(
+                len(keys), index[a], index[pairing[a]], dirn)]
+            inside = set(interior)
+            if not any(t in inside and u in inside
+                       for t, u in pairing.items()):
+                candidates.append((len(interior), a, -dirn, interior))
+    want = {"ccw": 1, "cw": -1}.get(strategy)
+    _, a, back, interior = min([c for c in candidates if -c[2] == want]
+                               or candidates)
+    return a, pairing[a], -back, interior
+
+
+def test_select_interval_matches_the_all_pairs_definition(monkeypatch):
+    """On every frontier state that ``lay_order`` reaches for n <= 6."""
+    select = standard.select_interval
+    seen = Counter()
+
+    def checked(keys, pairing, strategy):
+        got = select(keys, pairing, strategy)
+        assert got == reference_select_interval(keys, pairing, strategy)
+        seen[strategy, got[2]] += 1
+        return got
+
+    monkeypatch.setattr(standard, "select_interval", checked)
+    for n in range(1, 7):
+        for m in all_matchings(n):
+            for strategy in STRATEGIES:
+                for _ in lay_order(m, strategy):
+                    pass
+    # sum(n * n!) strands per strategy; 'cw' and 'ccw' take the other
+    # way 2,083 times each, when every interval of theirs encloses a pair
+    assert seen == {(s, d): 2956 if d == (-1 if s == "cw" else 1) else 2083
+                    for s in STRATEGIES for d in (1, -1)}

@@ -342,6 +342,42 @@ def test_cli_domino_check_refuses_a_region_without_tilings(tmp_path):
     assert out.stderr.splitlines() == ["error: region has no domino tiling"]
 
 
+def test_cli_domino_check_refuses_an_empty_region(tmp_path):
+    """An empty region has nothing to tile; it is not disconnected."""
+    region = tmp_path / "r.txt"
+    region.write_text("region v1\n")
+    out = run_cli("domino", "check", "--in", str(region))
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.splitlines() == ["error: region is empty"]
+
+
+def test_a_repeated_square_or_domino_is_refused_on_its_line():
+    with pytest.raises(textio.ParseError) as exc:
+        textio.read_region("region v1\nsq 0 0\nsq 1 0\nsq 0 0\n")
+    assert (exc.value.line_no, exc.value.message) \
+        == (4, "square 0 0 named twice")
+    with pytest.raises(textio.ParseError) as exc:
+        textio.read_tiling("tiling v1\ndom 0 0 H\n\ndom 0 0 H\n")
+    assert (exc.value.line_no, exc.value.message) \
+        == (4, "domino 0 0 H named twice")
+    # the same corner with the other orientation overlaps: no exact cover
+    with pytest.raises(textio.ParseError, match="not an exact cover"):
+        textio.read_tiling("tiling v1\ndom 0 0 H\ndom 0 0 V\n")
+
+
+def test_cli_domino_refuses_a_repeated_record(tmp_path):
+    bad = tmp_path / "bad.txt"
+    for text, action, message in (
+            ("tiling v1\ndom 0 0 H\ndom 0 0 H\n", "dual",
+             "3: domino 0 0 H named twice"),
+            ("region v1\nsq 0 0\nsq 1 0\nsq 0 0\n", "check",
+             "4: square 0 0 named twice")):
+        bad.write_text(text)
+        out = run_cli("domino", action, "--in", str(bad))
+        assert out.returncode == 2 and out.stdout == ""
+        assert out.stderr.splitlines() == ["error: %s:%s" % (bad, message)]
+
+
 def test_cli_reduce_refuses_a_negative_loop_face(tmp_path, rotation3):
     """Also a face named twice: each is one error line and exit 2."""
     bad = tmp_path / "bad.txt"
