@@ -28,9 +28,13 @@ and says why.
   40 random matchings each for n=7 and n=8 (rng seed 7; the components
   have at most 70 vertices).  Unlike the reduce workload, these inputs
   reach ``_remove_double``'s recursion: 22 of its depth-1
-  ``straighten`` calls make moves.
+  ``straighten`` calls make moves;
+* ``connect``: the ``movelog v1`` texts of ``connect_minimal`` from the
+  root of each move-graph component to every vertex and back, for 120
+  random n=6 matchings (rng seed 6; 314 vertices, at most 70 in one
+  component).
 
-Stdlib only; takes about 15 seconds.
+Stdlib only; takes about 20 seconds.
 """
 
 import hashlib
@@ -42,8 +46,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"),
                 str(ROOT / "tests")]
 
-from tricross import (STRATEGIES, enumerate_component,  # noqa: E402
-                      reduce_to_minimal, textio)
+from tricross import (STRATEGIES, connect_minimal,  # noqa: E402
+                      enumerate_component, reduce_to_minimal, textio)
 from tricross.cluster import dump_values  # noqa: E402
 from tricross.reduce import pattern_template, slide_macro  # noqa: E402
 from tricross.render import render_diagram  # noqa: E402
@@ -100,6 +104,16 @@ def main():
         for m in matchings
         for d in enumerate_component(m).vertices.values()
         for strategy in STRATEGIES))
+    rng = random.Random(6)
+    connects = []
+    for m in [workloads.random_matching(6, rng) for _ in range(120)]:
+        graph = enumerate_component(m)
+        root = graph.vertices[graph.root]
+        for d in graph.vertices.values():
+            connects.append(textio.write_movelog(root,
+                                                 connect_minimal(root, d)))
+            connects.append(textio.write_movelog(d, connect_minimal(d, root)))
+    print("connect", sha(connects))
 
 
 if __name__ == "__main__":
