@@ -135,7 +135,10 @@ class Tiling:
 
 
 def enumerate_tilings(region, guard=36):
-    """All tilings by backtracking on the smallest uncovered square."""
+    """All tilings by backtracking on the smallest uncovered square; an
+    empty region has nothing to tile and raises."""
+    if not region.squares:
+        raise ValueError("region is empty")
     if len(region) > guard:
         raise ValueError("region exceeds the %d-square guard" % guard)
     squares = region.squares

@@ -25,18 +25,29 @@ up to canonical relabeling.
 Every sub-diagram of a minimal diagram is minimal: it has no free
 loops, monogons, self-intersecting or closed strands, and 2<->2 moves
 keep it so.  ``straighten`` therefore loops over two rules only, until
-the strand S is boundary-parallel:
+the strand S is boundary-parallel.  Both read S's sides off the partner
+array.  S's under side faces its interval: at a crossing S enters by
+slot e, the slots ``e + dirn`` and ``e + 2*dirn`` (mod 6), where the
+standard construction hangs the interval's endpoints
+(``standard.template_slots``).  Every other strand crosses S
+transversally, so its piece between two consecutive crossings with S
+lies wholly on the side of the slot it leaves the first by, and the
+crossings under S are those reached over partner codes from the
+interval's interior endpoints and S's under-side slots without entering
+a crossing of S (``_under_cross``).
 
-  * double crossing (``_remove_double``): for a strand crossing S
-    twice, straighten its innermost under-piece by recursion, then
-    ``_search`` the window of involved crossings, then the whole
-    diagram, for a state that drops the double crossing;
-  * comb (``_comb``), when no strand crosses S twice: ``_search`` the
-    window of S plus everything under it, then the whole diagram, for a
-    state lowering (crossings under S, detours of the hanging strands).
+  * double crossing (``_remove_double``): for a strand with a piece
+    under S between two crossings with S, straighten its innermost
+    such piece by recursion, then ``_search`` the window of involved
+    crossings, then the whole diagram, for a state that drops the
+    double crossing;
+  * comb (``_comb``), when no strand has such a piece: ``_search`` the
+    window of S plus the crossings under it, then the whole diagram,
+    for a state lowering (crossings under S, detours of the hanging
+    strands).
 """
 
-from .diagram import TripleDiagram, is_source, port_code, strand_path
+from .diagram import TripleDiagram, is_source, port_code
 from .domino import Region, Tiling, tiling_to_diagram
 from .standard import (lay_strands, lay_order, freeze, interval_interior,
                        template_slots)
@@ -113,11 +124,10 @@ def extract_region(diagram, crossings):
 # ----------------------------------------------------------------------
 # strand helpers on a standalone diagram
 
-def _strand_from(diagram, idx):
-    for s in diagram.strands():
-        if s[0] == idx:
-            return s
-    raise ReductionError("no strand at endpoint %d" % idx)
+def _strand_from(diagram, a):
+    """The strand from in-endpoint ``a``: ``strands()`` lists the arcs
+    first, in order of in-endpoint."""
+    return diagram.strands()[a // 2]
 
 
 def is_boundary_parallel(diagram, a, dirn):
@@ -127,53 +137,33 @@ def is_boundary_parallel(diagram, a, dirn):
     k = len(interior) // 2
     if len(visits) != k or len(set(c for c, _ in visits)) != k:
         return False
-    for j in range(k):
-        o = interior[2 * j]
-        i = interior[2 * j + 1]
-        c, e = visits[j]
-        down_out, down_in, _, _ = template_slots(e, dirn)
-        if diagram.partner(('c', c, down_out)) != ('b', o):
-            return False
-        if diagram.partner(('c', c, down_in)) != ('b', i):
-            return False
-    return True
+    # visit j's hanging slots hold interior endpoints 2j and 2j + 1
+    part = diagram.partners()
+    return all(part[2 * diagram.n + 6 * c + x] == interior[2 * j + h]
+               for j, (c, e) in enumerate(visits)
+               for h, x in enumerate(template_slots(e, dirn)[:2]))
 
 
-def _under_region(diagram, a, dirn):
-    """(faces, crossings) strictly between the strand at ``a`` and its
-    interval: flood face adjacency from the outer face, blocked by the
-    strand's edges and the interval's boundary arcs."""
-    s = _strand_from(diagram, a)
-    b = s[1]
-    interior = interval_interior(2 * diagram.n, a, b, dirn)
-    span = [a] + interior + [b]
-    # ('+', i) is the boundary arc from endpoint i toward i+1
-    blocked_arcs = set(span[:-1] if dirn == 1 else span[1:])
-    faces = diagram.faces()
-    todo = [f for f in faces
-            if any(d[0] == '+' and d[1] not in blocked_arcs
-                   for d in f.darts)]
-    reach = set(f.key for f in todo)
-    blocked = set(frozenset(e) for e in strand_path(s))
+def _under_cross(diagram, a, dirn):
+    """The crossings under the strand S at ``a``, strictly between S and
+    its dirn interval: flooded over partner codes from the interval's
+    interior endpoints and S's under-side slots, never entering a
+    crossing of S (module docstring)."""
+    m = 2 * diagram.n
+    part = diagram.partners()
+    _, b, visits = _strand_from(diagram, a)
+    s_cross = set(c for c, _ in visits)
+    todo = [part[i] for i in interval_interior(m, a, b, dirn)]
+    todo += [part[m + 6 * c + x] for c, e in visits
+             for x in template_slots(e, dirn)[:2]]
+    under = set()
     while todo:
-        for d in todo.pop().darts:
-            if d[0] not in ('b', 'c'):
-                continue
-            q = diagram.partner(d)
-            if frozenset((d, q)) in blocked:
-                continue
-            other = diagram.face_of(q)
-            if other.key not in reach:
-                reach.add(other.key)
-                todo.append(other)
-    s_cross = set(c for c, _ in s[2])
-    under_faces = [f for f in faces if f.key not in reach]
-    under_cross = set()
-    for f in under_faces:
-        for d in f.darts:
-            if d[0] == 'c' and d[1] not in s_cross:
-                under_cross.add(d[1])
-    return set(f.key for f in under_faces), under_cross
+        q = todo.pop()
+        c = (q - m) // 6
+        if q >= m and c not in s_cross and c not in under:
+            under.add(c)
+            todo.extend(part[m + 6 * c:m + 6 * c + 6])
+    return under
 
 
 def _shared_crossings(s1, s2):
@@ -266,41 +256,36 @@ def straighten(diagram, a, dirn, log=None, depth=0):
     return diagram, log
 
 
-def _innermost_double(diagram, a, dirn):
-    """The innermost under-piece of a strand meeting S twice, if any."""
+def _under_pieces(diagram, a, dirn):
+    """Each piece of a strand U between two consecutive crossings c1, c2
+    with the strand S at ``a`` that lies under S, toward S's interval, as
+    ((crossings on the piece, S-crossings it spans), U, t1, t2, c1, c2);
+    U's visits t1 and t2 are at c1 and c2.
+
+    The piece crosses S nowhere, so it lies wholly on one side of S:
+    under S exactly when U leaves c1 by one of S's interval-side slots.
+    """
     s_main = _strand_from(diagram, a)
-    s_ids = [c for c, _ in s_main[2]]
-    s_pos = {c: t for t, c in enumerate(s_ids)}
-    under_faces, under_cross = _under_region(diagram, a, dirn)
-    best = None
+    s_at = {c: (t, e) for t, (c, e) in enumerate(s_main[2])}
     for s in diagram.strands():
         if s is s_main:
             continue
-        seq = [c for c, _ in s[2]]
-        hits = [t for t, c in enumerate(seq) if c in s_pos]
-        for h in range(len(hits) - 1):
-            t1, t2 = hits[h], hits[h + 1]
-            c1, c2 = seq[t1], seq[t2]
-            between = seq[t1 + 1:t2]
-            # the piece between consecutive S-crossings is under iff its
-            # crossings are under, or, when empty, its edge borders an
-            # under face
-            if between:
-                if not all(c in under_cross for c in between):
-                    continue
-            else:
-                edge = strand_path(s)[t1 + 1]
-                f1 = diagram.face_of(edge[0]).key
-                f2 = diagram.face_of(edge[1]).key
-                if f1 not in under_faces and f2 not in under_faces:
-                    continue
-            span = abs(s_pos[c1] - s_pos[c2])
-            size = (len(between), span)
-            if best is None or size < best[0]:
-                best = (size, s, t1, t2, c1, c2)
-    if best is None:
-        return None
-    return best[1:]
+        hits = [t for t, (c, _) in enumerate(s[2]) if c in s_at]
+        for t1, t2 in zip(hits, hits[1:]):
+            (c1, g), (c2, _) = s[2][t1], s[2][t2]
+            (p1, e1), (p2, _) = s_at[c1], s_at[c2]
+            # U enters c1 at g and leaves by g + 3; S entered it at e1
+            if (g + 3 - e1) * dirn % 6 in (1, 2):
+                yield (t2 - t1 - 1, abs(p1 - p2)), s, t1, t2, c1, c2
+
+
+def _innermost_double(diagram, a, dirn):
+    """The innermost under-piece, with the fewest crossings, then the
+    fewest S-crossings spanned, as (U, t1, t2, c1, c2); None when no
+    strand meets S twice with a piece under S between."""
+    best = min(_under_pieces(diagram, a, dirn), key=lambda p: p[0],
+               default=None)
+    return None if best is None else best[1:]
 
 
 def _remove_double(diagram, a, dirn, dbl, log, depth):
@@ -310,18 +295,12 @@ def _remove_double(diagram, a, dirn, dbl, log, depth):
     if between:
         region = set(between)
         sub, legs = extract_region(diagram, region)
-        a_idx = b_idx = None
-        path = strand_path(s)
-        ein = path[t1 + 1]
-        eout = path[t2]
-        for idx, (inner, outer) in enumerate(legs):
-            if inner in ein or inner in eout:
-                if is_source(inner):
-                    b_idx = idx
-                else:
-                    a_idx = idx
-        if a_idx is None or b_idx is None:
-            raise ReductionError("double-piece legs not found")
+        # the piece enters the region at its first visit's entry slot
+        # and leaves it by its last visit's exit slot
+        inners = [inner for inner, _ in legs]
+        (c_in, x_in), (c_out, x_out) = s[2][t1 + 1], s[2][t2 - 1]
+        a_idx = inners.index(('c', c_in, x_in))
+        b_idx = inners.index(('c', c_out, (x_out + 3) % 6))
         # straighten the piece along the side hugging S: its interior
         # legs all attach to crossings of S
         s_cross = set(c for c, _ in _strand_from(diagram, a)[2])
@@ -341,13 +320,11 @@ def _remove_double(diagram, a, dirn, dbl, log, depth):
     s_main = _strand_from(diagram, a)
     u = _strand_from(diagram, s[0])
     before = len(_shared_crossings(s_main, u))
-    window = set([c1, c2])
-    spos = [c for c, _ in s_main[2]]
-    i1, i2 = spos.index(c1), spos.index(c2)
-    window.update(spos[min(i1, i2):max(i1, i2) + 1])
-    useq = [c for c, _ in u[2]]
-    u1, u2 = useq.index(c1), useq.index(c2)
-    window.update(useq[min(u1, u2):max(u1, u2) + 1])
+    window = set()
+    for strand in (s_main, u):  # each one's crossings from c1 to c2
+        seq = [c for c, _ in strand[2]]
+        i1, i2 = sorted((seq.index(c1), seq.index(c2)))
+        window.update(seq[i1:i2 + 1])
 
     def goal(d):
         return len(_shared_crossings(_strand_from(d, a),
@@ -358,27 +335,21 @@ def _remove_double(diagram, a, dirn, dbl, log, depth):
 
 
 def _comb_potential(diagram, a, dirn):
-    under_faces, under_cross = _under_region(diagram, a, dirn)
-    s_main = _strand_from(diagram, a)
-    s_set = set(c for c, _ in s_main[2])
-    interior = interval_interior(2 * diagram.n, a, s_main[1], dirn)
+    """(crossings under S, detours): the detour of an interior endpoint
+    of S's interval is the number of crossings its strand meets before
+    S, walked over partner codes from the endpoint."""
+    m = 2 * diagram.n
+    part = diagram.partners()
+    _, b, visits = _strand_from(diagram, a)
+    s_cross = set(c for c, _ in visits)
     detours = 0
-    for e in interior:
-        strand = None
-        for s in diagram.strands():
-            if s[0] == e or s[1] == e:
-                strand = s
-                break
-        seq = [c for c, _ in strand[2]]
-        if strand[1] == e and strand[0] != e:
-            seq = list(reversed(seq))
-        steps = 0
-        for c in seq:
-            if c in s_set:
-                break
-            steps += 1
-        detours += steps
-    return (len(under_cross), detours)
+    for e in interval_interior(m, a, b, dirn):
+        q = part[e]
+        while q >= m and (q - m) // 6 not in s_cross:
+            detours += 1
+            # on through the crossing: slot s to slot s + 3
+            q = part[q + 3 if (q - m) % 6 < 3 else q - 3]
+    return (len(_under_cross(diagram, a, dirn)), detours)
 
 
 def _comb(diagram, a, dirn, log):
@@ -389,8 +360,7 @@ def _comb(diagram, a, dirn, log):
                 and _comb_potential(d, a, dirn) < base)
 
     s_main = _strand_from(diagram, a)
-    _, under_cross = _under_region(diagram, a, dirn)
-    window = set(c for c, _ in s_main[2]) | under_cross
+    window = set(c for c, _ in s_main[2]) | _under_cross(diagram, a, dirn)
     path = _search(diagram, goal, "combing is stuck", window)
     return _apply_all(diagram, path, log)
 
@@ -531,7 +501,7 @@ def connect_minimal(d1, d2, strategy="inclusion"):
     states = [d2]
     for mv in log2.moves:
         states.append(apply_move(states[-1], mv))
-    moves = list(log1.moves)
+    moves, keys = list(log1.moves), list(log1.keys)
     cur = s1
     for k in range(len(log2.moves) - 1, -1, -1):
         inv = log2.moves[k].inverse()
@@ -550,10 +520,10 @@ def connect_minimal(d1, d2, strategy="inclusion"):
                           translate(nx), translate(ny)))
         cur = apply_move(cur, tmv)
         moves.append(tmv)
-    final, movelog = make_log(d1, moves)
-    if final.canonical_key() != d2.canonical_key():
+        keys.append(cur.canonical_key())
+    if cur.canonical_key() != d2.canonical_key():
         raise ReductionError("connection replay missed the target")
-    return movelog
+    return MoveLog(log1.initial_key, moves, keys)
 
 
 # ----------------------------------------------------------------------

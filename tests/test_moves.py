@@ -557,3 +557,20 @@ def test_a_closed_loop_lands_outside_the_edge_that_closes_it():
     new = apply_10(eight, OneZeroSite(0, 0))
     assert new.loops == {('+', 0): 1}
     assert new.face_of(('b', 1)).key == ('+', 0)
+
+
+def test_loops_of_a_face_that_keeps_no_dart_go_to_the_centre():
+    """A 1->0 move that removes the floating island whole keeps no dart
+    of its faces: their loops, like the two it closes, go to the centre,
+    the first face of the result (module docstring)."""
+    d0 = standard_diagram(Matching.from_dict(2, {0: 3, 2: 1}))
+    for d in (_island(), TripleDiagram.from_edge_list(
+            2, d0.crossings + (7,), d0.edge_list() + _island().edge_list())):
+        site = find_10_sites(d)[0]
+        monogon = d.face_of(('c', 7, site.slot)).key
+        island = [f.key for f in d.faces() if f.key != monogon
+                  and all(x[:2] == ('c', 7) for x in f.darts)]
+        d = d.with_loops(dict.fromkeys(island, 1))
+        new = apply_10(d, site)
+        _same(new, _rebuilt_10(d, site))
+        assert new.loops == {new.faces()[0].key: len(island) + 2}

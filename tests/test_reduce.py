@@ -12,12 +12,13 @@ from tricross import (TripleDiagram, Matching, standard_diagram, to_standard,
                       find_badgons, enumerate_connected_diagrams,
                       minimal_crossing_count, textio)
 from tricross import reduce as reducer
-from tricross.diagram import DiagramError, port_str
+from tricross.diagram import DiagramError, port_str, strand_path
 from tricross.moves import apply_move, make_log, MoveError
 from tricross.reduce import (straighten, is_boundary_parallel, extract_region,
                              region_legs, ReductionError, _build_residual,
                              _search, match_window)
 from tricross.movegraph import closure
+from tricross.standard import interval_interior
 
 from conftest import all_matchings
 from test_golden import inflation
@@ -89,9 +90,9 @@ def test_reduce_5x4_dual():
 
 
 def test_reduce_6x5_dual_clockwise():
-    """The first tiling of the 6x5 rectangle under 'cw': here
-    ``_innermost_double`` meets a piece between two crossings of S with
-    a crossing outside S's under region, and skips it."""
+    """The first tiling of the 6x5 rectangle under 'cw': here a piece
+    between two crossings of S holds a crossing and lies over S, so
+    ``_under_pieces`` skips it."""
     from tricross import Region, enumerate_tilings, tiling_to_diagram
     d = tiling_to_diagram(enumerate_tilings(Region.rectangle(6, 5))[0])
     final, log = to_standard(d, "cw")
@@ -478,6 +479,102 @@ def test_the_double_crossing_recursion_moves_on_a_minimal_diagram(
     assert [mv.kind for mv in log.moves] == ['22'] * 7
     assert final.canonical_key() == standard_diagram(
         d.trace()[0]).canonical_key()
+
+
+def _face_flood_under(diagram, a, dirn):
+    """Reference for ``_under_cross``: (faces, crossings) strictly between
+    the strand S at ``a`` and its interval, by flooding face adjacency from
+    the outer face, blocked by S's edges and the interval's boundary arcs.
+    """
+    s = diagram.strands()[a // 2]
+    assert s[0] == a
+    span = [a] + interval_interior(2 * diagram.n, a, s[1], dirn) + [s[1]]
+    # ('+', i) is the boundary arc from endpoint i toward i+1
+    blocked_arcs = set(span[:-1] if dirn == 1 else span[1:])
+    faces = diagram.faces()
+    todo = [f for f in faces
+            if any(d[0] == '+' and d[1] not in blocked_arcs
+                   for d in f.darts)]
+    reach = set(f.key for f in todo)
+    blocked = set(frozenset(e) for e in strand_path(s))
+    while todo:
+        for d in todo.pop().darts:
+            if d[0] not in ('b', 'c'):
+                continue
+            q = diagram.partner(d)
+            if frozenset((d, q)) in blocked:
+                continue
+            other = diagram.face_of(q)
+            if other.key not in reach:
+                reach.add(other.key)
+                todo.append(other)
+    s_cross = set(c for c, _ in s[2])
+    under_faces = set(f.key for f in faces if f.key not in reach)
+    under_cross = set(d[1] for f in faces if f.key in under_faces
+                      for d in f.darts
+                      if d[0] == 'c' and d[1] not in s_cross)
+    return under_faces, under_cross
+
+
+def _face_flood_pieces(diagram, a, dirn, sides):
+    """Reference for ``_under_pieces``: a piece between consecutive
+    crossings with S is under S iff its crossings are under, or, when it
+    has none, its edge borders an under face.  Counts each decision in
+    ``sides``, by (under, the piece has crossings)."""
+    s_main = diagram.strands()[a // 2]
+    s_pos = {c: t for t, (c, _) in enumerate(s_main[2])}
+    under_faces, under_cross = _face_flood_under(diagram, a, dirn)
+    for s in diagram.strands():
+        if s is s_main:
+            continue
+        seq = [c for c, _ in s[2]]
+        hits = [t for t, c in enumerate(seq) if c in s_pos]
+        for t1, t2 in zip(hits, hits[1:]):
+            between = seq[t1 + 1:t2]
+            if between:
+                under = all(c in under_cross for c in between)
+            else:
+                edge = strand_path(s)[t1 + 1]
+                under = any(diagram.face_of(x).key in under_faces
+                            for x in edge)
+            sides[under, bool(between)] += 1
+            if under:
+                c1, c2 = seq[t1], seq[t2]
+                yield ((len(between), abs(s_pos[c1] - s_pos[c2])), s, t1, t2,
+                       c1, c2)
+
+
+@pytest.mark.parametrize("name", ["6x5-cw", "recursing"])
+def test_under_side_agrees_with_the_face_flood(monkeypatch, name):
+    """At every straightening step (each ``_innermost_double`` call, the
+    combing goal's too), the crossings under S and the pieces decided
+    under S match the face-flood reference.  On the 6x5 dual under 'cw'
+    a piece with crossings lies over S; on the pinned n=7 diagram one
+    lies under S, and the recursion straightens it."""
+    from tricross import Region, enumerate_tilings, tiling_to_diagram
+    if name == "6x5-cw":
+        d = tiling_to_diagram(enumerate_tilings(Region.rectangle(6, 5))[0])
+        strategy = "cw"
+    else:
+        d, strategy = _recursing_diagram(), "inclusion"
+    sides = Counter()
+    own = reducer._innermost_double
+
+    def compared(diagram, a, dirn):
+        _, under_cross = _face_flood_under(diagram, a, dirn)
+        assert reducer._under_cross(diagram, a, dirn) == under_cross
+        assert list(reducer._under_pieces(diagram, a, dirn)) == list(
+            _face_flood_pieces(diagram, a, dirn, sides))
+        return own(diagram, a, dirn)
+
+    monkeypatch.setattr(reducer, "_innermost_double", compared)
+    final, _ = to_standard(d, strategy)
+    assert final.canonical_key() == standard_diagram(
+        d.trace()[0], strategy).canonical_key()
+    # empty pieces on both sides, and a piece with crossings over S on
+    # the 6x5 dual, under S (the recursion's) on the n=7 diagram
+    assert sides[True, False] and sides[False, False]
+    assert sides[name == "recursing", True]
 
 
 # the reducer's open defects: the messages of the ReductionErrors that

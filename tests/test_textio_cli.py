@@ -351,6 +351,20 @@ def test_cli_domino_check_refuses_an_empty_region(tmp_path):
     assert out.stderr.splitlines() == ["error: region is empty"]
 
 
+def test_cli_domino_enumerate_and_dual_refuse_an_empty_region(tmp_path):
+    """``enumerate`` agrees with ``check`` and ``dual``: no empty tiling."""
+    region = tmp_path / "r.txt"
+    region.write_text("region v1\n")
+    tiling = tmp_path / "t.txt"
+    tiling.write_text("tiling v1\n")
+    for args in (("enumerate", "--in", str(region)),
+                 ("enumerate", "--in", str(tiling)),
+                 ("dual", "--in", str(tiling))):
+        out = run_cli("domino", *args)
+        assert out.returncode == 2 and out.stdout == ""
+        assert out.stderr.splitlines() == ["error: region is empty"]
+
+
 def test_a_repeated_square_or_domino_is_refused_on_its_line():
     with pytest.raises(textio.ParseError) as exc:
         textio.read_region("region v1\nsq 0 0\nsq 1 0\nsq 0 0\n")
