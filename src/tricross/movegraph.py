@@ -15,12 +15,15 @@ fresh crossing whose remaining five legs join the working boundary.
 Planarity is built in, every crossing hangs off the boundary circle,
 and each diagram is emitted exactly once, so the fillings kept are the
 diagrams, with no duplicate to remove.  Most fillings have the wrong
-trace, so ``emit`` reads the arcs with ``trace_strands`` on the
-filling's partner array first, and builds, checks and keys a diagram
-only for a filling with the wanted trace, handing it that array and
-those strands.  The generator never consults the move system, so
-comparing the two sides genuinely checks the claim that 2<->2 moves
-connect all minimal diagrams of a matching.
+trace, so the walk tracks the strand pieces its joins make and asks the
+wanted matching about each arc as soon as a join completes it; a wrong
+arc cuts the whole subtree.  ``emit`` still traces every filling it
+gets with ``trace_strands`` on its partner array, raises DiagramError
+on a wrong trace (a walk fault), and builds, checks and keys the
+diagram, handing it that array and those strands.  The generator
+never consults the move system, so comparing the two sides genuinely
+checks the claim that 2<->2 moves connect all minimal diagrams of a
+matching.
 """
 
 from dataclasses import dataclass
@@ -128,7 +131,7 @@ def enumerate_component(matching, strategy="inclusion"):
     return MoveGraph(rk, vertices, edges)
 
 
-def walk_fillings(n, crossings, emit, want=None):
+def walk_fillings(n, crossings, emit, want=None, arc=None):
     """Stream every planar filling of the disk to ``emit(pairs, ncross)``,
     ``pairs`` listing its edges as pairs of port codes (``diagram.py``).
 
@@ -137,10 +140,26 @@ def walk_fillings(n, crossings, emit, want=None):
     crossing whose other five legs join the working boundary.  Every
     crossing therefore hangs off the boundary circle and the result is
     planar and connected by construction.  ``want`` (a matching dict)
-    prunes boundary-to-boundary chords early.
+    prunes boundary-to-boundary chords early; with ``want`` alone the
+    walk emits every such filling, which is the oracle benchmark's unit
+    of work.
+
+    The walk keeps one piece map: ``other[p]`` is the far end of the
+    strand piece ending at open port ``p``.  An endpoint starts as its
+    own piece, a fresh crossing as its three passes ``s <-> s + 3``, and
+    each join links two pieces into one; a pop restores the two ends it
+    changed.  When a join completes a piece whose two ends are both
+    endpoints, ``arc(i, o)`` is asked with its in-endpoint ``i`` and
+    out-endpoint ``o``, and a false answer cuts the subtree.  Every arc
+    of a filling is completed by some join, so with ``arc`` the walk
+    emits exactly the fillings whose arcs all pass it.
     """
     m = 2 * n
     pairs = []
+    # every pop restores what its push changed, so the ports of a
+    # crossing id hold its three passes whenever it is fed afresh
+    other = list(range(m)) + [m + x + 3 if x % 6 < 3 else m + x - 3
+                              for x in range(6 * crossings)]
 
     def run(items, next_id):
         # items: pending (sub-boundary, exact budget) regions
@@ -155,24 +174,35 @@ def walk_fillings(n, crossings, emit, want=None):
         tail = items[1:]
         p0 = boundary[0]
         rest = boundary[1:]
+        a = other[p0]
         for j in range(0, len(rest), 2):
             pj = rest[j]
             if p0 < m and pj < m and want is not None:
                 i, o = (p0, pj) if p0 % 2 == 0 else (pj, p0)
                 if want.get(i) != o:
                     continue
+            b = other[pj]
+            if arc is not None and a < m and b < m:
+                i, o = (a, b) if a % 2 == 0 else (b, a)
+                if not arc(i, o):
+                    continue
             pairs.append((p0, pj))
+            other[a], other[b] = b, a
             left, right = rest[:j], rest[j + 1:]
             for b1 in range(budget + 1):
                 run(((left, b1), (right, budget - b1)) + tail, next_id)
+            other[a], other[b] = p0, pj
             pairs.pop()
         if budget >= 1:
             # an entry (even slot) meets a source: even Bi, odd slot
             base = m + 6 * next_id
             s = 0 if (p0 < m) == (p0 % 2 == 0) else 1
             legs = tuple(base + (s + k) % 6 for k in (5, 4, 3, 2, 1))
+            b = base + (s + 3) % 6
             pairs.append((p0, base + s))
+            other[a], other[b] = b, a
             run(((legs + rest, budget - 1),) + tail, next_id + 1)
+            other[a], other[b] = p0, base + s
             pairs.pop()
 
     try:
@@ -204,13 +234,14 @@ def enumerate_connected_diagrams(matching, crossings):
         strands = trace_strands(n, crossings, partner)
         for start, end, _ in strands[:n]:
             if want[start] != end:
-                return
+                raise DiagramError("a filling traces B%d to B%d, not B%d"
+                                   % (start, end, want[start]))
         d = TripleDiagram(n, crossings, None, partners=partner,
                           strands=strands)
         d.check()
         results.setdefault(d.canonical_key(), d)
 
-    walk_fillings(n, crossings, emit, want)
+    walk_fillings(n, crossings, emit, arc=lambda i, o: want.get(i) == o)
     return results
 
 

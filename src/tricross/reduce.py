@@ -483,15 +483,16 @@ def reduce_to_minimal(diagram, strategy="inclusion"):
 
 
 def connect_minimal(d1, d2, strategy="inclusion"):
-    """A 2<->2-only log from d1 to d2 (both minimal, same matching)."""
+    """A 2<->2-only log from d1 to d2 (both minimal, same matching),
+    through the standard diagram that ``strategy`` lays."""
     if not is_minimal(d1) or not is_minimal(d2):
         raise MoveError("connect_minimal requires minimal diagrams")
     m1, _ = d1.trace()
     m2, _ = d2.trace()
     if m1 != m2:
         raise MoveError("matchings differ")
-    s1, log1 = to_standard(d1)
-    s2, log2 = to_standard(d2)
+    s1, log1 = to_standard(d1, strategy)
+    s2, log2 = to_standard(d2, strategy)
     assert all(mv.kind == '22' for mv in log1.moves + log2.moves)
     # Walk log2 backwards along its stored forward states.  A 2<->2
     # applied at its resulting site undoes the move only up to canonical

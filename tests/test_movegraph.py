@@ -3,6 +3,7 @@
 import gc
 import random
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -10,6 +11,8 @@ from tricross import (Matching, enumerate_component, brute_force_minimal,
                       verify_theorem2, enumerate_connected_diagrams,
                       GuardExceeded, minimal_crossing_count, find_badgons,
                       standard_diagram)
+from tricross import movegraph
+from tricross.diagram import trace_strands
 from tricross.movegraph import closure
 from tricross.moves import find_22_sites, move_22
 from tricross.reduce import inflate
@@ -73,6 +76,72 @@ def test_enumeration_frees_its_diagrams_without_the_cycle_collector(
         assert kept() is None
     finally:
         gc.enable()
+
+
+def _sweep_cells():
+    """The oracle benchmark's cells: n <= 3 at min..min+2 crossings and
+    n=4 at min, as (n, matching, crossings, extra)."""
+    for n, extras in ((1, 3), (2, 3), (3, 3), (4, 1)):
+        for m in all_matchings(n):
+            k = minimal_crossing_count(m)
+            for extra in range(extras):
+                yield n, m, k + extra, extra
+
+
+def _filling(pairs):
+    return tuple(sorted(tuple(sorted(p)) for p in pairs))
+
+
+def test_walk_with_want_alone_keeps_every_chord_pruned_filling():
+    """Without ``arc`` the walk emits what it emitted before the piece
+    map: per (n, extra) the counts below, 24,032 in all, the oracle
+    benchmark's work per pass."""
+    walked = Counter()
+    for n, m, k, extra in _sweep_cells():
+        def emit(pairs, ncross, cell=(n, extra)):
+            walked[cell] += 1
+        movegraph.walk_fillings(n, k, emit, m.as_dict())
+    assert walked == {(1, 0): 1, (1, 1): 5, (1, 2): 100,
+                      (2, 0): 2, (2, 1): 28, (2, 2): 800,
+                      (3, 0): 6, (3, 1): 428, (3, 2): 22100, (4, 0): 562}
+    assert sum(walked.values()) == 24032
+
+
+def test_arc_pruned_walk_emits_the_fillings_of_the_wanted_trace(
+        monkeypatch):
+    """The walk that ``enumerate_connected_diagrams`` runs, pruned by its
+    ``arc`` test, emits exactly the chord-pruned fillings whose arcs are
+    the wanted ones, each once, one per diagram found."""
+    walk = movegraph.walk_fillings
+    emitted = []
+
+    def recording(n, crossings, emit, want=None, arc=None):
+        def record(pairs, ncross):
+            emitted.append(_filling(pairs))
+            emit(pairs, ncross)
+        walk(n, crossings, record, want, arc)
+
+    monkeypatch.setattr(movegraph, "walk_fillings", recording)
+    kept = 0
+    for n, m, k, _ in _sweep_cells():
+        want = m.as_dict()
+        expected = set()
+
+        def keep(pairs, ncross):
+            partner = [-1] * (2 * n + 6 * ncross)
+            for a, b in pairs:
+                partner[a], partner[b] = b, a
+            strands = trace_strands(n, range(ncross), partner)
+            if all(want[s] == e for s, e, _ in strands[:n]):
+                expected.add(_filling(pairs))
+
+        walk(n, k, keep, want)
+        emitted.clear()
+        found = enumerate_connected_diagrams(m, k)
+        assert len(emitted) == len(set(emitted)) == len(found)
+        assert set(emitted) == expected, (m.pairs, k)
+        kept += len(found)
+    assert kept == 5641
 
 
 def test_component_vertices_minimal_and_fixed_count():

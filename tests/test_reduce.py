@@ -133,6 +133,26 @@ def test_connect_self_is_trivial(rotation3):
     assert final.canonical_key() == d.canonical_key()
 
 
+def test_connect_follows_its_strategy():
+    """Each strategy's log replays from d1 to d2 on every pair of 4x3
+    domino duals, and some pair's log depends on the strategy."""
+    from tricross import (Region, enumerate_tilings, tiling_to_diagram,
+                          STRATEGIES)
+    duals = [tiling_to_diagram(t)
+             for t in enumerate_tilings(Region.rectangle(4, 3))]
+    differs = False
+    for d1 in duals:
+        for d2 in duals:
+            texts = set()
+            for strategy in STRATEGIES:
+                log = connect_minimal(d1, d2, strategy)
+                assert all(mv.kind == '22' for mv in log.moves)
+                assert replay(d1, log).canonical_key() == d2.canonical_key()
+                texts.add(textio.write_movelog(d1, log))
+            differs = differs or len(texts) > 1
+    assert differs
+
+
 def test_connect_tiling_duals_pairwise_with_flip_parity():
     from collections import deque
     from tricross import (Region, enumerate_tilings, tiling_to_diagram,
@@ -620,6 +640,14 @@ def test_reduce_every_connected_diagram_of_the_small_cells():
     assert total == 3870
     assert set(failed) <= {"ReductionError: " + m for m in OPEN_DEFECTS}
     assert sum(failed.values()) == 0, failed
+
+
+def test_reduce_every_connected_diagram_with_four_pairs_at_one_extra():
+    """n=4 at one crossing over the minimum: all 1,104 diagrams of the 24
+    matchings reduce, and every log replays."""
+    diagrams, failures = reduce_cell(4, 1)
+    assert diagrams == 1104
+    assert sum(failures.values()) == 0, failures
 
 
 def _extract_region_cases():

@@ -135,10 +135,22 @@ def test_corrupt_map_raises(n, crossings, edges, why):
 
 
 def test_filling_naming_a_port_twice_raises(monkeypatch):
-    def walk_fillings(n, crossings, emit, want=None):
+    def walk_fillings(n, crossings, emit, want=None, arc=None):
         emit([(0, 1), (1, 0)], 0)  # B0-B1 and B1-B0
 
     monkeypatch.setattr(movegraph, "walk_fillings", walk_fillings)
     with pytest.raises(DiagramError, match="names a port twice"):
         enumerate_connected_diagrams(Matching.from_dict(1, {0: 1}), 0)
+
+
+def test_filling_with_the_wrong_trace_raises(monkeypatch):
+    """The walk prunes by the wanted trace, so a filling it emits with
+    another trace is a generator fault, not a filling to skip."""
+    def walk_fillings(n, crossings, emit, want=None, arc=None):
+        emit([(0, 3), (2, 1)], 0)  # B0-B3 and B2-B1
+
+    monkeypatch.setattr(movegraph, "walk_fillings", walk_fillings)
+    with pytest.raises(DiagramError, match="traces B0 to B3, not B1"):
+        enumerate_connected_diagrams(
+            Matching.from_dict(2, {0: 1, 2: 3}), 0)
 

@@ -1,14 +1,14 @@
 """Reduce every connected diagram with n <= 3 endpoint pairs at 1 to 3
-crossings over the minimum, and print a table of the cells: diagrams,
-failures by class, seconds.
+crossings over the minimum, and with n = 4 at 1 and 2 over it, and
+print a table of the cells: diagrams, failures by class, seconds.
 
     python3 tools/reduce_corpus.py
 
 Each cell runs ``reduce_cell`` of tests/test_reduce.py, the generator of
-the tier-1 slice test over the smallest cells, so every log is replayed
+the tier-1 slice tests over the smallest cells, so every log is replayed
 the same way: its crossing count never rises and it ends on the
 standard diagram.  Exits 1 when any diagram fails.  Stdlib only;
-takes about 7 minutes.
+takes about 7 minutes, 1.6 of them on the n = 4 cells.
 """
 
 import sys
@@ -26,8 +26,9 @@ def main():
     total = Counter()
     print("| n | extra | diagrams | failed | seconds |")
     print("|---|-------|---------:|-------:|--------:|")
-    for n in (1, 2, 3):
-        for extra in (1, 2, 3):
+    for n, extras in ((1, (1, 2, 3)), (2, (1, 2, 3)), (3, (1, 2, 3)),
+                      (4, (1, 2))):
+        for extra in extras:
             start = time.perf_counter()
             diagrams, failures = reduce_cell(n, extra)
             total += failures
