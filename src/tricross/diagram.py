@@ -51,7 +51,11 @@ Conventions (global, used by every other module):
   reads its parent's ``face_of`` table first; a parent without one (its
   faces untraced, or carried and still pending) hands on nothing, and
   the result traces all its faces.  Both traces run through one
-  routine, ``_trace``, over one phi.
+  routine, ``_trace``, over one phi, and one routine, ``_face_kinds``,
+  colors the orbits.  ``validate`` traces the orbits for itself and
+  checks the checkerboard on them without building faces, so a checked
+  diagram caches none; it asks ``faces()`` only for the keys of free
+  loops.
 
 * One breadth-first walk, ``_walk``, labels the crossings reachable from
   the endpoints, or from one root crossing at an even phase, ``(id,
@@ -360,31 +364,29 @@ class TripleDiagram:
 
     def faces(self):
         """Interior faces with checkerboard colors, in key order: a face's
-        ``index`` is its position.  After a move, only the faces around
-        it are traced again (module docstring)."""
+        ``index`` is its position.  Traced on the first call, from every
+        dart; after a move, only the faces around it are traced again
+        (module docstring)."""
         if 'faces' in self._cache:
             return self._cache['faces']
         carry = self._cache.pop('carry', None)
         if carry is not None:
             faces = self._carried_faces(*carry)
         else:
-            # validate() leaves the orbits it traced here for this one use,
-            # so the orbits are not traced twice, nor kept beside the faces
-            orbits = self._cache.pop('orbits', None)
-            if orbits is None:
-                orbits = self._orbits()
             faces = tuple(Face(i, darts, color, boundary, darts[0])
                           for i, (darts, color, boundary)
-                          in enumerate(self._face_fields(orbits)))
+                          in enumerate(self._face_fields(self._orbits())))
         if self.n == 0 and not self.crossings:
             faces = (Face(0, (), 'white', True, ()),)
         self._cache['faces'] = faces
         return faces
 
-    def _face_fields(self, orbits):
-        """(darts, color, boundary) of each face among ``orbits``, the
-        outer one left out; DiagramError for a face of both colors."""
-        names, kinds = _tables(self.n, len(self.partners()))[:2]
+    def _face_kinds(self, orbits):
+        """(orbit, kind) of each face among ``orbits``, the outer one left
+        out, ``kind`` the or of its darts' kinds (``_tables``): 1 white or
+        2 black, plus 4 on the boundary.  DiagramError for a face of both
+        colors.  ``validate`` and ``_face_fields`` share this one test."""
+        kinds = _tables(self.n, len(self._partner))[1]
         outer = 2 * self.n if self.n else -1  # ('-', 0)
         for orbit in orbits:
             if orbit[0] == outer:
@@ -395,6 +397,13 @@ class TripleDiagram:
                 kind |= kinds[d]
             if kind & 3 not in (1, 2):
                 raise DiagramError("face with inconsistent strand orientations")
+            yield orbit, kind
+
+    def _face_fields(self, orbits):
+        """(darts, color, boundary) of each face among ``orbits``, as
+        ``_face_kinds`` finds them."""
+        names = _tables(self.n, len(self._partner))[0]
+        for orbit, kind in self._face_kinds(orbits):
             yield (tuple(map(names.__getitem__, orbit)),
                    'white' if kind & 1 else 'black', kind > 3)
 
@@ -557,7 +566,14 @@ class TripleDiagram:
     # validation
 
     def validate(self):
-        """Check every invariant; return a list of violations (empty = ok)."""
+        """Check every invariant; return a list of violations (empty = ok).
+
+        The checks run in turn, each only when the ones before it pass:
+        every port paired, the pairing an involution joining a source to
+        a sink, Euler characteristic 2 per component, the checkerboard and
+        the free loops.  The checkerboard is read off the orbits traced
+        for the Euler count, so no Face record is built; ``faces()`` runs
+        only to check the keys of free loops."""
         if 'unknown' in self._cache:
             return ["unknown port %s" % port_str(self._cache['unknown'])]
         partner = self._partner
@@ -585,20 +601,22 @@ class TripleDiagram:
         # planarity: per-component Euler characteristic 2.  The map is an
         # involution now, so phi is a permutation
         orbits = self._orbits()
-        if 'faces' not in self._cache and 'carry' not in self._cache:
-            self._cache['orbits'] = orbits
         violations = ["Euler characteristic violated (component V=%d E=%d "
                       "F=%d)" % tuple(vef) for vef in self._components(orbits)
                       if vef[0] - vef[1] + vef[2] != 2]
         if violations:
             return violations
 
-        # checkerboard: every face has a uniform strand direction
+        # checkerboard: every face has a uniform strand direction, read
+        # off the orbits above; no Face record is built
         try:
-            faces = self.faces()
+            for _ in self._face_kinds(orbits):
+                pass
         except DiagramError as exc:
             return [str(exc)]
-        keys = set(f.key for f in faces)
+        if not self.loops:
+            return violations
+        keys = set(f.key for f in self.faces())
         for key, count in self.loops.items():
             if key not in keys:
                 violations.append("free loop keyed to unknown face %r" % (key,))

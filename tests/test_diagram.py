@@ -199,6 +199,29 @@ def test_nonplanar_validation_texts():
         assert d.is_connected() == (crossings == [])
 
 
+def test_free_loop_keyed_to_no_face_refused():
+    """A loop keyed to a dart that is no face's key (its least dart):
+    another dart of a face, or the outer face's ('-', 0)."""
+    d = single_crossing()
+    face = d.faces()[0]
+    for dart in (face.darts[1], ('-', 0)):
+        looped = TripleDiagram(d.n, d.crossings, d.edges, {dart: 1})
+        assert looped.validate() == [
+            "free loop keyed to unknown face %r" % (dart,)]
+
+
+def test_free_loop_count_below_one_refused():
+    d = single_crossing()
+    keys = [f.key for f in d.faces()]
+    looped = TripleDiagram(d.n, d.crossings, d.edges,
+                           {keys[0]: 0, keys[1]: 2, keys[2]: -1})
+    assert looped.validate() == [
+        "free loop count 0 < 1 at %r" % (keys[0],),
+        "free loop count -1 < 1 at %r" % (keys[2],)]
+    assert empty_diagram().with_loops({(): 0}).validate() == [
+        "free loop count 0 < 1 at ()"]
+
+
 def test_canonical_key_invariant_under_relabeling():
     d1 = single_crossing()
     d2 = TripleDiagram.from_edge_list(

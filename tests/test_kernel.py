@@ -9,20 +9,26 @@ depend on them, and its partner array must equal one rebuilt from its
 edges (``test_moves.py`` checks the same after the other moves).  The
 faces a move result carries over from its parent, with their face
 table, must equal a full trace of its map, and the endpoint walk must
-run once per diagram.
+run once per diagram.  ``validate``, which reads the checkerboard off
+its own orbits and builds no face, must return the violations of
+``reference_validate``, which reads it off the colors of the faces of
+``reference_orbits``.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
-from tricross import (DiagramError, Region, TripleDiagram, TwoTwoSite,
-                      add_loop, apply_01, apply_10, apply_22, drop_loop,
-                      enumerate_component, enumerate_connected_diagrams,
-                      enumerate_tilings, find_10_sites, find_22_sites,
-                      minimal_crossing_count, tiling_to_diagram)
+from tricross import (DiagramError, Matching, Region, TripleDiagram,
+                      TwoTwoSite, add_loop, apply_01, apply_10, apply_22,
+                      drop_loop, empty_diagram, enumerate_component,
+                      enumerate_connected_diagrams, enumerate_tilings,
+                      find_10_sites, find_22_sites, minimal_crossing_count,
+                      standard_diagram, tiling_to_diagram)
 from tricross import diagram as diagram_module
 from tricross import textio
+from tricross.diagram import is_source, port_str
 from tricross.moves import LoopSite, _joins_22, _rewrite, move_22
 
 from conftest import all_matchings
@@ -232,6 +238,122 @@ def test_loop_moves_trace_nothing(monkeypatch):
 
 
 # ----------------------------------------------------------------------
+# validate against a reference over tuple darts
+
+def reference_components(d):
+    """[V, E, F] per connected component: the boundary's first (when
+    n > 0), then each floating group by its least crossing id.  The
+    boundary is one vertex group; its arcs are edges, its endpoints
+    vertices."""
+    edges = d.edges
+
+    def vertex(x):
+        return x[1] if x[0] == 'c' else 'boundary'
+
+    group = {}
+    tally = []
+    for root in (['boundary'] if d.n else []) + list(d.crossings):
+        if root in group:
+            continue
+        group[root] = len(tally)
+        tally.append([0, 0, 0])
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            ends = ([('b', i) for i in range(2 * d.n)] if v == 'boundary'
+                    else [('c', v, s) for s in range(6)])
+            for w in map(vertex, map(edges.__getitem__, ends)):
+                if w not in group:
+                    group[w] = group[root]
+                    stack.append(w)
+    if d.n:
+        tally[0][:2] = [2 * d.n, 2 * d.n]
+    for c in d.crossings:
+        tally[group[c]][0] += 1
+    for p, q in d.edge_list():
+        tally[group[vertex(p)]][1] += 1
+    for orbit in reference_orbits(d):
+        tally[group[vertex(orbit[0])]][2] += 1
+    return tally
+
+
+def reference_validate(d):
+    """The violations of a diagram whose map pairs every port with
+    another, as ``validate`` listed them when it read the checkerboard
+    off the colors of the faces: orientation clashes; else Euler
+    characteristic 2 per component; else one strand direction on each
+    interior face; then the keys and counts of the free loops."""
+    edges = d.edges
+    clashes = ["orientation clash on edge %s %s" % (port_str(p), port_str(q))
+               for p in d.ports() for q in [edges[p]]
+               if p < q and is_source(p) == is_source(q)]
+    if clashes:
+        return clashes
+    violations = ["Euler characteristic violated (component V=%d E=%d F=%d)"
+                  % tuple(vef) for vef in reference_components(d)
+                  if vef[0] - vef[1] + vef[2] != 2]
+    if violations:
+        return violations
+    faces = [o for o in reference_orbits(d) if ('-', 0) not in o]
+    for orbit in faces:
+        # white: every strand dart a source; black: every one a sink
+        if len({is_source(x) for x in orbit if x[0] in 'bc'}) != 1:
+            return ["face with inconsistent strand orientations"]
+    keys = {min(o) for o in faces} if faces else {()}
+    for key, count in d.loops.items():
+        if key not in keys:
+            violations.append("free loop keyed to unknown face %r" % (key,))
+        if count < 1:
+            violations.append("free loop count %d < 1 at %r" % (count, key))
+    return violations
+
+
+def rewired(d, rng):
+    """``d`` with the ends of two of its edges swapped, once to three
+    times: edges a-b and c-e become a-e and c-b.  The map stays an
+    involution that pairs every port."""
+    partner = list(d.partners())
+    for _ in range(rng.randint(1, 3)):
+        edges = [(a, b) for a, b in enumerate(partner) if a < b]
+        (a, b), (c, e) = rng.sample(edges, 2)
+        if rng.random() < 0.5:
+            c, e = e, c
+        partner[a], partner[e] = e, a
+        partner[c], partner[b] = b, c
+    return TripleDiagram(d.n, d.crossings, None, d.loops, partners=partner)
+
+
+def validate_corpus():
+    """The 11 4x3 duals, an n=4 standard diagram, the golden diagrams
+    with free loops (a key gone stale after a rewiring names no face) and
+    the empty disk with loops; each as it is and in seeded rewirings."""
+    bases = dual_4x3_vertices() + [standard_diagram(
+        Matching.from_dict(4, {0: 5, 2: 7, 4: 1, 6: 3}))]
+    bases += [inflation(seed) for seed in range(8)] + _diagrams_with_loops()
+    rng = random.Random(19)
+    out = [empty_diagram().with_loops({(): 2})]
+    for d in bases:
+        out.append(fresh(d))
+        out += [rewired(d, rng) for _ in range(300)]
+    return out
+
+
+def test_validate_matches_the_face_color_reference_on_rewired_maps():
+    """Equal lists, and no faces cached by a diagram with no free loop."""
+    outcomes = Counter()
+    for d in validate_corpus():
+        violations = d.validate()
+        assert violations == reference_validate(d)
+        if not d.loops:
+            assert 'faces' not in d._cache
+        outcomes[violations[0].split(" ")[0] if violations else "valid"] += 1
+    assert outcomes["orientation"] >= 5000 and outcomes["Euler"] >= 2000
+    assert outcomes["valid"] >= 500 and outcomes["free"] >= 100
+    # no rewiring trips the checkerboard (ROADMAP item 6)
+    assert outcomes["face"] == 0
+
+
+# ----------------------------------------------------------------------
 # faces carried through moves
 
 def same_as_fresh(new):
@@ -326,12 +448,27 @@ def test_a_copy_with_loops_keeps_a_pending_carry():
 
 
 def test_validate_leaves_no_orbits_beside_a_carry():
+    """validate reads the checkerboard off its own orbits: it caches
+    neither orbits nor faces, and leaves a move's carry pending."""
     for d in dual_4x3_vertices():
         for site in find_22_sites(d):
             new = apply_22(d, site)
+            assert 'carry' in new._cache
             assert new.validate() == []
-            assert 'orbits' not in new._cache and 'carry' not in new._cache
+            assert 'orbits' not in new._cache and 'faces' not in new._cache
+            assert 'carry' in new._cache
             same_as_fresh(new)
+
+
+def test_check_caches_no_faces(rotation3):
+    """A checked diagram with no free loop, an oracle filling or a
+    fresh 4x3 dual, holds no faces until asked, then a full trace's."""
+    fillings = list(enumerate_connected_diagrams(rotation3, 2).values())
+    duals = [fresh(d).check() for d in dual_4x3_vertices()]
+    assert len(fillings) >= 10
+    for d in fillings + duals:
+        assert not d.loops and 'faces' not in d._cache
+        assert d.faces() == fresh(d).faces()
 
 
 def test_a_22_move_traces_only_the_faces_around_it(monkeypatch):
