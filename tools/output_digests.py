@@ -19,6 +19,7 @@ and says why.
   benchmark's cluster workload for seed 1;
 * ``cluster-dump``: ``dump_values`` of every state of those walks, the
   one cluster output that names faces by ``Face.index``;
+* ``cluster-2024``: as ``cluster``, for the held-out seed 2024;
 * ``closure``: the ``movegraph v1`` text of the 6x4 and 6x5 domino
   duals' move graphs;
 * ``slide``: the ``movelog v1`` texts, concatenated, of ``slide_macro``
@@ -70,6 +71,12 @@ def reduce_texts(seed):
     return texts
 
 
+def cluster_sha(walks):
+    """The sites, final values and audit of each cluster walk."""
+    return sha(repr((sites, ok, sorted(states[-1].values.items()), audit))
+               for states, sites, ok, audit in walks)
+
+
 def main():
     oracle = workloads.Oracle(1)
     print("oracle", sha([repr(oracle.run(item)) for item in oracle.items]))
@@ -82,11 +89,11 @@ def main():
                           for _ in range(3000)))
     cluster = workloads.Cluster(1)
     walks = list(map(cluster.run, cluster.items))
-    print("cluster", sha(repr((sites, ok, sorted(states[-1].values.items()),
-                               audit))
-                         for states, sites, ok, audit in walks))
+    print("cluster", cluster_sha(walks))
     print("cluster-dump", sha(dump_values(state) for states, _, _, _ in walks
                               for state in states))
+    cluster = workloads.Cluster(2024)
+    print("cluster-2024", cluster_sha(map(cluster.run, cluster.items)))
     print("closure", sha(textio.write_movegraph(enumerate_component(
         dual_matching(w, h))) for w, h in ((6, 4), (6, 5))))
     logs = []
