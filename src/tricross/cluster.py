@@ -15,10 +15,16 @@ factor common to numerator and denominator, so a value is a Laurent
 polynomial exactly when it says it is.
 
 Polynomials are dicts mapping exponent tuples to ints; the monomial
-order for printing and division is descending lexicographic.
+order for printing and division is descending lexicographic.  A
+``LaurentValue`` keeps its numerator as such pairs, sorted, and its
+denominator as one exponent tuple.  The arithmetic combines exponent
+tuples whole, through ``map`` with ``operator.add``/``sub``, ``min`` or
+``max``, not by a Python loop over the variables, and applies no shift
+that is all zero.
 """
 
 from dataclasses import dataclass
+from operator import add, sub
 
 from .moves import apply_22, face_map_22, find_22_sites, MoveError
 
@@ -55,7 +61,7 @@ def poly_mul(a, b):
     out = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
-            m = tuple(x + y for x, y in zip(m1, m2))
+            m = tuple(map(add, m1, m2))
             c = out.get(m, 0) + c1 * c2
             if c:
                 out[m] = c
@@ -65,8 +71,21 @@ def poly_mul(a, b):
 
 
 def poly_mul_monomial(a, exps, scale=1):
-    return {tuple(x + y for x, y in zip(m, exps)): c * scale
-            for m, c in a.items()}
+    return {tuple(map(add, m, exps)): c * scale for m, c in a.items()}
+
+
+def _least(monomials):
+    """The componentwise minimum of a nonempty list of exponent tuples."""
+    return tuple(map(min, monomials[0], *monomials))
+
+
+def _shifted(terms, exps, op=add):
+    """The polynomial of the (exponents, coefficient) pairs ``terms`` with
+    ``op`` applied between each exponent tuple and ``exps``; the pairs as
+    they are when ``exps`` is all zero."""
+    if not any(exps):
+        return dict(terms)
+    return {tuple(map(op, m, exps)): c for m, c in terms}
 
 
 def poly_div_exact(a, b):
@@ -82,8 +101,8 @@ def poly_div_exact(a, b):
     while rem:
         lead_r = max(rem)
         cr = rem[lead_r]
-        exps = tuple(x - y for x, y in zip(lead_r, lead_b))
-        if any(e < 0 for e in exps) or cr % cb:
+        exps = tuple(map(sub, lead_r, lead_b))
+        if min(exps, default=0) < 0 or cr % cb:
             raise ExactDivisionError("nonzero remainder")
         coeff = cr // cb
         quot[exps] = quot.get(exps, 0) + coeff
@@ -103,18 +122,13 @@ class LaurentValue:
     def make(num_dict, den_exps):
         if not num_dict:  # zero has one form: denominator 1
             return LaurentValue((), (0,) * len(den_exps))
-        # a negative denominator exponent folds into the numerator
-        lift = tuple(max(0, -d) for d in den_exps)
-        if any(lift):
-            num_dict = poly_mul_monomial(num_dict, lift)
-            den_exps = tuple(d + l for d, l in zip(den_exps, lift))
-        mins = [min(m[i] for m in num_dict) for i in range(len(den_exps))]
-        shift = tuple(min(a, b) for a, b in zip(mins, den_exps))
-        num = {tuple(x - s for x, s in zip(m, shift)): c
-               for m, c in num_dict.items()}
-        den = tuple(d - s for d, s in zip(den_exps, shift))
-        items = tuple(sorted(num.items(), reverse=True))
-        return LaurentValue(items, den)
+        # divide both by the monomial of their least exponents: this
+        # strips a common factor, and moves a negative denominator
+        # exponent up into the numerator
+        shift = tuple(map(min, *num_dict, den_exps))
+        num = _shifted(num_dict.items(), shift, sub)
+        return LaurentValue(tuple(sorted(num.items(), reverse=True)),
+                            tuple(map(sub, den_exps, shift)))
 
     def num_dict(self):
         return dict(self.num)
@@ -158,16 +172,14 @@ def lv_var(nvars, index):
 
 def lv_mul(u, v):
     return LaurentValue.make(poly_mul(u.num_dict(), v.num_dict()),
-                             tuple(a + b for a, b in zip(u.den, v.den)))
+                             tuple(map(add, u.den, v.den)))
 
 
 def lv_add(u, v):
-    den = tuple(max(a, b) for a, b in zip(u.den, v.den))
-    nu = poly_mul_monomial(u.num_dict(),
-                           tuple(d - a for d, a in zip(den, u.den)))
-    nv = poly_mul_monomial(v.num_dict(),
-                           tuple(d - b for d, b in zip(den, v.den)))
-    return LaurentValue.make(poly_add(nu, nv), den)
+    den = tuple(map(max, u.den, v.den))
+    return LaurentValue.make(
+        poly_add(_shifted(u.num, tuple(map(sub, den, u.den))),
+                 _shifted(v.num, tuple(map(sub, den, v.den)))), den)
 
 
 def lv_div_exact(u, v):
@@ -176,21 +188,18 @@ def lv_div_exact(u, v):
     Componentwise minimum degree is additive under polynomial products
     (lowest slices cannot cancel over the integers), so after stripping
     the minimum exponent vectors from numerator and divisor, Laurent
-    divisibility is plain polynomial divisibility; the stripped shift
-    moves into the denominator.
+    divisibility is plain polynomial divisibility; the stripped shifts
+    and the divisor's denominator move into the denominator.
     """
     if not v.num:
         raise ExactDivisionError("division by zero")
-    target = poly_mul_monomial(u.num_dict(), v.den)
-    divisor = v.num_dict()
-    nv = len(u.den)
-    t_min = tuple(min(m[i] for m in target) for i in range(nv)) \
-        if target else (0,) * nv
-    v_min = tuple(min(m[i] for m in divisor) for i in range(nv))
-    target0 = poly_mul_monomial(target, tuple(-t for t in t_min))
-    divisor0 = poly_mul_monomial(divisor, tuple(-t for t in v_min))
-    quot = poly_div_exact(target0, divisor0)
-    den = tuple(d - t + s for d, t, s in zip(u.den, t_min, v_min))
+    if not u.num:
+        return LaurentValue.make({}, u.den)
+    u_min = _least([m for m, _ in u.num])
+    v_min = _least([m for m, _ in v.num])
+    quot = poly_div_exact(_shifted(u.num, u_min, sub),
+                          _shifted(v.num, v_min, sub))
+    den = tuple(map(add, map(sub, u.den, u_min), map(sub, v_min, v.den)))
     return LaurentValue.make(quot, den)
 
 
@@ -208,8 +217,9 @@ class ClusterState:
 
 def init_cluster(diagram):
     """Fresh indeterminates on white faces; boundary whites are frozen."""
-    if diagram.validate():
-        raise MoveError("diagram does not validate")
+    violations = diagram.validate()
+    if violations:
+        raise MoveError("diagram does not validate: " + "; ".join(violations))
     if not diagram.is_connected():
         raise MoveError("cluster state needs a connected diagram")
     whites = [f for f in diagram.faces() if f.color == 'white']
@@ -232,14 +242,11 @@ def exchange_22(state, site):
     face = diagram.face_by_key(site.face_key)
     new_diagram = apply_22(diagram, site)
     face_map = face_map_22(diagram, new_diagram, site)
-    values = {}
-    for key, val in state.values.items():
-        values[face_map[key]] = val
-    new_whites = set(f.key for f in new_diagram.faces()
-                     if f.color == 'white')
-    if set(values) != new_whites:
+    values = {face_map[key]: val for key, val in state.values.items()}
+    if values.keys() != {f.key for f in new_diagram.faces()
+                         if f.color == 'white'}:
         raise MoveError("face correspondence is not a white-face bijection")
-    frozen = frozenset(face_map[k] for k in state.frozen)
+    frozen = frozenset(map(face_map.__getitem__, state.frozen))
     if face.color == 'white':
         (X, x1), (Y, y1) = site.x, site.y
         a = diagram.face_of(('c', X, (x1 + 2) % 6)).key
@@ -261,14 +268,12 @@ def laurent_audit(states):
     initial cluster.  Returns {'all_positive', 'max_terms'}; whether
     every division was exact is ``random_walk``'s ``ok`` flag.
     """
-    all_positive = True
-    max_terms = 0
-    for st in states:
-        for val in st.values.values():
-            max_terms = max(max_terms, val.terms())
-            if not val.is_positive():
-                all_positive = False
-    return {"all_positive": all_positive, "max_terms": max_terms}
+    # an exchange carries every value but one over as the same object,
+    # so each is audited once
+    values = {id(val): val for st in states
+              for val in st.values.values()}.values()
+    return {"all_positive": all(map(LaurentValue.is_positive, values)),
+            "max_terms": max(map(LaurentValue.terms, values), default=0)}
 
 
 def random_walk(state, length, rng):

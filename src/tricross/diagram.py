@@ -85,9 +85,10 @@ Diagrams are immutable values by convention: all operations build new
 instances.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
+from typing import NamedTuple
 
 
 class DiagramError(ValueError):
@@ -252,19 +253,20 @@ class Matching:
         return self.as_dict()[i]
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(NamedTuple):
     """A complementary region: its boundary darts, color and boundary flag.
 
     ``darts`` is the left-face orbit in traversal order, rotated to start
-    at the minimal dart; each dart is one (edge, side) incidence.
+    at the minimal dart; each dart is one (edge, side) incidence.  A
+    record is a tuple of its five fields in this order (a NamedTuple,
+    cheap to make): it compares, hashes and unpacks as that tuple.
     """
 
     index: int
     darts: tuple
     color: str          # 'white' | 'black'
     boundary: bool
-    key: tuple = field(default=())  # minimal dart; () for the empty-disk face
+    key: tuple = ()     # minimal dart; () for the empty-disk face
 
 
 class TripleDiagram:

@@ -1,16 +1,31 @@
-"""Laurent arithmetic and the exchange relation."""
+"""Laurent arithmetic and the exchange relation.
+
+The ``reference_*`` functions are the Laurent arithmetic as it was
+written before its exponent tuples went through ``map``: one generator
+per operation over all the variables.  The library must give the values
+they give, and both must agree with an evaluation in ``Fraction``s.
+"""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from tricross import (Matching, standard_diagram, empty_diagram, Region,
-                      enumerate_tilings, tiling_to_diagram, init_cluster,
-                      exchange_22, laurent_audit, random_walk, find_22_sites)
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from tricross import (DiagramError, Matching, standard_diagram,
+                      empty_diagram, Region, enumerate_tilings,
+                      tiling_to_diagram, init_cluster, exchange_22,
+                      laurent_audit, random_walk, find_22_sites)
+from tricross import cluster
 from tricross.cluster import (poly_add, poly_mul, poly_div_exact, poly_var,
                               poly_const, LaurentValue, lv_var, lv_mul,
                               lv_add, lv_div_exact, ExactDivisionError,
                               ClusterState, dump_values)
+from tricross.moves import MoveError, face_map_22
+
+from test_golden import random_pairing
 
 
 def rand_poly(rng, nvars, terms, deg=3, coeff=6):
@@ -200,3 +215,274 @@ def test_dump_deterministic():
     assert dump_values(st) == dump_values(init_cluster(d))
     lines = dump_values(st).splitlines()
     assert all("=" in line for line in lines)
+
+
+# ----------------------------------------------------------------------
+# the arithmetic against its generator-based reference and Fractions
+
+def reference_poly_mul(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            c = out.get(m, 0) + c1 * c2
+            if c:
+                out[m] = c
+            else:
+                del out[m]
+    return out
+
+
+def reference_mul_monomial(a, exps, scale=1):
+    return {tuple(x + y for x, y in zip(m, exps)): c * scale
+            for m, c in a.items()}
+
+
+def reference_poly_div(a, b):
+    if not a:
+        return {}
+    rem = dict(a)
+    quot = {}
+    lead_b = max(b)
+    cb = b[lead_b]
+    while rem:
+        lead_r = max(rem)
+        cr = rem[lead_r]
+        exps = tuple(x - y for x, y in zip(lead_r, lead_b))
+        if any(e < 0 for e in exps) or cr % cb:
+            raise ExactDivisionError("nonzero remainder")
+        coeff = cr // cb
+        quot[exps] = quot.get(exps, 0) + coeff
+        rem = poly_add(rem, reference_mul_monomial(b, exps, -coeff))
+    return quot
+
+
+def reference_make(num_dict, den_exps):
+    if not num_dict:
+        return LaurentValue((), (0,) * len(den_exps))
+    lift = tuple(max(0, -d) for d in den_exps)
+    if any(lift):
+        num_dict = reference_mul_monomial(num_dict, lift)
+        den_exps = tuple(d + l for d, l in zip(den_exps, lift))
+    mins = [min(m[i] for m in num_dict) for i in range(len(den_exps))]
+    shift = tuple(min(a, b) for a, b in zip(mins, den_exps))
+    num = {tuple(x - s for x, s in zip(m, shift)): c
+           for m, c in num_dict.items()}
+    den = tuple(d - s for d, s in zip(den_exps, shift))
+    return LaurentValue(tuple(sorted(num.items(), reverse=True)), den)
+
+
+def reference_mul(u, v):
+    return reference_make(reference_poly_mul(dict(u.num), dict(v.num)),
+                          tuple(a + b for a, b in zip(u.den, v.den)))
+
+
+def reference_add(u, v):
+    den = tuple(max(a, b) for a, b in zip(u.den, v.den))
+    nu = reference_mul_monomial(dict(u.num),
+                                tuple(d - a for d, a in zip(den, u.den)))
+    nv = reference_mul_monomial(dict(v.num),
+                                tuple(d - b for d, b in zip(den, v.den)))
+    return reference_make(poly_add(nu, nv), den)
+
+
+def reference_div(u, v):
+    target = reference_mul_monomial(dict(u.num), v.den)
+    divisor = dict(v.num)
+    nv = len(u.den)
+    t_min = tuple(min(m[i] for m in target) for i in range(nv)) \
+        if target else (0,) * nv
+    v_min = tuple(min(m[i] for m in divisor) for i in range(nv))
+    target0 = reference_mul_monomial(target, tuple(-t for t in t_min))
+    divisor0 = reference_mul_monomial(divisor, tuple(-t for t in v_min))
+    quot = reference_poly_div(target0, divisor0)
+    den = tuple(d - t + s for d, t, s in zip(u.den, t_min, v_min))
+    return reference_make(quot, den)
+
+
+def monomial_at(exps, point):
+    out = Fraction(1)
+    for p, e in zip(point, exps):
+        out *= p ** e
+    return out
+
+
+def evaluate(num_dict, den_exps, point):
+    """num / den at ``point``, from the raw parts (any signs)."""
+    return sum((c * monomial_at(m, point) for m, c in num_dict.items()),
+               Fraction(0)) / monomial_at(den_exps, point)
+
+
+def value_at(value, point):
+    return evaluate(dict(value.num), value.den, point)
+
+
+def is_normal_form(value, nvars):
+    if not value.num:  # zero has one form
+        return value == LaurentValue((), (0,) * nvars)
+    monomials = [m for m, _ in value.num]
+    return (len(value.den) == nvars and min(value.den, default=0) >= 0
+            and all(c for _, c in value.num)
+            and list(value.num) == sorted(value.num, reverse=True)
+            and len(set(monomials)) == len(monomials)
+            and all(min(column) == 0
+                    for column in zip(*monomials, value.den)))
+
+
+@st.composite
+def raw_laurent(draw, nvars):
+    """(numerator dict, denominator exponents): at most 4 terms, exponents
+    0-3 on top, -2 to 3 below, signed nonzero coefficients."""
+    exps = st.tuples(*[st.integers(0, 3)] * nvars)
+    num = draw(st.dictionaries(exps, st.integers(-9, 9).filter(bool),
+                               max_size=4))
+    den = draw(st.tuples(*[st.integers(-2, 3)] * nvars))
+    return num, den
+
+
+@st.composite
+def laurent_cases(draw):
+    """nvars <= 6, two raw Laurent values and a positive point."""
+    nvars = draw(st.integers(0, 6))
+    point = tuple(Fraction(draw(st.integers(1, 50)), draw(st.integers(1, 50)))
+                  for _ in range(nvars))
+    return nvars, draw(raw_laurent(nvars)), draw(raw_laurent(nvars)), point
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(laurent_cases())
+def test_laurent_arithmetic_matches_the_reference_and_fractions(case):
+    nvars, (num_u, den_u), (num_v, den_v), point = case
+    u = LaurentValue.make(num_u, den_u)
+    v = LaurentValue.make(num_v, den_v)
+    assert u == reference_make(num_u, den_u)
+    assert v == reference_make(num_v, den_v)
+    for value in (u, v):
+        assert is_normal_form(value, nvars)
+    assert value_at(u, point) == evaluate(num_u, den_u, point)
+    product = lv_mul(u, v)
+    assert product == reference_mul(u, v)
+    assert value_at(product, point) == value_at(u, point) * value_at(v, point)
+    total = lv_add(u, v)
+    assert total == reference_add(u, v)
+    assert value_at(total, point) == value_at(u, point) + value_at(v, point)
+    for value in (product, total):
+        assert is_normal_form(value, nvars)
+    if v.num:
+        quotient = lv_div_exact(product, v)
+        assert quotient == reference_div(product, v) == u
+        assert value_at(quotient, point) == value_at(u, point)
+    else:
+        with pytest.raises(ExactDivisionError):
+            lv_div_exact(product, v)
+
+
+def test_normal_form_check_can_fail():
+    assert not is_normal_form(LaurentValue((((1, 1), 1),), (1, 0)), 2)
+    assert not is_normal_form(LaurentValue((((0, 1), 1),), (-1, 0)), 2)
+    assert not is_normal_form(LaurentValue((), (1, 0)), 2)
+    assert is_normal_form(LaurentValue((((0, 1), 1),), (1, 0)), 2)
+
+
+# ----------------------------------------------------------------------
+# each exchange checked by evaluation, each other value followed by
+# its darts, not by the move's face map
+
+def outside_image(old, new, site, key):
+    """The face of ``new`` that the face ``key`` of ``old`` becomes: the
+    one holding its first dart off the move's two crossings, which the
+    move leaves where it was."""
+    pair = (site.x[0], site.y[0])
+    for dart in old.face_by_key(key).darts:
+        if dart[0] != 'c' or dart[1] not in pair:
+            return new.face_of(dart).key
+    raise AssertionError("face %r lies on the move's crossings" % (key,))
+
+
+def exchange_errors(states, sites, point):
+    """The first step whose values break the exchange relation
+    f*e = a*c + b*d at ``point``, or move a value the exchange leaves
+    alone; None when there is none."""
+    for step, (pre, post, site) in enumerate(zip(states, states[1:], sites)):
+        old, new = pre.diagram, post.diagram
+        (X, x1), (Y, y1) = site.x, site.y
+        central = old.face_by_key(site.face_key)
+        for key, value in pre.values.items():
+            if key != central.key and \
+                    post.values.get(outside_image(old, new, site, key)) \
+                    != value:
+                return "step %d: the value of %r moved" % (step, key)
+        if central.color != 'white':
+            continue
+
+        def at(d, crossing, slot):
+            return value_at(pre.values[d.face_of(('c', crossing,
+                                                  slot % 6)).key], point)
+        e = value_at(pre.values[central.key], point)
+        f = value_at(post.values[new.face_of(('c', X, (x1 + 4) % 6)).key],
+                     point)
+        if f * e != (at(old, X, x1 + 2) * at(old, Y, y1 + 2)
+                     + at(old, X, x1 + 4) * at(old, Y, y1 + 4)):
+            return "step %d: f*e != a*c + b*d" % step
+    return None
+
+
+def seeded_walks():
+    """Walks of 20 exchanges on four duals each of the 4x3 and 4x4
+    rectangles, each with a positive point."""
+    rng = random.Random(20)
+    for w, h in ((4, 3), (4, 4)):
+        tilings = enumerate_tilings(Region.rectangle(w, h))
+        for _ in range(4):
+            state = init_cluster(tiling_to_diagram(rng.choice(tilings)))
+            point = tuple(Fraction(rng.randint(1, 10 ** 6),
+                                   rng.randint(1, 10 ** 6))
+                          for _ in range(state.nvars))
+            yield random_walk(state, 20, rng), point
+
+
+def test_every_exchange_satisfies_the_relation_by_evaluation():
+    white = 0
+    for (states, sites, ok), point in seeded_walks():
+        assert ok and len(sites) == 20
+        assert exchange_errors(states, sites, point) is None
+        white += sum(s.diagram.face_by_key(site.face_key).color == 'white'
+                     for s, site in zip(states, sites))
+    assert white >= 40
+
+
+def test_evaluation_catches_a_face_map_that_swaps_two_values(monkeypatch):
+    """Two white values other than the central one trade faces: every
+    division stays exact, yet the check fails."""
+    def swapped(old, new, site):
+        fmap = face_map_22(old, new, site)
+        p, q = sorted(k for k in fmap if k != site.face_key
+                      and old.face_by_key(k).color == 'white')[:2]
+        fmap[p], fmap[q] = fmap[q], fmap[p]
+        return fmap
+
+    monkeypatch.setattr(cluster, "face_map_22", swapped)
+    for (states, sites, ok), point in seeded_walks():
+        assert exchange_errors(states, sites, point) is not None
+
+
+# ----------------------------------------------------------------------
+# init_cluster's refusal
+
+def test_init_cluster_names_the_violations():
+    rng = random.Random(5)
+    refused = 0
+    for _ in range(200):
+        d = random_pairing(rng)
+        violations = d.validate()
+        if not violations:
+            continue
+        with pytest.raises(MoveError) as refusal:
+            init_cluster(d)
+        with pytest.raises(DiagramError) as check:
+            d.check()
+        assert str(refusal.value) == "diagram does not validate: " \
+            + "; ".join(violations)
+        assert str(refusal.value).endswith(str(check.value))
+        refused += 1
+    assert refused >= 50

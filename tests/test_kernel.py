@@ -20,7 +20,7 @@ from collections import Counter
 
 import pytest
 
-from tricross import (DiagramError, Matching, Region, TripleDiagram,
+from tricross import (DiagramError, Face, Matching, Region, TripleDiagram,
                       TwoTwoSite, add_loop, apply_01, apply_10, apply_22,
                       drop_loop, empty_diagram, enumerate_component,
                       enumerate_connected_diagrams, enumerate_tilings,
@@ -376,6 +376,28 @@ def test_carried_faces_equal_a_full_trace_after_every_22_move():
                 carried += 'carry' in new._cache
                 same_as_fresh(new)
     assert carried == 28 + 1656
+
+
+def test_carried_faces_equal_a_fresh_trace_field_by_field_on_a_walk():
+    """Along a seeded 2<->2 walk on the 6x5 dual, every face a move
+    carries is a ``Face`` tuple whose fields equal those of the face a
+    full trace of the map gives."""
+    fields = ("index", "darts", "color", "boundary", "key")
+    assert Face._fields == fields
+    d = tiling_to_diagram(enumerate_tilings(Region.rectangle(6, 5))[0])
+    rng = random.Random(65)
+    carried = 0
+    for _ in range(40):
+        sites = find_22_sites(d)  # traces d's faces, so the move carries
+        d = apply_22(d, sites[rng.randrange(len(sites))])
+        carried += 'carry' in d._cache
+        got, want = d.faces(), fresh(d).faces()
+        assert len(got) == len(want)
+        for face, ref in zip(got, want):
+            assert isinstance(face, Face) and isinstance(face, tuple)
+            for name in fields:
+                assert getattr(face, name) == getattr(ref, name), name
+    assert carried == 40
 
 
 def test_carried_faces_equal_a_full_trace_after_1_0_and_0_1_moves():
