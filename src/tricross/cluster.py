@@ -26,7 +26,7 @@ that is all zero.
 from dataclasses import dataclass
 from operator import add, sub
 
-from .moves import apply_22, face_map_22, find_22_sites, MoveError
+from .moves import apply_22, find_22_sites, MoveError
 
 
 class ExactDivisionError(ArithmeticError):
@@ -237,16 +237,18 @@ def init_cluster(diagram):
 
 
 def exchange_22(state, site):
-    """Advance by a 2<->2 move, exchanging the central white variable."""
+    """Advance by a 2<->2 move, exchanging the central white variable.
+    Each value goes with its face: to the new key the move's face carry
+    recorded for it (``pop_rekeyed``), else to the key it had."""
     diagram = state.diagram
     face = diagram.face_by_key(site.face_key)
     new_diagram = apply_22(diagram, site)
-    face_map = face_map_22(diagram, new_diagram, site)
-    values = {face_map[key]: val for key, val in state.values.items()}
+    rekeyed = new_diagram.pop_rekeyed()
+    values = {rekeyed.get(key, key): val for key, val in state.values.items()}
     if values.keys() != {f.key for f in new_diagram.faces()
                          if f.color == 'white'}:
         raise MoveError("face correspondence is not a white-face bijection")
-    frozen = frozenset(map(face_map.__getitem__, state.frozen))
+    frozen = frozenset([rekeyed.get(key, key) for key in state.frozen])
     if face.color == 'white':
         (X, x1), (Y, y1) = site.x, site.y
         a = diagram.face_of(('c', X, (x1 + 2) % 6)).key
@@ -256,7 +258,7 @@ def exchange_22(state, site):
         e = state.values[site.face_key]
         numerator = lv_add(lv_mul(state.values[a], state.values[c]),
                            lv_mul(state.values[b], state.values[d]))
-        values[face_map[site.face_key]] = lv_div_exact(numerator, e)
+        values[rekeyed[site.face_key]] = lv_div_exact(numerator, e)
     return ClusterState(new_diagram, values, frozen, state.nvars,
                         state.var_names)
 

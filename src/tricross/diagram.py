@@ -47,10 +47,12 @@ Conventions (global, used by every other module):
   those orbits cover the darts of the parent faces that hold a touched
   port, less a removed crossing's ports, plus an added crossing's.
   Every other face keeps its record, re-created only when its index
-  shifts, and the ``face_of`` table is patched to match.  Every move
-  reads its parent's ``face_of`` table first; a parent without one (its
-  faces untraced, or carried and still pending) hands on nothing, and
-  the result traces all its faces.  Both traces run through one
+  shifts, and the ``face_of`` table is patched to match.  A 2<->2 move
+  hands the carry its dart renaming, and the carry records old key ->
+  new key for each parent face it traced again (``pop_rekeyed``); every
+  other face keeps its key.  Every move reads its parent's ``face_of``
+  table first; a parent without one (its faces untraced, or carried and
+  still pending) hands on nothing, and the result traces all its faces.  Both traces run through one
   routine, ``_trace``, over one phi, and one routine, ``_face_kinds``,
   colors the orbits.  ``validate`` traces the orbits for itself and
   checks the checkerboard on them without building faces, so a checked
@@ -284,12 +286,14 @@ class TripleDiagram:
         self._partner = self._array(edges) if partners is None else partners
         self._ports = _tables(n, len(self._partner))[6]
         # ``carry``: (parent, codes of the ports whose partner differs
-        # from the parent's), from a move.  Only the parent's traced faces
-        # and face table are kept, never the parent nor a pending carry
+        # from the parent's, the move's dart renaming or None), from a
+        # move.  Only the parent's traced faces and face table are kept,
+        # never the parent nor a pending carry
         if carry is not None and 'face_of' in carry[0]._cache:
-            parent, touched = carry
+            parent, touched, renamed = carry
             self._cache['carry'] = (parent._cache['faces'],
-                                    parent._cache['face_of'], touched)
+                                    parent._cache['face_of'], touched,
+                                    renamed)
 
     def _array(self, edges):
         """The partner array of the port map ``edges``, less its first port
@@ -409,19 +413,22 @@ class TripleDiagram:
             yield (tuple(map(names.__getitem__, orbit)),
                    'white' if kind & 1 else 'black', kind > 3)
 
-    def _carried_faces(self, faces, face_of, touched):
+    def _carried_faces(self, faces, face_of, touched, renamed):
         """The faces, from the parent's ``faces`` and ``face_of`` table:
         the parent faces that hold a port of ``touched`` give way to the
         orbits through the touched ports still in the map, which cover
         the same darts less a removed crossing's, plus an added one's.
         Every other face is kept, re-created only when its index shifts;
-        the table is patched to match."""
+        the table is patched to match.  With ``renamed`` (old dart ->
+        new dart, None: deleted), each face that gave way is sent to the
+        face of its first dart that the move keeps, so renamed, and the
+        key pairs are recorded for ``pop_rekeyed``."""
         m4 = 4 * self.n
         partner = self.partners()
         names = _tables(self.n, len(partner))[0]
         ports = [names[m4 + a] for a in touched]
-        old = {id(face_of[p]) for p in ports if p in face_of}
-        kept = [f for f in faces if id(f) not in old]
+        gone = {id(f): f for f in map(face_of.get, ports) if f is not None}
+        kept = [f for f in faces if id(f) not in gone]
         # a new orbit holds a touched port: else phi kept it, and it was
         # an old face.  The ports of a removed crossing are gone
         orbits = []
@@ -452,6 +459,15 @@ class TripleDiagram:
             for d in f.darts:
                 table[d] = f
         self._cache['face_of'] = table
+        if renamed is not None:
+            rekeyed = {}
+            for f in gone.values():
+                for d in f.darts:
+                    d = renamed.get(d, d)
+                    if d is not None:
+                        rekeyed[f.key] = table[d].key
+                        break
+            self._cache['rekeyed'] = rekeyed
         return tuple(merged)
 
     def _orbits(self):
@@ -500,6 +516,15 @@ class TripleDiagram:
                 self._cache['face_of'] = {d: f for f in faces
                                           for d in f.darts}
         return self._cache['face_of'][dart]
+
+    def pop_rekeyed(self):
+        """Old key -> new key of each parent face that the 2<->2 move
+        making this diagram remade, as its face carry recorded them
+        (``_carried_faces``); every other face kept its key.  Handed over
+        once: the record is dropped.  Empty when the move carried no
+        faces, its parent's being untraced."""
+        self.faces()
+        return self._cache.pop('rekeyed', {})
 
     def face_by_key(self, key):
         """The interior face with key dart ``key``; KeyError when none.
@@ -780,8 +805,8 @@ class TripleDiagram:
         new = TripleDiagram(self.n, self.crossings, None, loops,
                             partners=self._partner)
         new._cache = {k: v for k, v in self._cache.items()
-                      if k in ('faces', 'face_of', 'carry', 'strands',
-                               'unknown')}
+                      if k in ('faces', 'face_of', 'carry', 'rekeyed',
+                               'strands', 'unknown')}
         return new
 
     def __eq__(self, other):

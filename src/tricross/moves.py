@@ -14,7 +14,14 @@ with slots ``x1+2, x1+3, y1+2, y1+3`` untouched and the new central
 bigon spanning ``{(X, x1+4), (Y, y1+5)}`` and ``{(Y, y1+4), (X, x1+5)}``.
 The eight external legs keep their cyclic order and their through
 connectivity; the central face color is preserved.  This table is the
-dart-level transcription of the domino flip on a 2x2 block.
+dart-level transcription of the domino flip on a 2x2 block.  In port
+codes (``diagram.py``), with ``x = 2n + 6X`` and ``y = 2n + 6Y`` and
+slots taken mod 6, ``_joins_22`` reads the four legs' far ends off the
+partner array and joins ``y+y1, y+y1+1, x+x1, x+x1+1`` to the far ends
+of ``x+x1+4, x+x1+5, y+y1+4, y+y1+5`` (a far end that is itself one of
+those four ports is taken at its new place), then ``x+x1+4`` to
+``y+y1+5`` and ``y+y1+4`` to ``x+x1+5``; ``_rewrite`` patches a copy of
+the array with those pairs and no port tuple is built.
 
 The 1->0 splice joins the former edges at slots ``j+3``/``j+4`` and
 ``j+2``/``j+5`` of the deleted crossing (``j``/``j+1`` carried the empty
@@ -48,13 +55,15 @@ the crossing's own).  The loops it closes go there, outside the edge
 that closes them, and so do those of a face that keeps no dart.  A
 floating part records no outer face, so a loop closed around one lands
 on the centre, inside it, and a floating crossing removed whole leaves
-its loops on the first face.  ``face_map_22`` maps the faces a 2<->2
-move traces again by this rule and every other face to itself; the
-cluster exchange carries its variables by it.
+its loops on the first face.  A 2<->2 move hands this renaming to its
+face carry, which records, for each face it traces again, the key of
+the face this rule sends it to; every other face keeps its key.  The
+cluster exchange carries its variables by that record
+(``TripleDiagram.pop_rekeyed``).
 """
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 from typing import NamedTuple
 
 from .diagram import TripleDiagram, is_source, port_code, port_str
@@ -147,12 +156,14 @@ def find_10_sites(diagram):
 # ----------------------------------------------------------------------
 # the one rewrite behind every move, and the free loops it carries
 
-def _rewrite(diagram, joins, removed=None, added=None):
+def _rewrite(diagram, joins, removed=None, added=None, renamed=None):
     """A copy of ``diagram``, free loops left off, with the ports of
-    crossing ``removed`` deleted and each port pair of ``joins`` made an
-    edge, in order; ``added`` names a new crossing.  The copy's partner
-    array is the parent's, patched at the same ports, and those ports
-    are the ones whose faces it traces again."""
+    crossing ``removed`` deleted and each port code pair of ``joins`` made
+    an edge, in order; ``added`` names a new crossing.  The copy's
+    partner array is the parent's, patched at the same ports, and those
+    ports are the ones whose faces it traces again.  With ``renamed``,
+    the move's old dart -> new dart (None: deleted), the copy's carry
+    records the new key of each face it remakes (module docstring)."""
     n2 = 2 * diagram.n
     crossings = diagram.crossings
     partner = list(diagram.partners())
@@ -164,12 +175,16 @@ def _rewrite(diagram, joins, removed=None, added=None):
     if added is not None:
         crossings += (added,)
         partner += [-1] * (n2 + 6 * added + 6 - len(partner))
-    for p, q in joins:
-        a, b = port_code(diagram.n, p), port_code(diagram.n, q)
+    for a, b in joins:
         partner[a], partner[b] = b, a
         touched += (a, b)
     return TripleDiagram(diagram.n, crossings, None, partners=partner,
-                         carry=(diagram, touched))
+                         carry=(diagram, touched, renamed))
+
+
+def _coded(n, joins):
+    """The port pairs ``joins`` as pairs of port codes."""
+    return [(port_code(n, p), port_code(n, q)) for p, q in joins]
 
 
 def _image(new, face, renamed, centre=None):
@@ -199,27 +214,32 @@ def _carry_loops(old, new, renamed, centre=None, made=0):
 def _apply_22_full(diagram, site):
     """(new diagram, new site) by the local rewrite of the module docstring."""
     _resolve_22(diagram, site)
-    new = _rewrite(diagram, _joins_22(diagram, site))
+    renamed = _renamed_22(site)
+    new = _rewrite(diagram, _joins_22(diagram, site), renamed=renamed)
     if diagram.loops:
-        new = _carry_loops(diagram, new, _renamed_22(site))
+        new = _carry_loops(diagram, new, renamed)
     (X, x1), (Y, y1) = site.x, site.y
     nx, ny = (X, (x1 + 4) % 6), (Y, (y1 + 4) % 6)
     return new, TwoTwoSite(('c',) + min(nx, ny), nx, ny)
 
 
 def _joins_22(diagram, site):
-    """The edges the 2<->2 move at ``site`` makes: the four carried legs
-    take over the old bigon ports (a leg whose partner is carried too
-    follows it there), and the new central bigon."""
+    """The edges the 2<->2 move at ``site`` makes, as port code pairs read
+    off the partner array: the four carried legs take over the old bigon
+    ports (a leg whose partner is carried too follows it there), and the
+    new central bigon."""
     (X, x1), (Y, y1) = site.x, site.y
-    moved = _moved_22(X, x1, Y, y1)
+    x, y = 2 * diagram.n + 6 * X, 2 * diagram.n + 6 * Y
+    x4, x5 = x + (x1 + 4) % 6, x + (x1 + 5) % 6
+    y4, y5 = y + (y1 + 4) % 6, y + (y1 + 5) % 6
+    moved = {x4: y + y1, x5: y + (y1 + 1) % 6,
+             y4: x + x1, y5: x + (x1 + 1) % 6}
+    partner = diagram.partners()
     joins = []
-    for port, to in moved.items():
-        far = diagram.partner(port)
+    for a, to in moved.items():
+        far = partner[a]
         joins.append((to, moved.get(far, far)))
-    nx, ny = ('c', X, (x1 + 4) % 6), ('c', Y, (y1 + 4) % 6)
-    return joins + [(nx, ('c', Y, (y1 + 5) % 6)),
-                    (ny, ('c', X, (x1 + 5) % 6))]
+    return joins + [(x4, y5), (y4, x5)]
 
 
 def _moved_22(X, x1, Y, y1):
@@ -241,19 +261,6 @@ def _renamed_22(site):
                     ('c', X, (x1 + 1) % 6): None,
                     ('c', Y, (y1 + 1) % 6): None})
     return renamed
-
-
-def face_map_22(old, new, site):
-    """Old face key -> new face key across the 2<->2 move at ``site``
-    that took ``old`` to ``new``.  Only the faces holding a port the move
-    joins anew are mapped by the template: every other face keeps its
-    darts, so its key."""
-    renamed = _renamed_22(site)
-    fmap = {f.key: f.key for f in old.faces()}
-    for p in chain.from_iterable(_joins_22(old, site)):
-        face = old.face_of(p)
-        fmap[face.key] = _image(new, face, renamed)
-    return fmap
 
 
 def _resolve_22(diagram, site):
@@ -326,7 +333,7 @@ def apply_10(diagram, site):
                 loops_made += 1
             else:
                 s = far[2]
-    new = _rewrite(diagram, joins, removed=c)
+    new = _rewrite(diagram, _coded(diagram.n, joins), removed=c)
     if diagram.loops or loops_made:
         kept = [q for q in (legs[(j + 3) % 6], legs[(j + 5) % 6])
                 if q[:2] != ('c', c)]
@@ -375,7 +382,7 @@ def apply_01(diagram, edge_p, edge_q, side):
         joins = [(a_src, ('c', c, 4)), (('c', c, 5), b_dst),
                  (('c', c, 1), ('c', c, 2)),
                  (c_src, ('c', c, 0)), (('c', c, 3), d_dst)]
-    new = _rewrite(diagram, joins, added=c)
+    new = _rewrite(diagram, _coded(diagram.n, joins), added=c)
     if diagram.loops:
         new = _carry_loops(diagram, new, {})
     return new

@@ -14,7 +14,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from tricross import (DiagramError, Matching, standard_diagram,
+from tricross import (DiagramError, Matching, TripleDiagram, standard_diagram,
                       empty_diagram, Region, enumerate_tilings,
                       tiling_to_diagram, init_cluster, exchange_22,
                       laurent_audit, random_walk, find_22_sites)
@@ -23,8 +23,9 @@ from tricross.cluster import (poly_add, poly_mul, poly_div_exact, poly_var,
                               poly_const, LaurentValue, lv_var, lv_mul,
                               lv_add, lv_div_exact, ExactDivisionError,
                               ClusterState, dump_values)
-from tricross.moves import MoveError, face_map_22
+from tricross.moves import MoveError
 
+from test_face_labels import swap_two_white_values
 from test_golden import random_pairing
 
 
@@ -454,16 +455,29 @@ def test_every_exchange_satisfies_the_relation_by_evaluation():
 def test_evaluation_catches_a_face_map_that_swaps_two_values(monkeypatch):
     """Two white values other than the central one trade faces: every
     division stays exact, yet the check fails."""
-    def swapped(old, new, site):
-        fmap = face_map_22(old, new, site)
-        p, q = sorted(k for k in fmap if k != site.face_key
-                      and old.face_by_key(k).color == 'white')[:2]
-        fmap[p], fmap[q] = fmap[q], fmap[p]
-        return fmap
-
-    monkeypatch.setattr(cluster, "face_map_22", swapped)
+    swap_two_white_values(monkeypatch)
     for (states, sites, ok), point in seeded_walks():
         assert exchange_errors(states, sites, point) is not None
+
+
+def test_exchange_refuses_a_hand_off_that_sends_two_faces_to_one(
+        monkeypatch):
+    pop = TripleDiagram.pop_rekeyed
+
+    def merged(self):
+        rekeyed = pop(self)
+        old = {new: key for key, new in rekeyed.items()}
+        p, q = sorted(f.key for f in self.faces() if f.color == 'white')[:2]
+        rekeyed[old.get(q, q)] = p
+        return rekeyed
+
+    state = init_cluster(tiling_to_diagram(
+        enumerate_tilings(Region.rectangle(4, 3))[0]))
+    site = find_22_sites(state.diagram)[0]
+    assert exchange_22(state, site).values
+    monkeypatch.setattr(TripleDiagram, "pop_rekeyed", merged)
+    with pytest.raises(MoveError, match="not a white-face bijection"):
+        exchange_22(state, site)
 
 
 # ----------------------------------------------------------------------

@@ -17,10 +17,8 @@ import pytest
 from tricross import (Region, TripleDiagram, enumerate_tilings,
                       exchange_22, find_badgons, init_cluster,
                       standard_diagram, tiling_to_diagram)
-from tricross import cluster
 from tricross.diagram import strand_path
 from tricross.movegraph import closure
-from tricross.moves import face_map_22
 
 from conftest import all_matchings
 from test_golden import floating_diagram, inflation
@@ -146,16 +144,25 @@ def test_labels_and_values_agree_over_the_closure(w, h, vertices, labels):
     assert label_audit(dual(w, h)) == (vertices, labels)
 
 
-def test_audit_fails_under_a_swapped_face_correspondence(monkeypatch):
-    """Two white values other than the central one trade faces."""
-    def swapped(old, new, site):
-        fmap = face_map_22(old, new, site)
-        p, q = sorted(k for k in fmap if k != site.face_key
-                      and old.face_by_key(k).color == 'white')[:2]
-        fmap[p], fmap[q] = fmap[q], fmap[p]
-        return fmap
+def swap_two_white_values(monkeypatch):
+    """Patch the hand-off of every 2<->2 move so that the values of two
+    white faces that are no bigon (so neither is the centre) trade
+    faces: every division stays exact."""
+    pop = TripleDiagram.pop_rekeyed
 
-    monkeypatch.setattr(cluster, "face_map_22", swapped)
+    def swapped(self):
+        rekeyed = pop(self)
+        old = {new: key for key, new in rekeyed.items()}
+        p, q = sorted(f.key for f in self.faces()
+                      if f.color == 'white' and len(f.darts) > 2)[:2]
+        rekeyed[old.get(p, p)], rekeyed[old.get(q, q)] = q, p
+        return rekeyed
+
+    monkeypatch.setattr(TripleDiagram, "pop_rekeyed", swapped)
+
+
+def test_audit_fails_under_a_swapped_face_correspondence(monkeypatch):
+    swap_two_white_values(monkeypatch)
     for w, h in ((4, 3), (4, 4)):
         with pytest.raises(AssertionError, match="two values"):
             label_audit(dual(w, h))

@@ -28,7 +28,7 @@ from tricross import (DiagramError, Face, Matching, Region, TripleDiagram,
                       standard_diagram, tiling_to_diagram)
 from tricross import diagram as diagram_module
 from tricross import textio
-from tricross.diagram import is_source, port_str
+from tricross.diagram import is_source, port_code, port_str
 from tricross.moves import LoopSite, _joins_22, _rewrite, move_22
 
 from conftest import all_matchings
@@ -398,6 +398,43 @@ def test_carried_faces_equal_a_fresh_trace_field_by_field_on_a_walk():
             for name in fields:
                 assert getattr(face, name) == getattr(ref, name), name
     assert carried == 40
+
+
+def reference_joins_22(d, site):
+    """The edges of the 2<->2 move at ``site`` as port tuple pairs, each
+    far end read by ``partner``: ``_joins_22`` as it was before it read
+    port codes off the partner array."""
+    (X, x1), (Y, y1) = site.x, site.y
+    moved = {('c', X, (x1 + 4) % 6): ('c', Y, y1),
+             ('c', X, (x1 + 5) % 6): ('c', Y, (y1 + 1) % 6),
+             ('c', Y, (y1 + 4) % 6): ('c', X, x1),
+             ('c', Y, (y1 + 5) % 6): ('c', X, (x1 + 1) % 6)}
+    joins = []
+    for port, to in moved.items():
+        far = d.partner(port)
+        joins.append((to, moved.get(far, far)))
+    nx, ny = ('c', X, (x1 + 4) % 6), ('c', Y, (y1 + 4) % 6)
+    return joins + [(nx, ('c', Y, (y1 + 5) % 6)),
+                    (ny, ('c', X, (x1 + 5) % 6))]
+
+
+def test_code_joins_equal_the_tuple_port_joins_on_a_walk():
+    """On every site of a seeded 40-move walk on the 6x5 dual, the move
+    gives the partner array that the tuple port joins make."""
+    d = tiling_to_diagram(enumerate_tilings(Region.rectangle(6, 5))[0])
+    rng = random.Random(65)
+    checked = 0
+    for _ in range(40):
+        sites = find_22_sites(d)
+        for site in sites:
+            want = list(d.partners())
+            for p, q in reference_joins_22(d, site):
+                a, b = port_code(d.n, p), port_code(d.n, q)
+                want[a], want[b] = b, a
+            assert apply_22(d, site).partners() == want
+            checked += 1
+        d = apply_22(d, sites[rng.randrange(len(sites))])
+    assert checked >= 300
 
 
 def test_carried_faces_equal_a_full_trace_after_1_0_and_0_1_moves():

@@ -10,7 +10,7 @@ from tricross import (TripleDiagram, Matching, standard_diagram,
                       apply_01, drop_loop, add_loop, find_badgons,
                       is_minimal, replay, MoveError)
 from tricross.moves import (move_22, OneZeroSite, LoopSite, make_log, Move,
-                            apply_move, face_map_22, Badgon, scan_badgons)
+                            apply_move, Badgon, scan_badgons)
 from tricross.reduce import pattern_template, inflate
 from tricross.diagram import is_source
 
@@ -278,14 +278,17 @@ def _check_local_22(d, site):
     new_x, new_y = mv.data[2], mv.data[3]
     center = nd.face_of(('c',) + new_x)
     assert set(center.darts) == {('c',) + new_x, ('c',) + new_y}
-    fmap = face_map_22(d, nd, site)
-    assert sorted(fmap) == sorted(f.key for f in d.faces())
+    # the face correspondence the move's carry records: every face that
+    # gave way has an image, and every other face keeps its key
+    rekeyed = nd.pop_rekeyed()
+    assert rekeyed.keys() <= {f.key for f in d.faces()}
+    fmap = {f.key: rekeyed.get(f.key, f.key) for f in d.faces()}
     assert sorted(fmap.values()) == sorted(f.key for f in nd.faces())
     assert fmap[site.face_key] == center.key
     moved = {site.x[0], site.y[0]}
     for f in d.faces():
         if not any(x[0] == 'c' and x[1] in moved for x in f.darts):
-            assert fmap[f.key] == f.key
+            assert f.key not in rekeyed
     # the template's rule over every face: the new face of the first dart
     # the move keeps, the centre's darts renamed to the new centre's
     (X, x1), (Y, y1) = site.x, site.y
