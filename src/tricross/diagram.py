@@ -290,10 +290,9 @@ class TripleDiagram:
         # move.  Only the parent's traced faces and face table are kept,
         # never the parent nor a pending carry
         if carry is not None and 'face_of' in carry[0]._cache:
-            parent, touched, renamed = carry
-            self._cache['carry'] = (parent._cache['faces'],
-                                    parent._cache['face_of'], touched,
-                                    renamed)
+            cache = carry[0]._cache
+            self._cache['carry'] = (cache['faces'], cache['face_of'],
+                                    *carry[1:])
 
     def _array(self, edges):
         """The partner array of the port map ``edges``, less its first port
@@ -420,9 +419,8 @@ class TripleDiagram:
         the same darts less a removed crossing's, plus an added one's.
         Every other face is kept, re-created only when its index shifts;
         the table is patched to match.  With ``renamed`` (old dart ->
-        new dart, None: deleted), each face that gave way is sent to the
-        face of its first dart that the move keeps, so renamed, and the
-        key pairs are recorded for ``pop_rekeyed``."""
+        new dart, None: deleted), each face that gave way is recorded as
+        sent to the face of its first dart the move keeps, so renamed."""
         m4 = 4 * self.n
         partner = self.partners()
         names = _tables(self.n, len(partner))[0]
@@ -460,14 +458,8 @@ class TripleDiagram:
                 table[d] = f
         self._cache['face_of'] = table
         if renamed is not None:
-            rekeyed = {}
-            for f in gone.values():
-                for d in f.darts:
-                    d = renamed.get(d, d)
-                    if d is not None:
-                        rekeyed[f.key] = table[d].key
-                        break
-            self._cache['rekeyed'] = rekeyed
+            self._cache['rekeyed'] = {f.key: table[next(filter(None, map(
+                renamed.get, f.darts, f.darts)))].key for f in gone.values()}
         return tuple(merged)
 
     def _orbits(self):
@@ -518,11 +510,9 @@ class TripleDiagram:
         return self._cache['face_of'][dart]
 
     def pop_rekeyed(self):
-        """Old key -> new key of each parent face that the 2<->2 move
-        making this diagram remade, as its face carry recorded them
-        (``_carried_faces``); every other face kept its key.  Handed over
-        once: the record is dropped.  Empty when the move carried no
-        faces, its parent's being untraced."""
+        """Old key -> new key of each face the 2<->2 move that made this
+        diagram traced again (module docstring), handed over once; every
+        other face kept its key.  Empty when the parent had no faces."""
         self.faces()
         return self._cache.pop('rekeyed', {})
 

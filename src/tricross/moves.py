@@ -15,13 +15,10 @@ bigon spanning ``{(X, x1+4), (Y, y1+5)}`` and ``{(Y, y1+4), (X, x1+5)}``.
 The eight external legs keep their cyclic order and their through
 connectivity; the central face color is preserved.  This table is the
 dart-level transcription of the domino flip on a 2x2 block.  In port
-codes (``diagram.py``), with ``x = 2n + 6X`` and ``y = 2n + 6Y`` and
-slots taken mod 6, ``_joins_22`` reads the four legs' far ends off the
-partner array and joins ``y+y1, y+y1+1, x+x1, x+x1+1`` to the far ends
-of ``x+x1+4, x+x1+5, y+y1+4, y+y1+5`` (a far end that is itself one of
-those four ports is taken at its new place), then ``x+x1+4`` to
-``y+y1+5`` and ``y+y1+4`` to ``x+x1+5``; ``_rewrite`` patches a copy of
-the array with those pairs and no port tuple is built.
+codes (``diagram.py``), port ``(X, s)`` is ``x + s`` with ``x = 2n +
+6X``: ``_joins_22`` reads the far ends of the four legs off the partner
+array and returns the table as code pairs, which ``_rewrite`` patches
+into a copy of the array; no port tuple is built.
 
 The 1->0 splice joins the former edges at slots ``j+3``/``j+4`` and
 ``j+2``/``j+5`` of the deleted crossing (``j``/``j+1`` carried the empty
@@ -44,7 +41,7 @@ added crossing's ports); every other face keeps its darts and key
 Free loops are keyed by face.  A move that carries loops, or a 1->0
 move that closes one, traces the new faces and places them by the
 template: a face's loops follow its first dart that the move keeps
-(2<->2 renames the carried legs by ``_moved_22``, sends the centre's two
+(2<->2 renames the carried legs by ``_renamed_22``, sends the centre's two
 darts to the new centre's ``(X, x1+4)`` and drops the other two bigon
 ports; 1->0 and 0->1 keep every port but the removed crossing's).  The
 kept darts of an old face lie in one new face, except that 0->1 splits
@@ -128,29 +125,17 @@ class MoveLog:
 # site discovery
 
 def find_22_sites(diagram):
-    """All interior degree-2 faces between two distinct crossings."""
-    sites = []
-    for face in diagram.faces():
-        if face.boundary or len(face.darts) != 2:
-            continue
-        d1, d2 = face.darts
-        if d1[0] != 'c' or d2[0] != 'c' or d1[1] == d2[1]:
-            continue
-        sites.append(TwoTwoSite(face.key, (d1[1], d1[2]), (d2[1], d2[2])))
-    return sites
+    """All interior degree-2 faces between two distinct crossings.  An
+    interior face has crossing ports only."""
+    return [TwoTwoSite(f.key, f.darts[0][1:], f.darts[1][1:])
+            for f in diagram.faces() if len(f.darts) == 2
+            and not f.boundary and f.darts[0][1] != f.darts[1][1]]
 
 
 def find_10_sites(diagram):
     """Empty monogons: a self-edge on consecutive slots, loop-free face."""
-    sites = []
-    for face in diagram.faces():
-        if len(face.darts) != 1:
-            continue
-        d = face.darts[0]
-        if diagram.loops.get(face.key):
-            continue
-        sites.append(OneZeroSite(d[1], d[2]))
-    return sites
+    return [OneZeroSite(*f.key[1:]) for f in diagram.faces()
+            if len(f.darts) == 1 and not diagram.loops.get(f.key)]
 
 
 # ----------------------------------------------------------------------
@@ -191,11 +176,8 @@ def _image(new, face, renamed, centre=None):
     """The face of ``new`` that ``face`` becomes: that of its first dart
     the move keeps, named as ``renamed`` says (None: deleted), else
     ``centre`` (module docstring)."""
-    for d in face.darts:
-        d = renamed.get(d, d)
-        if d is not None:
-            return new.face_of(d).key
-    return centre
+    kept = next(filter(None, map(renamed.get, face.darts, face.darts)), None)
+    return centre if kept is None else new.face_of(kept).key
 
 
 def _carry_loops(old, new, renamed, centre=None, made=0):
@@ -234,33 +216,23 @@ def _joins_22(diagram, site):
     y4, y5 = y + (y1 + 4) % 6, y + (y1 + 5) % 6
     moved = {x4: y + y1, x5: y + (y1 + 1) % 6,
              y4: x + x1, y5: x + (x1 + 1) % 6}
-    partner = diagram.partners()
-    joins = []
-    for a, to in moved.items():
-        far = partner[a]
-        joins.append((to, moved.get(far, far)))
-    return joins + [(x4, y5), (y4, x5)]
-
-
-def _moved_22(X, x1, Y, y1):
-    """Old port -> new port for the four legs a 2<->2 move carries over."""
-    return {('c', X, (x1 + 4) % 6): ('c', Y, y1),
-            ('c', X, (x1 + 5) % 6): ('c', Y, (y1 + 1) % 6),
-            ('c', Y, (y1 + 4) % 6): ('c', X, x1),
-            ('c', Y, (y1 + 5) % 6): ('c', X, (x1 + 1) % 6)}
+    far = diagram.partners()
+    return ([(to, moved.get(far[a], far[a])) for a, to in moved.items()]
+            + [(x4, y5), (y4, x5)])
 
 
 def _renamed_22(site):
-    """Old dart -> new dart across the 2<->2 move at ``site``: the carried
-    legs, the centre's darts sent to the new centre's, the other bigon
-    ports None."""
+    """Old dart -> new dart across the 2<->2 move at ``site``: the four
+    carried legs, the centre's darts sent to the new centre's, the other
+    bigon ports None."""
     (X, x1), (Y, y1) = site.x, site.y
-    renamed = _moved_22(X, x1, Y, y1)
     centre = ('c', X, (x1 + 4) % 6)
-    renamed.update({('c', X, x1): centre, ('c', Y, y1): centre,
-                    ('c', X, (x1 + 1) % 6): None,
-                    ('c', Y, (y1 + 1) % 6): None})
-    return renamed
+    return {centre: ('c', Y, y1),
+            ('c', X, (x1 + 5) % 6): ('c', Y, (y1 + 1) % 6),
+            ('c', Y, (y1 + 4) % 6): ('c', X, x1),
+            ('c', Y, (y1 + 5) % 6): ('c', X, (x1 + 1) % 6),
+            ('c', X, x1): centre, ('c', Y, y1): centre,
+            ('c', X, (x1 + 1) % 6): None, ('c', Y, (y1 + 1) % 6): None}
 
 
 def _resolve_22(diagram, site):
@@ -269,9 +241,8 @@ def _resolve_22(diagram, site):
         face = diagram.face_by_key(site.face_key)
     except KeyError:
         raise MoveError("stale 2<->2 site: face gone")
-    darts = set(face.darts)
     want = {('c',) + site.x, ('c',) + site.y}
-    if len(face.darts) != 2 or darts != want:
+    if len(face.darts) != 2 or set(face.darts) != want:
         raise MoveError("stale 2<->2 site: face changed")
     if site.x[0] == site.y[0]:
         raise MoveError("2<->2 site needs two distinct crossings")

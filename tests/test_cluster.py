@@ -51,6 +51,16 @@ def test_poly_division_inverts_multiplication():
         assert poly_div_exact(prod, b) == a
 
 
+def test_zero_divides_to_zero():
+    y = poly_var(2, 1)
+    assert poly_div_exact({}, y) == {}
+    zero = LaurentValue.make({}, (1, 0))
+    assert zero == LaurentValue((), (0, 0))
+    assert lv_div_exact(zero, lv_var(2, 1)) == zero
+    with pytest.raises(ExactDivisionError):
+        lv_div_exact(lv_var(2, 1), zero)
+
+
 def test_poly_division_rejects_remainders():
     x = poly_var(2, 0)
     y = poly_var(2, 1)

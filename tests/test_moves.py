@@ -215,6 +215,7 @@ def test_movelog_replay_detects_divergence(rotation3):
         pytest.skip("no sites")
     nd, mv = move_22(d, sites[0])
     final, log = make_log(d, [mv])
+    assert len(log) == 1 and log.counts() == {'22': 1}
     assert replay(d, log).canonical_key() == final.canonical_key()
     bad = Move('drop', (d.faces()[0].key,))
     log.moves[0] = bad
