@@ -237,9 +237,8 @@ def init_cluster(diagram):
 
 
 def exchange_22(state, site):
-    """Advance by a 2<->2 move, exchanging the central white variable.
-    Each value goes with its face: to the new key the move's face carry
-    recorded for it (``pop_rekeyed``), else to the key it had."""
+    """Advance by a 2<->2 move, exchanging the central white variable;
+    every other value goes with its face, as ``pop_rekeyed`` says."""
     diagram = state.diagram
     face = diagram.face_by_key(site.face_key)
     new_diagram = apply_22(diagram, site)
@@ -250,15 +249,12 @@ def exchange_22(state, site):
         raise MoveError("face correspondence is not a white-face bijection")
     frozen = frozenset([rekeyed.get(key, key) for key in state.frozen])
     if face.color == 'white':
-        (X, x1), (Y, y1) = site.x, site.y
-        a = diagram.face_of(('c', X, (x1 + 2) % 6)).key
-        c = diagram.face_of(('c', Y, (y1 + 2) % 6)).key
-        b = diagram.face_of(('c', X, (x1 + 4) % 6)).key
-        d = diagram.face_of(('c', Y, (y1 + 4) % 6)).key
-        e = state.values[site.face_key]
-        numerator = lv_add(lv_mul(state.values[a], state.values[c]),
-                           lv_mul(state.values[b], state.values[d]))
-        values[rekeyed[site.face_key]] = lv_div_exact(numerator, e)
+        # a and b at X's corners x1+2 and x1+4, c and d at Y's
+        a, b, c, d = [
+            state.values[diagram.face_of(('c', z, (z1 + t) % 6)).key]
+            for z, z1 in (site.x, site.y) for t in (2, 4)]
+        values[rekeyed[site.face_key]] = lv_div_exact(
+            lv_add(lv_mul(a, c), lv_mul(b, d)), state.values[site.face_key])
     return ClusterState(new_diagram, values, frozen, state.nvars,
                         state.var_names)
 

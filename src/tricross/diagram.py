@@ -47,17 +47,16 @@ Conventions (global, used by every other module):
   those orbits cover the darts of the parent faces that hold a touched
   port, less a removed crossing's ports, plus an added crossing's.
   Every other face keeps its record, re-created only when its index
-  shifts, and the ``face_of`` table is patched to match.  A 2<->2 move
-  hands the carry its dart renaming, and the carry records old key ->
-  new key for each parent face it traced again (``pop_rekeyed``); every
-  other face keeps its key.  Every move reads its parent's ``face_of``
+  shifts, and the ``face_of`` table is patched to match; after a 2<->2
+  move the carry also records old key -> new key of each face it traced
+  again (``pop_rekeyed``).  Every move reads its parent's ``face_of``
   table first; a parent without one (its faces untraced, or carried and
-  still pending) hands on nothing, and the result traces all its faces.  Both traces run through one
-  routine, ``_trace``, over one phi, and one routine, ``_face_kinds``,
-  colors the orbits.  ``validate`` traces the orbits for itself and
-  checks the checkerboard on them without building faces, so a checked
-  diagram caches none; it asks ``faces()`` only for the keys of free
-  loops.
+  still pending) hands on nothing, and the result traces all its faces.
+  Both traces run through one routine, ``_trace``, over one phi, and one
+  routine, ``_face_kinds``, colors the orbits.  ``validate`` traces the
+  orbits for itself and checks the checkerboard on them without building
+  faces, so a checked diagram caches none; it asks ``faces()`` only for
+  the keys of free loops.
 
 * One breadth-first walk, ``_walk``, labels the crossings reachable from
   the endpoints, or from one root crossing at an even phase, ``(id,
@@ -290,9 +289,8 @@ class TripleDiagram:
         # move.  Only the parent's traced faces and face table are kept,
         # never the parent nor a pending carry
         if carry is not None and 'face_of' in carry[0]._cache:
-            cache = carry[0]._cache
-            self._cache['carry'] = (cache['faces'], cache['face_of'],
-                                    *carry[1:])
+            self._cache['carry'] = (carry[0]._cache['faces'],
+                                    carry[0]._cache['face_of'], *carry[1:])
 
     def _array(self, edges):
         """The partner array of the port map ``edges``, less its first port
@@ -418,9 +416,8 @@ class TripleDiagram:
         orbits through the touched ports still in the map, which cover
         the same darts less a removed crossing's, plus an added one's.
         Every other face is kept, re-created only when its index shifts;
-        the table is patched to match.  With ``renamed`` (old dart ->
-        new dart, None: deleted), each face that gave way is recorded as
-        sent to the face of its first dart the move keeps, so renamed."""
+        the table is patched to match, and with ``renamed`` (old dart ->
+        new dart) each face that gave way is sent to its first kept dart's."""
         m4 = 4 * self.n
         partner = self.partners()
         names = _tables(self.n, len(partner))[0]
@@ -458,8 +455,14 @@ class TripleDiagram:
                 table[d] = f
         self._cache['face_of'] = table
         if renamed is not None:
-            self._cache['rekeyed'] = {f.key: table[next(filter(None, map(
-                renamed.get, f.darts, f.darts)))].key for f in gone.values()}
+            rekeyed = {}
+            for f in gone.values():
+                for d in f.darts:
+                    d = renamed.get(d, d)
+                    if d is not None:
+                        rekeyed[f.key] = table[d].key
+                        break
+            self._cache['rekeyed'] = rekeyed
         return tuple(merged)
 
     def _orbits(self):
@@ -510,9 +513,8 @@ class TripleDiagram:
         return self._cache['face_of'][dart]
 
     def pop_rekeyed(self):
-        """Old key -> new key of each face the 2<->2 move that made this
-        diagram traced again (module docstring), handed over once; every
-        other face kept its key.  Empty when the parent had no faces."""
+        """Old key -> new key of each face the 2<->2 move making this diagram
+        traced again, handed over once; every other face kept its key."""
         self.faces()
         return self._cache.pop('rekeyed', {})
 

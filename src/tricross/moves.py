@@ -14,11 +14,9 @@ with slots ``x1+2, x1+3, y1+2, y1+3`` untouched and the new central
 bigon spanning ``{(X, x1+4), (Y, y1+5)}`` and ``{(Y, y1+4), (X, x1+5)}``.
 The eight external legs keep their cyclic order and their through
 connectivity; the central face color is preserved.  This table is the
-dart-level transcription of the domino flip on a 2x2 block.  In port
-codes (``diagram.py``), port ``(X, s)`` is ``x + s`` with ``x = 2n +
-6X``: ``_joins_22`` reads the far ends of the four legs off the partner
-array and returns the table as code pairs, which ``_rewrite`` patches
-into a copy of the array; no port tuple is built.
+dart-level transcription of the domino flip on a 2x2 block.
+``_joins_22`` reads it off the partner array as pairs of port codes
+(``2n + 6X + s`` for ``(X, s)``), which ``_rewrite`` patches in.
 
 The 1->0 splice joins the former edges at slots ``j+3``/``j+4`` and
 ``j+2``/``j+5`` of the deleted crossing (``j``/``j+1`` carried the empty
@@ -52,11 +50,9 @@ the crossing's own).  The loops it closes go there, outside the edge
 that closes them, and so do those of a face that keeps no dart.  A
 floating part records no outer face, so a loop closed around one lands
 on the centre, inside it, and a floating crossing removed whole leaves
-its loops on the first face.  A 2<->2 move hands this renaming to its
-face carry, which records, for each face it traces again, the key of
-the face this rule sends it to; every other face keeps its key.  The
-cluster exchange carries its variables by that record
-(``TripleDiagram.pop_rekeyed``).
+its loops on the first face.  A 2<->2 move's face carry records the
+key of the face this rule sends each face it traces again to, and the
+cluster exchange carries its variables by it (``pop_rekeyed``).
 """
 
 from dataclasses import dataclass
@@ -125,17 +121,28 @@ class MoveLog:
 # site discovery
 
 def find_22_sites(diagram):
-    """All interior degree-2 faces between two distinct crossings.  An
-    interior face has crossing ports only."""
-    return [TwoTwoSite(f.key, f.darts[0][1:], f.darts[1][1:])
-            for f in diagram.faces() if len(f.darts) == 2
-            and not f.boundary and f.darts[0][1] != f.darts[1][1]]
+    """All interior degree-2 faces between two distinct crossings."""
+    sites = []
+    for face in diagram.faces():
+        if face.boundary or len(face.darts) != 2:
+            continue
+        d1, d2 = face.darts
+        if d1[1] != d2[1]:
+            sites.append(TwoTwoSite(face.key, d1[1:], d2[1:]))
+    return sites
 
 
 def find_10_sites(diagram):
     """Empty monogons: a self-edge on consecutive slots, loop-free face."""
-    return [OneZeroSite(*f.key[1:]) for f in diagram.faces()
-            if len(f.darts) == 1 and not diagram.loops.get(f.key)]
+    sites = []
+    for face in diagram.faces():
+        if len(face.darts) != 1:
+            continue
+        d = face.darts[0]
+        if diagram.loops.get(face.key):
+            continue
+        sites.append(OneZeroSite(d[1], d[2]))
+    return sites
 
 
 # ----------------------------------------------------------------------
@@ -146,9 +153,8 @@ def _rewrite(diagram, joins, removed=None, added=None, renamed=None):
     crossing ``removed`` deleted and each port code pair of ``joins`` made
     an edge, in order; ``added`` names a new crossing.  The copy's
     partner array is the parent's, patched at the same ports, and those
-    ports are the ones whose faces it traces again.  With ``renamed``,
-    the move's old dart -> new dart (None: deleted), the copy's carry
-    records the new key of each face it remakes (module docstring)."""
+    ports are the ones whose faces it traces again, recording their new
+    keys when given the move's dart renaming ``renamed``."""
     n2 = 2 * diagram.n
     crossings = diagram.crossings
     partner = list(diagram.partners())
