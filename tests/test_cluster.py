@@ -54,6 +54,8 @@ def test_poly_division_inverts_multiplication():
 def test_zero_divides_to_zero():
     y = poly_var(2, 1)
     assert poly_div_exact({}, y) == {}
+    with pytest.raises(ExactDivisionError):
+        poly_div_exact(y, {})
     zero = LaurentValue.make({}, (1, 0))
     assert zero == LaurentValue((), (0, 0))
     assert lv_div_exact(zero, lv_var(2, 1)) == zero
