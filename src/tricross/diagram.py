@@ -416,8 +416,9 @@ class TripleDiagram:
         orbits through the touched ports still in the map, which cover
         the same darts less a removed crossing's, plus an added one's.
         Every other face is kept, re-created only when its index shifts;
-        the table is patched to match, and with ``renamed`` (old dart ->
-        new dart) each face that gave way is sent to its first kept dart's."""
+        the table is patched to match.  With ``renamed``, the move's dart
+        renaming, it records the key of each face that gave way: its
+        ``image_of``."""
         m4 = 4 * self.n
         partner = self.partners()
         names = _tables(self.n, len(partner))[0]
@@ -455,14 +456,8 @@ class TripleDiagram:
                 table[d] = f
         self._cache['face_of'] = table
         if renamed is not None:
-            rekeyed = {}
-            for f in gone.values():
-                for d in f.darts:
-                    d = renamed.get(d, d)
-                    if d is not None:
-                        rekeyed[f.key] = table[d].key
-                        break
-            self._cache['rekeyed'] = rekeyed
+            self._cache['rekeyed'] = {f.key: self.image_of(f, renamed)
+                                      for f in gone.values()}
         return tuple(merged)
 
     def _orbits(self):
@@ -511,6 +506,17 @@ class TripleDiagram:
                 self._cache['face_of'] = {d: f for f in faces
                                           for d in f.darts}
         return self._cache['face_of'][dart]
+
+    def image_of(self, face, renamed, centre=None):
+        """The key of the face that ``face``, a face of the diagram a move
+        made this one from, becomes: that of its first dart the move
+        keeps, named as ``renamed`` says (None: deleted), else ``centre``
+        (the ``moves`` module docstring)."""
+        for d in face.darts:
+            d = renamed.get(d, d)
+            if d is not None:
+                return self.face_of(d).key
+        return centre
 
     def pop_rekeyed(self):
         """Old key -> new key of each face the 2<->2 move making this diagram

@@ -178,20 +178,12 @@ def _coded(n, joins):
     return [(port_code(n, p), port_code(n, q)) for p, q in joins]
 
 
-def _image(new, face, renamed, centre=None):
-    """The face of ``new`` that ``face`` becomes: that of its first dart
-    the move keeps, named as ``renamed`` says (None: deleted), else
-    ``centre`` (module docstring)."""
-    kept = next(filter(None, map(renamed.get, face.darts, face.darts)), None)
-    return centre if kept is None else new.face_of(kept).key
-
-
 def _carry_loops(old, new, renamed, centre=None, made=0):
     """``new`` with the free loops of ``old`` moved to their faces, and
     ``made`` new ones on face ``centre``."""
     loops = {centre: made} if made else {}
     for key, count in old.loops.items():
-        nk = _image(new, old.face_by_key(key), renamed, centre)
+        nk = new.image_of(old.face_by_key(key), renamed, centre)
         loops[nk] = loops.get(nk, 0) + count
     return new.with_loops(loops)
 
