@@ -18,7 +18,6 @@ from tricross import (DiagramError, Matching, TripleDiagram, standard_diagram,
                       empty_diagram, Region, enumerate_tilings,
                       tiling_to_diagram, init_cluster, exchange_22,
                       laurent_audit, random_walk, find_22_sites)
-from tricross import cluster
 from tricross.cluster import (poly_add, poly_mul, poly_div_exact, poly_var,
                               poly_const, LaurentValue, lv_var, lv_mul,
                               lv_add, lv_div_exact, ExactDivisionError,
