@@ -240,18 +240,18 @@ def exchange_22(state, site):
     """Advance by a 2<->2 move, exchanging the central white variable;
     every other value goes with its face, as ``pop_rekeyed`` says."""
     diagram = state.diagram
-    face = diagram.face_by_key(site.face_key)
-    new_diagram = apply_22(diagram, site)
+    new_diagram = apply_22(diagram, site, rekey=True)
     rekeyed = new_diagram.pop_rekeyed()
     values = {rekeyed.get(key, key): val for key, val in state.values.items()}
-    if values.keys() != {f.key for f in new_diagram.faces()
-                         if f.color == 'white'}:
+    _, faces, _, names = new_diagram.face_store()
+    if values.keys() != {names[key] for key, (_, kind) in faces.items()
+                         if kind & 1}:
         raise MoveError("face correspondence is not a white-face bijection")
     frozen = frozenset([rekeyed.get(key, key) for key in state.frozen])
-    if face.color == 'white':
+    if diagram.face_codes(site.face_key)[1] & 1:  # a white centre
         # a and b at X's corners x1+2 and x1+4, c and d at Y's
         a, b, c, d = [
-            state.values[diagram.face_of(('c', z, (z1 + t) % 6)).key]
+            state.values[diagram.face_key(('c', z, (z1 + t) % 6))]
             for z, z1 in (site.x, site.y) for t in (2, 4)]
         values[rekeyed[site.face_key]] = lv_div_exact(
             lv_add(lv_mul(a, c), lv_mul(b, d)), state.values[site.face_key])

@@ -37,26 +37,25 @@ Conventions (global, used by every other module):
 * Dart codes put ``('+', i)`` at ``i``, ``('-', i)`` at ``2n + i`` and a
   port at ``4n`` plus its code, so int order is tuple order.
 
-* ``faces()`` lists the interior faces in key order, a face's key being
-  its least dart, and a face's ``index`` is its position in that order.
-  A move result carries its parent's faces, lazily: it holds the
-  parent's face tuple and ``face_of`` table and the codes of the ports
+* The faces live in one store on dart codes, ``face_store()``: by dart,
+  its face's key code (the face's least dart; -1 for the outer face),
+  and by key, the face's orbit from it and its kind bits (color and
+  boundary), with the keys in order.  A move result carries its
+  parent's store, lazily: it holds the store and the codes of the ports
   whose partner the move changed (each joined port and a removed
-  crossing's six), never the parent diagram.  Its first ``faces()``
-  traces phi again only through the touched ports still in the map;
-  those orbits cover the darts of the parent faces that hold a touched
-  port, less a removed crossing's ports, plus an added crossing's.
-  Every other face keeps its record, re-created only when its index
-  shifts, and the ``face_of`` table is patched to match; after a 2<->2
-  move the carry also records old key -> new key of each face it traced
-  again (``pop_rekeyed``).  Every move reads its parent's ``face_of``
-  table first; a parent without one (its faces untraced, or carried and
-  still pending) hands on nothing, and the result traces all its faces.
-  Both traces run through one routine, ``_trace``, over one phi, and one
-  routine, ``_face_kinds``, colors the orbits.  ``validate`` traces the
-  orbits for itself and checks the checkerboard on them without building
-  faces, so a checked diagram caches none; it asks ``faces()`` only for
-  the keys of free loops.
+  crossing's six), never the parent diagram.  Its first ``face_store()``
+  copies the table, drops the parent faces that hold a touched port and
+  traces phi again only through the touched ports still in the map; a
+  full trace is that carry from no face, through every port.  A parent
+  whose store is not made yet hands on nothing.  A 2<->2 move asked to
+  (``rekey``) also records old key -> new key of each face it traced
+  again (``pop_rekeyed``).  One routine, ``_face_kinds``, colors the
+  orbits.  ``Face`` records are views, built from the store on demand
+  and kept: ``faces()`` builds them all in key order, a face's ``index``
+  being its position; ``face_of`` and ``face_by_key`` build the one
+  asked for.  ``validate`` traces and colors the orbits for itself and
+  builds no face, so a checked diagram caches none; it asks ``faces()``
+  only for the keys of free loops.
 
 * One breadth-first walk, ``_walk``, labels the crossings reachable from
   the endpoints, or from one root crossing at an even phase, ``(id,
@@ -86,6 +85,7 @@ Diagrams are immutable values by convention: all operations build new
 instances.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
@@ -123,7 +123,7 @@ def _tables(n, size):
     ``3 * c + phase // 2``, crossing ``c``'s port codes in walk order;
     phi on the arc darts, and by partner code (-1 last) the dart phi
     sends a port to; by partner code (-1 last, None), the port tuples;
-    and the code of each port tuple."""
+    the code of each port tuple, and of each dart tuple."""
     m = 2 * n
     k = (size - m) // 6
     texts = (["B%d" % i for i in range(m)]
@@ -143,7 +143,8 @@ def _tables(n, size):
             tuple(tuple(m + 6 * c + (p + t) % 6 for t in range(6))
                   for c in range(k) for p in (0, 2, 4)),
             arcs, after, ports + (None,),
-            {p: a for a, p in enumerate(ports)})
+            {p: a for a, p in enumerate(ports)},
+            {d: a for a, d in enumerate(names)})
 
 
 def parse_port(text):
@@ -259,8 +260,9 @@ class Face(NamedTuple):
 
     ``darts`` is the left-face orbit in traversal order, rotated to start
     at the minimal dart; each dart is one (edge, side) incidence.  A
-    record is a tuple of its five fields in this order (a NamedTuple,
-    cheap to make): it compares, hashes and unpacks as that tuple.
+    record is a view of one face of the face store, built on demand; it
+    is a tuple of its five fields in this order (a NamedTuple): it
+    compares, hashes and unpacks as that tuple.
     """
 
     index: int
@@ -288,9 +290,8 @@ class TripleDiagram:
         # from the parent's, the move's dart renaming or None), from a
         # move.  Only the parent's traced faces and face table are kept,
         # never the parent nor a pending carry
-        if carry is not None and 'face_of' in carry[0]._cache:
-            self._cache['carry'] = (carry[0]._cache['faces'],
-                                    carry[0]._cache['face_of'], *carry[1:])
+        if carry is not None and 'store' in carry[0]._cache:
+            self._cache['carry'] = (carry[0]._cache['store'], *carry[1:])
 
     def _array(self, edges):
         """The partner array of the port map ``edges``, less its first port
@@ -298,7 +299,7 @@ class TripleDiagram:
         m = 2 * self.n
         cs = self.crossings
         size = m + 6 * (cs[-1] + 1) if cs else m
-        ports, code = _tables(self.n, size)[6:]
+        ports, code = _tables(self.n, size)[6:8]
         if 6 * len(cs) + m < size:  # ids skip values
             code = {ports[a]: a for a in self._codes()}
         partner = [-1] * size
@@ -365,30 +366,22 @@ class TripleDiagram:
     # ------------------------------------------------------------------
     # faces
 
-    def faces(self):
-        """Interior faces with checkerboard colors, in key order: a face's
-        ``index`` is its position.  Traced on the first call, from every
-        dart; after a move, only the faces around it are traced again
-        (module docstring)."""
-        if 'faces' in self._cache:
-            return self._cache['faces']
-        carry = self._cache.pop('carry', None)
-        if carry is not None:
-            faces = self._carried_faces(*carry)
-        else:
-            faces = tuple(Face(i, darts, color, boundary, darts[0])
-                          for i, (darts, color, boundary)
-                          in enumerate(self._face_fields(self._orbits())))
-        if self.n == 0 and not self.crossings:
-            faces = (Face(0, (), 'white', True, ()),)
-        self._cache['faces'] = faces
-        return faces
+    def face_store(self):
+        """The interior faces on dart codes (module docstring), ``(table,
+        faces, keys, names)``: by dart code, its face's key code (-1: none);
+        by key code, the face's orbit and kind (``_face_kinds``); the key
+        codes in order; by dart code, the dart.  Do not change them."""
+        store = self._cache.get('store')
+        if store is None:  # every interior face holds a port
+            store = self._carried_faces(*self._cache.pop('carry', None) or (
+                ([], {}), list(self._codes()), None))
+        return store
 
     def _face_kinds(self, orbits):
         """(orbit, kind) of each face among ``orbits``, the outer one left
         out, ``kind`` the or of its darts' kinds (``_tables``): 1 white or
         2 black, plus 4 on the boundary.  DiagramError for a face of both
-        colors.  ``validate`` and ``_face_fields`` share this one test."""
+        colors.  ``validate`` and the face store share this one test."""
         kinds = _tables(self.n, len(self._partner))[1]
         outer = 2 * self.n if self.n else -1  # ('-', 0)
         for orbit in orbits:
@@ -402,63 +395,38 @@ class TripleDiagram:
                 raise DiagramError("face with inconsistent strand orientations")
             yield orbit, kind
 
-    def _face_fields(self, orbits):
-        """(darts, color, boundary) of each face among ``orbits``, as
-        ``_face_kinds`` finds them."""
-        names = _tables(self.n, len(self._partner))[0]
-        for orbit, kind in self._face_kinds(orbits):
-            yield (tuple(map(names.__getitem__, orbit)),
-                   'white' if kind & 1 else 'black', kind > 3)
-
-    def _carried_faces(self, faces, face_of, touched, renamed):
-        """The faces, from the parent's ``faces`` and ``face_of`` table:
-        the parent faces that hold a port of ``touched`` give way to the
-        orbits through the touched ports still in the map, which cover
-        the same darts less a removed crossing's, plus an added one's.
-        Every other face is kept, re-created only when its index shifts;
-        the table is patched to match.  With ``renamed``, the move's dart
-        renaming, it records the key of each face that gave way: its
-        ``image_of``."""
+    def _carried_faces(self, store, touched, renamed):
+        """The face store, from the parent's: the parent faces that hold a
+        port of ``touched`` give way to the orbits through the touched
+        ports still in the map, which cover the same darts less a removed
+        crossing's, plus an added one's.  Given the move's dart renaming
+        ``renamed``, it records each gone face's key and ``image_of``."""
         m4 = 4 * self.n
-        partner = self.partners()
+        partner = self._partner
         names = _tables(self.n, len(partner))[0]
-        ports = [names[m4 + a] for a in touched]
-        gone = {id(f): f for f in map(face_of.get, ports) if f is not None}
-        kept = [f for f in faces if id(f) not in gone]
-        # a new orbit holds a touched port: else phi kept it, and it was
-        # an old face.  The ports of a removed crossing are gone
+        table = store[0] + [-1] * (len(names) - len(store[0]))  # a copy
+        faces = dict(store[1])
+        # an added crossing's ports have no face yet
+        olds = [faces.pop(key)[0]
+                for key in {table[m4 + a] for a in touched} if key >= 0]
+        for a in touched:  # a removed crossing's ports keep no face
+            table[m4 + a] = -1
+        # a new orbit holds a touched port: else phi kept an old face
         orbits = []
-        for orbit in self._trace(sorted({m4 + a for a in touched
-                                         if partner[a] >= 0})):
+        for orbit in self._trace(
+                [m4 + a for a in touched if partner[a] >= 0]):
             i = orbit.index(min(orbit))
-            orbits.append(orbit[i:] + orbit[:i])
-        orbits.sort()
-        merged, made = [], []
-        kept.append(None)  # sentinel
-        i = 0
-        for darts, color, boundary in self._face_fields(orbits):
-            while kept[i] is not None and kept[i].key < darts[0]:
-                merged.append(kept[i])
-                i += 1
-            merged.append(Face(len(merged), darts, color, boundary, darts[0]))
-            made.append(merged[-1])
-        merged += kept[i:-1]
-        for j, f in enumerate(merged):
-            if f.index != j:
-                merged[j] = f = Face(j, f.darts, f.color, f.boundary, f.key)
-                made.append(f)
-        table = dict(face_of)
-        for a, p in zip(touched, ports):
-            if partner[a] < 0:
-                table.pop(p, None)
-        for f in made:
-            for d in f.darts:
-                table[d] = f
-        self._cache['face_of'] = table
+            orbits.append(orbit[i:] + orbit[:i] if i else orbit)
+        for orbit, kind in self._face_kinds(orbits):
+            key = orbit[0]
+            faces[key] = orbit, kind
+            for d in orbit:
+                table[d] = key
+        store = self._cache['store'] = table, faces, sorted(faces), names
         if renamed is not None:
-            self._cache['rekeyed'] = {f.key: self.image_of(f, renamed)
-                                      for f in gone.values()}
-        return tuple(merged)
+            self._cache['rekeyed'] = {names[orbit[0]]: self.image_of(
+                orbit, renamed) for orbit in olds}
+        return store
 
     def _orbits(self):
         """All phi-orbits (``_trace`` from every dart)."""
@@ -498,41 +466,73 @@ class TripleDiagram:
             orbits.append(tuple(orbit))
         return orbits
 
-    def face_of(self, dart):
-        """The interior face whose left-boundary contains ``dart``."""
-        if 'face_of' not in self._cache:
-            faces = self.faces()  # a carry may bring the table
-            if 'face_of' not in self._cache:
-                self._cache['face_of'] = {d: f for f in faces
-                                          for d in f.darts}
-        return self._cache['face_of'][dart]
+    def faces(self):
+        """Interior faces with checkerboard colors, in key order: a face's
+        ``index`` is its position.  Built from the face store on the first
+        call, like each record ``face_of`` or ``face_by_key`` builds."""
+        if 'faces' not in self._cache:  # the empty disk's face has no dart
+            faces = tuple(map(self._face, self.face_store()[2]))
+            self._cache['faces'] = faces or (Face(0, (), 'white', True, ()),)
+        return self._cache['faces']
 
-    def image_of(self, face, renamed, centre=None):
-        """The key of the face that ``face``, a face of the diagram a move
-        made this one from, becomes: that of its first dart the move
-        keeps, named as ``renamed`` says (None: deleted), else ``centre``
-        (the ``moves`` module docstring)."""
-        for d in face.darts:
+    def _face(self, key):
+        """The Face record of key code ``key``, built once."""
+        records = self._cache.setdefault('records', {})
+        if key not in records:
+            _, faces, keys, names = self.face_store()
+            orbit, kind = faces[key]
+            darts = tuple(map(names.__getitem__, orbit))
+            records[key] = Face(bisect_left(keys, key), darts,
+                                'white' if kind & 1 else 'black', kind > 3,
+                                darts[0])
+        return records[key]
+
+    def face_key(self, dart):
+        """The key of the interior face whose left boundary contains
+        ``dart``; KeyError when none (an outer dart, or no dart here)."""
+        table, _, _, names = self.face_store()
+        key = table[_tables(self.n, len(self._partner))[8][dart]]
+        if key < 0:
+            raise KeyError(dart)
+        return names[key]
+
+    def face_of(self, dart):
+        """The interior face whose left boundary contains ``dart``."""
+        return self.face_by_key(self.face_key(dart))
+
+    def face_codes(self, key):
+        """(orbit, kind) of the interior face with key dart ``key``, as the
+        face store holds it; KeyError when none."""
+        face = self.face_store()[1].get(
+            _tables(self.n, len(self._partner))[8][key])
+        if face is None:
+            raise KeyError(key)
+        return face
+
+    def face_by_key(self, key):
+        """The interior face with key dart ``key``; KeyError when none."""
+        if key == () and self.n == 0 and not self.crossings:
+            return self.faces()[0]  # the empty disk's, with no dart
+        return self._face(self.face_codes(key)[0][0])
+
+    def image_of(self, orbit, renamed, centre=None):
+        """The key of the face that the face with dart codes ``orbit``, of
+        the diagram a move made this one from, becomes: that of its first
+        dart the move keeps, named as ``renamed`` says (None: deleted),
+        else ``centre`` (the ``moves`` module docstring)."""
+        table, _, _, names = self.face_store()
+        for d in orbit:
             d = renamed.get(d, d)
             if d is not None:
-                return self.face_of(d).key
+                return names[table[d]]
         return centre
 
     def pop_rekeyed(self):
         """Old key -> new key of each face the 2<->2 move making this diagram
-        traced again, handed over once; every other face kept its key."""
-        self.faces()
+        traced again, handed over once, when the move was asked to record
+        them; every other face kept its key."""
+        self.face_store()
         return self._cache.pop('rekeyed', {})
-
-    def face_by_key(self, key):
-        """The interior face with key dart ``key``; KeyError when none.
-
-        A face's key is one of its own darts, so the ``face_of`` table
-        finds it; only the empty disk's face has no dart (key ``()``)."""
-        face = self.faces()[0] if key == () else self.face_of(key)
-        if face.key != key:
-            raise KeyError(key)
-        return face
 
     # ------------------------------------------------------------------
     # the crossing walk
@@ -803,8 +803,8 @@ class TripleDiagram:
         new = TripleDiagram(self.n, self.crossings, None, loops,
                             partners=self._partner)
         new._cache = {k: v for k, v in self._cache.items()
-                      if k in ('faces', 'face_of', 'carry', 'rekeyed',
-                               'strands', 'unknown')}
+                      if k in ('store', 'records', 'faces', 'carry',
+                               'rekeyed', 'strands', 'unknown')}
         return new
 
     def __eq__(self, other):

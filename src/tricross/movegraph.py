@@ -127,7 +127,8 @@ def enumerate_component(matching, strategy="inclusion"):
             vertices[nd.canonical_key()] = nd
         pair = frozenset((d.canonical_key(), key_of[nd.canonical_code()]))
         if pair not in edges:
-            edges[pair] = d.face_by_key(site.face_key).index
+            edges[pair] = d.face_store()[2].index(  # the face's index
+                d.face_codes(site.face_key)[0][0])
     return MoveGraph(rk, vertices, edges)
 
 

@@ -28,13 +28,14 @@ inverse: it detours two edges of a face through a new crossing.
 Every move is a local rewrite of the edge involution by one helper,
 ``_rewrite``: it copies the partner array, clears the ports of a
 removed crossing and joins the given port pairs, so only the ports next
-to the move change.  Those ports, each joined one and a
-removed crossing's six, name the faces the move changes: the new
-diagram carries its parent's faces and, on its first ``faces()``,
+to the move change.  Those ports, each joined one and a removed
+crossing's six, name the faces the move changes: the new diagram
+carries its parent's face store and, on its first ``face_store()``,
 traces only the parent faces that hold one of them again (with an
-added crossing's ports); every other face keeps its darts and key
-(``diagram.py``).  The new 2<->2 site, the central bigon with darts
-``(X, x1+4)`` and ``(Y, y1+4)``, is read off the template.
+added crossing's ports); every other face keeps its orbit and key
+(``diagram.py``).  Site discovery and the move read the store's dart
+codes, never a ``Face`` record.  The new 2<->2 site, the central bigon
+with darts ``(X, x1+4)`` and ``(Y, y1+4)``, is read off the template.
 
 Free loops are keyed by face.  A move that carries loops, or a 1->0
 move that closes one, traces the new faces and places them by the
@@ -50,9 +51,10 @@ the crossing's own).  The loops it closes go there, outside the edge
 that closes them, and so do those of a face that keeps no dart.  A
 floating part records no outer face, so a loop closed around one lands
 on the centre, inside it, and a floating crossing removed whole leaves
-its loops on the first face.  A 2<->2 move's face carry records the
-key of the face this rule sends each face it traces again to, and the
-cluster exchange carries its variables by it (``pop_rekeyed``).
+its loops on the first face.  A 2<->2 move asked to (``rekey``) has its
+face carry record the key of the face this rule sends each face it
+traces again to; the cluster exchange, the one caller that asks,
+carries its variables by it (``pop_rekeyed``).
 """
 
 from dataclasses import dataclass
@@ -122,27 +124,22 @@ class MoveLog:
 
 def find_22_sites(diagram):
     """All interior degree-2 faces between two distinct crossings."""
+    _, faces, keys, names = diagram.face_store()
     sites = []
-    for face in diagram.faces():
-        if face.boundary or len(face.darts) != 2:
-            continue
-        d1, d2 = face.darts
-        if d1[1] != d2[1]:
-            sites.append(TwoTwoSite(face.key, d1[1:], d2[1:]))
+    for key in keys:
+        orbit, kind = faces[key]
+        if kind < 4 and len(orbit) == 2:  # interior: crossing ports only
+            (_, x, x1), (_, y, y1) = names[key], names[orbit[1]]
+            if x != y:
+                sites.append(TwoTwoSite(names[key], (x, x1), (y, y1)))
     return sites
 
 
 def find_10_sites(diagram):
     """Empty monogons: a self-edge on consecutive slots, loop-free face."""
-    sites = []
-    for face in diagram.faces():
-        if len(face.darts) != 1:
-            continue
-        d = face.darts[0]
-        if diagram.loops.get(face.key):
-            continue
-        sites.append(OneZeroSite(d[1], d[2]))
-    return sites
+    _, faces, keys, names = diagram.face_store()
+    return [OneZeroSite(*names[key][1:]) for key in keys
+            if len(faces[key][0]) == 1 and not diagram.loops.get(names[key])]
 
 
 # ----------------------------------------------------------------------
@@ -183,7 +180,7 @@ def _carry_loops(old, new, renamed, centre=None, made=0):
     ``made`` new ones on face ``centre``."""
     loops = {centre: made} if made else {}
     for key, count in old.loops.items():
-        nk = new.image_of(old.face_by_key(key), renamed, centre)
+        nk = new.image_of(old.face_codes(key)[0], renamed, centre)
         loops[nk] = loops.get(nk, 0) + count
     return new.with_loops(loops)
 
@@ -191,11 +188,13 @@ def _carry_loops(old, new, renamed, centre=None, made=0):
 # ----------------------------------------------------------------------
 # the 2<->2 move
 
-def _apply_22_full(diagram, site):
-    """(new diagram, new site) by the local rewrite of the module docstring."""
+def _apply_22_full(diagram, site, rekey=False):
+    """(new diagram, new site) by the local rewrite of the module docstring;
+    with ``rekey``, the new diagram's carry records its faces' new keys."""
     _resolve_22(diagram, site)
-    renamed = _renamed_22(site)
-    new = _rewrite(diagram, _joins_22(diagram, site), renamed=renamed)
+    renamed = _renamed_22(diagram, site)
+    new = _rewrite(diagram, _joins_22(diagram, site),
+                   renamed=renamed if rekey else None)
     if diagram.loops:
         new = _carry_loops(diagram, new, renamed)
     (X, x1), (Y, y1) = site.x, site.y
@@ -219,38 +218,38 @@ def _joins_22(diagram, site):
             + [(x4, y5), (y4, x5)])
 
 
-def _renamed_22(site):
-    """Old dart -> new dart across the 2<->2 move at ``site``: the four
-    carried legs, the centre's darts sent to the new centre's, the other
-    bigon ports None."""
+def _renamed_22(diagram, site):
+    """Old dart -> new dart across the 2<->2 move at ``site``, as dart
+    codes (``4n`` plus the port code): the four carried legs, the
+    centre's darts sent to the new centre's, the other bigon ports None."""
     (X, x1), (Y, y1) = site.x, site.y
-    centre = ('c', X, (x1 + 4) % 6)
-    return {centre: ('c', Y, y1),
-            ('c', X, (x1 + 5) % 6): ('c', Y, (y1 + 1) % 6),
-            ('c', Y, (y1 + 4) % 6): ('c', X, x1),
-            ('c', Y, (y1 + 5) % 6): ('c', X, (x1 + 1) % 6),
-            ('c', X, x1): centre, ('c', Y, y1): centre,
-            ('c', X, (x1 + 1) % 6): None, ('c', Y, (y1 + 1) % 6): None}
+    x, y = 6 * diagram.n + 6 * X, 6 * diagram.n + 6 * Y
+    centre = x + (x1 + 4) % 6
+    return {centre: y + y1, x + (x1 + 5) % 6: y + (y1 + 1) % 6,
+            y + (y1 + 4) % 6: x + x1, y + (y1 + 5) % 6: x + (x1 + 1) % 6,
+            x + x1: centre, y + y1: centre,
+            x + (x1 + 1) % 6: None, y + (y1 + 1) % 6: None}
 
 
 def _resolve_22(diagram, site):
     """Raise MoveError unless ``site`` is a 2<->2 site of ``diagram``."""
     try:
-        face = diagram.face_by_key(site.face_key)
+        orbit = diagram.face_codes(site.face_key)[0]
     except KeyError:
         raise MoveError("stale 2<->2 site: face gone")
-    want = {('c',) + site.x, ('c',) + site.y}
-    if len(face.darts) != 2 or set(face.darts) != want:
+    darts = list(map(diagram.face_store()[3].__getitem__, orbit))
+    # two crossing ports: the face is interior
+    if len(darts) != 2 or set(darts) != {('c',) + site.x, ('c',) + site.y}:
         raise MoveError("stale 2<->2 site: face changed")
     if site.x[0] == site.y[0]:
         raise MoveError("2<->2 site needs two distinct crossings")
-    if any(d[0] != 'c' for d in face.darts):
-        raise MoveError("2<->2 site must be interior")
 
 
-def apply_22(diagram, site):
-    """Apply the 2<->2 move; crossing count and trace are preserved."""
-    return _apply_22_full(diagram, site)[0]
+def apply_22(diagram, site, rekey=False):
+    """Apply the 2<->2 move; crossing count and trace are preserved.  With
+    ``rekey``, the result records the new key of each face the move
+    changes, for ``pop_rekeyed``."""
+    return _apply_22_full(diagram, site, rekey)[0]
 
 
 def move_22(diagram, site):
@@ -262,8 +261,7 @@ def move_22(diagram, site):
 
 def resolve_22_by_darts(diagram, x, y):
     """Rebuild a TwoTwoSite from its two corner darts, checking freshness."""
-    face = diagram.face_of(('c',) + tuple(x))
-    site = TwoTwoSite(face.key, tuple(x), tuple(y))
+    site = TwoTwoSite(diagram.face_key(('c',) + tuple(x)), tuple(x), tuple(y))
     _resolve_22(diagram, site)
     return site
 
@@ -277,10 +275,10 @@ def apply_10(diagram, site):
     if (c not in diagram.crossings or j not in range(6)
             or diagram.partner(('c', c, j)) != ('c', c, (j + 1) % 6)):
         raise MoveError("stale 1->0 site: no monogon edge")
-    face = diagram.face_of(('c', c, j))
-    if len(face.darts) != 1:
+    key = diagram.face_key(('c', c, j))
+    if len(diagram.face_codes(key)[0]) != 1:
         raise MoveError("stale 1->0 site: monogon not empty")
-    if diagram.loops.get(face.key):
+    if diagram.loops.get(key):
         raise MoveError("1->0 site carries free loops")
 
     through = {}
@@ -306,8 +304,9 @@ def apply_10(diagram, site):
     if diagram.loops or loops_made:
         kept = [q for q in (legs[(j + 3) % 6], legs[(j + 5) % 6])
                 if q[:2] != ('c', c)]
-        centre = (new.face_of(kept[0]) if kept else new.faces()[0]).key
-        new = _carry_loops(diagram, new, {('c', c, s): None for s in range(6)},
+        centre = new.face_key(kept[0]) if kept else new.faces()[0].key
+        x = 6 * diagram.n + 6 * c  # the dart code of C<c>.0
+        new = _carry_loops(diagram, new, dict.fromkeys(range(x, x + 6)),
                            centre, loops_made)
     return new
 

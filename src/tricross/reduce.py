@@ -701,5 +701,5 @@ def inflate(diagram, bumps, loops, shuffles, rng):
         site = sites[rng.randrange(len(sites))]
         cur, mv = move_22(cur, site)
         moves.append(mv)
-    cur.faces()  # resolve the last move's carry, freeing its parent's faces
+    cur.face_store()  # resolve the last move's carry, freeing its parent's
     return cur, moves

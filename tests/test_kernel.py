@@ -24,9 +24,11 @@ from tricross import (DiagramError, Face, Matching, Region, TripleDiagram,
                       TwoTwoSite, add_loop, apply_01, apply_10, apply_22,
                       drop_loop, empty_diagram, enumerate_component,
                       enumerate_connected_diagrams, enumerate_tilings,
-                      find_10_sites, find_22_sites, minimal_crossing_count,
-                      standard_diagram, tiling_to_diagram)
+                      exchange_22, find_10_sites, find_22_sites,
+                      init_cluster, minimal_crossing_count,
+                      reduce_to_minimal, standard_diagram, tiling_to_diagram)
 from tricross import diagram as diagram_module
+from tricross import moves as moves_module
 from tricross import textio
 from tricross.diagram import is_source, port_code, port_str
 from tricross.moves import LoopSite, _joins_22, _rewrite, move_22
@@ -34,7 +36,8 @@ from tricross.moves import LoopSite, _joins_22, _rewrite, move_22
 from conftest import all_matchings
 from test_golden import (dual_matching, floating_diagram, inflation,
                          random_pairing)
-from test_moves import _01_candidates, _10_01_diagrams, _diagrams_with_loops
+from test_moves import (_01_candidates, _10_01_diagrams, _diagrams_with_loops,
+                        _legs_22)
 
 
 def reference_darts(d):
@@ -345,7 +348,7 @@ def test_validate_matches_the_face_color_reference_on_rewired_maps():
         violations = d.validate()
         assert violations == reference_validate(d)
         if not d.loops:
-            assert 'faces' not in d._cache
+            assert 'store' not in d._cache
         outcomes[violations[0].split(" ")[0] if violations else "valid"] += 1
     assert outcomes["orientation"] >= 5000 and outcomes["Euler"] >= 2000
     assert outcomes["valid"] >= 500 and outcomes["free"] >= 100
@@ -357,13 +360,26 @@ def test_validate_matches_the_face_color_reference_on_rewired_maps():
 # faces carried through moves
 
 def same_as_fresh(new):
-    """``new``'s faces and face table, carried or traced, equal those of
-    a full trace of its map, field for field."""
+    """``new``'s face store, carried or traced, equals that of a full
+    trace of its map: its dart table (which may run on over the ports of
+    a removed last crossing, holding no face there), orbits, kinds and
+    key order.  Then its records, each dart's face built on its own before
+    ``faces()`` builds the rest, equal the full trace's field for field,
+    index included; a dart with no face raises KeyError."""
     ref = fresh(new)
+    want, faces, keys, _ = ref.face_store()
+    table = new.face_store()[0]
+    assert table[:len(want)] == want and set(table[len(want):]) <= {-1}
+    assert new.face_store()[1:3] == (faces, keys)
+    for code, dart in enumerate(new.face_store()[3]):
+        if code < len(want) and want[code] >= 0:
+            assert new.face_of(dart) == ref.face_of(dart)
+        else:
+            with pytest.raises(KeyError):
+                new.face_of(dart)
     assert new.faces() == ref.faces()
-    table = {x: f for f in ref.faces() for x in f.darts}
-    assert {x: new.face_of(x) for x in table} == table
-    assert len(new._cache.get('face_of', table)) == len(table)
+    assert all(new.face_by_key(f.key) is f for f in new.faces())
+    assert all(new.face_of(x) is f for f in new.faces() for x in f.darts)
     return 1
 
 
@@ -450,6 +466,114 @@ def test_carried_faces_equal_a_full_trace_after_1_0_and_0_1_moves():
     assert checked >= 3400 and pending >= 500 and checked - pending >= 2500
 
 
+def aztec_diamond(order):
+    """Squares with centre |x| + |y| <= order, shifted to x, y >= 0."""
+    return Region((x + order, y + order) for y in range(-order, order)
+                  for x in range(-order, order)
+                  if abs(x + 0.5) + abs(y + 0.5) <= order)
+
+
+def reference_rekeyed(d, nd, site):
+    """Old key -> new key of each face of ``d`` that holds a port the
+    2<->2 move at ``site`` joins (``reference_joins_22``), read off full
+    traces by the first-kept-dart rule: the new face of the old face's
+    first dart the move keeps, the carried legs renamed, the centre's
+    darts sent to the new centre and the other two bigon ports deleted."""
+    (X, x1), (Y, y1) = site.x, site.y
+    centre = ('c', X, (x1 + 4) % 6)
+    renamed = {**_legs_22(site), ('c', X, x1): centre, ('c', Y, y1): centre,
+               ('c', X, (x1 + 1) % 6): None, ('c', Y, (y1 + 1) % 6): None}
+    joined = {p for join in reference_joins_22(d, site) for p in join}
+    ref = fresh(nd)
+    out = {}
+    for f in fresh(d).faces():
+        if joined.intersection(f.darts):
+            kept = [renamed.get(x, x) for x in f.darts]
+            out[f.key] = ref.face_of(next(x for x in kept if x)).key
+    return out
+
+
+def test_carried_faces_and_keys_equal_full_traces_on_cluster_walks():
+    """Along seeded cluster walks on the 6x5 and Aztec-3 duals, each
+    move's result carries the faces of a full trace (``same_as_fresh``);
+    the record ``pop_rekeyed`` hands over equals the first-kept-dart
+    reference, and every face outside it keeps its darts under its key;
+    the exchange's own result keeps no record."""
+    rng = random.Random(2024)
+    steps = 0
+    for region in (Region.rectangle(6, 5), aztec_diamond(3)):
+        tilings = enumerate_tilings(region)
+        for _ in range(3):
+            state = init_cluster(tiling_to_diagram(
+                tilings[rng.randrange(len(tilings))]))
+            for _ in range(20):
+                d = state.diagram
+                sites = find_22_sites(d)
+                site = sites[rng.randrange(len(sites))]
+                nd = apply_22(d, site, rekey=True)
+                rekeyed = nd.pop_rekeyed()
+                assert rekeyed == reference_rekeyed(d, nd, site)
+                assert nd.pop_rekeyed() == {}
+                for f in d.faces():
+                    if f.key not in rekeyed:
+                        assert nd.face_by_key(f.key).darts == f.darts
+                steps += same_as_fresh(nd)
+                state = exchange_22(state, site)
+                assert 'rekeyed' not in state.diagram._cache
+                same_as_fresh(state.diagram)
+    assert steps == 120
+
+
+def test_face_lookups_refuse_darts_with_no_face():
+    """face_of and face_by_key raise KeyError, and never land on another
+    face, for an outer dart, each port of a crossing a 1->0 move removed
+    (the last id, or one before it), slot 6 of each crossing, crossing -1
+    and ids past the last crossing."""
+    removed = Counter()
+    for d in _10_01_diagrams() + [inflation(seed) for seed in range(12)]:
+        d.face_store()  # so that each move carries the faces
+        top = max(d.crossings)
+        for site in find_10_sites(d):
+            new, c = apply_10(d, site), site.crossing
+            darts = [('-', i) for i in range(2 * new.n)]
+            darts += [('c', c, s) for s in range(6)]
+            darts += [('c', x, 6) for x in d.crossings]
+            darts += [('c', -1, 0), ('c', top + 1, 0), ('c', top + 2, 5)]
+            for dart in darts:
+                with pytest.raises(KeyError):
+                    new.face_of(dart)
+                with pytest.raises(KeyError):
+                    new.face_by_key(dart)
+            removed[c == top] += 1
+    assert removed[True] >= 20 and removed[False] >= 20
+
+
+def test_only_a_move_asked_to_rekey_records_its_faces(monkeypatch):
+    """The move results of a closure and of reductions hold no key-pair
+    record once their faces are carried; a move asked for it holds one
+    until ``pop_rekeyed`` hands it over."""
+    made = []
+    rewrite = moves_module._rewrite
+
+    def kept(*args, **kwargs):
+        made.append(rewrite(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(moves_module, "_rewrite", kept)
+    enumerate_component(dual_matching(4, 4))
+    closure = len(made)
+    for seed in range(12):
+        reduce_to_minimal(fresh(inflation(seed)))
+    monkeypatch.undo()
+    assert closure == 70 and len(made) - closure >= 80
+    for d in made:
+        d.face_store()
+        assert 'rekeyed' not in d._cache
+    d = dual_4x3_vertices()[3]
+    new = apply_22(d, find_22_sites(d)[0], rekey=True)
+    assert new.pop_rekeyed() and new.pop_rekeyed() == {}
+
+
 def test_carries_build_on_carries_along_move_chains():
     chains = 0
     for seed in range(12):
@@ -514,7 +638,7 @@ def test_validate_leaves_no_orbits_beside_a_carry():
             new = apply_22(d, site)
             assert 'carry' in new._cache
             assert new.validate() == []
-            assert 'orbits' not in new._cache and 'faces' not in new._cache
+            assert 'orbits' not in new._cache and 'store' not in new._cache
             assert 'carry' in new._cache
             same_as_fresh(new)
 
@@ -526,7 +650,7 @@ def test_check_caches_no_faces(rotation3):
     duals = [fresh(d).check() for d in dual_4x3_vertices()]
     assert len(fillings) >= 10
     for d in fillings + duals:
-        assert not d.loops and 'faces' not in d._cache
+        assert not d.loops and 'store' not in d._cache
         assert d.faces() == fresh(d).faces()
 
 

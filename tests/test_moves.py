@@ -279,9 +279,11 @@ def _check_local_22(d, site):
     new_x, new_y = mv.data[2], mv.data[3]
     center = nd.face_of(('c',) + new_x)
     assert set(center.darts) == {('c',) + new_x, ('c',) + new_y}
-    # the face correspondence the move's carry records: every face that
-    # gave way has an image, and every other face keeps its key
-    rekeyed = nd.pop_rekeyed()
+    # the face correspondence the move's carry records when asked: every
+    # face that gave way has an image, and every other face keeps its key.
+    # Unasked, the move records none
+    assert 'store' in nd._cache and 'rekeyed' not in nd._cache
+    rekeyed = apply_22(d, site, rekey=True).pop_rekeyed()
     assert rekeyed.keys() <= {f.key for f in d.faces()}
     fmap = {f.key: rekeyed.get(f.key, f.key) for f in d.faces()}
     assert sorted(fmap.values()) == sorted(f.key for f in nd.faces())
@@ -347,7 +349,7 @@ def test_local_22_on_every_site_of_inflations_with_loops():
 def test_local_22_traces_no_faces_without_loops():
     left, _, _ = pattern_template('a', 2)
     for site in find_22_sites(left):
-        assert 'faces' not in apply_22(left, site)._cache
+        assert 'store' not in apply_22(left, site)._cache
 
 
 # ----------------------------------------------------------------------
@@ -466,7 +468,7 @@ def _same(new, ref):
     if new.loops:
         assert new.faces() == ref.faces()
     else:
-        assert 'faces' not in new._cache
+        assert 'store' not in new._cache
     _carries_its_array(new)
     assert new.edges == ref.edges
     assert new.crossings == ref.crossings
