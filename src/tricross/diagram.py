@@ -38,24 +38,23 @@ Conventions (global, used by every other module):
   port at ``4n`` plus its code, so int order is tuple order.
 
 * The faces live in one store on dart codes, ``face_store()``: by dart,
-  its face's key code (the face's least dart; -1 for the outer face),
-  and by key, the face's orbit from it and its kind bits (color and
-  boundary), with the keys in order.  A move result carries its
-  parent's store, lazily: it holds the store and the codes of the ports
-  whose partner the move changed (each joined port and a removed
-  crossing's six), never the parent diagram.  Its first ``face_store()``
-  copies the table, drops the parent faces that hold a touched port and
-  traces phi again only through the touched ports still in the map; a
-  full trace is that carry from no face, through every port.  A parent
-  whose store is not made yet hands on nothing.  A 2<->2 move asked to
-  (``rekey``) also records old key -> new key of each face it traced
-  again (``pop_rekeyed``).  One routine, ``_face_kinds``, colors the
-  orbits.  ``Face`` records are views, built from the store on demand
-  and kept: ``faces()`` builds them all in key order, a face's ``index``
-  being its position; ``face_of`` and ``face_by_key`` build the one
-  asked for.  ``validate`` traces and colors the orbits for itself and
-  builds no face, so a checked diagram caches none; it asks ``faces()``
-  only for the keys of free loops.
+  its face's key code (the face's least dart; -1 for the outer face), and
+  by key, the face's orbit from it and its kind bits (color and boundary),
+  with the keys in order.  A move result carries its parent's store,
+  lazily: it holds the store and the codes of the ports whose partner the
+  move changed (each joined port and a removed crossing's six), never the
+  parent diagram.  Its first ``face_store()`` copies the table, drops the
+  parent faces that hold a touched port and traces phi again only through
+  the touched ports still in the map; a full trace is that carry from no
+  face, through every port, and what a result gets from a parent whose
+  store is not made yet.  A 2<->2 move asked to (``rekey``) also records
+  old key -> new key of each face it traced again (``pop_rekeyed``).  One
+  routine, ``_face_kinds``, colors the orbits.  ``Face`` records are
+  views, built from the store on demand and kept: ``faces()`` builds them
+  all in key order, a face's ``index`` being its position; ``face_of`` and
+  ``face_by_key`` build the one asked for.  ``validate`` traces and colors
+  the orbits for itself and builds no face, so a checked diagram caches
+  none; it asks ``faces()`` only for the keys of free loops.
 
 * One breadth-first walk, ``_walk``, labels the crossings reachable from
   the endpoints, or from one root crossing at an even phase, ``(id,
@@ -367,10 +366,10 @@ class TripleDiagram:
     # faces
 
     def face_store(self):
-        """The interior faces on dart codes (module docstring), ``(table,
-        faces, keys, names)``: by dart code, its face's key code (-1: none);
-        by key code, the face's orbit and kind (``_face_kinds``); the key
-        codes in order; by dart code, the dart.  Do not change them."""
+        """The interior faces on dart codes, ``(table, faces, keys, names)``:
+        by dart code, its face's key code (-1: none); by key code, the
+        face's orbit and kind (1 white or 2 black, plus 4 on the boundary);
+        the key codes in order; by dart code, the dart.  Do not change."""
         store = self._cache.get('store')
         if store is None:  # every interior face holds a port
             store = self._carried_faces(*self._cache.pop('carry', None) or (

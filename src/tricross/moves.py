@@ -33,8 +33,8 @@ crossing's six, name the faces the move changes: the new diagram
 carries its parent's face store and, on its first ``face_store()``,
 traces only the parent faces that hold one of them again (with an
 added crossing's ports); every other face keeps its orbit and key
-(``diagram.py``).  Site discovery and the move read the store's dart
-codes, never a ``Face`` record.  The new 2<->2 site, the central bigon
+(``diagram.py``).  Sites, the 2<->2 and 1->0 moves and the loop carry read
+the store, not ``Face`` records.  The new 2<->2 site, the central bigon
 with darts ``(X, x1+4)`` and ``(Y, y1+4)``, is read off the template.
 
 Free loops are keyed by face.  A move that carries loops, or a 1->0

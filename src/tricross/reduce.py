@@ -701,5 +701,5 @@ def inflate(diagram, bumps, loops, shuffles, rng):
         site = sites[rng.randrange(len(sites))]
         cur, mv = move_22(cur, site)
         moves.append(mv)
-    cur.face_store()  # resolve the last move's carry, freeing its parent's
+    cur.face_store()  # resolve the last carry, freeing its parent's store
     return cur, moves

@@ -7,9 +7,10 @@ have, kept here as the reference for the trace on the partner array.
 a copy with other free loops must reuse every table that does not
 depend on them, and its partner array must equal one rebuilt from its
 edges (``test_moves.py`` checks the same after the other moves).  The
-faces a move result carries over from its parent, with their face
-table, must equal a full trace of its map, and the endpoint walk must
-run once per diagram.  ``validate``, which reads the checkerboard off
+face store a move result carries over from its parent, and the
+``Face`` records built from it, must equal a full trace of its map; a
+move records its faces' new keys only when asked; and the endpoint walk
+must run once per diagram.  ``validate``, which reads the checkerboard off
 its own orbits and builds no face, must return the violations of
 ``reference_validate``, which reads it off the colors of the faces of
 ``reference_orbits``.
