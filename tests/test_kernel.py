@@ -614,7 +614,7 @@ def test_no_carry_from_an_untraced_or_pending_parent():
 
 def test_an_inflation_holds_no_pending_carry():
     """inflate resolves its last move's carry: its result keeps no dead
-    parent's face tuple and face table alive."""
+    parent's face store alive."""
     for seed in range(30):
         for d in (inflation(seed), floating_diagram(seed)):
             assert 'carry' not in d._cache
@@ -670,7 +670,7 @@ def test_a_22_move_traces_only_the_faces_around_it(monkeypatch):
         return orbits
 
     def no_full_trace(self):
-        raise AssertionError("a carried face tuple traced every orbit")
+        raise AssertionError("a carried face store traced every orbit")
 
     monkeypatch.setattr(TripleDiagram, "_orbits", no_full_trace)
     monkeypatch.setattr(TripleDiagram, "_trace", counted)
