@@ -51,10 +51,11 @@ Conventions (global, used by every other module):
   old key -> new key of each face it traced again (``pop_rekeyed``).  One
   routine, ``_face_kinds``, colors the orbits.  ``Face`` records are
   views, built from the store on demand and kept: ``faces()`` builds them
-  all in key order, a face's ``index`` being its position; ``face_of`` and
-  ``face_by_key`` build the one asked for.  ``validate`` traces and colors
-  the orbits for itself and builds no face, so a checked diagram caches
-  none; it asks ``faces()`` only for the keys of free loops.
+  all in key order, a face's ``index`` being its position (its key
+  code's rank, which ``face_index`` reads without a record); ``face_of``
+  and ``face_by_key`` build the one asked for.  ``validate`` traces and
+  colors the orbits for itself and builds no record; it asks the store
+  only for the key codes of free loops.
 
 * One breadth-first walk, ``_walk``, labels the crossings reachable from
   the endpoints, or from one root crossing at an even phase, ``(id,
@@ -514,6 +515,14 @@ class TripleDiagram:
             return self.faces()[0]  # the empty disk's, with no dart
         return self._face(self.face_codes(key)[0][0])
 
+    def face_index(self, key):
+        """The ``index`` of the face with key dart ``key``, its key code's
+        rank in the store, read without building a record."""
+        keys = self.face_store()[2]
+        if key == () and not keys:  # the empty disk's one face
+            return 0
+        return bisect_left(keys, self.face_codes(key)[0][0])
+
     def image_of(self, orbit, renamed, centre=None):
         """The key of the face that the face with dart codes ``orbit``, of
         the diagram a move made this one from, becomes: that of its first
@@ -596,8 +605,8 @@ class TripleDiagram:
         every port paired, the pairing an involution joining a source to
         a sink, Euler characteristic 2 per component, the checkerboard and
         the free loops.  The checkerboard is read off the orbits traced
-        for the Euler count, so no Face record is built; ``faces()`` runs
-        only to check the keys of free loops."""
+        for the Euler count, and the keys of free loops are checked
+        against the face store's key codes: no Face record is built."""
         if 'unknown' in self._cache:
             return ["unknown port %s" % port_str(self._cache['unknown'])]
         partner = self._partner
@@ -640,9 +649,11 @@ class TripleDiagram:
             return [str(exc)]
         if not self.loops:
             return violations
-        keys = set(f.key for f in self.faces())
+        # a key is the least dart of a face in the store; the empty disk's
+        # one face has the key ()
+        faces, keys = self.face_store()[1], tables[8]
         for key, count in self.loops.items():
-            if key not in keys:
+            if not (keys.get(key) in faces if faces else key == ()):
                 violations.append("free loop keyed to unknown face %r" % (key,))
             if count < 1:
                 violations.append("free loop count %d < 1 at %r" % (count, key))
@@ -785,14 +796,17 @@ class TripleDiagram:
         return self._cache['code']
 
     def _canonical_face_key(self, key_dart, label):
+        if key_dart == () and self.n == 0 and not self.crossings:
+            return ""  # the empty disk's face has no dart
         cands = []
-        for d in self.face_by_key(key_dart).darts:
+        names = self.face_store()[3]
+        for d in map(names.__getitem__, self.face_codes(key_dart)[0]):
             if d[0] == 'c':
                 cid, phase = label[d[1]]
                 cands.append("C%d.%d" % (cid, (d[2] - phase) % 6))
             else:
                 cands.append(port_str(d) if d[0] == 'b' else "%s%d" % d)
-        return min(cands, default="")  # the empty disk's face has no dart
+        return min(cands)
 
     # ------------------------------------------------------------------
 

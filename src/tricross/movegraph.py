@@ -127,8 +127,7 @@ def enumerate_component(matching, strategy="inclusion"):
             vertices[nd.canonical_key()] = nd
         pair = frozenset((d.canonical_key(), key_of[nd.canonical_code()]))
         if pair not in edges:
-            edges[pair] = d.face_store()[2].index(  # the face's index
-                d.face_codes(site.face_key)[0][0])
+            edges[pair] = d.face_index(site.face_key)
     return MoveGraph(rk, vertices, edges)
 
 

@@ -192,7 +192,9 @@ def _apply_22_full(diagram, site, rekey=False):
     """(new diagram, new site) by the local rewrite of the module docstring;
     with ``rekey``, the new diagram's carry records its faces' new keys."""
     _resolve_22(diagram, site)
-    renamed = _renamed_22(diagram, site)
+    # only the rekeying record and the loop carry read the renaming
+    renamed = (_renamed_22(diagram, site) if rekey or diagram.loops
+               else None)
     new = _rewrite(diagram, _joins_22(diagram, site),
                    renamed=renamed if rekey else None)
     if diagram.loops:
@@ -304,7 +306,11 @@ def apply_10(diagram, site):
     if diagram.loops or loops_made:
         kept = [q for q in (legs[(j + 3) % 6], legs[(j + 5) % 6])
                 if q[:2] != ('c', c)]
-        centre = new.face_key(kept[0]) if kept else new.faces()[0].key
+        if kept:
+            centre = new.face_key(kept[0])
+        else:  # the first face; the empty disk's has the key ()
+            _, _, keys, names = new.face_store()
+            centre = names[keys[0]] if keys else ()
         x = 6 * diagram.n + 6 * c  # the dart code of C<c>.0
         new = _carry_loops(diagram, new, dict.fromkeys(range(x, x + 6)),
                            centre, loops_made)

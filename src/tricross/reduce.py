@@ -22,6 +22,19 @@ that ends off its scheduled interval raises ``ReductionError``; else
 reducing any diagram reproduces the standard diagram of its matching
 up to canonical relabeling.
 
+Most scheduled strands are boundary-parallel already.  ``_read_strand``
+reads the strand in place on the full diagram's partner array, from its
+anchor through the crossings not yet frozen to the next anchor.  Only a
+strand that fails its test gets a residual (``_build_residual``), which
+``straighten`` works in and ``check()`` validates before the same
+routine reads it.  Skipping the residual of a strand that needs no move
+loses no check: the input is checked on entry and every move keeps it
+valid; the read sees only the strand's path, its end anchor and its
+hanging slots' partners, which the residual copies verbatim (codes
+shifted); the result is compared with the target, laid and checked
+independently; every logged move is replayable (``replay``); and every
+residual that is built is still checked.
+
 Every sub-diagram of a minimal diagram is minimal: it has no free
 loops, monogons, self-intersecting or closed strands, and 2<->2 moves
 keep it so.  ``straighten`` therefore loops over two rules only, until
@@ -130,18 +143,53 @@ def _strand_from(diagram, a):
     return diagram.strands()[a // 2]
 
 
-def is_boundary_parallel(diagram, a, dirn):
-    """Is the strand at ``a`` boundary-parallel along its dirn interval?"""
-    _, b, visits = _strand_from(diagram, a)
-    interior = interval_interior(2 * diagram.n, a, b, dirn)
-    k = len(interior) // 2
-    if len(visits) != k or len(set(c for c, _ in visits)) != k:
-        return False
-    # visit j's hanging slots hold interior endpoints 2j and 2j + 1
+def _read_strand(diagram, anchors, frozen, a, dirn):
+    """Read the strand from anchor ``a`` of a residual in place, on
+    ``diagram``'s partner array: ``anchors`` lists the residual's anchor
+    port codes in counterclockwise order (its endpoints), the crossings
+    not in ``frozen`` are its crossings.  Returns (end anchor, visits,
+    boundary-parallel along the dirn interval), as ``_strand_from`` and
+    ``is_boundary_parallel`` read them on the residual that
+    ``_build_residual`` writes.
+
+    The strand passes from slot s to s + 3 through the residual's
+    crossings until it meets an anchor; anything else is a leak out of
+    the residual.  It is boundary-parallel when it makes k visits, k
+    half the anchors strictly inside its interval, and visit j's hanging
+    slots (``template_slots``) hold interior anchors 2j and 2j + 1.  The
+    visits are then distinct: the partners of the strand's entries and
+    exits are its own ports and end anchors, never interior ones, so a
+    crossing met twice has only two slots left to hang four anchors."""
+    m = 2 * diagram.n
     part = diagram.partners()
-    return all(part[2 * diagram.n + 6 * c + x] == interior[2 * j + h]
-               for j, (c, e) in enumerate(visits)
-               for h, x in enumerate(template_slots(e, dirn)[:2]))
+    index = {q: i for i, q in enumerate(anchors)}
+    visits = []
+    q = part[anchors[a]]
+    for _ in part:  # no strand is longer than the map
+        if q in index:
+            break
+        c, s = divmod(q - m, 6)
+        if q < m or c in frozen:
+            raise ReductionError("frontier strand leaks out of the "
+                                 "residual region")
+        visits.append((c, s))
+        q = part[q + 3 if s < 3 else q - 3]
+    else:
+        raise ReductionError("strand from anchor %d never ends" % a)
+    b = index[q]
+    interior = interval_interior(len(anchors), a, b, dirn)
+    k = len(interior) // 2
+    return b, tuple(visits), (
+        len(visits) == k
+        and all(part[m + 6 * c + x] == anchors[interior[2 * j + h]]
+                for j, (c, e) in enumerate(visits)
+                for h, x in enumerate(template_slots(e, dirn)[:2])))
+
+
+def is_boundary_parallel(diagram, a, dirn):
+    """Is the strand at ``a`` boundary-parallel along its dirn interval?
+    ``_read_strand`` with the endpoints as anchors."""
+    return _read_strand(diagram, range(2 * diagram.n), (), a, dirn)[2]
 
 
 def _under_cross(diagram, a, dirn):
@@ -437,6 +485,11 @@ def to_standard(diagram, strategy="inclusion"):
     listing of ``lay_order`` builds that target and drives the strands'
     order.  The log's keys are read as the moves apply; ``replay``
     re-applies them independently.
+
+    Each step reads its strand in place (``_read_strand``); a strand
+    that is not boundary-parallel along its scheduled interval is
+    straightened in its residual, which is checked and read again
+    (module docstring).
     """
     diagram.check()
     start = diagram
@@ -445,8 +498,9 @@ def to_standard(diagram, strategy="inclusion"):
     target = lay_strands(matching, schedule)
     log, log_keys = [], []
     diagram = _minimise(diagram, log, log_keys)
+    n = diagram.n
     frozen = set()
-    frontier = {i: ('b', i) for i in range(2 * diagram.n)}  # key -> port
+    frontier = {i: ('b', i) for i in range(2 * n)}  # key -> port
     first = 0
     for a_key, b_key, dirn, interior in schedule:
         # sub-endpoint 0 must be an in-anchor: the first at or after the
@@ -456,17 +510,21 @@ def to_standard(diagram, strategy="inclusion"):
         t = [is_source(frontier[k]) for k in keys].index(True)
         keys = keys[t:] + keys[:t]
         first = keys[0]
-        sub = _build_residual(diagram, set(diagram.crossings) - frozen,
-                              [frontier[k] for k in keys])
         a_idx = keys.index(a_key)
-        sub2, submoves = straighten(sub, a_idx, dirn)
-        diagram = _apply_all(diagram, submoves, log, log_keys)
-        sub2.check()
-        _, b_idx, visits = _strand_from(sub2, a_idx)
-        if keys[b_idx] != b_key \
-                or not is_boundary_parallel(sub2, a_idx, dirn):
-            raise ReductionError("straightened strand is off its "
-                                 "scheduled interval")
+        b_idx, visits, parallel = _read_strand(
+            diagram, [port_code(n, frontier[k]) for k in keys], frozen,
+            a_idx, dirn)
+        if keys[b_idx] != b_key or not parallel:
+            sub = _build_residual(diagram, set(diagram.crossings) - frozen,
+                                  [frontier[k] for k in keys])
+            sub2, submoves = straighten(sub, a_idx, dirn)
+            diagram = _apply_all(diagram, submoves, log, log_keys)
+            sub2.check()
+            b_idx, visits, parallel = _read_strand(
+                sub2, range(2 * sub2.n), (), a_idx, dirn)
+            if keys[b_idx] != b_key or not parallel:
+                raise ReductionError("straightened strand is off its "
+                                     "scheduled interval")
         freeze(frontier, interior, visits, dirn)
         del frontier[a_key], frontier[b_key]
         frozen.update(c for c, _ in visits)

@@ -267,16 +267,17 @@ def read_ascii_tiling(text):
 # move logs
 
 def _move_to_line(diagram, move):
+    """A move's line; a face is named by its index, read off the store."""
     if move.kind == '22':
-        face = diagram.face_of(('c',) + tuple(move.data[0]))
-        return "22 %d" % face.index
+        return "22 %d" % diagram.face_index(
+            diagram.face_key(('c',) + tuple(move.data[0])))
     if move.kind == '10':
         return "10 %d.%d" % move.data
     if move.kind == '01':
         ep, eq, side = move.data
         return "01 %s %s %s" % (port_str(ep), port_str(eq), side)
     if move.kind == 'drop' or move.kind == 'add':
-        return "%s %d" % (move.kind, diagram.face_by_key(move.data[0]).index)
+        return "%s %d" % (move.kind, diagram.face_index(move.data[0]))
     raise ValueError(move.kind)
 
 
@@ -287,6 +288,18 @@ def write_movelog(initial, log):
         out.append(_move_to_line(cur, mv))
         cur = apply_move(cur, mv)
     return "\n".join(out) + "\n"
+
+
+def _face_at(diagram, index):
+    """(key, darts) of the face whose index is ``index``, read off the
+    face store without building a record; IndexError when none."""
+    _, faces, keys, names = diagram.face_store()
+    if index == 0 and not keys:  # the empty disk's one face has no dart
+        return (), ()
+    if not 0 <= index < len(keys):  # a face index, not a count from the end
+        raise IndexError("face index %d out of range" % index)
+    darts = tuple(map(names.__getitem__, faces[keys[index]][0]))
+    return darts[0], darts
 
 
 def read_movelog(text, initial, name="<movelog>"):
@@ -306,12 +319,9 @@ def read_movelog(text, initial, name="<movelog>"):
         parts = line.split()
         try:
             if parts[0] in ("22", "drop", "add"):
-                index = int(parts[1])
-                if index < 0:  # a face index, not a count from the end
-                    raise IndexError("face index %d out of range" % index)
-                face = cur.faces()[index]
+                key, darts = _face_at(cur, int(parts[1]))
             if parts[0] == "22":
-                d1, d2 = face.darts
+                d1, d2 = darts
                 site = resolve_22_by_darts(cur, (d1[1], d1[2]),
                                            (d2[1], d2[2]))
                 cur, mv = move_22(cur, site)
@@ -325,7 +335,7 @@ def read_movelog(text, initial, name="<movelog>"):
                                  parts[3]))
                 cur = apply_move(cur, mv)
             elif parts[0] in ("drop", "add"):
-                mv = Move(parts[0], (face.key,))
+                mv = Move(parts[0], (key,))
                 cur = apply_move(cur, mv)
             else:
                 raise ParseError(name, no, "unknown move %r" % parts[0])

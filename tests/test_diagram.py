@@ -222,6 +222,29 @@ def test_free_loop_count_below_one_refused():
         "free loop count 0 < 1 at ()"]
 
 
+def test_free_loop_keys_are_checked_without_face_records(monkeypatch):
+    """``validate`` reads the keys of free loops off the face store's key
+    codes, and the empty disk's one face keeps the key ()."""
+    def refused(self, key):
+        raise AssertionError("a Face record was built")
+
+    d = single_crossing()
+    key, other = d.faces()[0].key, d.faces()[0].darts[1]
+    monkeypatch.setattr(TripleDiagram, "_face", refused)
+    for loops, want in (
+            ({key: 2}, []),
+            ({other: 1}, ["free loop keyed to unknown face %r" % (other,)]),
+            ({key: 0}, ["free loop count 0 < 1 at %r" % (key,)]),
+            ({('-', 0): -1}, ["free loop keyed to unknown face %r"
+                              % (('-', 0),),
+                              "free loop count -1 < 1 at %r" % (('-', 0),)])):
+        assert TripleDiagram(d.n, d.crossings, d.edges,
+                             loops).validate() == want
+    assert empty_diagram().with_loops({(): 1}).validate() == []
+    assert empty_diagram().with_loops({('+', 0): 1}).validate() == [
+        "free loop keyed to unknown face ('+', 0)"]
+
+
 def test_canonical_key_invariant_under_relabeling():
     d1 = single_crossing()
     d2 = TripleDiagram.from_edge_list(

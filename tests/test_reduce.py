@@ -18,7 +18,7 @@ from tricross.reduce import (straighten, is_boundary_parallel, extract_region,
                              region_legs, ReductionError, _build_residual,
                              _search, match_window)
 from tricross.movegraph import closure
-from tricross.standard import interval_interior
+from tricross.standard import interval_interior, template_slots
 
 from conftest import all_matchings
 from test_golden import inflation
@@ -334,15 +334,23 @@ def test_a_corrupted_residual_fails_extract_region(monkeypatch):
 
 
 def test_a_corrupted_straightened_residual_fails_its_check(monkeypatch):
+    """A residual is built only for a strand that needs moves, and each
+    one, once straightened, is checked: on the pinned n=7 diagram the
+    first straightening at depth 0 makes moves."""
     outer = reducer.straighten
+    made = []
 
     def corrupting(diagram, a, dirn, log=None, depth=0):
         sub2, moves = outer(diagram, a, dirn, log, depth)
-        return (_corrupted(sub2) if depth == 0 else sub2), moves
+        if depth:
+            return sub2, moves
+        made.append(len(moves))
+        return _corrupted(sub2), moves
 
     monkeypatch.setattr(reducer, "straighten", corrupting)
     with pytest.raises(DiagramError, match="involution broken"):
-        to_standard(inflation(3))
+        to_standard(_recursing_diagram())
+    assert made and made[0] > 0
 
 
 def _reference_residual(diagram, active, frontier):
@@ -374,9 +382,10 @@ def _same_residual(got, want):
         == (want.n, want.crossings, want.loops)
 
 
-def test_build_residual_writes_the_edge_list_residual(monkeypatch):
-    """On crossing regions and on every residual of ``to_standard``, whose
-    frontier strands may join two anchors directly."""
+def test_build_residual_writes_the_edge_list_residual():
+    """On crossing regions; ``test_the_in_place_read_is_the_residual_read``
+    compares every residual of ``to_standard``, whose frontier strands
+    may join two anchors directly."""
     built = 0
     for d, region in _extract_region_cases():
         try:
@@ -388,19 +397,117 @@ def test_build_residual_writes_the_edge_list_residual(monkeypatch):
                        _reference_residual(d, set(region), frontier))
         built += 1
     assert built == 205
-    chords = []
+
+
+def _reference_read(sub, a, dirn):
+    """The residual's strand from endpoint ``a``, as (end, visits,
+    boundary-parallel?), read off its traced strands as the reducer
+    read it before it read strands in place."""
+    _, b, visits = sub.strands()[a // 2]
+    interior = interval_interior(2 * sub.n, a, b, dirn)
+    k = len(interior) // 2
+    part, m = sub.partners(), 2 * sub.n
+    return b, visits, (
+        len(visits) == k == len(set(c for c, _ in visits))
+        and all(part[m + 6 * c + x] == interior[2 * j + h]
+                for j, (c, e) in enumerate(visits)
+                for h, x in enumerate(template_slots(e, dirn)[:2])))
+
+
+def _port(n, code):
+    """The port of partner-array code ``code``."""
+    m = 2 * n
+    return ('b', code) if code < m else ('c',) + divmod(code - m, 6)
+
+
+def _read_both_ways(read, diagram, anchors, frozen, a, dirn):
+    """``read`` (``_read_strand``) of the strand from anchor ``a`` in
+    place, asserted equal to the reference read of the residual: the
+    residual that ``_build_residual`` writes, checked against the
+    edge-list reference and with ``check()``.  Returns (the residual's
+    chords, the verdict) and the read."""
+    got = read(diagram, anchors, frozen, a, dirn)
+    active = set(diagram.crossings) - frozen
+    frontier = [_port(diagram.n, q) for q in anchors]
+    sub = _build_residual(diagram, active, frontier)
+    _same_residual(sub, _reference_residual(diagram, active, frontier))
+    sub.check()
+    assert got == _reference_read(sub, a, dirn)
+    m = 2 * sub.n
+    return (sum(0 <= q < m for q in sub.partners()[:m]) // 2, got[2]), got
+
+
+def _residual_reads(monkeypatch):
+    """Patch the reducer so that each ``to_standard`` step also builds
+    its residual and compares the reads (``_read_both_ways``); a
+    standalone diagram's own read (``is_boundary_parallel``) is compared
+    with the reference read, and each residual the reducer builds with
+    the edge-list one.  Returns the lists that get, per step, (the
+    residual's chords, the in-place verdict), and each residual built."""
+    read = reducer._read_strand
+    seen = {"steps": [], "built": []}
+
+    def compared(diagram, anchors, frozen, a, dirn):
+        if isinstance(anchors, range):  # the endpoints: no residual
+            got = read(diagram, anchors, frozen, a, dirn)
+            assert got == _reference_read(diagram, a, dirn)
+            return got
+        step, got = _read_both_ways(read, diagram, anchors, frozen, a, dirn)
+        seen["steps"].append(step)
+        return got
 
     def checked(diagram, active, frontier):
         got = _build_residual(diagram, active, frontier)
         _same_residual(got, _reference_residual(diagram, active, frontier))
-        m = 2 * got.n
-        chords.append(sum(0 <= q < m for q in got.partners()[:m]) // 2)
+        seen["built"].append(got)
         return got
 
+    monkeypatch.setattr(reducer, "_read_strand", compared)
     monkeypatch.setattr(reducer, "_build_residual", checked)
+    return seen
+
+
+@pytest.mark.parametrize("strategy", ["inclusion", "cw", "ccw"])
+def test_the_in_place_read_is_the_residual_read(monkeypatch, strategy):
+    """At every step of ``to_standard``, the strand read in place on the
+    full diagram's partner array (end anchor, visits, boundary-parallel)
+    is the strand of the residual that ``_build_residual`` writes, and
+    that residual is the edge-list one and checks: over the recorded
+    inputs under every strategy, and under 'inclusion' over every
+    connected diagram with n <= 3 at one crossing over the minimum.
+
+    On the minimal diagrams that the reducer reads, no verdict changes
+    when the test skips one hanging slot or the visit count, so each
+    diagram of that cell is also read before it is reduced: every strand
+    both ways, over every rotation of its endpoints."""
+    read = reducer._read_strand
+    seen = _residual_reads(monkeypatch)
+    steps = seen["steps"]
     for d in _recorded_key_inputs():
-        to_standard(d)
-    assert (len(chords), sum(chords)) == (101, 175)
+        to_standard(d, strategy)
+    assert {v for _, v in steps} == {True, False}
+    if strategy != "inclusion":
+        return
+    # 100 steps; before the in-place read, the reducer built a residual
+    # at each (175 chords), and one in ``extract_region``
+    assert (len(steps), sum(c for c, _ in steps)) == (100, 175)
+    # now only the 4 strands that need moves get one, and one more
+    assert (sum(not v for _, v in steps), len(seen["built"])) == (4, 5)
+    raw = Counter()
+    for n in (1, 2, 3):
+        m2 = 2 * n
+        for m in all_matchings(n):
+            for d in enumerate_connected_diagrams(
+                    m, minimal_crossing_count(m) + 1).values():
+                for r in range(0, m2, 2):
+                    anchors = [(r + i) % m2 for i in range(m2)]
+                    for a in range(0, m2, 2):
+                        for dirn in (1, -1):
+                            raw[_read_both_ways(
+                                read, d, anchors, set(), a, dirn)[0][1]] += 1
+                to_standard(d, strategy)
+    assert len(steps) == 576
+    assert raw == {True: 714, False: 2026}
 
 
 # minimal sub-diagrams of the reduce benchmark's inflations (seed 1) on
@@ -460,7 +567,7 @@ def test_double_crossing_straightens_its_under_piece_first(monkeypatch):
         assert all(mv.kind == '22' for mv in log.moves)
         assert final.canonical_key() == standard_diagram(
             d.trace()[0]).canonical_key()
-        if max(depths) > 0:
+        if max(depths, default=0) > 0:
             recursed.append((i, max(depths)))
     assert recursed == [(7, 1)]
 

@@ -10,7 +10,7 @@ import pytest
 from tricross import (Matching, standard_diagram, Region, enumerate_tilings,
                       tiling_to_diagram, enumerate_component, inflate,
                       to_standard, empty_diagram)
-from tricross.diagram import parse_port
+from tricross.diagram import TripleDiagram, parse_port
 from tricross.moves import MoveError, apply_01, make_log
 from tricross import textio
 from tricross.render import render_diagram, render_tiling, RenderSpec
@@ -69,6 +69,12 @@ def test_empty_disk_loops_roundtrip():
     assert textio.write_diagram(back) == text
     final, log = to_standard(d)
     assert not final.loops and [mv.kind for mv in log.moves] == ["drop"] * 2
+    # its log names the face by index 0, both ways
+    text = textio.write_movelog(d, log)
+    assert text.splitlines()[2:] == ["drop 0", "drop 0"]
+    assert textio.read_movelog(text, d)[0] == log
+    with pytest.raises(textio.ParseError, match="face index 1 out of range"):
+        textio.read_movelog(text.replace("drop 0\n", "drop 1\n", 1), d)
 
 
 def test_parsers_skip_blank_lines_and_refuse_unknown_records(rotation3):
@@ -189,6 +195,37 @@ def test_movelog_roundtrip_every_move_kind():
     assert kinds == {"01", "add", "22", "10", "drop"}
 
 
+def _no_face_records(monkeypatch):
+    def refused(self, key):
+        raise AssertionError("a Face record was built")
+
+    monkeypatch.setattr(TripleDiagram, "_face", refused)
+
+
+def test_a_loop_bearing_reduction_log_is_written_and_read_without_records(
+        monkeypatch):
+    """A face index is its key's rank in the face store, both ways, and
+    a loop's canonical key reads its face off the store: the log of a
+    reduction that drops loops is written and read, on a fresh copy of
+    its input, with ``TripleDiagram._face`` refusing to build a record,
+    to the same text, moves and keys."""
+    d, _ = inflate(standard_diagram(Matching.from_dict(
+        4, {0: 5, 2: 7, 4: 1, 6: 3})), 3, 2, 12, random.Random(3))
+    final, log = to_standard(d)
+    text = textio.write_movelog(d, log)
+    assert {"22", "10", "drop"} <= {line.split()[0]
+                                    for line in text.splitlines()[2:]}
+    _no_face_records(monkeypatch)
+    fresh = TripleDiagram(d.n, d.crossings, None, d.loops,
+                          partners=d.partners())
+    assert textio.write_movelog(fresh, log) == text
+    fresh = TripleDiagram(d.n, d.crossings, None, d.loops,
+                          partners=d.partners())
+    parsed, end = textio.read_movelog(text, fresh)
+    assert parsed == log
+    assert end.canonical_key() == final.canonical_key()
+
+
 def test_negative_face_indices_are_refused(rotation3):
     """A face index in a loops record or a move line counts from 0; a
     negative one is a parse error on its own line, not a face taken from
@@ -209,6 +246,10 @@ def test_negative_face_indices_are_refused(rotation3):
             textio.read_movelog(head + line + "\n", d)
         assert exc.value.line_no == 3
         assert "face index -1 out of range" in exc.value.message
+    # and past the last face
+    with pytest.raises(textio.ParseError) as exc:
+        textio.read_movelog(head + "drop %d\n" % len(d.faces()), d)
+    assert "face index %d out of range" % len(d.faces()) in exc.value.message
 
 
 def test_01_ports_outside_the_diagram_are_refused():

@@ -8,7 +8,7 @@ Each cell runs ``reduce_cell`` of tests/test_reduce.py, the generator of
 the tier-1 slice tests over the smallest cells, so every log is replayed
 the same way: its crossing count never rises and it ends on the
 standard diagram.  Exits 1 when any diagram fails.  Stdlib only;
-takes about 6 minutes on a 2-vCPU host, 1.5 of them on the n = 4
+takes about 4.5 minutes on a 2-vCPU host, 1.1 of them on the n = 4
 cells.
 """
 
