@@ -33,7 +33,10 @@ and says why.
 * ``connect``: the ``movelog v1`` texts of ``connect_minimal`` from the
   root of each move-graph component to every vertex and back, for 120
   random n=6 matchings (rng seed 6; 314 vertices, at most 70 in one
-  component).
+  component);
+* ``connect-2024``: as ``connect``, held out: the root of each move-graph
+  component to every vertex and back, for 40 random matchings each for
+  n=7 and n=8 (rng seed 2024; 628 vertices, 1,256 logs).
 
 Stdlib only; takes about 20 seconds.
 """
@@ -77,6 +80,19 @@ def cluster_sha(walks):
                for states, sites, ok, audit in walks)
 
 
+def connect_texts(matchings):
+    """The logs of ``connect_minimal`` from the root of each matching's
+    move-graph component to every vertex and back."""
+    texts = []
+    for m in matchings:
+        graph = enumerate_component(m)
+        root = graph.vertices[graph.root]
+        for d in graph.vertices.values():
+            texts.append(textio.write_movelog(root, connect_minimal(root, d)))
+            texts.append(textio.write_movelog(d, connect_minimal(d, root)))
+    return texts
+
+
 def main():
     oracle = workloads.Oracle(1)
     print("oracle", sha([repr(oracle.run(item)) for item in oracle.items]))
@@ -112,15 +128,11 @@ def main():
         for d in enumerate_component(m).vertices.values()
         for strategy in STRATEGIES))
     rng = random.Random(6)
-    connects = []
-    for m in [workloads.random_matching(6, rng) for _ in range(120)]:
-        graph = enumerate_component(m)
-        root = graph.vertices[graph.root]
-        for d in graph.vertices.values():
-            connects.append(textio.write_movelog(root,
-                                                 connect_minimal(root, d)))
-            connects.append(textio.write_movelog(d, connect_minimal(d, root)))
-    print("connect", sha(connects))
+    print("connect", sha(connect_texts(
+        workloads.random_matching(6, rng) for _ in range(120))))
+    rng = random.Random(2024)
+    print("connect-2024", sha(connect_texts(
+        workloads.random_matching(n, rng) for n in (7, 8) for _ in range(40))))
 
 
 if __name__ == "__main__":
