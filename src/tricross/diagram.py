@@ -251,9 +251,6 @@ class Matching:
     def as_dict(self):
         return dict(self.pairs)
 
-    def __getitem__(self, i):
-        return self.as_dict()[i]
-
 
 class Face(NamedTuple):
     """A complementary region: its boundary darts, color and boundary flag.

@@ -35,7 +35,9 @@ traces only the parent faces that hold one of them again (with an
 added crossing's ports); every other face keeps its orbit and key
 (``diagram.py``).  Sites, the 2<->2 and 1->0 moves and the loop carry read
 the store, not ``Face`` records.  The new 2<->2 site, the central bigon
-with darts ``(X, x1+4)`` and ``(Y, y1+4)``, is read off the template.
+with darts ``(X, x1+4)`` and ``(Y, y1+4)``, is read off the template; the
+move there (``Move.inverse``) gives back the start with X and Y swapped
+and turned, the rule ``reduce.connect_minimal`` walks back by.
 
 Free loops are keyed by face.  A move that carries loops, or a 1->0
 move that closes one, traces the new faces and places them by the
@@ -64,25 +66,25 @@ from typing import NamedTuple
 from .diagram import TripleDiagram, is_source, port_code, port_str
 
 
-@dataclass(frozen=True)
-class TwoTwoSite:
+# the records made per site and per move are NamedTuples: cheaper to make
+# than frozen dataclasses
+
+class TwoTwoSite(NamedTuple):
     face_key: tuple
     x: tuple  # (crossing, x1)
     y: tuple  # (crossing, y1)
 
 
-@dataclass(frozen=True)
-class OneZeroSite:
+class OneZeroSite(NamedTuple):
     crossing: int
     slot: int  # monogon edge joins slots (slot, slot+1)
 
 
-@dataclass(frozen=True)
-class LoopSite:
+class LoopSite(NamedTuple):
     face_key: tuple
 
 
-class Badgon(NamedTuple):  # cheaper to make than a frozen dataclass
+class Badgon(NamedTuple):
     kind: str       # 'monogon' | 'parallel-bigon' | 'simple-loop'
     detail: tuple
 
@@ -91,8 +93,7 @@ class MoveError(ValueError):
     """Stale or ill-formed move site."""
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
     kind: str    # '22' | '10' | '01' | 'drop' | 'add'
     data: tuple
 
@@ -461,12 +462,3 @@ def replay(diagram, log):
             raise MoveError("replay diverged at %s move" % mv.kind)
     return cur
 
-
-def make_log(diagram, moves):
-    """Build a MoveLog by applying ``moves`` in order from ``diagram``."""
-    keys = []
-    cur = diagram
-    for mv in moves:
-        cur = apply_move(cur, mv)
-        keys.append(cur.canonical_key())
-    return cur, MoveLog(diagram.canonical_key(), list(moves), keys)

@@ -58,6 +58,18 @@ a crossing of S (``_under_cross``).
     window of S plus the crossings under it, then the whole diagram,
     for a state lowering (crossings under S, detours of the hanging
     strands).
+
+``connect_minimal`` reduces both diagrams to the standard one and walks
+the second log back from its end, without applying that log again.  By
+the template of ``moves.py``, the 2<->2 move at ``((X, x1), (Y, y1))``
+makes its new centre at ``((X, x1+4), (Y, y1+4))``, and the move there
+(``Move.inverse``) lands on the start state with X and Y swapped and
+turned: port ``(X, s)`` of the start is port ``(Y, s + y1 - x1 + 2)`` of
+the result, and ``(Y, s)`` is ``(X, s + x1 - y1 + 2)`` (mod 6).  The walk
+keeps one map, from each crossing of the second log's state to (crossing
+of the current diagram, slot offset): the canonical forms of the two
+standard diagrams seed it, each inverse move is translated through it,
+and the rule updates it at X and Y.
 """
 
 from .diagram import TripleDiagram, is_source, port_code
@@ -65,7 +77,7 @@ from .domino import Region, Tiling, tiling_to_diagram
 from .standard import (lay_strands, lay_order, freeze, interval_interior,
                        template_slots)
 from .moves import (Move, MoveError, MoveLog, find_22_sites, find_10_sites,
-                    move_22, apply_move, make_log, is_minimal)
+                    move_22, apply_move, is_minimal)
 from .movegraph import closure
 
 
@@ -262,7 +274,7 @@ def _apply_all(diagram, moves, log, keys=None):
     return diagram
 
 
-def _minimise(diagram, log, keys=None):
+def _minimise(diagram, log, keys):
     """Reduce ``diagram`` to a minimal one by drops, 1->0 moves and the
     2<->2 moves that expose an empty monogon; logs them (and their keys,
     as ``_apply_all``)."""
@@ -282,13 +294,12 @@ def _minimise(diagram, log, keys=None):
 # ----------------------------------------------------------------------
 # straightening
 
-def straighten(diagram, a, dirn, log=None, depth=0):
+def straighten(diagram, a, dirn, depth=0):
     """Make the strand at in-endpoint ``a`` of a minimal diagram
     boundary-parallel along its dirn-side interval by 2<->2 moves.
     Returns (diagram, moves); the interval must be minimal for the
     diagram's matching."""
-    if log is None:
-        log = []
+    log = []
     if depth > 60:
         raise ReductionError("straightening recursion too deep")
     guard = 0
@@ -362,7 +373,7 @@ def _remove_double(diagram, a, dirn, dbl, log, depth):
                     dsub = cand
         if dsub is None:
             raise ReductionError("no S-side span for the double piece")
-        sub2, submoves = straighten(sub, a_idx, dsub, None, depth + 1)
+        sub2, submoves = straighten(sub, a_idx, dsub, depth + 1)
         diagram = _apply_all(diagram, submoves, log)
     # window search: kill the double crossing
     s_main = _strand_from(diagram, a)
@@ -411,23 +422,6 @@ def _comb(diagram, a, dirn, log):
     window = set(c for c, _ in s_main[2]) | _under_cross(diagram, a, dirn)
     path = _search(diagram, goal, "combing is stuck", window)
     return _apply_all(diagram, path, log)
-
-
-def straighten_interval(diagram, interval):
-    """Public wrapper: ``interval`` is (in_endpoint, out_endpoint, side)
-    with side +1 for the counterclockwise interval, -1 for clockwise.
-    Returns (diagram, MoveLog); the interval must be minimal.  The
-    diagram is made minimal first."""
-    a, b, dirn = interval
-    diagram.check()
-    matching, _ = diagram.trace()
-    if matching[a] != b:
-        raise MoveError("interval endpoints are not a matched pair")
-    moves = []
-    final, _ = straighten(_minimise(diagram, moves), a, dirn, moves)
-    if not is_boundary_parallel(final, a, dirn):
-        raise ReductionError("straightening finished off-template")
-    return make_log(diagram, moves)
 
 
 # ----------------------------------------------------------------------
@@ -552,36 +546,31 @@ def connect_minimal(d1, d2, strategy="inclusion"):
     s1, log1 = to_standard(d1, strategy)
     s2, log2 = to_standard(d2, strategy)
     assert all(mv.kind == '22' for mv in log1.moves + log2.moves)
-    # Walk log2 backwards along its stored forward states.  A 2<->2
-    # applied at its resulting site undoes the move only up to canonical
-    # relabeling, so each inverse move's darts (recorded in the forward
-    # state's labels) are translated into the current lineage through
-    # the canonical forms of both diagrams.
-    states = [d2]
-    for mv in log2.moves:
-        states.append(apply_move(states[-1], mv))
+    # Walk log2 backwards from s2 (module docstring).  ``at`` sends each
+    # crossing of log2's state to (crossing of cur, slot offset); s2 and
+    # s1 share a canonical form, which seeds it
+    back = {cid: (c, ph) for c, (cid, ph) in s1.canonical_form()[1].items()}
+    at = {}
+    for c, (cid, ph) in s2.canonical_form()[1].items():
+        c1, ph1 = back[cid]
+        at[c] = (c1, ph1 - ph)
+
+    def tr(dart):
+        c, s = dart
+        c1, off = at[c]
+        return (c1, (s + off) % 6)
+
     moves, keys = list(log1.moves), list(log1.keys)
     cur = s1
-    for k in range(len(log2.moves) - 1, -1, -1):
-        inv = log2.moves[k].inverse()
-        _, lab_fwd = states[k + 1].canonical_form()
-        _, lab_cur = cur.canonical_form()
-        back = {cid: (c, ph) for c, (cid, ph) in lab_cur.items()}
-
-        def translate(dart, lab_fwd=lab_fwd, back=back):
-            c2, s = dart
-            cid, ph2 = lab_fwd[c2]
-            c1, ph1 = back[cid]
-            return (c1, (s - ph2 + ph1) % 6)
-
-        x, y, nx, ny = inv.data
-        tmv = Move('22', (translate(x), translate(y),
-                          translate(nx), translate(ny)))
-        cur = apply_move(cur, tmv)
-        moves.append(tmv)
-        keys.append(cur.canonical_key())
+    for mv in reversed(log2.moves):
+        inv = Move('22', tuple(map(tr, mv.inverse().data)))
+        cur = _apply_all(cur, [inv], moves, keys)
+        # the inverse's result is mv's start with X and Y swapped and turned
+        (X, x1), (Y, y1) = mv.data[:2]
+        (cx, ox), (cy, oy) = at[X], at[Y]
+        at[X], at[Y] = (cy, oy + y1 - x1 + 2), (cx, ox + x1 - y1 + 2)
     if cur.canonical_key() != d2.canonical_key():
-        raise ReductionError("connection replay missed the target")
+        raise ReductionError("connection missed the target")
     return MoveLog(log1.initial_key, moves, keys)
 
 
@@ -687,7 +676,7 @@ def slide_macro(diagram, pattern, window, repeats):
     ``window`` lists the diagram crossings matching the pattern's left
     side (template order), with ``repeats`` central repeats.  The
     sequence is found by breadth-first search over 2<->2 moves confined
-    to the template, then replayed through the window, so it never
+    to the template, then applied through the window, so it never
     touches outside crossings.
     """
     t_left, t_window, t_right = pattern_template(pattern, repeats)
@@ -701,17 +690,15 @@ def slide_macro(diagram, pattern, window, repeats):
 
     # the two sides differ, so the path is never empty
     path = _search(t_left, goal, "pattern sides are not 2<->2 connected")
-    moves = []
-    for mv in path:
-        x, y, nx, ny = mv.data
 
-        def tr(dart):
-            c, s = dart
-            return (window[c], (s + phases[c]) % 6)
+    def tr(dart):
+        c, s = dart
+        return (window[c], (s + phases[c]) % 6)
 
-        moves.append(Move('22', (tr(x), tr(y), tr(nx), tr(ny))))
-    final, movelog = make_log(diagram, moves)
-    return movelog
+    moves, keys = [], []
+    _apply_all(diagram, [Move('22', tuple(map(tr, mv.data))) for mv in path],
+               moves, keys)
+    return MoveLog(diagram.canonical_key(), moves, keys)
 
 
 # ----------------------------------------------------------------------

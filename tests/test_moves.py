@@ -9,10 +9,11 @@ from tricross import (TripleDiagram, Matching, standard_diagram,
                       find_22_sites, find_10_sites, apply_22, apply_10,
                       apply_01, drop_loop, add_loop, find_badgons,
                       is_minimal, replay, MoveError)
-from tricross.moves import (move_22, OneZeroSite, LoopSite, make_log, Move,
+from tricross.moves import (move_22, OneZeroSite, LoopSite, MoveLog, Move,
                             apply_move, Badgon, scan_badgons)
 from tricross.reduce import pattern_template, inflate
 from tricross.diagram import is_source
+from tricross.movegraph import closure
 
 from conftest import all_matchings
 
@@ -46,6 +47,44 @@ def test_22_preserves_everything_and_inverts():
     # involution up to canonical key
     again = apply_22(after, site2)
     assert again.canonical_key() == left.canonical_key()
+
+
+def _swapped_and_turned(mv, turn):
+    """The port map taking X and Y of the 2<->2 move ``mv`` at ((X, x1),
+    (Y, y1)) to each other, turned by ``y1 - x1 + turn`` and ``x1 - y1 +
+    turn``; it fixes every other port."""
+    (X, x1), (Y, y1) = mv.data[:2]
+    to = {X: (Y, y1 - x1 + turn), Y: (X, x1 - y1 + turn)}
+
+    def f(port):
+        if port[0] != 'c' or port[1] not in to:
+            return port
+        c, off = to[port[1]]
+        return ('c', c, (port[2] + off) % 6)
+    return f
+
+
+def test_the_inverse_22_lands_on_its_start_swapped_and_turned():
+    """On every move of the 4x3, 4x4 and 6x4 duals' closures, applying
+    ``mv.inverse()`` to the result gives the start with X and Y swapped
+    and turned: port (X, s) of the start is port (Y, s + y1 - x1 + 2),
+    and (Y, s) is (X, s + x1 - y1 + 2), port by port; ``connect_minimal``
+    walks back by this rule.  A turn of 0 fails on every move."""
+    from tricross import Region, enumerate_tilings, tiling_to_diagram
+    taken = 0
+    for w, h in ((4, 3), (4, 4), (6, 4)):
+        dual = tiling_to_diagram(enumerate_tilings(Region.rectangle(w, h))[0])
+        for d, _, mv, nd, _ in closure(dual):
+            back = apply_move(nd, mv.inverse())
+            assert sorted(back.crossings) == sorted(d.crossings)
+            ports = [('b', i) for i in range(2 * d.n)] + [
+                ('c', c, s) for c in d.crossings for s in range(6)]
+            for turn, holds in ((2, True), (0, False)):
+                f = _swapped_and_turned(mv, turn)
+                assert all(back.partner(f(p)) == f(d.partner(p))
+                           for p in ports) == holds
+            taken += 1
+    assert taken == 14 + 70 + 828
 
 
 def test_22_matching_preserved_over_all_standard_sites():
@@ -214,9 +253,9 @@ def test_movelog_replay_detects_divergence(rotation3):
     if not sites:
         pytest.skip("no sites")
     nd, mv = move_22(d, sites[0])
-    final, log = make_log(d, [mv])
+    log = MoveLog(d.canonical_key(), [mv], [nd.canonical_key()])
     assert len(log) == 1 and log.counts() == {'22': 1}
-    assert replay(d, log).canonical_key() == final.canonical_key()
+    assert replay(d, log).canonical_key() == nd.canonical_key()
     bad = Move('drop', (d.faces()[0].key,))
     log.moves[0] = bad
     with pytest.raises(MoveError):

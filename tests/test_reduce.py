@@ -13,7 +13,7 @@ from tricross import (TripleDiagram, Matching, standard_diagram, to_standard,
                       minimal_crossing_count, textio)
 from tricross import reduce as reducer
 from tricross.diagram import DiagramError, port_str, strand_path
-from tricross.moves import apply_move, make_log, MoveError
+from tricross.moves import apply_move, MoveError
 from tricross.reduce import (straighten, is_boundary_parallel, extract_region,
                              region_legs, ReductionError, _build_residual,
                              _search, match_window)
@@ -102,7 +102,7 @@ def test_reduce_6x5_dual_clockwise():
     assert replay(d, log).canonical_key() == final.canonical_key()
 
 
-def test_straighten_interval_monogon_ends_in_one_10():
+def test_reducing_one_inflated_monogon_makes_one_10():
     rng = random.Random(12)
     m = Matching.from_dict(3, {0: 3, 2: 5, 4: 1})
     d0 = standard_diagram(m)
@@ -178,24 +178,6 @@ def test_connect_tiling_duals_pairwise_with_flip_parity():
             assert final.canonical_key() == duals[j].canonical_key()
             # log length has the parity of the flip distance
             assert (len(log.moves) - dist[tilings[j]]) % 2 == 0
-
-
-def test_straighten_interval_wrapper(rotation3):
-    d = standard_diagram(rotation3)
-    m = d.trace()[0]
-    final, log = __import__("tricross.reduce", fromlist=["x"]) \
-        .straighten_interval(d, (0, m[0], 1))
-    assert final.trace()[0] == m
-
-
-def test_straighten_interval_minimises_first(rotation3):
-    from tricross.reduce import straighten_interval
-    d0 = standard_diagram(rotation3)
-    d, _ = inflate(d0, 2, 1, 3, random.Random(4))
-    final, log = straighten_interval(d, (0, rotation3[0], 1))
-    assert log.counts()['10'] == 2 and log.counts()['drop'] == 1
-    assert is_boundary_parallel(final, 0, 1)
-    assert replay(d, log).canonical_key() == final.canonical_key()
 
 
 def test_slide_macros_all_patterns():
@@ -300,13 +282,11 @@ def _recorded_key_inputs():
 @pytest.mark.parametrize("strategy", ["inclusion", "cw", "ccw"])
 def test_to_standard_records_the_keys_a_fresh_replay_reads(strategy):
     """The keys read as the reducer applies its moves, nested
-    straightenings' moves included once, are those of applying the
-    logged moves again from the input."""
+    straightenings' moves included once, are those ``replay`` reads as it
+    applies the logged moves again from the input."""
     for d in _recorded_key_inputs():
         final, log = to_standard(d, strategy)
-        end, fresh = make_log(d, log.moves)
-        assert log.initial_key == fresh.initial_key
-        assert log.keys == fresh.keys
+        end = replay(d, log)  # raises at the first key that differs
         assert len(log.keys) == len(log.moves)
         assert final.canonical_key() == end.canonical_key()
 
@@ -340,8 +320,8 @@ def test_a_corrupted_straightened_residual_fails_its_check(monkeypatch):
     outer = reducer.straighten
     made = []
 
-    def corrupting(diagram, a, dirn, log=None, depth=0):
-        sub2, moves = outer(diagram, a, dirn, log, depth)
+    def corrupting(diagram, a, dirn, depth=0):
+        sub2, moves = outer(diagram, a, dirn, depth)
         if depth:
             return sub2, moves
         made.append(len(moves))
@@ -554,9 +534,9 @@ def test_double_crossing_straightens_its_under_piece_first(monkeypatch):
     depths = []
     outer = reducer.straighten
 
-    def traced(diagram, a, dirn, log=None, depth=0):
+    def traced(diagram, a, dirn, depth=0):
         depths.append(depth)
-        return outer(diagram, a, dirn, log, depth)
+        return outer(diagram, a, dirn, depth)
 
     monkeypatch.setattr(reducer, "straighten", traced)
     recursed = []
@@ -594,8 +574,8 @@ def test_the_double_crossing_recursion_moves_on_a_minimal_diagram(
     nested = []
     outer = reducer.straighten
 
-    def traced(diagram, a, dirn, log=None, depth=0):
-        result = outer(diagram, a, dirn, log, depth)
+    def traced(diagram, a, dirn, depth=0):
+        result = outer(diagram, a, dirn, depth)
         if depth == 1:
             nested.append(len(result[1]))  # a nested call keeps its own log
         return result

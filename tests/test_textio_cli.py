@@ -11,7 +11,7 @@ from tricross import (Matching, standard_diagram, Region, enumerate_tilings,
                       tiling_to_diagram, enumerate_component, inflate,
                       to_standard, empty_diagram)
 from tricross.diagram import TripleDiagram, parse_port
-from tricross.moves import MoveError, apply_01, make_log
+from tricross.moves import MoveError, MoveLog, apply_01, apply_move
 from tricross import textio
 from tricross.render import render_diagram, render_tiling, RenderSpec
 
@@ -184,7 +184,11 @@ def test_movelog_roundtrip_every_move_kind():
               Matching.from_dict(4, {0: 5, 2: 7, 4: 1, 6: 3})):
         d0 = standard_diagram(m)
         d, moves = inflate(d0, 2, 2, 4, rng)
-        _, grow = make_log(d0, moves)
+        keys, cur = [], d0
+        for mv in moves:  # the inflation's key after each move
+            cur = apply_move(cur, mv)
+            keys.append(cur.canonical_key())
+        grow = MoveLog(d0.canonical_key(), moves, keys)
         _, shrink = to_standard(d)
         for start, log in ((d0, grow), (d, shrink)):
             text = textio.write_movelog(start, log)
