@@ -59,7 +59,7 @@ traces again to; the cluster exchange, the one caller that asks,
 carries its variables by it (``pop_rekeyed``).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import NamedTuple
 
@@ -106,9 +106,34 @@ class Move(NamedTuple):
 
 @dataclass
 class MoveLog:
+    """Moves from the diagram with canonical key ``initial_key``, with what
+    ``record`` reads as each applies: the canonical key after it, and the
+    index of its face in the diagram it applies to (the site face of a
+    ``22``, the loop's face of a ``drop`` or ``add``; None for ``10`` and
+    ``01``).  ``textio.write_movelog`` names faces as recorded;
+    ``replay`` and ``textio.read_movelog`` check a log independently."""
     initial_key: str
-    moves: list       # Move
-    keys: list        # canonical key after each move
+    moves: list = field(default_factory=list)   # Move
+    keys: list = field(default_factory=list)    # canonical key after each
+    faces: list = field(default_factory=list)   # face index before each
+
+    def record(self, diagram, moves):
+        """Apply ``moves`` to ``diagram`` in order and log each with its
+        face index and the key of its result; returns the last result.
+        Every producer of a log fills it through this one recorder."""
+        for move in moves:
+            if move.kind == '22':
+                face = diagram.face_index(
+                    diagram.face_key(('c',) + tuple(move.data[0])))
+            elif move.kind == 'drop' or move.kind == 'add':
+                face = diagram.face_index(move.data[0])
+            else:
+                face = None
+            diagram = apply_move(diagram, move)
+            self.moves.append(move)
+            self.keys.append(diagram.canonical_key())
+            self.faces.append(face)
+        return diagram
 
     def counts(self):
         out = {}

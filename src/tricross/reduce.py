@@ -263,21 +263,18 @@ def _search(diagram, goal, stuck, window=None, cap=30000):
 # ----------------------------------------------------------------------
 # minimisation
 
-def _apply_all(diagram, moves, log, keys=None):
-    """Apply ``moves`` to ``diagram`` and log them; with ``keys``, also
-    the canonical key after each move, for the MoveLog."""
+def _apply_all(diagram, moves, log):
+    """Apply ``moves`` to ``diagram`` and append them to the list ``log``."""
     for mv in moves:
         diagram = apply_move(diagram, mv)
         log.append(mv)
-        if keys is not None:
-            keys.append(diagram.canonical_key())
     return diagram
 
 
-def _minimise(diagram, log, keys):
+def _minimise(diagram, log):
     """Reduce ``diagram`` to a minimal one by drops, 1->0 moves and the
-    2<->2 moves that expose an empty monogon; logs them (and their keys,
-    as ``_apply_all``)."""
+    2<->2 moves that expose an empty monogon, recorded in the MoveLog
+    ``log``."""
     while True:
         if diagram.loops:
             moves = [Move('drop', (min(diagram.loops),))]
@@ -288,7 +285,7 @@ def _minimise(diagram, log, keys):
         else:
             moves = _search(diagram, find_10_sites, "no empty monogon "
                             "within reach of a non-minimal diagram")
-        diagram = _apply_all(diagram, moves, log, keys)
+        diagram = log.record(diagram, moves)
 
 
 # ----------------------------------------------------------------------
@@ -477,8 +474,9 @@ def to_standard(diagram, strategy="inclusion"):
     minimal input it is 2<->2-only.  The result's canonical key equals
     that of the standard diagram of the trace under ``strategy``; one
     listing of ``lay_order`` builds that target and drives the strands'
-    order.  The log's keys are read as the moves apply; ``replay``
-    re-applies them independently.
+    order.  The log's keys and face indexes are read as the moves apply
+    (``MoveLog.record``); ``replay`` and ``textio.read_movelog``
+    re-apply them independently.
 
     Each step reads its strand in place (``_read_strand``); a strand
     that is not boundary-parallel along its scheduled interval is
@@ -486,12 +484,11 @@ def to_standard(diagram, strategy="inclusion"):
     (module docstring).
     """
     diagram.check()
-    start = diagram
     matching, _ = diagram.trace()
     schedule = list(lay_order(matching, strategy))
     target = lay_strands(matching, schedule)
-    log, log_keys = [], []
-    diagram = _minimise(diagram, log, log_keys)
+    log = MoveLog(diagram.canonical_key())
+    diagram = _minimise(diagram, log)
     n = diagram.n
     frozen = set()
     frontier = {i: ('b', i) for i in range(2 * n)}  # key -> port
@@ -512,7 +509,7 @@ def to_standard(diagram, strategy="inclusion"):
             sub = _build_residual(diagram, set(diagram.crossings) - frozen,
                                   [frontier[k] for k in keys])
             sub2, submoves = straighten(sub, a_idx, dirn)
-            diagram = _apply_all(diagram, submoves, log, log_keys)
+            diagram = log.record(diagram, submoves)
             sub2.check()
             b_idx, visits, parallel = _read_strand(
                 sub2, range(2 * sub2.n), (), a_idx, dirn)
@@ -524,7 +521,7 @@ def to_standard(diagram, strategy="inclusion"):
         frozen.update(c for c, _ in visits)
     if diagram.canonical_key() != target.canonical_key():
         raise ReductionError("reduction did not reach the standard diagram")
-    return diagram, MoveLog(start.canonical_key(), log, log_keys)
+    return diagram, log
 
 
 def reduce_to_minimal(diagram, strategy="inclusion"):
@@ -560,18 +557,17 @@ def connect_minimal(d1, d2, strategy="inclusion"):
         c1, off = at[c]
         return (c1, (s + off) % 6)
 
-    moves, keys = list(log1.moves), list(log1.keys)
     cur = s1
     for mv in reversed(log2.moves):
         inv = Move('22', tuple(map(tr, mv.inverse().data)))
-        cur = _apply_all(cur, [inv], moves, keys)
+        cur = log1.record(cur, [inv])
         # the inverse's result is mv's start with X and Y swapped and turned
         (X, x1), (Y, y1) = mv.data[:2]
         (cx, ox), (cy, oy) = at[X], at[Y]
         at[X], at[Y] = (cy, oy + y1 - x1 + 2), (cx, ox + x1 - y1 + 2)
     if cur.canonical_key() != d2.canonical_key():
         raise ReductionError("connection missed the target")
-    return MoveLog(log1.initial_key, moves, keys)
+    return log1
 
 
 # ----------------------------------------------------------------------
@@ -695,10 +691,9 @@ def slide_macro(diagram, pattern, window, repeats):
         c, s = dart
         return (window[c], (s + phases[c]) % 6)
 
-    moves, keys = [], []
-    _apply_all(diagram, [Move('22', tuple(map(tr, mv.data))) for mv in path],
-               moves, keys)
-    return MoveLog(diagram.canonical_key(), moves, keys)
+    log = MoveLog(diagram.canonical_key())
+    log.record(diagram, [Move('22', tuple(map(tr, mv.data))) for mv in path])
+    return log
 
 
 # ----------------------------------------------------------------------

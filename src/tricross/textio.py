@@ -7,7 +7,8 @@ every list is emitted in a fixed order.
 import hashlib
 
 from .diagram import TripleDiagram, Matching, port_str, parse_port
-from .moves import Move, MoveLog, apply_move, move_22, resolve_22_by_darts
+from .moves import (Move, MoveError, MoveLog, apply_move, move_22,
+                    resolve_22_by_darts)
 from .domino import Region, Tiling
 
 
@@ -266,27 +267,30 @@ def read_ascii_tiling(text):
 # ----------------------------------------------------------------------
 # move logs
 
-def _move_to_line(diagram, move):
-    """A move's line; a face is named by its index, read off the store."""
+def _move_to_line(move, face):
+    """A move's line; its face, if any, is named by the index ``face``."""
     if move.kind == '22':
-        return "22 %d" % diagram.face_index(
-            diagram.face_key(('c',) + tuple(move.data[0])))
+        return "22 %d" % face
     if move.kind == '10':
         return "10 %d.%d" % move.data
     if move.kind == '01':
         ep, eq, side = move.data
         return "01 %s %s %s" % (port_str(ep), port_str(eq), side)
     if move.kind == 'drop' or move.kind == 'add':
-        return "%s %d" % (move.kind, diagram.face_index(move.data[0]))
+        return "%s %d" % (move.kind, face)
     raise ValueError(move.kind)
 
 
 def write_movelog(initial, log):
+    """The ``movelog v1`` text of ``log`` from ``initial``.  Each face is
+    named by the index the log recorded as its move applied
+    (``MoveLog.record``); no move is applied again, and ``read_movelog``
+    is the independent check of the text."""
+    if initial.canonical_key() != log.initial_key:
+        raise MoveError("log does not start at this diagram")
     out = ["movelog v1", "initial %s" % key_digest(log.initial_key)]
-    cur = initial
-    for mv in log.moves:
-        out.append(_move_to_line(cur, mv))
-        cur = apply_move(cur, mv)
+    out.extend(_move_to_line(mv, face)
+               for mv, face in zip(log.moves, log.faces, strict=True))
     return "\n".join(out) + "\n"
 
 
@@ -303,7 +307,8 @@ def _face_at(diagram, index):
 
 
 def read_movelog(text, initial, name="<movelog>"):
-    """Parse and resolve a move log against its initial diagram."""
+    """Parse and resolve a move log against its initial diagram; each
+    move's face index is kept as the line names it."""
     lines = _lines(text, name, "movelog v1")
     if len(lines) < 2 or not lines[1].startswith("initial "):
         raise ParseError(name, 2, "missing initial key line")
@@ -311,15 +316,16 @@ def read_movelog(text, initial, name="<movelog>"):
     if digest != key_digest(initial.canonical_key()):
         raise ParseError(name, 2, "log does not start at this diagram")
     cur = initial
-    moves = []
-    keys = []
+    log = MoveLog(initial.canonical_key())
     for no, line in enumerate(lines[2:], start=3):
         if not line.strip():
             continue
         parts = line.split()
+        face = None
         try:
             if parts[0] in ("22", "drop", "add"):
-                key, darts = _face_at(cur, int(parts[1]))
+                face = int(parts[1])
+                key, darts = _face_at(cur, face)
             if parts[0] == "22":
                 d1, d2 = darts
                 site = resolve_22_by_darts(cur, (d1[1], d1[2]),
@@ -343,9 +349,10 @@ def read_movelog(text, initial, name="<movelog>"):
             raise
         except (IndexError, ValueError) as exc:
             raise ParseError(name, no, "bad move %r: %s" % (line, exc))
-        moves.append(mv)
-        keys.append(cur.canonical_key())
-    return MoveLog(initial.canonical_key(), moves, keys), cur
+        log.moves.append(mv)
+        log.keys.append(cur.canonical_key())
+        log.faces.append(face)
+    return log, cur
 
 
 # ----------------------------------------------------------------------

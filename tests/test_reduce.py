@@ -22,6 +22,7 @@ from tricross.standard import interval_interior, template_slots
 
 from conftest import all_matchings
 from test_golden import inflation
+from test_textio_cli import reference_face_index
 
 
 def test_to_standard_fixes_standard_diagrams():
@@ -691,8 +692,10 @@ OPEN_DEFECTS = ()
 
 def reduce_cell(n, extra):
     """Reduce every connected diagram of every matching on ``n`` pairs
-    with ``extra`` crossings over the minimum, and replay each log: its
-    crossing count never rises and it ends on the standard diagram.
+    with ``extra`` crossings over the minimum, and replay each log: each
+    recorded face index is the one the replaying diagram reads before the
+    move, the crossing count never rises and the log ends on the standard
+    diagram.
     Returns the number of diagrams and a Counter of the failures, each
     as its exception's class name and message."""
     diagrams, failures = 0, Counter()
@@ -706,8 +709,13 @@ def reduce_cell(n, extra):
             except (ReductionError, MoveError) as exc:
                 failures["%s: %s" % (type(exc).__name__, exc)] += 1
                 continue
-            cur, counts = d, [k]
-            for mv, key in zip(log.moves, log.keys):
+            # a fresh copy, so that the face records the reference builds
+            # are not kept on the cell's diagrams
+            cur, counts = TripleDiagram(d.n, d.crossings, None, d.loops,
+                                        partners=d.partners()), [k]
+            for mv, key, face in zip(log.moves, log.keys, log.faces,
+                                     strict=True):
+                assert face == reference_face_index(cur, mv)
                 cur = apply_move(cur, mv)
                 assert cur.canonical_key() == key
                 counts.append(cur.crossing_count())

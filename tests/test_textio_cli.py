@@ -9,13 +9,15 @@ import pytest
 
 from tricross import (Matching, standard_diagram, Region, enumerate_tilings,
                       tiling_to_diagram, enumerate_component, inflate,
-                      to_standard, empty_diagram)
-from tricross.diagram import TripleDiagram, parse_port
+                      to_standard, empty_diagram, reduce_to_minimal,
+                      connect_minimal, slide_macro, pattern_template)
+from tricross.diagram import TripleDiagram, parse_port, port_str
 from tricross.moves import MoveError, MoveLog, apply_01, apply_move
 from tricross import textio
 from tricross.render import render_diagram, render_tiling, RenderSpec
 
 from conftest import all_matchings
+from test_golden import inflation
 
 PKG = Path(__file__).resolve().parent.parent
 
@@ -176,27 +178,135 @@ def test_movelog_roundtrip():
 
 
 def test_movelog_roundtrip_every_move_kind():
-    """Inflation logs (01, add, 22) and reduction logs (22, 10, drop)
-    read back to the same moves and keys, and write back byte for byte."""
+    """Inflation logs (01, add, 22), recorded move by move, and reduction
+    logs (22, 10, drop) are written as the replaying reference writes
+    them, and read back to the same moves, keys and face indexes."""
     rng = random.Random(8)
     kinds = set()
     for m in (Matching.from_dict(3, {0: 3, 2: 5, 4: 1}),
               Matching.from_dict(4, {0: 5, 2: 7, 4: 1, 6: 3})):
         d0 = standard_diagram(m)
         d, moves = inflate(d0, 2, 2, 4, rng)
-        keys, cur = [], d0
-        for mv in moves:  # the inflation's key after each move
-            cur = apply_move(cur, mv)
-            keys.append(cur.canonical_key())
-        grow = MoveLog(d0.canonical_key(), moves, keys)
+        grow = MoveLog(d0.canonical_key())
+        grow.record(d0, moves)
         _, shrink = to_standard(d)
         for start, log in ((d0, grow), (d, shrink)):
             text = textio.write_movelog(start, log)
-            parsed, _ = textio.read_movelog(text, start)
-            assert parsed.moves == log.moves and parsed.keys == log.keys
-            assert textio.write_movelog(start, parsed) == text
+            assert text == reference_movelog(start, log)
+            assert textio.read_movelog(text, start)[0] == log
             kinds.update(line.split()[0] for line in text.splitlines()[2:])
     assert kinds == {"01", "add", "22", "10", "drop"}
+
+
+def reference_face_index(diagram, move):
+    """The position in ``diagram.faces()`` of ``move``'s face: the face
+    whose darts hold a 2<->2 move's first site dart, or the loop face of
+    a ``drop`` or ``add``; None for ``10`` and ``01``.  Found by scanning
+    the records of the diagram the move applies to, apart from
+    ``face_index``: the reference for the index ``MoveLog.record``
+    records."""
+    if move.kind == '22':
+        dart = ('c',) + tuple(move.data[0])
+        return next(i for i, face in enumerate(diagram.faces())
+                    if dart in face.darts)
+    if move.kind in ('drop', 'add'):
+        return [face.key for face in diagram.faces()].index(move.data[0])
+    return None
+
+
+def reference_movelog(initial, log):
+    """The replaying writer: the ``movelog v1`` text of ``log``, each
+    move applied again from ``initial`` and its face named by
+    ``reference_face_index`` on the diagram it applies to, whatever
+    indexes the log recorded."""
+    out = ["movelog v1", "initial %s" % textio.key_digest(log.initial_key)]
+    cur = initial
+    for mv in log.moves:
+        if mv.kind == '10':
+            out.append("10 %d.%d" % mv.data)
+        elif mv.kind == '01':
+            out.append("01 %s %s %s" % (port_str(mv.data[0]),
+                                        port_str(mv.data[1]), mv.data[2]))
+        else:
+            out.append("%s %d" % (mv.kind, reference_face_index(cur, mv)))
+        cur = apply_move(cur, mv)
+    return "\n".join(out) + "\n"
+
+
+def _recorded_logs():
+    """(initial diagram, log) from every producer of logs: the reductions
+    of seeded inflations, each with free loops to drop; ``connect_minimal``
+    between every two 4x3 domino duals, and from the first 4x4 dual to
+    every other and back; and a ``slide_macro``."""
+    for seed in range(40):
+        rng = random.Random(seed)
+        n = 4 + seed % 5
+        outs = list(range(1, 2 * n, 2))
+        rng.shuffle(outs)
+        d, _ = inflate(standard_diagram(Matching.from_dict(
+            n, dict(zip(range(0, 2 * n, 2), outs)))), 1 + seed % 3,
+            1 + seed % 2, 12, rng)
+        yield d, reduce_to_minimal(d)[1]
+    duals = [tiling_to_diagram(t)
+             for t in enumerate_tilings(Region.rectangle(4, 3))]
+    for d1 in duals:
+        for d2 in duals:
+            yield d1, connect_minimal(d1, d2)
+    duals = [tiling_to_diagram(t)
+             for t in enumerate_tilings(Region.rectangle(4, 4))]
+    for d in duals:
+        yield duals[0], connect_minimal(duals[0], d)
+        yield d, connect_minimal(d, duals[0])
+    left, window, _ = pattern_template('b', 2)
+    yield left, slide_macro(left, 'b', window, 2)
+
+
+def test_write_movelog_matches_the_replaying_reference():
+    """Each log is written from its recorded face indexes to the bytes
+    the replaying reference writes, for every producer of logs."""
+    kinds = set()
+    for initial, log in _recorded_logs():
+        text = textio.write_movelog(initial, log)
+        assert text == reference_movelog(initial, log)
+        kinds.update(line.split()[0] for line in text.splitlines()[2:])
+    assert kinds == {"22", "10", "drop"}
+
+
+def test_the_reference_catches_indexes_read_after_the_move(monkeypatch):
+    """A recorder that reads each face index on the diagram its move
+    makes, instead of the one the move applies to, writes another text
+    than the replaying reference for every log with a 2<->2 move."""
+    def record_after(self, diagram, moves):
+        for move in moves:
+            diagram = apply_move(diagram, move)
+            if move.kind == '22':
+                face = diagram.face_index(
+                    diagram.face_key(('c',) + tuple(move.data[0])))
+            elif move.kind in ('drop', 'add'):
+                face = diagram.face_index(move.data[0])
+            else:
+                face = None
+            self.moves.append(move)
+            self.keys.append(diagram.canonical_key())
+            self.faces.append(face)
+        return diagram
+
+    monkeypatch.setattr(MoveLog, "record", record_after)
+    tried = differ = 0
+    for initial, log in _recorded_logs():
+        tried += '22' in log.counts()
+        differ += (textio.write_movelog(initial, log)
+                   != reference_movelog(initial, log))
+    assert differ == tried > 0
+
+
+def test_write_movelog_refuses_another_initial_diagram():
+    """A log is written only from the diagram it starts at: from any
+    other, its recorded face indexes would name that diagram's faces."""
+    d = inflation(0)
+    _, log = reduce_to_minimal(d)
+    with pytest.raises(MoveError, match="does not start at this diagram"):
+        textio.write_movelog(standard_diagram(d.trace()[0]), log)
 
 
 def _no_face_records(monkeypatch):
@@ -210,16 +320,20 @@ def test_a_loop_bearing_reduction_log_is_written_and_read_without_records(
         monkeypatch):
     """A face index is its key's rank in the face store, both ways, and
     a loop's canonical key reads its face off the store: the log of a
-    reduction that drops loops is written and read, on a fresh copy of
-    its input, with ``TripleDiagram._face`` refusing to build a record,
-    to the same text, moves and keys."""
+    reduction that drops loops is recorded, written and read, on fresh
+    copies of its input, with ``TripleDiagram._face`` refusing to build
+    a record, to the text the replaying reference writes (with records,
+    before the refusal) and to the same moves, keys and face indexes."""
     d, _ = inflate(standard_diagram(Matching.from_dict(
         4, {0: 5, 2: 7, 4: 1, 6: 3})), 3, 2, 12, random.Random(3))
     final, log = to_standard(d)
-    text = textio.write_movelog(d, log)
+    text = reference_movelog(d, log)
     assert {"22", "10", "drop"} <= {line.split()[0]
                                     for line in text.splitlines()[2:]}
     _no_face_records(monkeypatch)
+    fresh = TripleDiagram(d.n, d.crossings, None, d.loops,
+                          partners=d.partners())
+    assert to_standard(fresh)[1] == log
     fresh = TripleDiagram(d.n, d.crossings, None, d.loops,
                           partners=d.partners())
     assert textio.write_movelog(fresh, log) == text

@@ -6,8 +6,9 @@ print a table of the cells: diagrams, failures by class, seconds.
 
 Each cell runs ``reduce_cell`` of tests/test_reduce.py, the generator of
 the tier-1 slice tests over the smallest cells, so every log is replayed
-the same way: its crossing count never rises and it ends on the
-standard diagram.  Exits 1 when any diagram fails.  Stdlib only;
+the same way: each recorded face index is the one the replaying diagram
+reads before the move, its crossing count never rises and it ends on
+the standard diagram.  Exits 1 when any diagram fails.  Stdlib only;
 takes about 4.5 minutes on a 2-vCPU host, 1.1 of them on the n = 4
 cells.
 """
