@@ -222,18 +222,15 @@ def init_cluster(diagram):
         raise MoveError("diagram does not validate: " + "; ".join(violations))
     if not diagram.is_connected():
         raise MoveError("cluster state needs a connected diagram")
-    whites = [f for f in diagram.faces() if f.color == 'white']
+    _, faces, keys, names = diagram.face_store()
+    # (index, key code) of each white face
+    whites = [(i, key) for i, key in enumerate(keys) if faces[key][1] & 1]
     nvars = len(whites)
-    values = {}
-    names = []
-    frozen = set()
-    for i, f in enumerate(whites):
-        values[f.key] = lv_var(nvars, i)
-        names.append("x%d" % f.index)
-        if f.boundary:
-            frozen.add(f.key)
-    return ClusterState(diagram, values, frozenset(frozen), nvars,
-                        tuple(names))
+    values = {names[key]: lv_var(nvars, v)
+              for v, (_, key) in enumerate(whites)}
+    frozen = frozenset([names[key] for _, key in whites if faces[key][1] > 3])
+    return ClusterState(diagram, values, frozen, nvars,
+                        tuple(["x%d" % i for i, _ in whites]))
 
 
 def exchange_22(state, site):
@@ -296,9 +293,6 @@ def random_walk(state, length, rng):
 
 def dump_values(state):
     """One line per variable-bearing face, deterministic order."""
-    lines = []
-    faces = {f.key: f for f in state.diagram.faces()}
-    for key in sorted(state.values, key=lambda k: faces[k].index):
-        lines.append("x%d = %s" % (faces[key].index,
-                                   state.values[key].pretty(state.var_names)))
-    return "\n".join(lines)
+    index = {key: state.diagram.face_index(key) for key in state.values}
+    return "\n".join("x%d = %s" % (index[key], state.values[key].pretty(
+        state.var_names)) for key in sorted(state.values, key=index.get))

@@ -37,25 +37,26 @@ Conventions (global, used by every other module):
 * Dart codes put ``('+', i)`` at ``i``, ``('-', i)`` at ``2n + i`` and a
   port at ``4n`` plus its code, so int order is tuple order.
 
-* The faces live in one store on dart codes, ``face_store()``: by dart,
-  its face's key code (the face's least dart; -1 for the outer face), and
-  by key, the face's orbit from it and its kind bits (color and boundary),
-  with the keys in order.  A move result carries its parent's store,
-  lazily: it holds the store and the codes of the ports whose partner the
-  move changed (each joined port and a removed crossing's six), never the
-  parent diagram.  Its first ``face_store()`` copies the table, drops the
-  parent faces that hold a touched port and traces phi again only through
-  the touched ports still in the map; a full trace is that carry from no
-  face, through every port, and what a result gets from a parent whose
-  store is not made yet.  A 2<->2 move asked to (``rekey``) also records
-  old key -> new key of each face it traced again (``pop_rekeyed``).  One
-  routine, ``_face_kinds``, colors the orbits.  ``Face`` records are
-  views, built from the store on demand and kept: ``faces()`` builds them
-  all in key order, a face's ``index`` being its position (its key
-  code's rank, which ``face_index`` reads without a record); ``face_of``
-  and ``face_by_key`` build the one asked for.  ``validate`` traces and
-  colors the orbits for itself and builds no record; it asks the store
-  only for the key codes of free loops.
+* A diagram holds its faces in one store on dart codes, ``face_store()``,
+  which the library reads (with ``face_key``, ``face_codes`` and
+  ``face_index``): by dart, its face's key code (the face's least dart; -1
+  for the outer face), and by key, the face's orbit from it and its kind
+  bits (color and boundary), with the keys in order, a face's index being
+  its rank.  The empty disk's one face has no dart: its store alone holds
+  it, as key code -1 named ``()``.  A move result carries its parent's
+  store, lazily: it holds the store and the codes of the ports whose
+  partner the move changed (each joined port and a removed crossing's
+  six), never the parent diagram.  Its first ``face_store()`` copies the
+  table, drops the parent faces that hold a touched port and traces phi
+  again only through the touched ports still in the map; a full trace is
+  that carry from no face, through every port, and what a result gets from
+  a parent whose store is not made yet.  A 2<->2 move asked to (``rekey``)
+  also records old key -> new key of each face it traced again
+  (``pop_rekeyed``).  One routine, ``_face_kinds``, colors the orbits;
+  ``validate`` colors its own orbits.  ``Face`` records are the view of
+  the store that ``render --faces`` and the tests read, built by
+  ``_record``: ``faces()`` builds them all once and keeps them, and
+  ``face_of`` and ``face_by_key`` build the one asked for.
 
 * One breadth-first walk, ``_walk``, labels the crossings reachable from
   the endpoints, or from one root crossing at an even phase, ``(id,
@@ -257,16 +258,16 @@ class Face(NamedTuple):
 
     ``darts`` is the left-face orbit in traversal order, rotated to start
     at the minimal dart; each dart is one (edge, side) incidence.  A
-    record is a view of one face of the face store, built on demand; it
-    is a tuple of its five fields in this order (a NamedTuple): it
-    compares, hashes and unpacks as that tuple.
+    record is a view of one face of the face store (``faces()``); it is
+    a tuple of its five fields in this order (a NamedTuple): it compares,
+    hashes and unpacks as that tuple.
     """
 
     index: int
     darts: tuple
     color: str          # 'white' | 'black'
     boundary: bool
-    key: tuple = ()     # minimal dart; () for the empty-disk face
+    key: tuple          # minimal dart; () for the empty disk's face
 
 
 class TripleDiagram:
@@ -419,6 +420,9 @@ class TripleDiagram:
             faces[key] = orbit, kind
             for d in orbit:
                 table[d] = key
+        if not faces:  # the empty disk: one face, white, no dart, key ()
+            faces[-1] = (), 5
+            names += ((),)
         store = self._cache['store'] = table, faces, sorted(faces), names
         if renamed is not None:
             self._cache['rekeyed'] = {names[orbit[0]]: self.image_of(
@@ -463,27 +467,6 @@ class TripleDiagram:
             orbits.append(tuple(orbit))
         return orbits
 
-    def faces(self):
-        """Interior faces with checkerboard colors, in key order: a face's
-        ``index`` is its position.  Built from the face store on the first
-        call, like each record ``face_of`` or ``face_by_key`` builds."""
-        if 'faces' not in self._cache:  # the empty disk's face has no dart
-            faces = tuple(map(self._face, self.face_store()[2]))
-            self._cache['faces'] = faces or (Face(0, (), 'white', True, ()),)
-        return self._cache['faces']
-
-    def _face(self, key):
-        """The Face record of key code ``key``, built once."""
-        records = self._cache.setdefault('records', {})
-        if key not in records:
-            _, faces, keys, names = self.face_store()
-            orbit, kind = faces[key]
-            darts = tuple(map(names.__getitem__, orbit))
-            records[key] = Face(bisect_left(keys, key), darts,
-                                'white' if kind & 1 else 'black', kind > 3,
-                                darts[0])
-        return records[key]
-
     def face_key(self, dart):
         """The key of the interior face whose left boundary contains
         ``dart``; KeyError when none (an outer dart, or no dart here)."""
@@ -493,32 +476,24 @@ class TripleDiagram:
             raise KeyError(dart)
         return names[key]
 
-    def face_of(self, dart):
-        """The interior face whose left boundary contains ``dart``."""
-        return self.face_by_key(self.face_key(dart))
+    def _key_code(self, key):
+        """The key code of the face keyed ``key`` (KeyError: none); a key
+        that is no dart gets -1, which only the empty disk's store holds."""
+        code = _tables(self.n, len(self._partner))[8].get(key, -1)
+        _, faces, _, names = self.face_store()
+        if code not in faces or names[code] != key:
+            raise KeyError(key)
+        return code
 
     def face_codes(self, key):
-        """(orbit, kind) of the interior face with key dart ``key``, as the
+        """(orbit, kind) of the interior face with key ``key``, as the
         face store holds it; KeyError when none."""
-        face = self.face_store()[1].get(
-            _tables(self.n, len(self._partner))[8][key])
-        if face is None:
-            raise KeyError(key)
-        return face
-
-    def face_by_key(self, key):
-        """The interior face with key dart ``key``; KeyError when none."""
-        if key == () and self.n == 0 and not self.crossings:
-            return self.faces()[0]  # the empty disk's, with no dart
-        return self._face(self.face_codes(key)[0][0])
+        return self.face_store()[1][self._key_code(key)]
 
     def face_index(self, key):
-        """The ``index`` of the face with key dart ``key``, its key code's
-        rank in the store, read without building a record."""
-        keys = self.face_store()[2]
-        if key == () and not keys:  # the empty disk's one face
-            return 0
-        return bisect_left(keys, self.face_codes(key)[0][0])
+        """The index of the face with key ``key``: its key code's rank in
+        the store."""
+        return bisect_left(self.face_store()[2], self._key_code(key))
 
     def image_of(self, orbit, renamed, centre=None):
         """The key of the face that the face with dart codes ``orbit``, of
@@ -538,6 +513,33 @@ class TripleDiagram:
         them; every other face kept its key."""
         self.face_store()
         return self._cache.pop('rekeyed', {})
+
+    # ------------------------------------------------------------------
+    # the Face record view (module docstring)
+
+    def faces(self):
+        """The interior faces as ``Face`` records, in index order; kept."""
+        if 'faces' not in self._cache:
+            self._cache['faces'] = tuple(
+                map(self._record, range(len(self.face_store()[2]))))
+        return self._cache['faces']
+
+    def _record(self, index):
+        """The ``Face`` record of the face with index ``index``: the view's
+        one builder, which keeps nothing."""
+        _, faces, keys, names = self.face_store()
+        orbit, kind = faces[keys[index]]
+        return Face(index, tuple(map(names.__getitem__, orbit)),
+                    'white' if kind & 1 else 'black', kind > 3,
+                    names[keys[index]])
+
+    def face_of(self, dart):
+        """The record of the face left of ``dart``; KeyError when none."""
+        return self._record(self.face_index(self.face_key(dart)))
+
+    def face_by_key(self, key):
+        """The record of the face keyed ``key``; KeyError when none."""
+        return self._record(self.face_index(key))
 
     # ------------------------------------------------------------------
     # the crossing walk
@@ -646,11 +648,10 @@ class TripleDiagram:
             return [str(exc)]
         if not self.loops:
             return violations
-        # a key is the least dart of a face in the store; the empty disk's
-        # one face has the key ()
-        faces, keys = self.face_store()[1], tables[8]
         for key, count in self.loops.items():
-            if not (keys.get(key) in faces if faces else key == ()):
+            try:
+                self._key_code(key)
+            except KeyError:
                 violations.append("free loop keyed to unknown face %r" % (key,))
             if count < 1:
                 violations.append("free loop count %d < 1 at %r" % (count, key))
@@ -793,8 +794,6 @@ class TripleDiagram:
         return self._cache['code']
 
     def _canonical_face_key(self, key_dart, label):
-        if key_dart == () and self.n == 0 and not self.crossings:
-            return ""  # the empty disk's face has no dart
         cands = []
         names = self.face_store()[3]
         for d in map(names.__getitem__, self.face_codes(key_dart)[0]):
@@ -803,7 +802,7 @@ class TripleDiagram:
                 cands.append("C%d.%d" % (cid, (d[2] - phase) % 6))
             else:
                 cands.append(port_str(d) if d[0] == 'b' else "%s%d" % d)
-        return min(cands)
+        return min(cands, default="")  # the empty disk's face has no dart
 
     # ------------------------------------------------------------------
 
@@ -813,8 +812,8 @@ class TripleDiagram:
         new = TripleDiagram(self.n, self.crossings, None, loops,
                             partners=self._partner)
         new._cache = {k: v for k, v in self._cache.items()
-                      if k in ('store', 'records', 'faces', 'carry',
-                               'rekeyed', 'strands', 'unknown')}
+                      if k in ('store', 'faces', 'carry', 'rekeyed',
+                               'strands', 'unknown')}
         return new
 
     def __eq__(self, other):

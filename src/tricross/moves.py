@@ -334,9 +334,9 @@ def apply_10(diagram, site):
                 if q[:2] != ('c', c)]
         if kept:
             centre = new.face_key(kept[0])
-        else:  # the first face; the empty disk's has the key ()
+        else:  # the first face
             _, _, keys, names = new.face_store()
-            centre = names[keys[0]] if keys else ()
+            centre = names[keys[0]]
         x = 6 * diagram.n + 6 * c  # the dart code of C<c>.0
         new = _carry_loops(diagram, new, dict.fromkeys(range(x, x + 6)),
                            centre, loops_made)
@@ -367,12 +367,11 @@ def apply_01(diagram, edge_p, edge_q, side):
         raise MoveError("monogon insertion needs two distinct edges")
     b_dst = diagram.partner(a_src)
     d_dst = diagram.partner(c_src)
-    dart = a_src if side == 'l' else b_dst
-    face = diagram.face_of(dart)
-    if not (c_src in face.darts or d_dst in face.darts):
+    key = diagram.face_key(a_src if side == 'l' else b_dst)
+    if key not in (diagram.face_key(c_src), diagram.face_key(d_dst)):
         raise MoveError("edges do not share the chosen face")
     c = max(diagram.crossings, default=-1) + 1
-    if face.color == 'black':
+    if diagram.face_codes(key)[1] & 2:  # black
         # petal edge on slots (0, 1)
         joins = [(a_src, ('c', c, 4)), (('c', c, 3), b_dst),
                  (('c', c, 1), ('c', c, 0)),
@@ -402,7 +401,7 @@ def drop_loop(diagram, site):
 
 
 def add_loop(diagram, face_key):
-    diagram.face_by_key(face_key)  # raises KeyError when stale
+    diagram.face_codes(face_key)  # raises KeyError when stale
     loops = dict(diagram.loops)
     loops[face_key] = loops.get(face_key, 0) + 1
     return diagram.with_loops(loops)

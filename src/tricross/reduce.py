@@ -458,12 +458,11 @@ def _build_residual(diagram, active, frontier):
         for a in range(2 * n + 6 * c, 2 * n + 6 * c + 6):
             if inside(parent[a]):
                 partner[a + shift] = parent[a] + shift
-    loops = {}
-    for fk, count in diagram.loops.items():
-        face = diagram.face_by_key(fk)
-        if face.darts and all(d[0] == 'c' and d[1] in active
-                              for d in face.darts):
-            loops[fk] = count
+    # the loops whose faces lie inside: each dart a slot of an active
+    # crossing, slot s of crossing c having dart code 6n + 6c + s
+    loops = {fk: count for fk, count in diagram.loops.items()
+             if all(d >= 6 * n and (d - 6 * n) // 6 in active
+                    for d in diagram.face_codes(fk)[0])}
     return TripleDiagram(sub_n, crossings, None, loops, partners=partner)
 
 
@@ -709,16 +708,18 @@ def inflate(diagram, bumps, loops, shuffles, rng):
     moves = []
     cur = diagram
     for _ in range(bumps):
+        _, faces, keys, names = cur.face_store()
         cands = []
-        for f in cur.faces():
-            # one dart per edge: an edge with both sides on one face would
-            # be a bridge, and every strand that crosses a cut crosses back
-            edge_darts = [d for d in f.darts if d[0] in ('b', 'c')]
-            if len(edge_darts) >= 2:
-                cands.append((f, edge_darts))
+        for key in keys:
+            # its port darts (codes from 4n), in the face's order: one dart
+            # per edge, as an edge with both sides on one face would be a
+            # bridge, and every strand that crosses a cut crosses back
+            darts = [names[d] for d in faces[key][0] if d >= 4 * cur.n]
+            if len(darts) >= 2:
+                cands.append(darts)
         if not cands:
             break
-        f, darts = cands[rng.randrange(len(cands))]
+        darts = cands[rng.randrange(len(cands))]
         dp = darts[rng.randrange(len(darts))]
         dq = dp
         while dq == dp:
@@ -729,9 +730,8 @@ def inflate(diagram, bumps, loops, shuffles, rng):
         cur = apply_move(cur, mv)
         moves.append(mv)
     for _ in range(loops):
-        faces = cur.faces()
-        f = faces[rng.randrange(len(faces))]
-        mv = Move('add', (f.key,))
+        _, _, keys, names = cur.face_store()
+        mv = Move('add', (names[keys[rng.randrange(len(keys))]],))
         cur = apply_move(cur, mv)
         moves.append(mv)
     for _ in range(shuffles):

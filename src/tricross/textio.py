@@ -6,7 +6,7 @@ every list is emitted in a fixed order.
 
 import hashlib
 
-from .diagram import TripleDiagram, Matching, port_str, parse_port
+from .diagram import TripleDiagram, Matching, parse_port, port_code, port_str
 from .moves import (Move, MoveError, MoveLog, apply_move, move_22,
                     resolve_22_by_darts)
 from .domino import Region, Tiling
@@ -35,28 +35,32 @@ def key_digest(key):
 # diagrams
 
 def write_diagram(diagram):
-    _, label = diagram.canonical_form()
+    """The text of ``diagram`` renamed by its canonical label, port code
+    by port code; a loop's face is named by its index once renamed, the
+    rank of the least renamed dart code of its orbit."""
+    n2 = 2 * diagram.n
+    partner = diagram.partners()
+    canon = list(range(n2)) + [-1] * (len(partner) - n2)
+    for c, (cid, phase) in diagram.canonical_form()[1].items():
+        for s in range(6):
+            canon[n2 + 6 * c + s] = n2 + 6 * cid + (s - phase) % 6
 
-    def cdart(d):  # a port or an arc dart, crossings renamed canonically
-        if d[0] != 'c':
-            return d
-        cid, phase = label[d[1]]
-        return ('c', cid, (d[2] - phase) % 6)
+    def text(a):
+        return "B%d" % a if a < n2 else "C%d.%d" % divmod(a - n2, 6)
 
-    remapped = TripleDiagram.from_edge_list(
-        diagram.n, range(diagram.crossing_count()),
-        [(cdart(p), cdart(q)) for p, q in diagram.edge_list()])
     out = ["triple-diagram v1", "n %d" % diagram.n,
            "crossings %d" % diagram.crossing_count()]
-    out.extend(sorted("edge %s %s" % (port_str(p), port_str(q))
-                      for p, q in remapped.edge_list()))
+    out.extend(sorted("edge %s %s" % tuple(map(text, sorted(
+        (canon[a], canon[b])))) for a, b in enumerate(partner) if a < b))
     if diagram.loops:
-        items = []
-        for key, count in diagram.loops.items():
-            darts = diagram.face_by_key(key).darts  # none: the empty disk's
-            items.append((remapped.face_of(cdart(darts[0])).index
-                          if darts else 0, count))
-        out.append("loops " + " ".join("%d:%d" % it for it in sorted(items)))
+        _, faces, keys, _ = diagram.face_store()
+        n4 = 2 * n2  # arc darts keep their codes, a port's is 4n + its code
+        least = [min((d if d < n4 else n4 + canon[d - n4]
+                      for d in faces[key][0]), default=key) for key in keys]
+        rank = {code: i for i, code in enumerate(sorted(least))}
+        out.append("loops " + " ".join("%d:%d" % item for item in sorted(
+            (rank[least[diagram.face_index(key)]], count)
+            for key, count in diagram.loops.items())))
     return "\n".join(out) + "\n"
 
 
@@ -109,15 +113,18 @@ def read_diagram(text, name="<diagram>"):
                 raise ParseError(name, no, "port %s named twice"
                                  % port_str(port))
             named.add(port)
-    diagram = TripleDiagram.from_edge_list(n, range(k),
-                                           [e[1:] for e in edges])
+    partner = [-1] * (2 * n + 6 * k)
+    for _, p, q in edges:
+        a, b = port_code(n, p), port_code(n, q)
+        partner[a], partner[b] = b, a
+    diagram = TripleDiagram(n, range(k), None, partners=partner)
     if loops and not diagram.validate():  # faces need a valid map
-        faces = diagram.faces()
+        _, _, keys, names = diagram.face_store()
         keyed = {}
         for fid, (count, no) in loops.items():
-            if fid >= len(faces):
+            if fid >= len(keys):
                 raise ParseError(name, no, "loop face %d out of range" % fid)
-            keyed[faces[fid].key] = count
+            keyed[names[keys[fid]]] = count
         diagram = diagram.with_loops(keyed)
     violations = diagram.validate()
     if violations:
@@ -296,24 +303,22 @@ def write_movelog(initial, log):
 
 def _face_at(diagram, index):
     """(key, darts) of the face whose index is ``index``, read off the
-    face store without building a record; IndexError when none."""
+    face store; IndexError when none."""
     _, faces, keys, names = diagram.face_store()
-    if index == 0 and not keys:  # the empty disk's one face has no dart
-        return (), ()
     if not 0 <= index < len(keys):  # a face index, not a count from the end
         raise IndexError("face index %d out of range" % index)
-    darts = tuple(map(names.__getitem__, faces[keys[index]][0]))
-    return darts[0], darts
+    return names[keys[index]], [names[d] for d in faces[keys[index]][0]]
 
 
 def read_movelog(text, initial, name="<movelog>"):
     """Parse and resolve a move log against its initial diagram; each
     move's face index is kept as the line names it."""
     lines = _lines(text, name, "movelog v1")
-    if len(lines) < 2 or not lines[1].startswith("initial "):
+    head = (lines[1].split() if len(lines) > 1
+            and lines[1].startswith("initial ") else [])
+    if len(head) < 2:
         raise ParseError(name, 2, "missing initial key line")
-    digest = lines[1].split()[1]
-    if digest != key_digest(initial.canonical_key()):
+    if head[1] != key_digest(initial.canonical_key()):
         raise ParseError(name, 2, "log does not start at this diagram")
     cur = initial
     log = MoveLog(initial.canonical_key())

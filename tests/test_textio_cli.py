@@ -1,5 +1,6 @@
 """Text formats and the command-line surface."""
 
+import os
 import random
 import subprocess
 import sys
@@ -10,23 +11,30 @@ import pytest
 from tricross import (Matching, standard_diagram, Region, enumerate_tilings,
                       tiling_to_diagram, enumerate_component, inflate,
                       to_standard, empty_diagram, reduce_to_minimal,
-                      connect_minimal, slide_macro, pattern_template)
+                      connect_minimal, slide_macro, pattern_template,
+                      add_loop, init_cluster, random_walk)
+from tricross.cluster import dump_values
 from tricross.diagram import TripleDiagram, parse_port, port_str
-from tricross.moves import MoveError, MoveLog, apply_01, apply_move
+from tricross.moves import Move, MoveError, MoveLog, apply_01, apply_move
+from tricross.reduce import extract_region
 from tricross import textio
 from tricross.render import render_diagram, render_tiling, RenderSpec
 
 from conftest import all_matchings
-from test_golden import inflation
+from test_golden import floating_diagram, inflation
 
 PKG = Path(__file__).resolve().parent.parent
 
 
 def run_cli(*args, stdin=None):
+    """Run the CLI from this checkout's ``src/`` in a clean environment,
+    which keeps the caller's ``PYTHONDONTWRITEBYTECODE`` when it is set."""
+    env = {"PYTHONPATH": str(PKG / "src"), "PATH": "/usr/bin:/bin"}
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
     return subprocess.run(
         [sys.executable, "-m", "tricross.cli", *args],
-        input=stdin, capture_output=True, text=True,
-        cwd=str(PKG), env={"PYTHONPATH": str(PKG / "src"), "PATH": "/usr/bin:/bin"})
+        input=stdin, capture_output=True, text=True, cwd=str(PKG), env=env)
 
 
 def test_diagram_roundtrip_exhaustive_small():
@@ -62,8 +70,19 @@ def test_loop_face_named_twice_is_refused(rotation3):
 
 
 def test_empty_disk_loops_roundtrip():
-    """The empty disk's face has no dart; its loops still have a key."""
-    d = empty_diagram().with_loops({(): 2})
+    """The empty disk's face has no dart; its loops still have a key, (),
+    by which a loop is added, and the face is face 0 of texts and logs
+    and carries the disk's one cluster variable."""
+    e = empty_diagram()
+    for d in (add_loop(e, ()), apply_move(e, Move('add', ((),)))):
+        assert d.loops == {(): 1}
+        text = textio.write_diagram(d)
+        assert text == "triple-diagram v1\nn 0\ncrossings 0\nloops 0:1\n"
+        assert textio.read_diagram(text).loops == {(): 1}
+    state = init_cluster(e)
+    assert state.var_names == ('x0',) and state.frozen == {()}
+    assert dump_values(state) == "x0 = x0"
+    d = e.with_loops({(): 2})
     text = textio.write_diagram(d)
     assert text.splitlines()[-1] == "loops 0:2"
     back = textio.read_diagram(text)
@@ -104,6 +123,12 @@ def test_parsers_skip_blank_lines_and_refuse_unknown_records(rotation3):
         textio.read_movelog(head + "\nswap 1\n", d)
     assert exc.value.line_no == 4
     assert exc.value.message == "unknown move 'swap'"
+    for text in ("movelog v1\n", "movelog v1\ninitial\n",
+                 "movelog v1\ninitial \n", "movelog v1\ninitial  \n22 0\n"):
+        with pytest.raises(textio.ParseError) as exc:
+            textio.read_movelog(text, d)
+        assert (exc.value.line_no, exc.value.message) \
+            == (2, "missing initial key line")
 
 
 def test_matching_roundtrip():
@@ -310,10 +335,50 @@ def test_write_movelog_refuses_another_initial_diagram():
 
 
 def _no_face_records(monkeypatch):
-    def refused(self, key):
+    """Refuse the ``Face`` record view's one builder."""
+    def refused(self, index):
         raise AssertionError("a Face record was built")
 
-    monkeypatch.setattr(TripleDiagram, "_face", refused)
+    monkeypatch.setattr(TripleDiagram, "_record", refused)
+
+
+def _face_reading_paths():
+    """The outputs of every library path that reads faces, on inputs it
+    builds afresh: diagram texts with free loops and floating parts,
+    written and read back; a cluster state's dump after a walk; 0->1
+    insertions and added loops on a loop-bearing diagram (``inflate``);
+    the loop-bearing residuals of regions; and the log of a reduction of
+    a loop-bearing inflation, written and read back."""
+    out = []
+    floating = [floating_diagram(seed) for seed in range(12)]
+    assert any(d.loops and len(d.walk_label()) < d.crossing_count()
+               for d in floating)
+    for d in floating + [inflation(seed) for seed in range(3)]:
+        text = textio.write_diagram(d)
+        out += [text, textio.write_diagram(textio.read_diagram(text))]
+    dual = tiling_to_diagram(enumerate_tilings(Region.rectangle(4, 3))[0])
+    states = random_walk(init_cluster(dual), 6, random.Random(5))[0]
+    out += [dump_values(states[0]), dump_values(states[-1])]
+    d = inflation(1)
+    grown, moves = inflate(d, 3, 2, 0, random.Random(1))
+    assert d.loops and {mv.kind for mv in moves} == {'01', 'add'}
+    out.append(textio.write_diagram(grown))
+    subs = [extract_region(grown, grown.crossings[:k])[0]
+            for k in (len(grown.crossings), 1)]
+    assert subs[0].loops
+    out += [sub.canonical_key() for sub in subs]
+    text = textio.write_movelog(grown, to_standard(grown)[1])
+    log, end = textio.read_movelog(text, grown)
+    out += [text, log.faces, end.canonical_key()]
+    return out
+
+
+def test_the_library_reads_faces_off_the_store(monkeypatch):
+    """Each library path that reads faces reads the face store: with the
+    ``Face`` record view refused, each gives what it gave before."""
+    want = _face_reading_paths()
+    _no_face_records(monkeypatch)
+    assert _face_reading_paths() == want
 
 
 def test_a_loop_bearing_reduction_log_is_written_and_read_without_records(
@@ -321,7 +386,7 @@ def test_a_loop_bearing_reduction_log_is_written_and_read_without_records(
     """A face index is its key's rank in the face store, both ways, and
     a loop's canonical key reads its face off the store: the log of a
     reduction that drops loops is recorded, written and read, on fresh
-    copies of its input, with ``TripleDiagram._face`` refusing to build
+    copies of its input, with ``TripleDiagram._record`` refusing to build
     a record, to the text the replaying reference writes (with records,
     before the refusal) and to the same moves, keys and face indexes."""
     d, _ = inflate(standard_diagram(Matching.from_dict(

@@ -18,7 +18,7 @@ and says why.
 * ``cluster``: the sites, final values and audit of every walk of the
   benchmark's cluster workload for seed 1;
 * ``cluster-dump``: ``dump_values`` of every state of those walks, the
-  one cluster output that names faces by ``Face.index``;
+  one cluster output that names faces by face index;
 * ``cluster-2024``: as ``cluster``, for the held-out seed 2024;
 * ``closure``: the ``movegraph v1`` text of the 6x4 and 6x5 domino
   duals' move graphs;
