@@ -1,7 +1,7 @@
 """Local moves: sites, the 2<->2 template, 1->0 splices, badgons, logs."""
 
 import random
-from itertools import chain
+from itertools import chain, combinations
 
 import pytest
 
@@ -9,8 +9,10 @@ from tricross import (TripleDiagram, Matching, standard_diagram,
                       find_22_sites, find_10_sites, apply_22, apply_10,
                       apply_01, drop_loop, add_loop, find_badgons,
                       is_minimal, replay, MoveError)
+from tricross import moves as moves_module
 from tricross.moves import (move_22, OneZeroSite, LoopSite, MoveLog, Move,
-                            apply_move, Badgon, scan_badgons)
+                            apply_move, Badgon, resolve_22_by_darts,
+                            scan_badgons)
 from tricross.reduce import pattern_template, inflate
 from tricross.diagram import is_source
 from tricross.movegraph import closure
@@ -85,6 +87,66 @@ def test_the_inverse_22_lands_on_its_start_swapped_and_turned():
                            for p in ports) == holds
             taken += 1
     assert taken == 14 + 70 + 828
+
+
+def _disjoint_22_pairs_commute(vertices):
+    """Over every pair of 2<->2 sites of each of ``vertices`` whose four
+    crossings are distinct, the first move of either order leaves a
+    pairing of ports, and both orders give the same partner at every
+    port.  Returns the number of pairs."""
+    pairs = 0
+    for d in vertices:
+        for s, t in combinations(find_22_sites(d), 2):
+            if {s.x[0], s.y[0]} & {t.x[0], t.y[0]}:
+                continue
+            results = []
+            for first, second in ((s, t), (t, s)):
+                mid = apply_22(d, first)
+                # still a pairing of ports, at each port
+                pairing = mid.partners()
+                assert all(pairing[b] == a for a, b in enumerate(pairing)
+                           if b >= 0)
+                results.append(apply_22(mid, resolve_22_by_darts(
+                    mid, second.x, second.y)))
+            st, ts = results
+            assert sorted(st.crossings) == sorted(ts.crossings)
+            ports = [('b', i) for i in range(2 * d.n)] + [
+                ('c', c, k) for c in d.crossings for k in range(6)]
+            assert all(st.partner(p) == ts.partner(p) for p in ports)
+            pairs += 1
+    return pairs
+
+
+def _dual_closure_vertices(w, h):
+    from tricross import Region, enumerate_tilings, tiling_to_diagram
+    dual = tiling_to_diagram(enumerate_tilings(Region.rectangle(w, h))[0])
+    return [dual] + [nd for _, _, _, nd, new in closure(dual) if new]
+
+
+def test_moves_at_disjoint_22_sites_commute():
+    """Two 2<->2 moves whose sites share no crossing rewrite disjoint
+    ports, so they commute: on every vertex of the 4x3, 4x4 and 6x4
+    duals' closures, every such pair of sites gives one partner array in
+    either order.  ``closure`` infers moves through these squares."""
+    counts = [_disjoint_22_pairs_commute(_dual_closure_vertices(w, h))
+              for w, h in ((4, 3), (4, 4), (6, 4))]
+    assert counts[1] + counts[2] == 3984 and counts[0] > 0
+
+
+def test_the_commuting_check_fails_under_a_turned_template(monkeypatch):
+    """With the template turned by 2, disjoint moves no longer commute
+    port by port on the 4x3 dual's closure."""
+    vertices = _dual_closure_vertices(4, 3)
+    joins = moves_module._joins_22
+
+    def turned(diagram, site):
+        (X, x1), (Y, y1) = site.x, site.y
+        return joins(diagram, site._replace(x=(X, (x1 + 2) % 6),
+                                            y=(Y, (y1 + 2) % 6)))
+
+    monkeypatch.setattr(moves_module, "_joins_22", turned)
+    with pytest.raises(AssertionError):
+        _disjoint_22_pairs_commute(vertices)
 
 
 def test_22_matching_preserved_over_all_standard_sites():
