@@ -3,10 +3,18 @@
 ``closure`` is the one breadth-first walk over 2<->2 moves, optionally
 confined to a set of crossings.  ``enumerate_component`` consumes it to
 close the standard diagram of a matching under 2<->2 moves; so do the
-reducer's window searches and slide macros.  A 2<->2 move is an
-involution, so the closure does not take the inverse of a move it took:
-that move only leads back to a state already seen.  Between diagrams
-keyed by int codes it takes each edge of the move graph once.
+reducer's window searches and slide macros.  Between diagrams keyed by
+int codes it takes each edge of the move graph once, and knows each
+move it took at both ends: its target and the crossing map onto the
+target's canonical form.  A 2<->2 move is an involution, so the far
+end of a move taken skips the move back.  Two moves at sites with no
+crossing in common rewrite disjoint ports, so they commute, as domino
+flips on disjoint 2x2 blocks do: a move whose square with a known move
+has its other three sides known is read off that square, neither
+applied nor keyed.  A move is applied only when no known square gives
+it, as for every move to a new state; on the domino duals that is one
+move per state but the first.  A diagram keyed by its text (free
+loops, floating parts) applies every move it takes.
 ``enumerate_connected_diagrams`` independently generates every connected
 diagram with a given trace and crossing count by recursive disk
 decomposition: the first boundary port of a sub-disk either closes to
@@ -30,7 +38,7 @@ from dataclasses import dataclass
 
 from .diagram import DiagramError, TripleDiagram, trace_strands
 from .standard import standard_diagram, minimal_crossing_count
-from .moves import find_22_sites, move_22, scan_badgons
+from .moves import Move, find_22_sites, move_22, scan_badgons
 
 ORACLE_MAX_N = 4
 ORACLE_MAX_CROSSINGS = 5
@@ -53,82 +61,176 @@ class MoveGraph:
 def closure(diagram, inside=None):
     """Breadth-first walk of the 2<->2 moves reachable from ``diagram``.
 
-    Yields (d, site, move, nd, new) for every move taken, where ``move``
-    takes ``d`` at ``site`` to ``nd`` and ``new`` is true the first time
-    ``nd``'s canonical code appears; only new states are expanded.  With
-    ``inside`` (a set of crossing ids), only moves whose two crossings
-    are both in it are taken.
+    Yields (d, site, move, nd, new, vertex) for every move taken: ``move``
+    takes ``d`` at ``site`` to the state numbered ``vertex`` (the start is
+    0, the others are numbered as first met, the order they are expanded
+    in), and ``new`` is true the first time that state appears.  ``nd`` is
+    the move's result, or None for a move read off a commuting square; a
+    move to a new state is always applied, and only new states are
+    expanded.  With ``inside`` (a set of crossing ids), only moves whose
+    two crossings are both in it are taken.
 
-    The inverse of a move taken is not taken again.  A 2<->2 move is an
-    involution: the move at the site the template makes,
-    ``move.data[2:]``, leads back to an isomorph of ``d``.  When ``nd``'s
-    code is the int code, its walk label is the one isomorphism to the
-    canonical form, so that site is recorded in canonical terms against
-    the number of ``nd``'s vertex, and the expansion of that vertex skips
-    it.  A skipped move would lead to a vertex already seen, so the
-    ``new`` yields, their order and the first move seen between two
-    vertices are those of a walk that takes every move; each edge of a
-    graph of such diagrams is taken once, from the end expanded first.
-    A diagram keyed by its text takes every move.
+    Between diagrams keyed by int codes, the walk keeps for each vertex
+    the moves known there, by canonical site (its two darts ``6 * id +
+    slot`` in the canonical form, sorted): the target vertex, and the
+    crossing map that takes the move's result on the canonical form onto
+    the target's canonical form, ``6 * id + phase`` per canonical id
+    (slot ``s`` goes to slot ``(s - phase) % 6`` of crossing ``id``).  An
+    applied move reads its map off the walk labels of ``d`` and ``nd``.
+
+    A 2<->2 move is an involution: the move at the centre it makes,
+    ``move.data[2:]``, leads back to ``d`` with X and Y swapped and
+    turned (``moves.py``).  So a move to a vertex not yet expanded
+    records the move back at the far end, whose expansion skips every
+    site it already knows; each edge is taken once, from the end
+    expanded first.
+
+    Moves at two sites with no crossing in common commute.  So when a
+    vertex v knows a move ``s`` to u whose site is disjoint from a site
+    ``t`` of v, u knows where ``t``'s image leads, say to w, and w knows
+    where the image of the centre ``s`` made leads, say to z, then ``t``
+    leads to z, with the map ``s``'s swap-and-turn undone, then v -> u
+    -> w -> z.  Only a move that no known square gives is applied and
+    keyed.  The ``new`` yields, their order and the first move seen
+    between two vertices are those of a walk that applies every move.
+
+    A diagram keyed by its text (free loops, floating parts) has no
+    canonical walk label: the walk applies every move it takes and skips
+    none.
     """
-    seen = {diagram.canonical_code(): 0}  # code -> vertex number
-    # vertex number -> canonical sites of the moves its expansion skips,
-    # kept until it is expanded
-    skips = {}
+    code = diagram.canonical_code()
+    seen = {code: 0}  # code -> vertex number
+    # by vertex number: canonical site -> (target vertex, crossing map)
+    known = [{}] if isinstance(code, tuple) else None
     number = 0  # vertices are expanded in the order they are numbered
     frontier = [diagram]
     while frontier:
         nxt = []
         for d in frontier:
-            skip = skips.setdefault(number, set())
+            if known is not None:
+                edges = known[number]
+                label = d.walk_label()
+                # (raw crossing, phase) by canonical id
+                order = [None] * len(label)
+                for c, (i, phase) in label.items():
+                    order[i] = c, phase
             for site in find_22_sites(d):
-                if inside is not None and (site.x[0] not in inside
-                                           or site.y[0] not in inside):
+                (X, x1), (Y, y1) = site.x, site.y
+                if inside is not None and (X not in inside
+                                           or Y not in inside):
                     continue
-                if skip and _canonical_site(d, site.x, site.y) in skip:
-                    continue
-                nd, move = move_22(d, site)
-                code = nd.canonical_code()
-                vertex = seen.get(code)
-                new = vertex is None
-                if new:
-                    vertex = seen[code] = len(seen)
-                    nxt.append(nd)
-                if vertex >= number and isinstance(code, tuple):
-                    skips.setdefault(vertex, set()).add(
-                        _canonical_site(nd, *move.data[2:]))
-                yield d, site, move, nd, new
-            del skips[number]
+                found = None
+                if known is not None:
+                    (cx, px), (cy, py) = label[X], label[Y]
+                    a, b = 6 * cx + (x1 - px) % 6, 6 * cy + (y1 - py) % 6
+                    t = (a, b) if a < b else (b, a)
+                    if t in edges:
+                        continue
+                    found = _square(known, edges, t)
+                if found is None:
+                    nd, move = move_22(d, site)
+                    code = nd.canonical_code()
+                    vertex = seen.get(code)
+                    new = vertex is None
+                    if new:
+                        vertex = seen[code] = len(seen)
+                        nxt.append(nd)
+                        if known is not None:
+                            known.append({})
+                    if known is not None:
+                        to = nd.walk_label()
+                        cmap = tuple([6 * to[c][0] + (to[c][1] - phase) % 6
+                                      for c, phase in order])
+                else:
+                    nd, new = None, False
+                    vertex, cmap = found
+                    move = Move('22', (site.x, site.y, (X, (x1 + 4) % 6),
+                                       (Y, (y1 + 4) % 6)))
+                if known is not None:
+                    edges[t] = vertex, cmap
+                    if vertex >= number:
+                        back, bmap = _reversed(t, cmap)
+                        known[vertex][back] = number, bmap
+                yield d, site, move, nd, new, vertex
             number += 1
         frontier = nxt
 
 
-def _canonical_site(d, x, y):
-    """The 2<->2 site of darts ``x`` and ``y`` of ``d`` as its two darts in
-    the canonical form, ``6 * id + slot``, sorted; ``d`` keyed by the int
-    code."""
-    label = d.walk_label()
-    (cx, px), (cy, py) = label[x[0]], label[y[0]]
-    a, b = 6 * cx + (x[1] - px) % 6, 6 * cy + (y[1] - py) % 6
-    return (a, b) if a < b else (b, a)
+def _reversed(t, cmap):
+    """(canonical site, crossing map) at the target of the move at
+    canonical site ``t`` with crossing map ``cmap``, of the move back:
+    the image of the centre the move makes, and ``cmap`` inverted, then
+    the swap-and-turn of ``t``."""
+    (X, x1), (Y, y1) = divmod(t[0], 6), divmod(t[1], 6)
+    f, g = cmap[X], cmap[Y]
+    a = f - f % 6 + (x1 + 4 - f) % 6
+    b = g - g % 6 + (y1 + 4 - g) % 6
+    back = [0] * len(cmap)
+    for i, e in enumerate(cmap):
+        back[e // 6] = 6 * i + -e % 6
+    # X and Y go to each other, turned (moves.py)
+    back[f // 6] = 6 * Y + (x1 - y1 + 2 - f) % 6
+    back[g // 6] = 6 * X + (y1 - x1 + 2 - g) % 6
+    return (a, b) if a < b else (b, a), tuple(back)
+
+
+def _square(known, edges, t):
+    """(target vertex, crossing map) of the move at canonical site ``t``
+    of a vertex whose known moves are ``edges``, read off a commuting
+    square through a known move disjoint from ``t``; None when no known
+    move closes one."""
+    # a map entry f = 6 * id + phase sends dart 6 * i + slot to dart
+    # f - f % 6 + (slot - phase) % 6; the phases of composed maps add up
+    a, b = t
+    mask = 1 << a // 6 | 1 << b // 6
+    for s, (u, vu) in edges.items():
+        c, d = s
+        if (1 << c // 6 | 1 << d // 6) & mask:
+            continue
+        # t's image at u
+        f, g = vu[a // 6], vu[b // 6]
+        p = f - f % 6 + (a - f) % 6
+        q = g - g % 6 + (b - g) % 6
+        hit = known[u].get((p, q) if p < q else (q, p))
+        if hit is None:
+            continue
+        w, uw = hit
+        # the image at w of the centre s makes
+        c, d = c - c % 6 + (c + 4) % 6, d - d % 6 + (d + 4) % 6
+        f, g = vu[c // 6], vu[d // 6]
+        c, d = f - f % 6 + (c - f) % 6, g - g % 6 + (d - g) % 6
+        f, g = uw[c // 6], uw[d // 6]
+        p = f - f % 6 + (c - f) % 6
+        q = g - g % 6 + (d - g) % 6
+        hit = known[w].get((p, q) if p < q else (q, p))
+        if hit is None:
+            continue
+        z, wz = hit
+        # s's swap-and-turn undone, then v -> u -> w -> z
+        (X, x1), (Y, y1) = divmod(s[0], 6), divmod(s[1], 6)
+        pre = list(range(0, 6 * len(vu), 6))
+        pre[X], pre[Y] = 6 * Y + (x1 - y1 - 2) % 6, 6 * X + (y1 - x1 - 2) % 6
+        return z, tuple([h - h % 6 + (p + e + f + h) % 6
+                         for p in pre for e in (vu[p // 6],)
+                         for f in (uw[e // 6],) for h in (wz[f // 6],)])
+    return None
 
 
 def enumerate_component(matching, strategy="inclusion"):
     """BFS closure of the standard diagram under 2<->2 moves; the key text
     is rendered for new vertices only."""
     root = standard_diagram(matching, strategy)
-    rk = root.canonical_key()
-    vertices = {rk: root}
-    key_of = {root.canonical_code(): rk}
+    keys = [root.canonical_key()]  # by vertex number
+    vertices = {keys[0]: root}
     edges = {}
-    for d, site, _, nd, new in closure(root):
+    for d, site, _, nd, new, vertex in closure(root):
         if new:
-            key_of[nd.canonical_code()] = nd.canonical_key()
-            vertices[nd.canonical_key()] = nd
-        pair = frozenset((d.canonical_key(), key_of[nd.canonical_code()]))
+            keys.append(nd.canonical_key())
+            vertices[keys[-1]] = nd
+        pair = frozenset((d.canonical_key(), keys[vertex]))
         if pair not in edges:
             edges[pair] = d.face_index(site.face_key)
-    return MoveGraph(rk, vertices, edges)
+    return MoveGraph(keys[0], vertices, edges)
 
 
 def walk_fillings(n, crossings, emit, want=None, arc=None):

@@ -243,7 +243,7 @@ def _search(diagram, goal, stuck, window=None, cap=30000):
     start = diagram.canonical_code()
     for inside in (window, None) if window is not None else (None,):
         parent = {}  # canonical code -> (parent code, Move)
-        for d, _, mv, nd, new in closure(diagram, inside):
+        for d, _, mv, nd, new, _ in closure(diagram, inside):
             if not new:
                 continue
             key = nd.canonical_code()

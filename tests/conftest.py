@@ -35,3 +35,22 @@ def rotation3():
 @pytest.fixture
 def nested3():
     return Matching.from_dict(3, {0: 5, 2: 1, 4: 3})
+
+
+def closure_applied(diagram, inside=None):
+    """``closure``'s moves as (d, site, move, nd, new, vertex), with each
+    move it read off a commuting square applied here, so ``nd`` is never
+    None.  Every result must have the code of the state the closure
+    numbered ``vertex``, and an applied square move the closure's move
+    record."""
+    from tricross.movegraph import closure
+    from tricross.moves import move_22
+    codes = [diagram.canonical_code()]
+    for d, site, move, nd, new, vertex in closure(diagram, inside):
+        if nd is None:
+            nd, applied = move_22(d, site)
+            assert applied == move
+        if new:
+            codes.append(nd.canonical_code())
+        assert nd.canonical_code() == codes[vertex]
+        yield d, site, move, nd, new, vertex

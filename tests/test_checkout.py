@@ -6,6 +6,7 @@ must then refuse to run rather than quietly test either package with
 the other's helpers.
 """
 
+import ast
 import shutil
 import subprocess
 import sys
@@ -44,3 +45,17 @@ def test_a_test_module_runs_beside_its_own_package(tmp_path):
                       % (str(PKG / "src"), str(PKG / "tests")), tmp_path)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == str(PKG / "src" / "tricross" / "__init__.py")
+
+
+def test_every_module_parses_with_the_python_310_grammar():
+    """CI runs the checks on Python 3.10 as well as 3.11, so every module
+    of the checkout must parse with 3.10's grammar, whichever Python runs
+    the tests.  3.11's ``except*`` is refused."""
+    files = sorted(path for top in ("src", "tests", "tools", "perfbench")
+                   for path in (PKG / top).rglob("*.py"))
+    assert len(files) >= 37
+    for path in files:
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n",
+                  feature_version=(3, 10))

@@ -93,7 +93,7 @@ def label_audit(diagram):
         states.setdefault(code, state)
 
     visit(init_cluster(diagram))
-    for d, site, _, _, _ in closure(diagram):
+    for d, site, _, _, _, _ in closure(diagram):
         visit(exchange_22(states[d.canonical_code()], site))
     return len(labels_of), len(value)
 
@@ -172,7 +172,7 @@ def test_audit_fails_under_a_canonical_code_that_merges_two_vertices(
         monkeypatch):
     d = dual(4, 4)
     root = d.canonical_code()
-    other = next(nd for _, _, _, nd, new in closure(d) if new)
+    other = next(nd for _, _, _, nd, new, _ in closure(d) if new)
     merged = other.canonical_code()
     code = TripleDiagram.canonical_code
     monkeypatch.setattr(TripleDiagram, "canonical_code",

@@ -553,7 +553,9 @@ def test_face_lookups_refuse_darts_with_no_face():
 def test_only_a_move_asked_to_rekey_records_its_faces(monkeypatch):
     """The move results of a closure and of reductions hold no key-pair
     record once their faces are carried; a move asked for it holds one
-    until ``pop_rekeyed`` hands it over."""
+    until ``pop_rekeyed`` hands it over.  The 4x4 dual's closure applies
+    35 of its 70 moves, one per state but the first; it reads the others
+    off commuting squares."""
     made = []
     rewrite = moves_module._rewrite
 
@@ -567,7 +569,7 @@ def test_only_a_move_asked_to_rekey_records_its_faces(monkeypatch):
     for seed in range(12):
         reduce_to_minimal(fresh(inflation(seed)))
     monkeypatch.undo()
-    assert closure == 70 and len(made) - closure >= 80
+    assert closure == 35 and len(made) - closure >= 80
     for d in made:
         d.face_store()
         assert 'rekeyed' not in d._cache

@@ -17,7 +17,7 @@ from tricross.movegraph import closure
 from tricross.moves import find_22_sites, move_22
 from tricross.reduce import inflate
 
-from conftest import all_matchings
+from conftest import all_matchings, closure_applied
 from test_golden import dual_matching, floating_diagram
 
 
@@ -166,7 +166,7 @@ def _dual_4x3_root():
 def test_closure_new_keys_are_the_component():
     m, root = _dual_4x3_root()
     new_keys = [nd.canonical_key()
-                for _, _, _, nd, new in closure(root) if new]
+                for _, _, _, nd, new, _ in closure(root) if new]
     assert len(new_keys) == len(set(new_keys))
     g = enumerate_component(m)
     assert {root.canonical_key()} | set(new_keys) == set(g.vertices)
@@ -175,10 +175,11 @@ def test_closure_new_keys_are_the_component():
 
 def test_closure_inside_takes_only_moves_inside():
     _, root = _dual_4x3_root()
-    everywhere = {nd.canonical_key() for *_, nd, _ in closure(root)}
+    everywhere = {nd.canonical_key()
+                  for _, _, _, nd, _, _ in closure_applied(root)}
     for inside in (set(root.crossings[1:]), set(root.crossings[:-1])):
         reached = set()
-        for d, site, move, nd, new in closure(root, inside):
+        for d, site, move, nd, new, _ in closure_applied(root, inside):
             assert site.x[0] in inside and site.y[0] in inside
             assert {move.data[0][0], move.data[1][0]} <= inside
             reached.add(nd.canonical_key())
@@ -204,7 +205,7 @@ def test_closure_takes_each_edge_once(w, h, edges):
     root = standard_diagram(m)
     vertices = [root]
     taken, inverses = [], set()
-    for d, site, move, nd, new in closure(root):
+    for d, site, move, nd, new, _ in closure_applied(root):
         if new:
             vertices.append(nd)
         taken.append(_site_in_canonical_form(d, site.x, site.y))
@@ -219,8 +220,9 @@ def test_closure_takes_each_edge_once(w, h, edges):
 
 
 def _closure_taking_every_move(diagram):
-    """The closure with no move skipped: every move of every new state."""
-    seen = {diagram.canonical_code()}
+    """The closure with no move skipped or inferred: every move of every
+    new state applied and keyed."""
+    seen = {diagram.canonical_code(): 0}
     frontier = [diagram]
     while frontier:
         nxt = []
@@ -228,11 +230,12 @@ def _closure_taking_every_move(diagram):
             for site in find_22_sites(d):
                 nd, move = move_22(d, site)
                 code = nd.canonical_code()
-                new = code not in seen
+                vertex = seen.get(code)
+                new = vertex is None
                 if new:
-                    seen.add(code)
+                    vertex = seen[code] = len(seen)
                     nxt.append(nd)
-                yield d, site, move, nd, new
+                yield d, site, move, nd, new, vertex
         frontier = nxt
 
 
@@ -240,7 +243,7 @@ def _summary(walk, diagram):
     """The codes of the new states in order, the number of moves, and the
     first move seen between each two states, of ``walk(diagram)``."""
     news, moves, first = [], 0, {}
-    for d, site, _, nd, new in walk(diagram):
+    for d, site, _, nd, new, _ in walk(diagram):
         a, b = d.canonical_code(), nd.canonical_code()
         if new:
             news.append(b)
@@ -249,23 +252,81 @@ def _summary(walk, diagram):
     return news, moves, first
 
 
+def _against_every_move(diagram):
+    """Check ``closure`` from an int-keyed ``diagram`` against the walk
+    that applies every move: the same new states in order, the same first
+    move per two states, and half the moves; each move it read off a
+    square leads where applying it leads (``closure_applied``); and every
+    site of every state is a move taken or the site that applying a
+    taken move makes at its far end, never both, so each far end skipped
+    exactly that site.  Returns (states, moves taken, moves inferred)."""
+    inferred = sum(nd is None for *_, nd, _, _ in closure(diagram))
+    news, taken, first = _summary(closure_applied, diagram)
+    assert (news, 2 * taken, first) == _summary(_closure_taking_every_move,
+                                                diagram)
+    vertices = [diagram]
+    sites, reverses = [], set()
+    for d, site, move, nd, new, _ in closure_applied(diagram):
+        if new:
+            vertices.append(nd)
+        sites.append(_site_in_canonical_form(d, site.x, site.y))
+        reverses.add(_site_in_canonical_form(nd, *move.data[2:]))
+    assert len(sites) == len(set(sites)) == len(reverses) == taken
+    assert not reverses & set(sites)
+    assert reverses | set(sites) == {
+        _site_in_canonical_form(v, s.x, s.y)
+        for v in vertices for s in find_22_sites(v)}
+    return len(vertices), taken, inferred
+
+
 def test_closure_of_int_keyed_diagrams_takes_half_the_moves():
     """From connected inflations with no free loop, whose move graphs hold
     isomorphs that differ in slot phases, the closure reaches the same
     new states in the same order, sees each edge first at the same move,
-    and takes one move of each inverse pair."""
+    takes one move of each inverse pair, and reads 23 of the 74 moves that
+    do not first reach a state off commuting squares; the others close
+    no square of disjoint sites."""
     rng = random.Random(4)
-    moves = 0
+    moves = revisits = inferred = 0
     for n in (2, 3, 4):
         for m in all_matchings(n):
             for bumps in (1, 2, 3):
                 d = inflate(standard_diagram(m), bumps, 0, 3, rng)[0]
                 assert isinstance(d.canonical_code(), tuple)
-                news, taken, first = _summary(closure, d)
-                want = _summary(_closure_taking_every_move, d)
-                assert (news, 2 * taken, first) == want
+                size, taken, by_square = _against_every_move(d)
                 moves += taken
-    assert moves > 300
+                revisits += taken - (size - 1)
+                inferred += by_square
+    assert (moves, revisits, inferred) == (379, 74, 23)
+
+
+@pytest.mark.parametrize("w, h, vertices, moves, inferred", [
+    (4, 3, 11, 14, 4), (4, 4, 36, 70, 35), (6, 4, 281, 828, 548),
+    (6, 5, 1183, 4202, 3020)])
+def test_closure_infers_every_move_to_a_state_seen(w, h, vertices, moves,
+                                                    inferred):
+    """On the domino duals, every move that does not first reach a state
+    is read off a commuting square, none applied: on 6x4, 548 of 828."""
+    root = standard_diagram(dual_matching(w, h))
+    assert _against_every_move(root) == (vertices, moves, inferred)
+    assert inferred == moves - (vertices - 1)
+
+
+def test_the_closure_check_fails_without_the_reverse_swap(monkeypatch):
+    """A reverse move recorded with its map inverted but not swapped and
+    turned fails the check on the 4x4 dual."""
+    def unswapped(t, cmap):
+        site, _ = reversed_move(t, cmap)
+        back = [0] * len(cmap)
+        for i, e in enumerate(cmap):
+            back[e // 6] = 6 * i + -e % 6
+        return site, tuple(back)
+
+    reversed_move = movegraph._reversed
+    monkeypatch.setattr(movegraph, "_reversed", unswapped)
+    root = standard_diagram(dual_matching(4, 4))
+    with pytest.raises(AssertionError):
+        assert _against_every_move(root) == (36, 70, 35)
 
 
 def _text_keyed_diagrams():

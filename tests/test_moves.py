@@ -17,7 +17,7 @@ from tricross.reduce import pattern_template, inflate
 from tricross.diagram import is_source
 from tricross.movegraph import closure
 
-from conftest import all_matchings
+from conftest import all_matchings, closure_applied
 
 
 def test_no_sites_on_single_crossing(rotation3):
@@ -76,7 +76,7 @@ def test_the_inverse_22_lands_on_its_start_swapped_and_turned():
     taken = 0
     for w, h in ((4, 3), (4, 4), (6, 4)):
         dual = tiling_to_diagram(enumerate_tilings(Region.rectangle(w, h))[0])
-        for d, _, mv, nd, _ in closure(dual):
+        for d, _, mv, nd, _, _ in closure_applied(dual):
             back = apply_move(nd, mv.inverse())
             assert sorted(back.crossings) == sorted(d.crossings)
             ports = [('b', i) for i in range(2 * d.n)] + [
@@ -120,7 +120,7 @@ def _disjoint_22_pairs_commute(vertices):
 def _dual_closure_vertices(w, h):
     from tricross import Region, enumerate_tilings, tiling_to_diagram
     dual = tiling_to_diagram(enumerate_tilings(Region.rectangle(w, h))[0])
-    return [dual] + [nd for _, _, _, nd, new in closure(dual) if new]
+    return [dual] + [nd for _, _, _, nd, new, _ in closure(dual) if new]
 
 
 def test_moves_at_disjoint_22_sites_commute():

@@ -17,10 +17,9 @@ from tricross.moves import apply_move, MoveError
 from tricross.reduce import (straighten, is_boundary_parallel, extract_region,
                              region_legs, ReductionError, _build_residual,
                              _search, match_window)
-from tricross.movegraph import closure
 from tricross.standard import interval_interior, template_slots
 
-from conftest import all_matchings
+from conftest import all_matchings, closure_applied
 from test_golden import inflation
 from test_textio_cli import reference_face_index
 
@@ -847,7 +846,8 @@ def test_search_falls_back_past_the_window():
     fell_back = 0
     for c in root.crossings:
         window = set(root.crossings) - {c}
-        inside = {nd.canonical_key() for *_, nd, _ in closure(root, window)}
+        inside = {nd.canonical_key()
+                  for _, _, _, nd, _, _ in closure_applied(root, window)}
         for target, k in dist.items():
             if k and target not in inside:
                 path = _search(root, lambda d: d.canonical_key() == target,
