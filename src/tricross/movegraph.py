@@ -100,15 +100,16 @@ def closure(diagram, inside=None):
     """
     code = diagram.canonical_code()
     seen = {code: 0}  # code -> vertex number
+    keyed = isinstance(code, tuple)
     # by vertex number: canonical site -> (target vertex, crossing map)
-    known = [{}] if isinstance(code, tuple) else None
+    known = [{}]
     number = 0  # vertices are expanded in the order they are numbered
     frontier = [diagram]
     while frontier:
         nxt = []
         for d in frontier:
-            if known is not None:
-                edges = known[number]
+            edges = known[number]
+            if keyed:
                 label = d.walk_label()
                 # (raw crossing, phase) by canonical id
                 order = [None] * len(label)
@@ -120,7 +121,7 @@ def closure(diagram, inside=None):
                                            or Y not in inside):
                     continue
                 found = None
-                if known is not None:
+                if keyed:
                     (cx, px), (cy, py) = label[X], label[Y]
                     a, b = 6 * cx + (x1 - px) % 6, 6 * cy + (y1 - py) % 6
                     t = (a, b) if a < b else (b, a)
@@ -135,9 +136,8 @@ def closure(diagram, inside=None):
                     if new:
                         vertex = seen[code] = len(seen)
                         nxt.append(nd)
-                        if known is not None:
-                            known.append({})
-                    if known is not None:
+                        known.append({})
+                    if keyed:
                         to = nd.walk_label()
                         cmap = tuple([6 * to[c][0] + (to[c][1] - phase) % 6
                                       for c, phase in order])
@@ -146,7 +146,7 @@ def closure(diagram, inside=None):
                     vertex, cmap = found
                     move = Move('22', (site.x, site.y, (X, (x1 + 4) % 6),
                                        (Y, (y1 + 4) % 6)))
-                if known is not None:
+                if keyed:
                     edges[t] = vertex, cmap
                     if vertex >= number:
                         back, bmap = _reversed(t, cmap)

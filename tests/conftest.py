@@ -18,6 +18,8 @@ sys.path.insert(0, str(SRC))
 import pytest
 
 from tricross import Matching
+from tricross.movegraph import closure
+from tricross.moves import move_22
 
 
 def all_matchings(n):
@@ -43,8 +45,6 @@ def closure_applied(diagram, inside=None):
     None.  Every result must have the code of the state the closure
     numbered ``vertex``, and an applied square move the closure's move
     record."""
-    from tricross.movegraph import closure
-    from tricross.moves import move_22
     codes = [diagram.canonical_code()]
     for d, site, move, nd, new, vertex in closure(diagram, inside):
         if nd is None:
