@@ -141,9 +141,10 @@ def cmd_enumerate(args):
 
 def cmd_domino(args):
     region, tiling = _load_region_or_tiling(args.infile, args.ascii)
+    guard = args.guard if args.guard is not None else 36
     if args.action == "enumerate":
         target = region if region is not None else tiling.region
-        tilings = enumerate_tilings(target, args.guard or 36)
+        tilings = enumerate_tilings(target, guard)
         out = []
         for t in tilings:
             out.append(textio.write_tiling(t))
@@ -156,7 +157,7 @@ def cmd_domino(args):
         _write(args.out, textio.write_diagram(d))
     elif args.action == "check":
         target = region if region is not None else tiling.region
-        tilings = enumerate_tilings(target, args.guard or 36)
+        tilings = enumerate_tilings(target, guard)
         if not tilings:
             raise CliError("region has no domino tiling")
         keys = set()

@@ -52,11 +52,17 @@ Conventions (global, used by every other module):
   that carry from no face, through every port, and what a result gets from
   a parent whose store is not made yet.  A 2<->2 move asked to (``rekey``)
   also records old key -> new key of each face it traced again
-  (``pop_rekeyed``).  One routine, ``_face_kinds``, colors the orbits;
-  ``validate`` colors its own orbits.  ``Face`` records are the view of
-  the store that ``render --faces`` and the tests read, built by
-  ``_record``: ``faces()`` builds them all once and keeps them, and
-  ``face_of`` and ``face_by_key`` build the one asked for.
+  (``pop_rekeyed``).  The store is the one routine that colors faces;
+  ``validate`` colors none.  A map whose every edge joins a source to a
+  sink is checkerboard: phi takes a source dart to a source dart and a
+  sink dart to a sink dart, at a crossing (the slot before an even slot
+  is odd, the one before an odd slot even) and across a boundary arc
+  (sink ``Bj``, ``j`` odd, leads through ``('+', j)`` to source
+  ``B(j+1)``), so each face has one color.  The store still raises on a
+  face of both colors, for a map no one validated.  ``Face`` records
+  are the view of the store that ``render --faces`` and the tests read,
+  built by ``_record``: ``faces()`` builds them all once and keeps them,
+  and ``face_of`` and ``face_by_key`` build the one asked for.
 
 * One breadth-first walk, ``_walk``, labels the crossings reachable from
   the endpoints, or from one root crossing at an even phase, ``(id,
@@ -375,33 +381,18 @@ class TripleDiagram:
                 ([], {}), list(self._codes()), None))
         return store
 
-    def _face_kinds(self, orbits):
-        """(orbit, kind) of each face among ``orbits``, the outer one left
-        out, ``kind`` the or of its darts' kinds (``_tables``): 1 white or
-        2 black, plus 4 on the boundary.  DiagramError for a face of both
-        colors.  ``validate`` and the face store share this one test."""
-        kinds = _tables(self.n, len(self._partner))[1]
-        outer = 2 * self.n if self.n else -1  # ('-', 0)
-        for orbit in orbits:
-            if orbit[0] == outer:
-                continue
-            # white when its strand darts are all sources, black all sinks
-            kind = 0
-            for d in orbit:
-                kind |= kinds[d]
-            if kind & 3 not in (1, 2):
-                raise DiagramError("face with inconsistent strand orientations")
-            yield orbit, kind
-
     def _carried_faces(self, store, touched, renamed):
         """The face store, from the parent's: the parent faces that hold a
         port of ``touched`` give way to the orbits through the touched
         ports still in the map, which cover the same darts less a removed
-        crossing's, plus an added one's.  Given the move's dart renaming
-        ``renamed``, it records each gone face's key and ``image_of``."""
+        crossing's, plus an added one's.  Each new face's kind is the or
+        of its darts' kinds (``_tables``); a face of both colors, which no
+        map that passes ``validate`` has, raises DiagramError.  Given the
+        move's dart renaming ``renamed``, it records each gone face's key
+        and ``image_of``."""
         m4 = 4 * self.n
         partner = self._partner
-        names = _tables(self.n, len(partner))[0]
+        names, kinds = _tables(self.n, len(partner))[:2]
         table = store[0] + [-1] * (len(names) - len(store[0]))  # a copy
         faces = dict(store[1])
         # an added crossing's ports have no face yet
@@ -409,17 +400,20 @@ class TripleDiagram:
                 for key in {table[m4 + a] for a in touched} if key >= 0]
         for a in touched:  # a removed crossing's ports keep no face
             table[m4 + a] = -1
-        # a new orbit holds a touched port: else phi kept an old face
-        orbits = []
+        # each new orbit holds a touched port (else phi kept an old face),
+        # so none is the outer orbit
         for orbit in self._trace(
                 [m4 + a for a in touched if partner[a] >= 0]):
-            i = orbit.index(min(orbit))
-            orbits.append(orbit[i:] + orbit[:i] if i else orbit)
-        for orbit, kind in self._face_kinds(orbits):
-            key = orbit[0]
-            faces[key] = orbit, kind
+            key = min(orbit)
+            i = orbit.index(key)
+            kind = 0
             for d in orbit:
+                kind |= kinds[d]
                 table[d] = key
+            # white when its strand darts are all sources, black all sinks
+            if kind & 3 not in (1, 2):
+                raise DiagramError("face with inconsistent strand orientations")
+            faces[key] = orbit[i:] + orbit[:i] if i else orbit, kind
         if not faces:  # the empty disk: one face, white, no dart, key ()
             faces[-1] = (), 5
             names += ((),)
@@ -602,10 +596,11 @@ class TripleDiagram:
 
         The checks run in turn, each only when the ones before it pass:
         every port paired, the pairing an involution joining a source to
-        a sink, Euler characteristic 2 per component, the checkerboard and
-        the free loops.  The checkerboard is read off the orbits traced
-        for the Euler count, and the keys of free loops are checked
-        against the face store's key codes: no Face record is built."""
+        a sink, Euler characteristic 2 per component, and the free loops,
+        whose keys are checked against the face store's key codes.  No
+        face is colored here: once every edge joins a source to a sink,
+        every face has one color (module docstring), and the face store
+        is the one routine that colors faces."""
         if 'unknown' in self._cache:
             return ["unknown port %s" % port_str(self._cache['unknown'])]
         partner = self._partner
@@ -632,21 +627,11 @@ class TripleDiagram:
 
         # planarity: per-component Euler characteristic 2.  The map is an
         # involution now, so phi is a permutation
-        orbits = self._orbits()
         violations = ["Euler characteristic violated (component V=%d E=%d "
-                      "F=%d)" % tuple(vef) for vef in self._components(orbits)
+                      "F=%d)" % tuple(vef)
+                      for vef in self._components(self._orbits())
                       if vef[0] - vef[1] + vef[2] != 2]
         if violations:
-            return violations
-
-        # checkerboard: every face has a uniform strand direction, read
-        # off the orbits above; no Face record is built
-        try:
-            for _ in self._face_kinds(orbits):
-                pass
-        except DiagramError as exc:
-            return [str(exc)]
-        if not self.loops:
             return violations
         for key, count in self.loops.items():
             try:

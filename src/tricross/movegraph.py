@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 from .diagram import DiagramError, TripleDiagram, trace_strands
 from .standard import standard_diagram, minimal_crossing_count
-from .moves import Move, find_22_sites, move_22, scan_badgons
+from .moves import find_22_sites, move_22, move_22_at, scan_badgons
 
 ORACLE_MAX_N = 4
 ORACLE_MAX_CROSSINGS = 5
@@ -144,8 +144,7 @@ def closure(diagram, inside=None):
                 else:
                     nd, new = None, False
                     vertex, cmap = found
-                    move = Move('22', (site.x, site.y, (X, (x1 + 4) % 6),
-                                       (Y, (y1 + 4) % 6)))
+                    move = move_22_at(site.x, site.y)
                 if keyed:
                     edges[t] = vertex, cmap
                     if vertex >= number:

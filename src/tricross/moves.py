@@ -37,7 +37,10 @@ added crossing's ports); every other face keeps its orbit and key
 the store, not ``Face`` records.  The new 2<->2 site, the central bigon
 with darts ``(X, x1+4)`` and ``(Y, y1+4)``, is read off the template; the
 move there (``Move.inverse``) gives back the start with X and Y swapped
-and turned, the rule ``reduce.connect_minimal`` walks back by.
+and turned, the rule ``reduce.connect_minimal`` walks back by.  One
+constructor, ``move_22_at``, builds the ``Move`` record of the 2<->2
+move at two corner darts, with that new site, for ``move_22``, the move
+graph's ``closure`` and ``textio.read_movelog``.
 
 Free loops are keyed by face.  A move that carries loops, or a 1->0
 move that closes one, traces the new faces and places them by the
@@ -110,8 +113,9 @@ class MoveLog:
     ``record`` reads as each applies: the canonical key after it, and the
     index of its face in the diagram it applies to (the site face of a
     ``22``, the loop's face of a ``drop`` or ``add``; None for ``10`` and
-    ``01``).  ``textio.write_movelog`` names faces as recorded;
-    ``replay`` and ``textio.read_movelog`` check a log independently."""
+    ``01``).  ``textio.write_movelog`` names faces as recorded, and
+    ``textio.read_movelog`` records the moves of a text again; ``replay``
+    checks a log independently."""
     initial_key: str
     moves: list = field(default_factory=list)   # Move
     keys: list = field(default_factory=list)    # canonical key after each
@@ -120,7 +124,8 @@ class MoveLog:
     def record(self, diagram, moves):
         """Apply ``moves`` to ``diagram`` in order and log each with its
         face index and the key of its result; returns the last result.
-        Every producer of a log fills it through this one recorder."""
+        Every producer and reader of a log fills it through this one
+        recorder."""
         for move in moves:
             if move.kind == '22':
                 face = diagram.face_index(
@@ -214,22 +219,6 @@ def _carry_loops(old, new, renamed, centre=None, made=0):
 # ----------------------------------------------------------------------
 # the 2<->2 move
 
-def _apply_22_full(diagram, site, rekey=False):
-    """(new diagram, new site) by the local rewrite of the module docstring;
-    with ``rekey``, the new diagram's carry records its faces' new keys."""
-    _resolve_22(diagram, site)
-    # only the rekeying record and the loop carry read the renaming
-    renamed = (_renamed_22(diagram, site) if rekey or diagram.loops
-               else None)
-    new = _rewrite(diagram, _joins_22(diagram, site),
-                   renamed=renamed if rekey else None)
-    if diagram.loops:
-        new = _carry_loops(diagram, new, renamed)
-    (X, x1), (Y, y1) = site.x, site.y
-    nx, ny = (X, (x1 + 4) % 6), (Y, (y1 + 4) % 6)
-    return new, TwoTwoSite(('c',) + min(nx, ny), nx, ny)
-
-
 def _joins_22(diagram, site):
     """The edges the 2<->2 move at ``site`` makes, as port code pairs read
     off the partner array: the four carried legs take over the old bigon
@@ -274,17 +263,32 @@ def _resolve_22(diagram, site):
 
 
 def apply_22(diagram, site, rekey=False):
-    """Apply the 2<->2 move; crossing count and trace are preserved.  With
-    ``rekey``, the result records the new key of each face the move
-    changes, for ``pop_rekeyed``."""
-    return _apply_22_full(diagram, site, rekey)[0]
+    """Apply the 2<->2 move by the local rewrite of the module docstring;
+    crossing count and trace are preserved.  With ``rekey``, the result
+    records the new key of each face the move changes, for
+    ``pop_rekeyed``."""
+    _resolve_22(diagram, site)
+    # only the rekeying record and the loop carry read the renaming
+    renamed = (_renamed_22(diagram, site) if rekey or diagram.loops
+               else None)
+    new = _rewrite(diagram, _joins_22(diagram, site),
+                   renamed=renamed if rekey else None)
+    if diagram.loops:
+        new = _carry_loops(diagram, new, renamed)
+    return new
 
 
 def move_22(diagram, site):
-    """(new diagram, Move record with forward and inverse site darts)."""
-    new, new_site = _apply_22_full(diagram, site)
-    mv = Move('22', (site.x, site.y, new_site.x, new_site.y))
-    return new, mv
+    """(new diagram, the Move record ``move_22_at`` builds from ``site``)."""
+    return apply_22(diagram, site), move_22_at(site.x, site.y)
+
+
+def move_22_at(x, y):
+    """The Move record of the 2<->2 move at corner darts ``x`` and ``y``,
+    each ``(crossing, slot)``: the darts, then the new centre's, ``x + 4``
+    and ``y + 4``."""
+    (X, x1), (Y, y1) = x, y
+    return Move('22', (x, y, (X, (x1 + 4) % 6), (Y, (y1 + 4) % 6)))
 
 
 def resolve_22_by_darts(diagram, x, y):

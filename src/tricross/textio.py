@@ -7,8 +7,7 @@ every list is emitted in a fixed order.
 import hashlib
 
 from .diagram import TripleDiagram, Matching, parse_port, port_code, port_str
-from .moves import (Move, MoveError, MoveLog, apply_move, move_22,
-                    resolve_22_by_darts)
+from .moves import Move, MoveError, MoveLog, move_22_at
 from .domino import Region, Tiling
 
 
@@ -156,7 +155,11 @@ def read_matching(text, name="<matching>"):
                 if n < 0:
                     raise ParseError(name, no, "negative n")
             elif parts[0] == "pair":
-                pairs[int(parts[1])] = int(parts[2])
+                i, o = int(parts[1]), int(parts[2])
+                if i in pairs:
+                    raise ParseError(name, no,
+                                     "in-endpoint %d named twice" % i)
+                pairs[i] = o
             else:
                 raise ParseError(name, no, "unknown record %r" % parts[0])
         except (IndexError, ValueError) as exc:
@@ -311,8 +314,9 @@ def _face_at(diagram, index):
 
 
 def read_movelog(text, initial, name="<movelog>"):
-    """Parse and resolve a move log against its initial diagram; each
-    move's face index is kept as the line names it."""
+    """Parse and resolve a move log against its initial diagram: each
+    line's ``Move`` is applied and logged by ``MoveLog.record``, whose
+    face index is the one the line names."""
     lines = _lines(text, name, "movelog v1")
     head = (lines[1].split() if len(lines) > 1
             and lines[1].startswith("initial ") else [])
@@ -326,37 +330,28 @@ def read_movelog(text, initial, name="<movelog>"):
         if not line.strip():
             continue
         parts = line.split()
-        face = None
         try:
             if parts[0] in ("22", "drop", "add"):
-                face = int(parts[1])
-                key, darts = _face_at(cur, face)
+                key, darts = _face_at(cur, int(parts[1]))
             if parts[0] == "22":
                 d1, d2 = darts
-                site = resolve_22_by_darts(cur, (d1[1], d1[2]),
-                                           (d2[1], d2[2]))
-                cur, mv = move_22(cur, site)
+                mv = move_22_at((d1[1], d1[2]), (d2[1], d2[2]))
             elif parts[0] == "10":
                 token = parts[1][1:] if parts[1].startswith("C") else parts[1]
                 c, s = token.split(".")
                 mv = Move('10', (int(c), int(s)))
-                cur = apply_move(cur, mv)
             elif parts[0] == "01":
                 mv = Move('01', (parse_port(parts[1]), parse_port(parts[2]),
                                  parts[3]))
-                cur = apply_move(cur, mv)
             elif parts[0] in ("drop", "add"):
                 mv = Move(parts[0], (key,))
-                cur = apply_move(cur, mv)
             else:
                 raise ParseError(name, no, "unknown move %r" % parts[0])
+            cur = log.record(cur, [mv])
         except ParseError:
             raise
         except (IndexError, ValueError) as exc:
             raise ParseError(name, no, "bad move %r: %s" % (line, exc))
-        log.moves.append(mv)
-        log.keys.append(cur.canonical_key())
-        log.faces.append(face)
     return log, cur
 
 

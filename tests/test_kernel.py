@@ -10,10 +10,11 @@ edges (``test_moves.py`` checks the same after the other moves).  The
 face store a move result carries over from its parent, and the
 ``Face`` records built from it, must equal a full trace of its map; a
 move records its faces' new keys only when asked; and the endpoint walk
-must run once per diagram.  ``validate``, which reads the checkerboard off
-its own orbits and builds no face, must return the violations of
-``reference_validate``, which reads it off the colors of the faces of
-``reference_orbits``.
+must run once per diagram.  ``validate``, which colors no face, must
+return the violations of ``reference_validate``, which still reads the
+checkerboard off the colors of the faces of ``reference_orbits``; and
+every interior orbit of a map whose every edge joins a source to a sink
+has one strand direction, the lemma that lets ``validate`` color none.
 """
 
 import random
@@ -358,6 +359,40 @@ def test_validate_matches_the_face_color_reference_on_rewired_maps():
     assert outcomes["face"] == 0
 
 
+def one_direction(d):
+    """True when every interior orbit of ``reference_orbits`` has its
+    strand darts all sources or all sinks."""
+    return all(len({is_source(x) for x in orbit if x[0] in 'bc'}) == 1
+               for orbit in reference_orbits(d) if ('-', 0) not in orbit)
+
+
+def test_a_map_without_orientation_clash_has_one_direction_per_face():
+    """The lemma behind ``validate`` coloring no face: when every edge
+    joins a source to a sink, phi keeps a dart's kind, so every interior
+    orbit has one strand direction, planar or not.  One rewiring that
+    joins two sources (and two sinks) breaks it: phi takes the first
+    source to a sink dart of its own orbit."""
+    rng = random.Random(28)
+    valid = 0
+    for _ in range(1200):
+        d = random_pairing(rng)
+        assert one_direction(d)
+        valid += d.validate() == []
+        edges = d.edge_list()
+        (a, b), (c, e) = rng.sample(edges, 2)
+        if is_source(b):
+            a, b = b, a
+        if is_source(e):
+            c, e = e, c
+        clash = TripleDiagram.from_edge_list(
+            d.n, d.crossings, [(a, c), (b, e)]
+            + [edge for edge in edges if edge not in ((a, b), (b, a),
+                                                       (c, e), (e, c))])
+        assert clash.validate()[0].startswith("orientation clash")
+        assert not one_direction(clash)
+    assert 100 <= valid < 1100
+
+
 # ----------------------------------------------------------------------
 # faces carried through moves
 
@@ -635,7 +670,7 @@ def test_a_copy_with_loops_keeps_a_pending_carry():
 
 
 def test_validate_leaves_no_orbits_beside_a_carry():
-    """validate reads the checkerboard off its own orbits: it caches
+    """validate traces its own orbits for the Euler count: it caches
     neither orbits nor faces, and leaves a move's carry pending."""
     for d in dual_4x3_vertices():
         for site in find_22_sites(d):

@@ -142,6 +142,13 @@ def test_matching_parse_errors():
         textio.read_matching("matching v1\nn 2\npair 0 1\npair 2 1\n")
     with pytest.raises(textio.ParseError):
         textio.read_matching("wrong header\n")
+    # a second pair line for one in-endpoint is refused on its line, not
+    # kept over the first
+    with pytest.raises(textio.ParseError) as exc:
+        textio.read_matching("matching v1\nn 2\npair 0 3\npair 2 1\n"
+                             "pair 0 3\n")
+    assert (exc.value.line_no, exc.value.message) \
+        == (5, "in-endpoint 0 named twice")
 
 
 def test_negative_counts_are_refused():
@@ -202,24 +209,41 @@ def test_movelog_roundtrip():
     assert [mv.kind for mv in parsed.moves] == [mv.kind for mv in log.moves]
 
 
-def test_movelog_roundtrip_every_move_kind():
+def test_movelog_roundtrip_every_move_kind(monkeypatch):
     """Inflation logs (01, add, 22), recorded move by move, and reduction
     logs (22, 10, drop) are written as the replaying reference writes
-    them, and read back to the same moves, keys and face indexes."""
+    them, and read back to the same moves, keys and face indexes.  The
+    reader applies and logs each move line by one ``MoveLog.record`` call
+    with that line's move, and appends to the log in no other way: before
+    each call the log holds one entry per call."""
     rng = random.Random(8)
-    kinds = set()
+    logs = []
     for m in (Matching.from_dict(3, {0: 3, 2: 5, 4: 1}),
               Matching.from_dict(4, {0: 5, 2: 7, 4: 1, 6: 3})):
         d0 = standard_diagram(m)
         d, moves = inflate(d0, 2, 2, 4, rng)
         grow = MoveLog(d0.canonical_key())
         grow.record(d0, moves)
-        _, shrink = to_standard(d)
-        for start, log in ((d0, grow), (d, shrink)):
-            text = textio.write_movelog(start, log)
-            assert text == reference_movelog(start, log)
-            assert textio.read_movelog(text, start)[0] == log
-            kinds.update(line.split()[0] for line in text.splitlines()[2:])
+        logs += [(d0, grow), (d, to_standard(d)[1])]
+    record = MoveLog.record
+    calls = []
+
+    def counted(self, diagram, moves):
+        assert len(moves) == 1
+        assert len(self.moves) == len(self.keys) == len(self.faces) \
+            == len(calls)
+        calls.append(moves[0])
+        return record(self, diagram, moves)
+
+    monkeypatch.setattr(MoveLog, "record", counted)
+    kinds = set()
+    for start, log in logs:
+        text = textio.write_movelog(start, log)
+        assert text == reference_movelog(start, log)
+        del calls[:]
+        assert textio.read_movelog(text, start)[0] == log
+        assert calls == log.moves
+        kinds.update(line.split()[0] for line in text.splitlines()[2:])
     assert kinds == {"01", "add", "22", "10", "drop"}
 
 
@@ -564,6 +588,19 @@ def test_cli_domino_check_refuses_a_region_without_tilings(tmp_path):
     out = run_cli("domino", "check", "--in", str(region))
     assert out.returncode == 2 and out.stdout == ""
     assert out.stderr.splitlines() == ["error: region has no domino tiling"]
+
+
+def test_cli_domino_guard_0_is_a_guard(tmp_path):
+    """``--guard 0`` refuses every region: it is not the default guard."""
+    region = tmp_path / "r.txt"
+    region.write_text("region v1\nsq 0 0\nsq 1 0\n")
+    for action in ("enumerate", "check"):
+        out = run_cli("domino", action, "--in", str(region), "--guard", "0")
+        assert out.returncode == 2 and out.stdout == ""
+        assert out.stderr.splitlines() == [
+            "error: region exceeds the 0-square guard"]
+    out = run_cli("domino", "enumerate", "--in", str(region))
+    assert out.returncode == 0 and out.stderr == "1 tilings\n"
 
 
 def test_cli_domino_check_refuses_an_empty_region(tmp_path):
