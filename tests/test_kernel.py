@@ -379,15 +379,12 @@ def test_a_map_without_orientation_clash_has_one_direction_per_face():
         assert one_direction(d)
         valid += d.validate() == []
         edges = d.edge_list()
-        (a, b), (c, e) = rng.sample(edges, 2)
-        if is_source(b):
-            a, b = b, a
-        if is_source(e):
-            c, e = e, c
+        i, j = rng.sample(range(len(edges)), 2)
+        # sources a and c, sinks b and e
+        (b, a), (e, c) = [sorted(edges[k], key=is_source) for k in (i, j)]
         clash = TripleDiagram.from_edge_list(
             d.n, d.crossings, [(a, c), (b, e)]
-            + [edge for edge in edges if edge not in ((a, b), (b, a),
-                                                       (c, e), (e, c))])
+            + [edge for k, edge in enumerate(edges) if k not in (i, j)])
         assert clash.validate()[0].startswith("orientation clash")
         assert not one_direction(clash)
     assert 100 <= valid < 1100
