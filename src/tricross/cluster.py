@@ -210,13 +210,12 @@ def lv_div_exact(u, v):
 class ClusterState:
     diagram: object
     values: dict          # white face key -> LaurentValue
-    frozen: frozenset     # boundary white face keys
     nvars: int
     var_names: tuple      # printable name per initial indeterminate
 
 
 def init_cluster(diagram):
-    """Fresh indeterminates on white faces; boundary whites are frozen."""
+    """Fresh indeterminates on white faces, the boundary ones included."""
     violations = diagram.validate()
     if violations:
         raise MoveError("diagram does not validate: " + "; ".join(violations))
@@ -228,8 +227,7 @@ def init_cluster(diagram):
     nvars = len(whites)
     values = {names[key]: lv_var(nvars, v)
               for v, (_, key) in enumerate(whites)}
-    frozen = frozenset([names[key] for _, key in whites if faces[key][1] > 3])
-    return ClusterState(diagram, values, frozen, nvars,
+    return ClusterState(diagram, values, nvars,
                         tuple(["x%d" % i for i, _ in whites]))
 
 
@@ -244,7 +242,6 @@ def exchange_22(state, site):
     if values.keys() != {names[key] for key, (_, kind) in faces.items()
                          if kind & 1}:
         raise MoveError("face correspondence is not a white-face bijection")
-    frozen = frozenset([rekeyed.get(key, key) for key in state.frozen])
     if diagram.face_codes(site.face_key)[1] & 1:  # a white centre
         # a and b at X's corners x1+2 and x1+4, c and d at Y's
         a, b, c, d = [
@@ -252,8 +249,7 @@ def exchange_22(state, site):
             for z, z1 in (site.x, site.y) for t in (2, 4)]
         values[rekeyed[site.face_key]] = lv_div_exact(
             lv_add(lv_mul(a, c), lv_mul(b, d)), state.values[site.face_key])
-    return ClusterState(new_diagram, values, frozen, state.nvars,
-                        state.var_names)
+    return ClusterState(new_diagram, values, state.nvars, state.var_names)
 
 
 def laurent_audit(states):

@@ -18,9 +18,12 @@ horizontal, pi = 1: slot0=TR slot1=TL slot2=L  slot3=BL slot4=BR slot5=R
 vertical,   pi = 0: slot0=RU slot1=T  slot2=LU slot3=LL slot4=B  slot5=RL
 vertical,   pi = 1: slot0=T  slot1=LU slot2=LL slot3=B  slot4=RL slot5=RU
 
-Even slots are entries, matching the global orientation convention; the
-builder picks the white parity that makes boundary endpoint 0 an
-in-endpoint and asserts alternation rather than assuming it.
+Even slots are entries, matching the global orientation convention.
+Each parity's layout is the other's turned by one slot, so switching
+the white parity flips the parity of every slot: the builder reads the
+white parity that makes boundary endpoint 0 an in-endpoint off that
+endpoint's slot, builds once, and checks alternation rather than
+assuming it.
 """
 
 from .diagram import TripleDiagram
@@ -40,16 +43,6 @@ class Region:
     def __len__(self):
         return len(self.squares)
 
-    def boundary_edges(self):
-        """Unit edges adjacent to exactly one square, as (corner, corner)."""
-        count = {}
-        for x, y in self.squares:
-            for e in (((x, y), (x + 1, y)), ((x + 1, y), (x + 1, y + 1)),
-                      ((x, y + 1), (x + 1, y + 1)), ((x, y), (x, y + 1))):
-                e = tuple(sorted(e))
-                count[e] = count.get(e, 0) + 1
-        return sorted(e for e, k in count.items() if k == 1)
-
     def is_simply_connected(self):
         """Connected squares and a single boundary walk."""
         if not self.squares:
@@ -67,35 +60,27 @@ class Region:
         return len(self._boundary_walks()) == 1
 
     def _boundary_walks(self):
-        """Closed counterclockwise walks over the boundary unit edges."""
-        edges = set(self.boundary_edges())
-        # orient each edge with the region on its left (counterclockwise)
-        walks = []
+        """Closed counterclockwise walks over the boundary unit edges, as
+        (corner, corner) darts with the region on their left: each
+        square's counterclockwise edges with no square beyond them."""
         darts = set()
-        for (a, b) in edges:
-            (x1, y1), (x2, y2) = sorted((a, b))
-            if y1 == y2:
-                # horizontal: region above -> walk right-to-left has region
-                # on left; region below -> left-to-right
-                if (x1, y1) in self.squares:       # square above the edge
-                    darts.add((((x1, y1), (x2, y2)), 1))   # a -> b
-                else:                               # square below
-                    darts.add((((x2, y2), (x1, y1)), 1))
-            else:
-                # vertical: region right -> walk downward; left -> upward
-                if (x1, y1) in self.squares:        # square to the right
-                    darts.add((((x1, y2), (x1, y1)), 1))   # top -> bottom
-                else:
-                    darts.add((((x1, y1), (x1, y2)), 1))
+        for x, y in self.squares:
+            for dart, beyond in ((((x, y), (x + 1, y)), (x, y - 1)),
+                                 (((x + 1, y), (x + 1, y + 1)), (x + 1, y)),
+                                 (((x + 1, y + 1), (x, y + 1)), (x, y + 1)),
+                                 (((x, y + 1), (x, y)), (x - 1, y))):
+                if beyond not in self.squares:
+                    darts.add(dart)
         succ = {}
-        for (a, b), _ in darts:
+        for a, b in darts:
             succ.setdefault(a, []).append((a, b))
+        walks = []
         used = set()
-        for (a, b), _ in sorted(darts):
-            if (a, b) in used:
+        for dart in sorted(darts):
+            if dart in used:
                 continue
             walk = []
-            cur = (a, b)
+            cur = dart
             while cur not in used:
                 used.add(cur)
                 walk.append(cur)
@@ -207,58 +192,52 @@ def _domino_sides(x, y, h):
             'LU': ((x, y + 1), (x, y + 2)), 'LL': ((x, y), (x, y + 1))}
 
 
-def _build_dual(tiling, white_parity):
+def tiling_to_diagram(tiling, with_map=False):
+    """Dual triple diagram of a tiling of a simply connected region."""
     region = tiling.region
+    if not region.squares:
+        raise ValueError("region is empty")
+    if not region.is_simply_connected():
+        raise ValueError("region must be simply connected")
     doms = sorted(tiling.dominoes)
-    port_at = {}  # unit edge -> list of (domino index, slot)
+    sides_at = {}  # unit edge -> list of (domino index, side name)
     for idx, (x, y, h) in enumerate(doms):
+        for name, unit_edge in _domino_sides(x, y, h).items():
+            sides_at.setdefault(unit_edge, []).append((idx, name))
+    # endpoints in counterclockwise boundary order, starting from the
+    # lexicographically smallest boundary unit edge
+    ordered = [tuple(sorted(d)) for d in region._boundary_walks()[0]]
+    start = ordered.index(min(ordered))
+    ordered = ordered[start:] + ordered[:start]
+
+    def slot(idx, name, white_parity):
+        x, y, h = doms[idx]
         pi = (x + y + white_parity) % 2
-        names = _H_SLOTS[pi] if h else _V_SLOTS[pi]
-        sides = _domino_sides(x, y, h)
-        for slot, name in enumerate(names):
-            port_at.setdefault(sides[name], []).append((idx, slot))
+        return (_H_SLOTS[pi] if h else _V_SLOTS[pi]).index(name)
+
+    # the other white parity turns every domino's slots by one, flipping
+    # each slot's parity: the one that makes endpoint 0 an in-endpoint
+    white_parity = slot(*sides_at[ordered[0]][0], 0) % 2
     edges = []
-    boundary_ports = {}
-    for unit_edge, ends in sorted(port_at.items()):
+    for ends in sides_at.values():
         if len(ends) == 2:
-            (i1, s1), (i2, s2) = ends
+            (i1, s1), (i2, s2) = [(i, slot(i, name, white_parity))
+                                  for i, name in ends]
             if s1 % 2 == s2 % 2:
                 raise ValueError("orientation clash while gluing dominoes")
             edges.append((('c', i1, s1), ('c', i2, s2)))
-        else:
-            boundary_ports[unit_edge] = ends[0]
-    walk = region._boundary_walks()[0]
-    # endpoints in counterclockwise boundary order, starting from the
-    # lexicographically smallest boundary unit edge
-    ordered = [tuple(sorted(d)) for d in walk]
-    start = ordered.index(min(ordered))
-    ordered = ordered[start:] + ordered[:start]
-    numbered = []
     for i, unit_edge in enumerate(ordered):
-        idx, slot = boundary_ports[unit_edge]
-        edges.append((('b', i), ('c', idx, slot)))
-        numbered.append((i, slot))
-    # alternation check: endpoint i is in exactly when the slot is even
-    for i, slot in numbered:
-        if (i % 2 == 0) != (slot % 2 == 0):
-            return None, None
-    n = len(ordered) // 2
-    diagram = TripleDiagram.from_edge_list(n, range(len(doms)), edges)
-    return diagram, {d: i for i, d in enumerate(doms)}
-
-
-def tiling_to_diagram(tiling, with_map=False):
-    """Dual triple diagram of a tiling of a simply connected region."""
-    if not tiling.region.squares:
-        raise ValueError("region is empty")
-    if not tiling.region.is_simply_connected():
-        raise ValueError("region must be simply connected")
-    for parity in (0, 1):
-        diagram, dommap = _build_dual(tiling, parity)
-        if diagram is not None:
-            diagram.check()
-            return (diagram, dommap) if with_map else diagram
-    raise ValueError("no orientation makes endpoint 0 an in-endpoint")
+        (idx, name), = sides_at[unit_edge]
+        s = slot(idx, name, white_parity)
+        # alternation: endpoint i is in exactly when the slot is even
+        if (i % 2 == 0) != (s % 2 == 0):
+            raise ValueError("no orientation makes endpoint 0 an "
+                             "in-endpoint")
+        edges.append((('b', i), ('c', idx, s)))
+    diagram = TripleDiagram.from_edge_list(len(ordered) // 2,
+                                           range(len(doms)), edges).check()
+    return (diagram, {d: i for i, d in enumerate(doms)}) if with_map \
+        else diagram
 
 
 def flips_commute_with_22(tiling, site):

@@ -291,13 +291,6 @@ def move_22_at(x, y):
     return Move('22', (x, y, (X, (x1 + 4) % 6), (Y, (y1 + 4) % 6)))
 
 
-def resolve_22_by_darts(diagram, x, y):
-    """Rebuild a TwoTwoSite from its two corner darts, checking freshness."""
-    site = TwoTwoSite(diagram.face_key(('c',) + tuple(x)), tuple(x), tuple(y))
-    _resolve_22(diagram, site)
-    return site
-
-
 # ----------------------------------------------------------------------
 # the 1->0 move and its inverse
 
@@ -466,8 +459,10 @@ def is_minimal(diagram):
 
 def apply_move(diagram, move):
     if move.kind == '22':
-        site = resolve_22_by_darts(diagram, move.data[0], move.data[1])
-        return apply_22(diagram, site)
+        # the site of the face left of the first dart; ``apply_22`` checks it
+        x, y = map(tuple, move.data[:2])
+        return apply_22(diagram, TwoTwoSite(diagram.face_key(('c',) + x),
+                                            x, y))
     if move.kind == '10':
         return apply_10(diagram, OneZeroSite(*move.data))
     if move.kind == '01':

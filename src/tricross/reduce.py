@@ -14,26 +14,29 @@ search needs no other goal, and the crossing count never rises.
 
 It then lays strands in the standard construction's order
 (``standard.lay_order``): for each scheduled interval, ``straighten``
-makes that strand boundary-parallel inside the sub-diagram spanned by
-the not-yet-frozen crossings, and ``standard.freeze`` moves the
-frontier's persistent position keys (real endpoints, later the upper
-legs of frozen crossings) over it, as the construction does.  A strand
-that ends off its scheduled interval raises ``ReductionError``; else
+makes that strand boundary-parallel inside the region of the
+not-yet-frozen crossings, and ``standard.freeze`` moves the frontier's
+persistent position keys (real endpoints, later the upper legs of
+frozen crossings) over it, as the construction does.  A strand that
+ends off its scheduled interval raises ``ReductionError``; else
 reducing any diagram reproduces the standard diagram of its matching
 up to canonical relabeling.
 
-Most scheduled strands are boundary-parallel already.  ``_read_strand``
-reads the strand in place on the full diagram's partner array, from its
-anchor through the crossings not yet frozen to the next anchor.  Only a
-strand that fails its test gets a residual (``_build_residual``), which
-``straighten`` works in and ``check()`` validates before the same
-routine reads it.  Skipping the residual of a strand that needs no move
-loses no check: the input is checked on entry and every move keeps it
-valid; the read sees only the strand's path, its end anchor and its
-hanging slots' partners, which the residual copies verbatim (codes
-shifted); the result is compared with the target, laid and checked
-independently; every logged move is replayable (``replay``); and every
-residual that is built is still checked.
+The reducer works on one diagram.  A region is given by its anchors,
+the port codes just outside it in counterclockwise order (the
+frontier's ports; in the recursion, the outer ports of
+``region_legs``), and its set of crossings.  Every read follows partner
+codes in place: a strand runs from an anchor through the region's
+crossings to the next anchor (``_strand``), and a 2<->2 search takes
+only moves whose two crossings lie in the region, each recorded once in
+the reduction's MoveLog.  It makes, move for move, the moves that a
+reducer working in the standalone sub-diagram spanned by the region
+(its residual, whose endpoint i is anchor i) would make.  An
+isomorphism that fixes the boundary also fixes the frozen part, so the
+full diagram's canonical codes tell breadth-first states apart exactly
+as the residual's do; and a crossing port's dart code differs from its
+residual one by the same shift for every port, so the 2<->2 sites come
+out in the same order.
 
 Every sub-diagram of a minimal diagram is minimal: it has no free
 loops, monogons, self-intersecting or closed strands, and 2<->2 moves
@@ -46,17 +49,17 @@ standard construction hangs the interval's endpoints
 transversally, so its piece between two consecutive crossings with S
 lies wholly on the side of the slot it leaves the first by, and the
 crossings under S are those reached over partner codes from the
-interval's interior endpoints and S's under-side slots without entering
-a crossing of S (``_under_cross``).
+interval's interior anchors and S's under-side slots without entering
+a crossing of S or leaving the region (``_under_cross``).
 
   * double crossing (``_remove_double``): for a strand with a piece
     under S between two crossings with S, straighten its innermost
-    such piece by recursion, then ``_search`` the window of involved
-    crossings, then the whole diagram, for a state that drops the
-    double crossing;
+    such piece by recursion, in the region of the piece's crossings,
+    then ``_search`` the window of involved crossings, then the region,
+    for a state that drops the double crossing;
   * comb (``_comb``), when no strand has such a piece: ``_search`` the
-    window of S plus the crossings under it, then the whole diagram,
-    for a state lowering (crossings under S, detours of the hanging
+    window of S plus the crossings under it, then the region, for a
+    state lowering (crossings under S, detours of the hanging
     strands).
 
 ``connect_minimal`` reduces both diagrams to the standard one and walks
@@ -72,7 +75,7 @@ standard diagrams seed it, each inverse move is translated through it,
 and the rule updates it at X and Y.
 """
 
-from .diagram import TripleDiagram, is_source, port_code
+from .diagram import is_source, port_code
 from .domino import Region, Tiling, tiling_to_diagram
 from .standard import (lay_strands, lay_order, freeze, interval_interior,
                        template_slots)
@@ -86,14 +89,16 @@ class ReductionError(RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# crossing-set regions
+# regions
 
 def region_legs(diagram, crossings):
     """Cut edges of a crossing-set region, in boundary cyclic order.
 
     Returns a list of (inner_port, outer_port) pairs walking the
-    region's frontier counterclockwise.  Raises if the cuts do not form
-    a single circle (the set is not a disk-like region).
+    region's frontier counterclockwise, from an in-leg (its inner port
+    a sink), in-legs at even positions.  Raises if the cuts do not form
+    a single circle (the set is not a disk-like region) or do not
+    alternate in and out.
     """
     cs = set(crossings)
     inside = {('c', c) for c in cs}  # a port's first two fields
@@ -126,101 +131,80 @@ def region_legs(diagram, crossings):
         raise ReductionError("region frontier has no in-leg")
     best = min(ins, key=lambda i: order[i])
     order = order[best:] + order[:best]
+    if any((i % 2 == 0) == is_source(p) for i, p in enumerate(order)):
+        raise ReductionError("region legs do not alternate")
     return [(p, diagram.partner(p)) for p in order]
 
 
-def extract_region(diagram, crossings):
-    """Build the standalone sub-diagram of a crossing-set region.
-
-    Returns (sub, legs) where legs[i] is the (inner, outer) cut pair for
-    sub boundary endpoint i.  Crossing ids and slots are preserved, so
-    2<->2 and 1->0 moves found in the sub apply verbatim to the parent.
-    """
-    legs = region_legs(diagram, crossings)
-    for i, (inner, _) in enumerate(legs):
-        if (i % 2 == 0) == is_source(inner):
-            raise ReductionError("region legs do not alternate")
-    sub = _build_residual(diagram, set(crossings),
-                          [outer for _, outer in legs])
-    sub.check()
-    return sub, legs
+def _region(anchors, crossings):
+    """A region of a diagram: its anchor port codes in counterclockwise
+    order, each code's anchor index, and the set of its crossing ids."""
+    return anchors, {q: i for i, q in enumerate(anchors)}, crossings
 
 
-# ----------------------------------------------------------------------
-# strand helpers on a standalone diagram
-
-def _strand_from(diagram, a):
-    """The strand from in-endpoint ``a``: ``strands()`` lists the arcs
-    first, in order of in-endpoint."""
-    return diagram.strands()[a // 2]
-
-
-def _read_strand(diagram, anchors, frozen, a, dirn):
-    """Read the strand from anchor ``a`` of a residual in place, on
-    ``diagram``'s partner array: ``anchors`` lists the residual's anchor
-    port codes in counterclockwise order (its endpoints), the crossings
-    not in ``frozen`` are its crossings.  Returns (end anchor, visits,
-    boundary-parallel along the dirn interval), as ``_strand_from`` and
-    ``is_boundary_parallel`` read them on the residual that
-    ``_build_residual`` writes.
-
-    The strand passes from slot s to s + 3 through the residual's
-    crossings until it meets an anchor; anything else is a leak out of
-    the residual.  It is boundary-parallel when it makes k visits, k
-    half the anchors strictly inside its interval, and visit j's hanging
-    slots (``template_slots``) hold interior anchors 2j and 2j + 1.  The
-    visits are then distinct: the partners of the strand's entries and
-    exits are its own ports and end anchors, never interior ones, so a
-    crossing met twice has only two slots left to hang four anchors."""
+def _strand(diagram, region, a):
+    """The strand from anchor ``a`` of ``region``, as (a, end anchor,
+    visits), read on ``diagram``'s partner array: it passes from slot s
+    to s + 3 through the region's crossings until it meets an anchor;
+    anything else is a leak out of the region."""
+    anchors, index, inside = region
     m = 2 * diagram.n
     part = diagram.partners()
-    index = {q: i for i, q in enumerate(anchors)}
     visits = []
     q = part[anchors[a]]
     for _ in part:  # no strand is longer than the map
         if q in index:
-            break
+            return a, index[q], tuple(visits)
         c, s = divmod(q - m, 6)
-        if q < m or c in frozen:
-            raise ReductionError("frontier strand leaks out of the "
-                                 "residual region")
+        if c not in inside:
+            raise ReductionError("frontier strand leaks out of the region")
         visits.append((c, s))
         q = part[q + 3 if s < 3 else q - 3]
-    else:
-        raise ReductionError("strand from anchor %d never ends" % a)
-    b = index[q]
+    raise ReductionError("strand from anchor %d never ends" % a)
+
+
+def _read_strand(diagram, region, a, dirn):
+    """(end anchor, visits, boundary-parallel along the dirn interval)
+    of the strand from anchor ``a`` of ``region``.
+
+    It is boundary-parallel when it makes k visits, k half the anchors
+    strictly inside its interval, and visit j's hanging slots
+    (``template_slots``) hold interior anchors 2j and 2j + 1.  The
+    visits are then distinct: the partners of the strand's entries and
+    exits are its own ports and end anchors, never interior ones, so a
+    crossing met twice has only two slots left to hang four anchors."""
+    anchors = region[0]
+    m = 2 * diagram.n
+    part = diagram.partners()
+    _, b, visits = _strand(diagram, region, a)
     interior = interval_interior(len(anchors), a, b, dirn)
     k = len(interior) // 2
-    return b, tuple(visits), (
+    return b, visits, (
         len(visits) == k
         and all(part[m + 6 * c + x] == anchors[interior[2 * j + h]]
                 for j, (c, e) in enumerate(visits)
                 for h, x in enumerate(template_slots(e, dirn)[:2])))
 
 
-def is_boundary_parallel(diagram, a, dirn):
-    """Is the strand at ``a`` boundary-parallel along its dirn interval?
-    ``_read_strand`` with the endpoints as anchors."""
-    return _read_strand(diagram, range(2 * diagram.n), (), a, dirn)[2]
-
-
-def _under_cross(diagram, a, dirn):
-    """The crossings under the strand S at ``a``, strictly between S and
-    its dirn interval: flooded over partner codes from the interval's
-    interior endpoints and S's under-side slots, never entering a
-    crossing of S (module docstring)."""
+def _under_cross(diagram, region, a, dirn):
+    """The crossings under the strand S at anchor ``a``, strictly between
+    S and its dirn interval: flooded over partner codes from the
+    interval's interior anchors and S's under-side slots, through the
+    region's crossings, never entering a crossing of S (module
+    docstring)."""
+    anchors, _, inside = region
     m = 2 * diagram.n
     part = diagram.partners()
-    _, b, visits = _strand_from(diagram, a)
+    _, b, visits = _strand(diagram, region, a)
     s_cross = set(c for c, _ in visits)
-    todo = [part[i] for i in interval_interior(m, a, b, dirn)]
+    todo = [part[anchors[i]] for i in interval_interior(len(anchors), a, b,
+                                                        dirn)]
     todo += [part[m + 6 * c + x] for c, e in visits
              for x in template_slots(e, dirn)[:2]]
     under = set()
     while todo:
-        q = todo.pop()
-        c = (q - m) // 6
-        if q >= m and c not in s_cross and c not in under:
+        c = (todo.pop() - m) // 6  # negative for an endpoint
+        if c in inside and c not in s_cross and c not in under:
             under.add(c)
             todo.extend(part[m + 6 * c:m + 6 * c + 6])
     return under
@@ -233,17 +217,18 @@ def _shared_crossings(s1, s2):
 # ----------------------------------------------------------------------
 # breadth-first search over 2<->2 moves
 
-def _search(diagram, goal, stuck, window=None, cap=30000):
+def _search(diagram, goal, stuck, window=None, inside=None, cap=30000):
     """Shortest 2<->2-only move sequence to a state meeting ``goal``.
 
     Searches the moves inside ``window`` (a set of crossing ids) first,
-    then all moves; raises ReductionError(stuck) when neither reaches a
-    goal state.  The start state itself is never tested.
+    then those inside ``inside`` (None: all moves); raises
+    ReductionError(stuck) when neither reaches a goal state.  The start
+    state itself is never tested.
     """
     start = diagram.canonical_code()
-    for inside in (window, None) if window is not None else (None,):
+    for scope in (window, inside) if window is not None else (inside,):
         parent = {}  # canonical code -> (parent code, Move)
-        for d, _, mv, nd, new, _ in closure(diagram, inside):
+        for d, _, mv, nd, new, _ in closure(diagram, scope):
             if not new:
                 continue
             key = nd.canonical_code()
@@ -262,14 +247,6 @@ def _search(diagram, goal, stuck, window=None, cap=30000):
 
 # ----------------------------------------------------------------------
 # minimisation
-
-def _apply_all(diagram, moves, log):
-    """Apply ``moves`` to ``diagram`` and append them to the list ``log``."""
-    for mv in moves:
-        diagram = apply_move(diagram, mv)
-        log.append(mv)
-    return diagram
-
 
 def _minimise(diagram, log):
     """Reduce ``diagram`` to a minimal one by drops, 1->0 moves and the
@@ -291,41 +268,44 @@ def _minimise(diagram, log):
 # ----------------------------------------------------------------------
 # straightening
 
-def straighten(diagram, a, dirn, depth=0):
-    """Make the strand at in-endpoint ``a`` of a minimal diagram
-    boundary-parallel along its dirn-side interval by 2<->2 moves.
-    Returns (diagram, moves); the interval must be minimal for the
-    diagram's matching."""
-    log = []
+def straighten(diagram, region, a, dirn, log, depth=0):
+    """Make the strand at anchor ``a`` of ``region`` (``_region``) of a
+    minimal diagram boundary-parallel along its dirn-side interval by
+    2<->2 moves of the region's crossings, recorded in the MoveLog
+    ``log``; returns the result.  The interval must be minimal for the
+    region's matching."""
     if depth > 60:
         raise ReductionError("straightening recursion too deep")
     guard = 0
-    while not is_boundary_parallel(diagram, a, dirn):
+    while not _read_strand(diagram, region, a, dirn)[2]:
         guard += 1
-        if guard > 300 + 60 * (diagram.crossing_count() + 2):
+        if guard > 300 + 60 * (len(region[2]) + 2):
             raise ReductionError("straightening stalled")
-        dbl = _innermost_double(diagram, a, dirn)
+        dbl = _innermost_double(diagram, region, a, dirn)
         if dbl:
-            diagram = _remove_double(diagram, a, dirn, dbl, log, depth)
+            diagram = _remove_double(diagram, region, a, dirn, dbl, log,
+                                     depth)
         else:
-            diagram = _comb(diagram, a, dirn, log)
-    return diagram, log
+            diagram = _comb(diagram, region, a, dirn, log)
+    return diagram
 
 
-def _under_pieces(diagram, a, dirn):
+def _under_pieces(diagram, region, a, dirn):
     """Each piece of a strand U between two consecutive crossings c1, c2
-    with the strand S at ``a`` that lies under S, toward S's interval, as
-    ((crossings on the piece, S-crossings it spans), U, t1, t2, c1, c2);
-    U's visits t1 and t2 are at c1 and c2.
+    with the strand S at anchor ``a`` that lies under S, toward S's
+    interval, as ((crossings on the piece, S-crossings it spans), U, t1,
+    t2, c1, c2); U's visits t1 and t2 are at c1 and c2.  The strands
+    are those from the region's in-anchors, in order.
 
     The piece crosses S nowhere, so it lies wholly on one side of S:
     under S exactly when U leaves c1 by one of S's interval-side slots.
     """
-    s_main = _strand_from(diagram, a)
-    s_at = {c: (t, e) for t, (c, e) in enumerate(s_main[2])}
-    for s in diagram.strands():
-        if s is s_main:
+    s_at = {c: (t, e) for t, (c, e) in enumerate(
+        _strand(diagram, region, a)[2])}
+    for start in range(0, len(region[0]), 2):
+        if start == a:
             continue
+        s = _strand(diagram, region, start)
         hits = [t for t, (c, _) in enumerate(s[2]) if c in s_at]
         for t1, t2 in zip(hits, hits[1:]):
             (c1, g), (c2, _) = s[2][t1], s[2][t2]
@@ -335,23 +315,21 @@ def _under_pieces(diagram, a, dirn):
                 yield (t2 - t1 - 1, abs(p1 - p2)), s, t1, t2, c1, c2
 
 
-def _innermost_double(diagram, a, dirn):
+def _innermost_double(diagram, region, a, dirn):
     """The innermost under-piece, with the fewest crossings, then the
     fewest S-crossings spanned, as (U, t1, t2, c1, c2); None when no
     strand meets S twice with a piece under S between."""
-    best = min(_under_pieces(diagram, a, dirn), key=lambda p: p[0],
+    best = min(_under_pieces(diagram, region, a, dirn), key=lambda p: p[0],
                default=None)
     return None if best is None else best[1:]
 
 
-def _remove_double(diagram, a, dirn, dbl, log, depth):
+def _remove_double(diagram, region, a, dirn, dbl, log, depth):
     s, t1, t2, c1, c2 = dbl
-    seq = [c for c, _ in s[2]]
-    between = seq[t1 + 1:t2]
+    between = [c for c, _ in s[2][t1 + 1:t2]]
     if between:
-        region = set(between)
-        sub, legs = extract_region(diagram, region)
-        # the piece enters the region at its first visit's entry slot
+        legs = region_legs(diagram, between)
+        # the piece enters the sub-region at its first visit's entry slot
         # and leaves it by its last visit's exit slot
         inners = [inner for inner, _ in legs]
         (c_in, x_in), (c_out, x_out) = s[2][t1 + 1], s[2][t2 - 1]
@@ -359,22 +337,23 @@ def _remove_double(diagram, a, dirn, dbl, log, depth):
         b_idx = inners.index(('c', c_out, (x_out + 3) % 6))
         # straighten the piece along the side hugging S: its interior
         # legs all attach to crossings of S
-        s_cross = set(c for c, _ in _strand_from(diagram, a)[2])
+        s_cross = set(c for c, _ in _strand(diagram, region, a)[2])
         dsub = None
         for cand in (1, -1):
-            span = interval_interior(2 * sub.n, a_idx, b_idx, cand)
+            span = interval_interior(len(legs), a_idx, b_idx, cand)
             if all(legs[t][1][0] == 'c' and legs[t][1][1] in s_cross
                    for t in span):
                 if dsub is None or len(span) < len(
-                        interval_interior(2 * sub.n, a_idx, b_idx, dsub)):
+                        interval_interior(len(legs), a_idx, b_idx, dsub)):
                     dsub = cand
         if dsub is None:
             raise ReductionError("no S-side span for the double piece")
-        sub2, submoves = straighten(sub, a_idx, dsub, depth + 1)
-        diagram = _apply_all(diagram, submoves, log)
+        sub = _region([port_code(diagram.n, outer) for _, outer in legs],
+                      set(between))
+        diagram = straighten(diagram, sub, a_idx, dsub, log, depth + 1)
     # window search: kill the double crossing
-    s_main = _strand_from(diagram, a)
-    u = _strand_from(diagram, s[0])
+    s_main = _strand(diagram, region, a)
+    u = _strand(diagram, region, s[0])
     before = len(_shared_crossings(s_main, u))
     window = set()
     for strand in (s_main, u):  # each one's crossings from c1 to c2
@@ -383,88 +362,48 @@ def _remove_double(diagram, a, dirn, dbl, log, depth):
         window.update(seq[i1:i2 + 1])
 
     def goal(d):
-        return len(_shared_crossings(_strand_from(d, a),
-                                     _strand_from(d, u[0]))) <= before - 2
+        return len(_shared_crossings(_strand(d, region, a),
+                                     _strand(d, region, u[0]))) <= before - 2
 
-    path = _search(diagram, goal, "double crossing is stuck", window)
-    return _apply_all(diagram, path, log)
+    path = _search(diagram, goal, "double crossing is stuck", window,
+                   region[2])
+    return log.record(diagram, path)
 
 
-def _comb_potential(diagram, a, dirn):
-    """(crossings under S, detours): the detour of an interior endpoint
-    of S's interval is the number of crossings its strand meets before
-    S, walked over partner codes from the endpoint."""
+def _comb_potential(diagram, region, a, dirn):
+    """(crossings under S, detours): the detour of an interior anchor of
+    S's interval is the number of crossings its strand meets before S,
+    walked over partner codes from the anchor."""
+    anchors, _, inside = region
     m = 2 * diagram.n
     part = diagram.partners()
-    _, b, visits = _strand_from(diagram, a)
+    _, b, visits = _strand(diagram, region, a)
     s_cross = set(c for c, _ in visits)
     detours = 0
-    for e in interval_interior(m, a, b, dirn):
-        q = part[e]
-        while q >= m and (q - m) // 6 not in s_cross:
+    for e in interval_interior(len(anchors), a, b, dirn):
+        q = part[anchors[e]]
+        while (q - m) // 6 in inside and (q - m) // 6 not in s_cross:
             detours += 1
             # on through the crossing: slot s to slot s + 3
             q = part[q + 3 if (q - m) % 6 < 3 else q - 3]
-    return (len(_under_cross(diagram, a, dirn)), detours)
+    return (len(_under_cross(diagram, region, a, dirn)), detours)
 
 
-def _comb(diagram, a, dirn, log):
-    base = _comb_potential(diagram, a, dirn)
+def _comb(diagram, region, a, dirn, log):
+    base = _comb_potential(diagram, region, a, dirn)
 
     def goal(d):
-        return (not _innermost_double(d, a, dirn)
-                and _comb_potential(d, a, dirn) < base)
+        return (not _innermost_double(d, region, a, dirn)
+                and _comb_potential(d, region, a, dirn) < base)
 
-    s_main = _strand_from(diagram, a)
-    window = set(c for c, _ in s_main[2]) | _under_cross(diagram, a, dirn)
-    path = _search(diagram, goal, "combing is stuck", window)
-    return _apply_all(diagram, path, log)
+    window = (set(c for c, _ in _strand(diagram, region, a)[2])
+              | _under_cross(diagram, region, a, dirn))
+    path = _search(diagram, goal, "combing is stuck", window, region[2])
+    return log.record(diagram, path)
 
 
 # ----------------------------------------------------------------------
 # reduction to the standard diagram
-
-def _build_residual(diagram, active, frontier):
-    """Sub-diagram spanned by the active crossings over the frontier.
-
-    ``frontier`` is the list of anchor ports in counterclockwise order:
-    real endpoints or upper legs of frozen crossings.  Returns the
-    standalone diagram whose boundary endpoint i is the i-th anchor.
-    Its partner array is written directly: crossing ids are kept, so a
-    slot's code moves by the change in the endpoint count.
-    """
-    n = diagram.n
-    sub_n = len(frontier) // 2
-    shift = 2 * (sub_n - n)
-    parent = diagram.partners()
-    crossings = sorted(active)
-    partner = [-1] * (2 * sub_n + 6 * (crossings[-1] + 1 if crossings
-                                       else 0))
-
-    def inside(q):
-        return q >= 2 * n and (q - 2 * n) // 6 in active
-
-    index = {port_code(n, port): i for i, port in enumerate(frontier)}
-    for a, i in index.items():
-        q = parent[a]
-        if inside(q):
-            partner[i], partner[q + shift] = q + shift, i
-        elif q in index:
-            partner[i] = index[q]
-        else:
-            raise ReductionError("frontier strand leaks out of the "
-                                 "residual region")
-    for c in crossings:
-        for a in range(2 * n + 6 * c, 2 * n + 6 * c + 6):
-            if inside(parent[a]):
-                partner[a + shift] = parent[a] + shift
-    # the loops whose faces lie inside: each dart a slot of an active
-    # crossing, slot s of crossing c having dart code 6n + 6c + s
-    loops = {fk: count for fk, count in diagram.loops.items()
-             if all(d >= 6 * n and (d - 6 * n) // 6 in active
-                    for d in diagram.face_codes(fk)[0])}
-    return TripleDiagram(sub_n, crossings, None, loops, partners=partner)
-
 
 def to_standard(diagram, strategy="inclusion"):
     """Reduce to the standard diagram of the trace, with a move log.
@@ -477,10 +416,9 @@ def to_standard(diagram, strategy="inclusion"):
     (``MoveLog.record``); ``replay`` and ``textio.read_movelog``
     re-apply them independently.
 
-    Each step reads its strand in place (``_read_strand``); a strand
-    that is not boundary-parallel along its scheduled interval is
-    straightened in its residual, which is checked and read again
-    (module docstring).
+    Each step reads its strand in place, in the region of the crossings
+    not yet frozen, and straightens it there when it is not
+    boundary-parallel along its scheduled interval (module docstring).
     """
     diagram.check()
     matching, _ = diagram.trace()
@@ -489,35 +427,30 @@ def to_standard(diagram, strategy="inclusion"):
     log = MoveLog(diagram.canonical_key())
     diagram = _minimise(diagram, log)
     n = diagram.n
-    frozen = set()
+    active = set(diagram.crossings)
     frontier = {i: ('b', i) for i in range(2 * n)}  # key -> port
     first = 0
     for a_key, b_key, dirn, interior in schedule:
-        # sub-endpoint 0 must be an in-anchor: the first at or after the
-        # last step's, in cyclic key order (the frontier's in-anchors are
-        # the scheduled pairing's in-keys, so there is one)
+        # anchor 0 must be an in-anchor: the first at or after the last
+        # step's, in cyclic key order (the frontier's in-anchors are the
+        # scheduled pairing's in-keys, so there is one)
         keys = sorted(frontier, key=lambda k: (k < first, k))
         t = [is_source(frontier[k]) for k in keys].index(True)
         keys = keys[t:] + keys[:t]
         first = keys[0]
         a_idx = keys.index(a_key)
-        b_idx, visits, parallel = _read_strand(
-            diagram, [port_code(n, frontier[k]) for k in keys], frozen,
-            a_idx, dirn)
+        region = _region([port_code(n, frontier[k]) for k in keys], active)
+        b_idx, visits, parallel = _read_strand(diagram, region, a_idx, dirn)
         if keys[b_idx] != b_key or not parallel:
-            sub = _build_residual(diagram, set(diagram.crossings) - frozen,
-                                  [frontier[k] for k in keys])
-            sub2, submoves = straighten(sub, a_idx, dirn)
-            diagram = log.record(diagram, submoves)
-            sub2.check()
-            b_idx, visits, parallel = _read_strand(
-                sub2, range(2 * sub2.n), (), a_idx, dirn)
+            diagram = straighten(diagram, region, a_idx, dirn, log)
+            b_idx, visits, parallel = _read_strand(diagram, region, a_idx,
+                                                   dirn)
             if keys[b_idx] != b_key or not parallel:
                 raise ReductionError("straightened strand is off its "
                                      "scheduled interval")
         freeze(frontier, interior, visits, dirn)
         del frontier[a_key], frontier[b_key]
-        frozen.update(c for c, _ in visits)
+        active.difference_update(c for c, _ in visits)
     if diagram.canonical_key() != target.canonical_key():
         raise ReductionError("reduction did not reach the standard diagram")
     return diagram, log

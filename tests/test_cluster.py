@@ -82,7 +82,9 @@ def test_laurent_div_moves_fresh_variable_to_denominator():
 def test_init_cluster_counts(rotation3):
     st = init_cluster(standard_diagram(rotation3))
     assert st.nvars == 3  # single crossing: three white sectors
-    assert len(st.frozen) == 3
+    # all three are boundary faces: white (1) on the boundary (4)
+    assert sum(kind == 5 for _, kind
+               in st.diagram.face_store()[1].values()) == 3
     st0 = init_cluster(empty_diagram())
     assert st0.nvars == 1
 
@@ -190,7 +192,7 @@ def test_audits_can_fail():
     # x + 1 on every face: (ac + bd) / e no longer divides exactly
     shifted = ClusterState(st.diagram,
                            {k: lv_add(v, one) for k, v in st.values.items()},
-                           st.frozen, st.nvars, st.var_names)
+                           st.nvars, st.var_names)
     states, sites, ok = random_walk(shifted, 20, random.Random(1))
     assert not ok and len(states) == len(sites) + 1 < 21
     assert laurent_audit(states)["all_positive"]
@@ -198,8 +200,7 @@ def test_audits_can_fail():
                               (0,) * st.nvars)
     values = dict(st.values)
     values[min(values)] = minus
-    negative = ClusterState(st.diagram, values, st.frozen, st.nvars,
-                            st.var_names)
+    negative = ClusterState(st.diagram, values, st.nvars, st.var_names)
     assert not laurent_audit([st, negative])["all_positive"]
 
 

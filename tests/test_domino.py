@@ -117,3 +117,83 @@ def test_regions_that_are_not_simply_connected():
     assert repr(apart) == "Tiling([(0, 0, True), (3, 0, True)])"
     with pytest.raises(ValueError):
         tiling_to_diagram(apart)
+
+
+def _reference_walks(region):
+    """``Region._boundary_walks`` as it was written first: the unit edges
+    of exactly one square, each oriented by which side its square is on,
+    then walked with the same corner rule."""
+    count = {}
+    for x, y in region.squares:
+        for e in (((x, y), (x + 1, y)), ((x + 1, y), (x + 1, y + 1)),
+                  ((x, y + 1), (x + 1, y + 1)), ((x, y), (x, y + 1))):
+            e = tuple(sorted(e))
+            count[e] = count.get(e, 0) + 1
+    darts = set()
+    for e, k in count.items():
+        if k != 1:
+            continue
+        (x1, y1), (x2, y2) = e
+        if y1 == y2:  # horizontal: left to right with the square above
+            darts.add(e if (x1, y1) in region.squares else (e[1], e[0]))
+        else:  # vertical: downward with the square to the right
+            darts.add((e[1], e[0]) if (x1, y1) in region.squares else e)
+    succ = {}
+    for a, b in darts:
+        succ.setdefault(a, []).append((a, b))
+    walks, used = [], set()
+    for dart in sorted(darts):
+        if dart in used:
+            continue
+        walk, cur = [], dart
+        while cur not in used:
+            used.add(cur)
+            walk.append(cur)
+            nxt = [o for o in succ[cur[1]] if o not in used]
+            if not nxt:
+                break
+            cur = min(nxt)
+        walks.append(walk)
+    return walks
+
+
+def test_boundary_walks_match_the_oriented_boundary_edges():
+    """Each square's counterclockwise edges with no square beyond give
+    the walks of the oriented boundary edges, on seeded random regions:
+    simply connected ones, pinched ones (squares meeting at a corner
+    only) and disconnected ones."""
+    import random
+    from collections import Counter
+    kinds = Counter()
+    for seed in range(4000):
+        rng = random.Random(seed)
+        size = rng.randint(1, 6)
+        region = Region((rng.randrange(size), rng.randrange(size))
+                        for _ in range(rng.randint(1, 2 * size)))
+        want = _reference_walks(region)
+        assert region._boundary_walks() == want
+        kinds[region.is_simply_connected(), len(want)] += 1
+    # a simply connected region has one walk; the pinched and the
+    # disconnected ones have one or more
+    assert all(k == 1 for simple, k in kinds if simple)
+    assert kinds[True, 1] > 1000 and kinds[False, 1] > 100
+    assert sum(v for (_, k), v in kinds.items() if k > 1) > 1000
+
+
+def test_a_dual_walks_its_boundary_once(monkeypatch):
+    """The white parity is read off endpoint 0's slot, so each dual walks
+    the region boundary once to number its endpoints, after the walk of
+    ``is_simply_connected``: on the 4x3 tilings, every one of which
+    needs white parity 1."""
+    walks = []
+    own = Region._boundary_walks
+
+    def counted(region):
+        walks.append(region)
+        return own(region)
+
+    monkeypatch.setattr(Region, "_boundary_walks", counted)
+    tilings = enumerate_tilings(Region.rectangle(4, 3))
+    for t in tilings:
+        tiling_to_diagram(t)
+    assert len(walks) == 2 * len(tilings) == 22

@@ -10,9 +10,8 @@ from tricross import (TripleDiagram, Matching, standard_diagram,
                       apply_01, drop_loop, add_loop, find_badgons,
                       is_minimal, replay, MoveError)
 from tricross import moves as moves_module
-from tricross.moves import (move_22, OneZeroSite, LoopSite, MoveLog, Move,
-                            apply_move, Badgon, resolve_22_by_darts,
-                            scan_badgons)
+from tricross.moves import (move_22, move_22_at, OneZeroSite, LoopSite,
+                            MoveLog, Move, apply_move, Badgon, scan_badgons)
 from tricross.reduce import pattern_template, inflate
 from tricross.diagram import is_source
 from tricross.movegraph import closure
@@ -106,8 +105,8 @@ def _disjoint_22_pairs_commute(vertices):
                 pairing = mid.partners()
                 assert all(pairing[b] == a for a, b in enumerate(pairing)
                            if b >= 0)
-                results.append(apply_22(mid, resolve_22_by_darts(
-                    mid, second.x, second.y)))
+                # the moves touch no port of the other's face
+                results.append(apply_22(mid, second))
             st, ts = results
             assert sorted(st.crossings) == sorted(ts.crossings)
             ports = [('b', i) for i in range(2 * d.n)] + [
@@ -171,6 +170,23 @@ def test_22_stale_site_rejected():
         with pytest.raises(MoveError):
             # site addresses from the old diagram may have gone stale
             apply_22(apply_22(moved, other[0]), site)
+
+
+def test_apply_move_refuses_a_22_move_off_its_site():
+    """``apply_move`` leaves the site check to ``apply_22``: a 2<->2 move
+    whose second dart is not the bigon's other one, or whose first dart
+    borders no bigon, raises MoveError."""
+    left, _, _ = pattern_template('a', 2)
+    site = find_22_sites(left)[0]
+    Y, y1 = site.y
+    with pytest.raises(MoveError, match="face changed"):
+        apply_move(left, move_22_at(site.x, (Y, (y1 + 2) % 6)))
+    wide = next(d[1:] for f in left.faces() if len(f.darts) > 2
+                for d in f.darts if d[0] == 'c')
+    with pytest.raises(MoveError, match="face changed"):
+        apply_move(left, move_22_at(wide, site.y))
+    assert apply_move(left, move_22_at(site.x, site.y)) == apply_22(left,
+                                                                    site)
 
 
 def test_10_monogon_splice():
@@ -322,6 +338,32 @@ def test_movelog_replay_detects_divergence(rotation3):
     log.moves[0] = bad
     with pytest.raises(MoveError):
         replay(d, log)
+
+
+def test_reading_back_a_log_checks_each_22_site_once(monkeypatch):
+    """``apply_move`` builds a 2<->2 site from the move's two darts and
+    ``apply_22`` checks it, once: reading back the 2-move log that
+    ``connect_minimal`` writes from the first 4x3 domino dual to the
+    sixth checks two sites."""
+    from tricross import (Region, enumerate_tilings, tiling_to_diagram,
+                          connect_minimal, textio)
+    duals = [tiling_to_diagram(t)
+             for t in enumerate_tilings(Region.rectangle(4, 3))]
+    log = connect_minimal(duals[0], duals[5])
+    assert len(log) == 2
+    text = textio.write_movelog(duals[0], log)
+    checked = []
+    resolve = moves_module._resolve_22
+
+    def counted(diagram, site):
+        checked.append(site)
+        return resolve(diagram, site)
+
+    monkeypatch.setattr(moves_module, "_resolve_22", counted)
+    parsed, end = textio.read_movelog(text, duals[0])
+    assert parsed.moves == log.moves
+    assert end.canonical_key() == duals[5].canonical_key()
+    assert len(checked) == 2
 
 
 def test_badgon_presence_invariant_under_22():

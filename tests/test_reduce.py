@@ -12,10 +12,9 @@ from tricross import (TripleDiagram, Matching, standard_diagram, to_standard,
                       find_badgons, enumerate_connected_diagrams,
                       minimal_crossing_count, textio)
 from tricross import reduce as reducer
-from tricross.diagram import DiagramError, port_str, strand_path
-from tricross.moves import apply_move, MoveError
-from tricross.reduce import (straighten, is_boundary_parallel, extract_region,
-                             region_legs, ReductionError, _build_residual,
+from tricross.diagram import port_str, strand_path
+from tricross.moves import apply_move, MoveError, MoveLog
+from tricross.reduce import (straighten, region_legs, ReductionError,
                              _search, match_window)
 from tricross.standard import interval_interior, template_slots
 
@@ -291,51 +290,11 @@ def test_to_standard_records_the_keys_a_fresh_replay_reads(strategy):
         assert final.canonical_key() == end.canonical_key()
 
 
-def _corrupted(diagram):
-    """``diagram`` with two ports' partners swapped: the partner array
-    is no longer an involution."""
-    partner = list(diagram.partners())
-    paired = [x for x, q in enumerate(partner) if q >= 0]
-    a = paired[0]
-    b = next(x for x in paired if x not in (a, partner[a]))
-    partner[a], partner[b] = partner[b], partner[a]
-    return TripleDiagram(diagram.n, diagram.crossings, None, diagram.loops,
-                         partners=partner)
-
-
-def test_a_corrupted_residual_fails_extract_region(monkeypatch):
-    d = inflation(3)
-    extract_region(d, d.crossings)
-    build = reducer._build_residual
-    monkeypatch.setattr(reducer, "_build_residual",
-                        lambda *args: _corrupted(build(*args)))
-    with pytest.raises(DiagramError, match="involution broken"):
-        extract_region(d, d.crossings)
-
-
-def test_a_corrupted_straightened_residual_fails_its_check(monkeypatch):
-    """A residual is built only for a strand that needs moves, and each
-    one, once straightened, is checked: on the pinned n=7 diagram the
-    first straightening at depth 0 makes moves."""
-    outer = reducer.straighten
-    made = []
-
-    def corrupting(diagram, a, dirn, depth=0):
-        sub2, moves = outer(diagram, a, dirn, depth)
-        if depth:
-            return sub2, moves
-        made.append(len(moves))
-        return _corrupted(sub2), moves
-
-    monkeypatch.setattr(reducer, "straighten", corrupting)
-    with pytest.raises(DiagramError, match="involution broken"):
-        to_standard(_recursing_diagram())
-    assert made and made[0] > 0
-
-
 def _reference_residual(diagram, active, frontier):
-    """The residual built through an edge list, as ``from_edge_list``
-    reads one, with the free loops whose faces lie inside it."""
+    """The residual of a region, the standalone diagram whose endpoint i
+    is anchor port ``frontier[i]`` and whose crossings are ``active``,
+    built through an edge list as ``from_edge_list`` reads one, with the
+    free loops whose faces lie inside it."""
     index = {port: i for i, port in enumerate(frontier)}
     edges = []
     for i, port in enumerate(frontier):
@@ -356,27 +315,23 @@ def _reference_residual(diagram, active, frontier):
                                         edges, loops)
 
 
-def _same_residual(got, want):
-    assert got.partners() == want.partners()
-    assert (got.n, got.crossings, got.loops) \
-        == (want.n, want.crossings, want.loops)
+def _port(n, code):
+    """The port of partner-array code ``code``."""
+    m = 2 * n
+    return ('b', code) if code < m else ('c',) + divmod(code - m, 6)
 
 
-def test_build_residual_writes_the_edge_list_residual():
-    """On crossing regions; ``test_the_in_place_read_is_the_residual_read``
-    compares every residual of ``to_standard``, whose frontier strands
-    may join two anchors directly."""
-    built = 0
-    for d, region in _extract_region_cases():
-        try:
-            legs = region_legs(d, region)
-        except ReductionError:
-            continue
-        frontier = [outer for _, outer in legs]
-        _same_residual(_build_residual(d, set(region), frontier),
-                       _reference_residual(d, set(region), frontier))
-        built += 1
-    assert built == 205
+def _whole(diagram):
+    """The region of all of ``diagram``: its endpoints and crossings."""
+    return reducer._region(range(2 * diagram.n), set(diagram.crossings))
+
+
+def _residual(diagram, region):
+    """The reference residual of ``region`` (the reducer's anchor port
+    codes, their index and crossing ids) in ``diagram``, checked."""
+    anchors, _, active = region
+    return _reference_residual(diagram, active, [
+        _port(diagram.n, q) for q in anchors]).check()
 
 
 def _reference_read(sub, a, dirn):
@@ -394,67 +349,64 @@ def _reference_read(sub, a, dirn):
                 for h, x in enumerate(template_slots(e, dirn)[:2])))
 
 
-def _port(n, code):
-    """The port of partner-array code ``code``."""
-    m = 2 * n
-    return ('b', code) if code < m else ('c',) + divmod(code - m, 6)
-
-
-def _read_both_ways(read, diagram, anchors, frozen, a, dirn):
-    """``read`` (``_read_strand``) of the strand from anchor ``a`` in
-    place, asserted equal to the reference read of the residual: the
-    residual that ``_build_residual`` writes, checked against the
-    edge-list reference and with ``check()``.  Returns (the residual's
-    chords, the verdict) and the read."""
-    got = read(diagram, anchors, frozen, a, dirn)
-    active = set(diagram.crossings) - frozen
-    frontier = [_port(diagram.n, q) for q in anchors]
-    sub = _build_residual(diagram, active, frontier)
-    _same_residual(sub, _reference_residual(diagram, active, frontier))
-    sub.check()
+def _reads_agree(read, diagram, region, a, dirn):
+    """``read`` (``_read_strand``) of the strand S from anchor ``a`` of
+    ``region`` in place, and S's ``_under_cross``, ``_under_pieces`` and
+    ``_comb_potential``, asserted equal to the same reads of the region's
+    reference residual, which checks: the strand read to the reference
+    read of its traced strands, the others to the reducer's reads of the
+    whole residual.  Returns (the residual's chords, the verdict) and
+    the read."""
+    got = read(diagram, region, a, dirn)
+    sub = _residual(diagram, region)
     assert got == _reference_read(sub, a, dirn)
+    whole = _whole(sub)
+    for name in ("_under_cross", "_under_pieces", "_comb_potential"):
+        reads = getattr(reducer, name)
+        assert list(reads(diagram, region, a, dirn)) == list(
+            reads(sub, whole, a, dirn)), name
     m = 2 * sub.n
     return (sum(0 <= q < m for q in sub.partners()[:m]) // 2, got[2]), got
 
 
 def _residual_reads(monkeypatch):
-    """Patch the reducer so that each ``to_standard`` step also builds
-    its residual and compares the reads (``_read_both_ways``); a
-    standalone diagram's own read (``is_boundary_parallel``) is compared
-    with the reference read, and each residual the reducer builds with
-    the edge-list one.  Returns the lists that get, per step, (the
-    residual's chords, the in-place verdict), and each residual built."""
-    read = reducer._read_strand
-    seen = {"steps": [], "built": []}
+    """Patch the reducer so that each strand read, at each ``to_standard``
+    step and each straightening step, also compares the reads with the
+    region's residual (``_reads_agree``).  Returns the lists that get,
+    per read, (the residual's chords, the in-place verdict): "steps" at
+    ``to_standard``'s steps, "straightening" inside ``straighten``, and
+    each ``straighten`` call's depth."""
+    read, own = reducer._read_strand, reducer.straighten
+    seen = {"steps": [], "straightening": [], "depths": []}
+    nested = []  # the depths of the straightenings running
 
-    def compared(diagram, anchors, frozen, a, dirn):
-        if isinstance(anchors, range):  # the endpoints: no residual
-            got = read(diagram, anchors, frozen, a, dirn)
-            assert got == _reference_read(diagram, a, dirn)
-            return got
-        step, got = _read_both_ways(read, diagram, anchors, frozen, a, dirn)
-        seen["steps"].append(step)
+    def compared(diagram, region, a, dirn):
+        step, got = _reads_agree(read, diagram, region, a, dirn)
+        seen["straightening" if nested else "steps"].append(step)
         return got
 
-    def checked(diagram, active, frontier):
-        got = _build_residual(diagram, active, frontier)
-        _same_residual(got, _reference_residual(diagram, active, frontier))
-        seen["built"].append(got)
-        return got
+    def straightening(diagram, region, a, dirn, log, depth=0):
+        seen["depths"].append(depth)
+        nested.append(depth)
+        try:
+            return own(diagram, region, a, dirn, log, depth)
+        finally:
+            nested.pop()
 
     monkeypatch.setattr(reducer, "_read_strand", compared)
-    monkeypatch.setattr(reducer, "_build_residual", checked)
+    monkeypatch.setattr(reducer, "straighten", straightening)
     return seen
 
 
 @pytest.mark.parametrize("strategy", ["inclusion", "cw", "ccw"])
 def test_the_in_place_read_is_the_residual_read(monkeypatch, strategy):
-    """At every step of ``to_standard``, the strand read in place on the
-    full diagram's partner array (end anchor, visits, boundary-parallel)
-    is the strand of the residual that ``_build_residual`` writes, and
-    that residual is the edge-list one and checks: over the recorded
-    inputs under every strategy, and under 'inclusion' over every
-    connected diagram with n <= 3 at one crossing over the minimum.
+    """At every step of ``to_standard`` and of its straightenings, the
+    strand read in place on the full diagram's partner array (end
+    anchor, visits, boundary-parallel), the crossings and pieces under
+    it and the combing potential are those of the region's residual,
+    which checks: over the recorded inputs under every strategy, and
+    under 'inclusion' over every connected diagram with n <= 3 at one
+    crossing over the minimum.
 
     On the minimal diagrams that the reducer reads, no verdict changes
     when the test skips one hanging slot or the visit count, so each
@@ -466,13 +418,14 @@ def test_the_in_place_read_is_the_residual_read(monkeypatch, strategy):
     for d in _recorded_key_inputs():
         to_standard(d, strategy)
     assert {v for _, v in steps} == {True, False}
+    assert {v for _, v in seen["straightening"]} == {True, False}
     if strategy != "inclusion":
         return
-    # 100 steps; before the in-place read, the reducer built a residual
-    # at each (175 chords), and one in ``extract_region``
-    assert (len(steps), sum(c for c, _ in steps)) == (100, 175)
-    # now only the 4 strands that need moves get one, and one more
-    assert (sum(not v for _, v in steps), len(seen["built"])) == (4, 5)
+    # 100 steps, 4 of which straighten, one of those with one recursion,
+    # and read again (175 chords over their residuals)
+    assert (len(steps), sum(c for c, _ in steps)) == (104, 175)
+    assert sum(not v for _, v in steps) == 4
+    assert sorted(seen["depths"]) == [0, 0, 0, 0, 1]
     raw = Counter()
     for n in (1, 2, 3):
         m2 = 2 * n
@@ -480,14 +433,36 @@ def test_the_in_place_read_is_the_residual_read(monkeypatch, strategy):
             for d in enumerate_connected_diagrams(
                     m, minimal_crossing_count(m) + 1).values():
                 for r in range(0, m2, 2):
-                    anchors = [(r + i) % m2 for i in range(m2)]
+                    region = reducer._region(
+                        [(r + i) % m2 for i in range(m2)], set(d.crossings))
                     for a in range(0, m2, 2):
                         for dirn in (1, -1):
-                            raw[_read_both_ways(
-                                read, d, anchors, set(), a, dirn)[0][1]] += 1
+                            step, _ = _reads_agree(read, d, region, a, dirn)
+                            raw[step[1]] += 1
                 to_standard(d, strategy)
-    assert len(steps) == 576
+    assert len(steps) == 104 + 476  # none of them straightens
     assert raw == {True: 714, False: 2026}
+
+
+def test_an_under_flood_past_the_region_fails_the_residual_reads(
+        monkeypatch):
+    """The residual reads can fail: the recorded inputs pass them, and
+    an ``_under_cross`` that floods past the region's crossings, into
+    every crossing of the diagram, fails them."""
+    _residual_reads(monkeypatch)
+    for d in _recorded_key_inputs():
+        to_standard(d)
+    own = reducer._under_cross
+
+    def flooding(diagram, region, a, dirn):
+        anchors, index, _ = region
+        return own(diagram, (anchors, index, set(diagram.crossings)), a,
+                   dirn)
+
+    monkeypatch.setattr(reducer, "_under_cross", flooding)
+    with pytest.raises(AssertionError, match="_under_cross"):
+        for d in _recorded_key_inputs():
+            to_standard(d)
 
 
 # minimal sub-diagrams of the reduce benchmark's inflations (seed 1) on
@@ -511,15 +486,17 @@ def test_comb_straightens_when_no_strand_crosses_twice(monkeypatch, n,
     combs = []
     comb = reducer._comb
 
-    def counted(*args):
-        combs.append(args[1:3])
-        return comb(*args)
+    def counted(diagram, region, a, dirn, log):
+        combs.append((a, dirn))
+        return comb(diagram, region, a, dirn, log)
 
     monkeypatch.setattr(reducer, "_comb", counted)
-    final, moves = straighten(d, 0, 1)
+    log = MoveLog(d.canonical_key())
+    final = straighten(d, _whole(d), 0, 1, log)
     assert combs and set(combs) == {(0, 1)}
-    assert moves and all(mv.kind == '22' for mv in moves)
-    assert is_boundary_parallel(final, 0, 1)
+    assert log.moves and all(mv.kind == '22' for mv in log.moves)
+    assert _reference_read(final, 0, 1)[2]
+    assert replay(d, log).canonical_key() == final.canonical_key()
     final, log = to_standard(d)
     assert final.canonical_key() == standard_diagram(
         d.trace()[0]).canonical_key()
@@ -534,9 +511,9 @@ def test_double_crossing_straightens_its_under_piece_first(monkeypatch):
     depths = []
     outer = reducer.straighten
 
-    def traced(diagram, a, dirn, depth=0):
+    def traced(diagram, region, a, dirn, log, depth=0):
         depths.append(depth)
-        return outer(diagram, a, dirn, depth)
+        return outer(diagram, region, a, dirn, log, depth)
 
     monkeypatch.setattr(reducer, "straighten", traced)
     recursed = []
@@ -574,10 +551,11 @@ def test_the_double_crossing_recursion_moves_on_a_minimal_diagram(
     nested = []
     outer = reducer.straighten
 
-    def traced(diagram, a, dirn, depth=0):
-        result = outer(diagram, a, dirn, depth)
+    def traced(diagram, region, a, dirn, log, depth=0):
+        made = len(log)  # a nested call records in the reduction's log
+        result = outer(diagram, region, a, dirn, log, depth)
         if depth == 1:
-            nested.append(len(result[1]))  # a nested call keeps its own log
+            nested.append(len(log) - made)
         return result
 
     monkeypatch.setattr(reducer, "straighten", traced)
@@ -655,9 +633,10 @@ def _face_flood_pieces(diagram, a, dirn, sides):
 def test_under_side_agrees_with_the_face_flood(monkeypatch, name):
     """At every straightening step (each ``_innermost_double`` call, the
     combing goal's too), the crossings under S and the pieces decided
-    under S match the face-flood reference.  On the 6x5 dual under 'cw'
-    a piece with crossings lies over S; on the pinned n=7 diagram one
-    lies under S, and the recursion straightens it."""
+    under S, read in place, match the face-flood reference on the
+    region's residual.  On the 6x5 dual under 'cw' a piece with
+    crossings lies over S; on the pinned n=7 diagram one lies under S,
+    and the recursion straightens it."""
     from tricross import Region, enumerate_tilings, tiling_to_diagram
     if name == "6x5-cw":
         d = tiling_to_diagram(enumerate_tilings(Region.rectangle(6, 5))[0])
@@ -667,12 +646,13 @@ def test_under_side_agrees_with_the_face_flood(monkeypatch, name):
     sides = Counter()
     own = reducer._innermost_double
 
-    def compared(diagram, a, dirn):
-        _, under_cross = _face_flood_under(diagram, a, dirn)
-        assert reducer._under_cross(diagram, a, dirn) == under_cross
-        assert list(reducer._under_pieces(diagram, a, dirn)) == list(
-            _face_flood_pieces(diagram, a, dirn, sides))
-        return own(diagram, a, dirn)
+    def compared(diagram, region, a, dirn):
+        sub = _residual(diagram, region)
+        _, under_cross = _face_flood_under(sub, a, dirn)
+        assert reducer._under_cross(diagram, region, a, dirn) == under_cross
+        assert list(reducer._under_pieces(diagram, region, a, dirn)) == list(
+            _face_flood_pieces(sub, a, dirn, sides))
+        return own(diagram, region, a, dirn)
 
     monkeypatch.setattr(reducer, "_innermost_double", compared)
     final, _ = to_standard(d, strategy)
@@ -774,15 +754,18 @@ def _extract_region_cases():
 
 
 def test_extract_region_pinned():
-    """Sub-diagram keys, legs and refusals of ``extract_region``, pinned."""
+    """Legs and refusals of ``region_legs``, and the keys of the regions'
+    residuals (``_reference_residual``), pinned."""
     lines = []
     carried = 0
     for d, region in _extract_region_cases():
         try:
-            sub, legs = extract_region(d, region)
+            legs = region_legs(d, region)
         except ReductionError as exc:
             lines.append("error %s" % exc)
             continue
+        sub = _reference_residual(d, set(region),
+                                  [outer for _, outer in legs]).check()
         carried += bool(sub.loops)
         lines.append("%s %s" % (sub.canonical_key(), " ".join(
             port_str(p) + "-" + port_str(q) for p, q in legs)))

@@ -16,7 +16,6 @@ from tricross import (Matching, standard_diagram, Region, enumerate_tilings,
 from tricross.cluster import dump_values
 from tricross.diagram import TripleDiagram, parse_port, port_str
 from tricross.moves import Move, MoveError, MoveLog, apply_01, apply_move
-from tricross.reduce import extract_region
 from tricross import textio
 from tricross.render import render_diagram, render_tiling, RenderSpec
 
@@ -80,7 +79,7 @@ def test_empty_disk_loops_roundtrip():
         assert text == "triple-diagram v1\nn 0\ncrossings 0\nloops 0:1\n"
         assert textio.read_diagram(text).loops == {(): 1}
     state = init_cluster(e)
-    assert state.var_names == ('x0',) and state.frozen == {()}
+    assert state.var_names == ('x0',) and state.values.keys() == {()}
     assert dump_values(state) == "x0 = x0"
     d = e.with_loops({(): 2})
     text = textio.write_diagram(d)
@@ -371,8 +370,8 @@ def _face_reading_paths():
     builds afresh: diagram texts with free loops and floating parts,
     written and read back; a cluster state's dump after a walk; 0->1
     insertions and added loops on a loop-bearing diagram (``inflate``);
-    the loop-bearing residuals of regions; and the log of a reduction of
-    a loop-bearing inflation, written and read back."""
+    and the log of a reduction of a loop-bearing inflation, written and
+    read back."""
     out = []
     floating = [floating_diagram(seed) for seed in range(12)]
     assert any(d.loops and len(d.walk_label()) < d.crossing_count()
@@ -387,10 +386,6 @@ def _face_reading_paths():
     grown, moves = inflate(d, 3, 2, 0, random.Random(1))
     assert d.loops and {mv.kind for mv in moves} == {'01', 'add'}
     out.append(textio.write_diagram(grown))
-    subs = [extract_region(grown, grown.crossings[:k])[0]
-            for k in (len(grown.crossings), 1)]
-    assert subs[0].loops
-    out += [sub.canonical_key() for sub in subs]
     text = textio.write_movelog(grown, to_standard(grown)[1])
     log, end = textio.read_movelog(text, grown)
     out += [text, log.faces, end.canonical_key()]

@@ -28,8 +28,8 @@ and says why.
   under each strategy, of every vertex of the move-graph components of
   40 random matchings each for n=7 and n=8 (rng seed 7; the components
   have at most 70 vertices).  Unlike the reduce workload, these inputs
-  reach ``_remove_double``'s recursion: 22 of its depth-1
-  ``straighten`` calls make moves;
+  reach ``_remove_double``'s recursion: of its 58 depth-1
+  ``straighten`` calls, 22 make moves;
 * ``connect``: the ``movelog v1`` texts of ``connect_minimal`` from the
   root of each move-graph component to every vertex and back, for 120
   random n=6 matchings (rng seed 6; 314 vertices, at most 70 in one
