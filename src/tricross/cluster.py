@@ -26,7 +26,7 @@ that is all zero.
 from dataclasses import dataclass
 from operator import add, sub
 
-from .moves import apply_22, find_22_sites, MoveError
+from .moves import apply_22, find_22_sites, MoveError, rekeyed_22
 
 
 class ExactDivisionError(ArithmeticError):
@@ -233,10 +233,10 @@ def init_cluster(diagram):
 
 def exchange_22(state, site):
     """Advance by a 2<->2 move, exchanging the central white variable;
-    every other value goes with its face, as ``pop_rekeyed`` says."""
+    every other value goes with its face, to the key ``rekeyed_22`` gives."""
     diagram = state.diagram
-    new_diagram = apply_22(diagram, site, rekey=True)
-    rekeyed = new_diagram.pop_rekeyed()
+    new_diagram = apply_22(diagram, site)
+    rekeyed = rekeyed_22(diagram, new_diagram, site)
     values = {rekeyed.get(key, key): val for key, val in state.values.items()}
     _, faces, _, names = new_diagram.face_store()
     if values.keys() != {names[key] for key, (_, kind) in faces.items()

@@ -50,19 +50,19 @@ Conventions (global, used by every other module):
   table, drops the parent faces that hold a touched port and traces phi
   again only through the touched ports still in the map; a full trace is
   that carry from no face, through every port, and what a result gets from
-  a parent whose store is not made yet.  A 2<->2 move asked to (``rekey``)
-  also records old key -> new key of each face it traced again
-  (``pop_rekeyed``).  The store is the one routine that colors faces;
-  ``validate`` colors none.  A map whose every edge joins a source to a
-  sink is checkerboard: phi takes a source dart to a source dart and a
-  sink dart to a sink dart, at a crossing (the slot before an even slot
-  is odd, the one before an odd slot even) and across a boundary arc
-  (sink ``Bj``, ``j`` odd, leads through ``('+', j)`` to source
-  ``B(j+1)``), so each face has one color.  The store still raises on a
-  face of both colors, for a map no one validated.  ``Face`` records
-  are the view of the store that ``render --faces`` and the tests read,
-  built by ``_record``: ``faces()`` builds them all once and keeps them,
-  and ``face_of`` and ``face_by_key`` build the one asked for.
+  a parent whose store is not made yet.  The store records no rekeying:
+  which old face becomes which new one is the ``moves`` module's rule.
+  The store is the one routine that colors faces; ``validate`` colors
+  none.  A map whose every edge joins a source to a sink is checkerboard:
+  phi takes a source dart to a source dart and a sink dart to a sink
+  dart, at a crossing (the slot before an even slot is odd, the one
+  before an odd slot even) and across a boundary arc (sink ``Bj``, ``j``
+  odd, leads through ``('+', j)`` to source ``B(j+1)``), so each face has
+  one color.  The store still raises on a face of both colors, for a map
+  no one validated.  ``Face`` records are the view of the store that
+  ``render --faces`` and the tests read, built by ``_record``:
+  ``faces()`` builds them all once and keeps them, and ``face_of`` and
+  ``face_by_key`` build the one asked for.
 
 * One breadth-first walk, ``_walk``, labels the crossings reachable from
   the endpoints, or from one root crossing at an even phase, ``(id,
@@ -291,11 +291,10 @@ class TripleDiagram:
         self._partner = self._array(edges) if partners is None else partners
         self._ports = _tables(n, len(self._partner))[6]
         # ``carry``: (parent, codes of the ports whose partner differs
-        # from the parent's, the move's dart renaming or None), from a
-        # move.  Only the parent's traced faces and face table are kept,
-        # never the parent nor a pending carry
+        # from the parent's), from a move.  Only the parent's store is
+        # kept with those codes, never the parent nor a pending carry
         if carry is not None and 'store' in carry[0]._cache:
-            self._cache['carry'] = (carry[0]._cache['store'], *carry[1:])
+            self._cache['carry'] = carry[0]._cache['store'], carry[1]
 
     def _array(self, edges):
         """The partner array of the port map ``edges``, less its first port
@@ -375,29 +374,26 @@ class TripleDiagram:
         by dart code, its face's key code (-1: none); by key code, the
         face's orbit and kind (1 white or 2 black, plus 4 on the boundary);
         the key codes in order; by dart code, the dart.  Do not change."""
-        store = self._cache.get('store')
-        if store is None:  # every interior face holds a port
-            store = self._carried_faces(*self._cache.pop('carry', None) or (
-                ([], {}), list(self._codes()), None))
-        return store
+        if 'store' not in self._cache:  # every interior face holds a port
+            self._cache['store'] = self._carried_faces(*self._cache.pop(
+                'carry', None) or (([], {}), list(self._codes())))
+        return self._cache['store']
 
-    def _carried_faces(self, store, touched, renamed):
+    def _carried_faces(self, store, touched):
         """The face store, from the parent's: the parent faces that hold a
         port of ``touched`` give way to the orbits through the touched
         ports still in the map, which cover the same darts less a removed
         crossing's, plus an added one's.  Each new face's kind is the or
         of its darts' kinds (``_tables``); a face of both colors, which no
-        map that passes ``validate`` has, raises DiagramError.  Given the
-        move's dart renaming ``renamed``, it records each gone face's key
-        and ``image_of``."""
+        map that passes ``validate`` has, raises DiagramError."""
         m4 = 4 * self.n
         partner = self._partner
         names, kinds = _tables(self.n, len(partner))[:2]
         table = store[0] + [-1] * (len(names) - len(store[0]))  # a copy
         faces = dict(store[1])
         # an added crossing's ports have no face yet
-        olds = [faces.pop(key)[0]
-                for key in {table[m4 + a] for a in touched} if key >= 0]
+        for key in {table[m4 + a] for a in touched} - {-1}:
+            del faces[key]
         for a in touched:  # a removed crossing's ports keep no face
             table[m4 + a] = -1
         # each new orbit holds a touched port (else phi kept an old face),
@@ -417,11 +413,7 @@ class TripleDiagram:
         if not faces:  # the empty disk: one face, white, no dart, key ()
             faces[-1] = (), 5
             names += ((),)
-        store = self._cache['store'] = table, faces, sorted(faces), names
-        if renamed is not None:
-            self._cache['rekeyed'] = {names[orbit[0]]: self.image_of(
-                orbit, renamed) for orbit in olds}
-        return store
+        return table, faces, sorted(faces), names
 
     def _orbits(self):
         """All phi-orbits (``_trace`` from every dart)."""
@@ -489,25 +481,6 @@ class TripleDiagram:
         the store."""
         return bisect_left(self.face_store()[2], self._key_code(key))
 
-    def image_of(self, orbit, renamed, centre=None):
-        """The key of the face that the face with dart codes ``orbit``, of
-        the diagram a move made this one from, becomes: that of its first
-        dart the move keeps, named as ``renamed`` says (None: deleted),
-        else ``centre`` (the ``moves`` module docstring)."""
-        table, _, _, names = self.face_store()
-        for d in orbit:
-            d = renamed.get(d, d)
-            if d is not None:
-                return names[table[d]]
-        return centre
-
-    def pop_rekeyed(self):
-        """Old key -> new key of each face the 2<->2 move making this diagram
-        traced again, handed over once, when the move was asked to record
-        them; every other face kept its key."""
-        self.face_store()
-        return self._cache.pop('rekeyed', {})
-
     # ------------------------------------------------------------------
     # the Face record view (module docstring)
 
@@ -543,8 +516,9 @@ class TripleDiagram:
         endpoints, or from crossing ``root[0]`` at even phase ``root[1]``.
 
         Returns ``label``, mapping each crossing met to ``(id, phase)``
-        (ids count from 0 in the order met; the phase is the even rotation
-        taking the slot it was entered by to 0 or 1), and the walked
+        (ids count from 0 in the order met, so ``label`` lists the
+        crossings in id order; the phase is the even rotation taking the
+        slot it was entered by to 0 or 1), and the walked
         component's edge codes, sorted (module docstring).  The endpoint
         walk is kept, for its callers to share, until the key text is
         rendered; they must not change it.
@@ -797,8 +771,8 @@ class TripleDiagram:
         new = TripleDiagram(self.n, self.crossings, None, loops,
                             partners=self._partner)
         new._cache = {k: v for k, v in self._cache.items()
-                      if k in ('store', 'faces', 'carry', 'rekeyed',
-                               'strands', 'unknown')}
+                      if k in ('store', 'faces', 'carry', 'strands',
+                               'unknown')}
         return new
 
     def __eq__(self, other):

@@ -112,9 +112,7 @@ def closure(diagram, inside=None):
             if keyed:
                 label = d.walk_label()
                 # (raw crossing, phase) by canonical id
-                order = [None] * len(label)
-                for c, (i, phase) in label.items():
-                    order[i] = c, phase
+                order = [(c, phase) for c, (_, phase) in label.items()]
             for site in find_22_sites(d):
                 (X, x1), (Y, y1) = site.x, site.y
                 if inside is not None and (X not in inside

@@ -56,12 +56,13 @@ the crossing's own).  The loops it closes go there, outside the edge
 that closes them, and so do those of a face that keeps no dart.  A
 floating part records no outer face, so a loop closed around one lands
 on the centre, inside it, and a floating crossing removed whole leaves
-its loops on the first face.  A 2<->2 move asked to (``rekey``) has its
-face carry record the key of the face this rule sends each face it
-traces again to; the cluster exchange, the one caller that asks,
-carries its variables by it (``pop_rekeyed``).
+its loops on the first face.  ``_image_of`` is the rule's one home.
+``rekeyed_22`` sends by it each face a 2<->2 move traces again, those
+holding a port ``_joins_22`` joins, to its new key (every other face
+keeps its key); the cluster exchange carries its variables by it.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import NamedTuple
@@ -127,24 +128,14 @@ class MoveLog:
         Every producer and reader of a log fills it through this one
         recorder."""
         for move in moves:
-            if move.kind == '22':
-                face = diagram.face_index(
-                    diagram.face_key(('c',) + tuple(move.data[0])))
-            elif move.kind == 'drop' or move.kind == 'add':
-                face = diagram.face_index(move.data[0])
-            else:
-                face = None
-            diagram = apply_move(diagram, move)
+            diagram, face = _applied(diagram, move)
             self.moves.append(move)
             self.keys.append(diagram.canonical_key())
             self.faces.append(face)
         return diagram
 
     def counts(self):
-        out = {}
-        for mv in self.moves:
-            out[mv.kind] = out.get(mv.kind, 0) + 1
-        return out
+        return dict(Counter(mv.kind for mv in self.moves))
 
     def __len__(self):
         return len(self.moves)
@@ -176,13 +167,11 @@ def find_10_sites(diagram):
 # ----------------------------------------------------------------------
 # the one rewrite behind every move, and the free loops it carries
 
-def _rewrite(diagram, joins, removed=None, added=None, renamed=None):
+def _rewrite(diagram, joins, removed=None, added=None):
     """A copy of ``diagram``, free loops left off, with the ports of
     crossing ``removed`` deleted and each port code pair of ``joins`` made
-    an edge, in order; ``added`` names a new crossing.  The copy's
-    partner array is the parent's, patched at the same ports, and those
-    ports are the ones whose faces it traces again, recording their new
-    keys when given the move's dart renaming ``renamed``."""
+    an edge, in order; ``added`` names a new crossing.  Its partner array
+    is the parent's, patched at those ports, whose faces it traces again."""
     n2 = 2 * diagram.n
     crossings = diagram.crossings
     partner = list(diagram.partners())
@@ -198,7 +187,7 @@ def _rewrite(diagram, joins, removed=None, added=None, renamed=None):
         partner[a], partner[b] = b, a
         touched += (a, b)
     return TripleDiagram(diagram.n, crossings, None, partners=partner,
-                         carry=(diagram, touched, renamed))
+                         carry=(diagram, touched))
 
 
 def _coded(n, joins):
@@ -206,13 +195,28 @@ def _coded(n, joins):
     return [(port_code(n, p), port_code(n, q)) for p, q in joins]
 
 
+def _image_of(new, renamed, centre=None):
+    """The map from the dart codes of a face of the move's parent to the
+    key of the face of ``new`` it becomes: that of its first dart the move
+    keeps, renamed by ``renamed`` (None: deleted), else ``centre``."""
+    table, _, _, names = new.face_store()
+
+    def image(orbit):
+        for d in orbit:
+            d = renamed.get(d, d)
+            if d is not None:
+                return names[table[d]]
+        return centre
+    return image
+
+
 def _carry_loops(old, new, renamed, centre=None, made=0):
     """``new`` with the free loops of ``old`` moved to their faces, and
     ``made`` new ones on face ``centre``."""
-    loops = {centre: made} if made else {}
+    loops = Counter({centre: made} if made else {})
+    image = _image_of(new, renamed, centre)
     for key, count in old.loops.items():
-        nk = new.image_of(old.face_codes(key)[0], renamed, centre)
-        loops[nk] = loops.get(nk, 0) + count
+        loops[image(old.face_codes(key)[0])] += count
     return new.with_loops(loops)
 
 
@@ -262,20 +266,26 @@ def _resolve_22(diagram, site):
         raise MoveError("2<->2 site needs two distinct crossings")
 
 
-def apply_22(diagram, site, rekey=False):
+def apply_22(diagram, site):
     """Apply the 2<->2 move by the local rewrite of the module docstring;
-    crossing count and trace are preserved.  With ``rekey``, the result
-    records the new key of each face the move changes, for
-    ``pop_rekeyed``."""
+    crossing count and trace are preserved."""
     _resolve_22(diagram, site)
-    # only the rekeying record and the loop carry read the renaming
-    renamed = (_renamed_22(diagram, site) if rekey or diagram.loops
-               else None)
-    new = _rewrite(diagram, _joins_22(diagram, site),
-                   renamed=renamed if rekey else None)
+    new = _rewrite(diagram, _joins_22(diagram, site))
     if diagram.loops:
-        new = _carry_loops(diagram, new, renamed)
+        new = _carry_loops(diagram, new, _renamed_22(diagram, site))
     return new
+
+
+def rekeyed_22(diagram, new, site):
+    """Old key -> ``_image_of`` image of each face of ``diagram`` holding a
+    port ``_joins_22`` joins: the faces the 2<->2 move at ``site``, which
+    made ``new``, traces again.  Every other face keeps its key."""
+    table, faces, _, names = diagram.face_store()
+    m4 = 4 * diagram.n
+    image = _image_of(new, _renamed_22(diagram, site))
+    return {names[key]: image(faces[key][0])
+            for key in {table[m4 + a] for join in _joins_22(diagram, site)
+                        for a in join}}
 
 
 def move_22(diagram, site):
@@ -458,26 +468,41 @@ def is_minimal(diagram):
 # generic replay
 
 def apply_move(diagram, move):
-    if move.kind == '22':
-        # the site of the face left of the first dart; ``apply_22`` checks it
-        x, y = map(tuple, move.data[:2])
-        return apply_22(diagram, TwoTwoSite(diagram.face_key(('c',) + x),
-                                            x, y))
-    if move.kind == '10':
-        return apply_10(diagram, OneZeroSite(*move.data))
-    if move.kind == '01':
-        return apply_01(diagram, *move.data)
-    if move.kind == 'drop':
-        return drop_loop(diagram, LoopSite(move.data[0]))
-    if move.kind == 'add':
-        return add_loop(diagram, move.data[0])
-    raise MoveError("unknown move kind %r" % move.kind)
+    return _applied(diagram, move)[0]
+
+
+def _applied(diagram, move):
+    """(``move`` applied to ``diagram``, the index of its face there: left
+    of a 2<->2 move's first dart, which ``apply_22`` checks, or a loop
+    move's; None for the others), for ``apply_move`` and ``MoveLog.record``
+    alike.  A dart or key with no face raises MoveError."""
+    kind, data = move
+    if kind == '10':
+        return apply_10(diagram, OneZeroSite(*data)), None
+    if kind == '01':
+        return apply_01(diagram, *data), None
+    if kind not in ('22', 'drop', 'add'):
+        raise MoveError("unknown move kind %r" % kind)
+    try:
+        key = (diagram.face_key(('c',) + tuple(data[0])) if kind == '22'
+               else data[0])
+        face = diagram.face_index(key)
+    except KeyError:
+        raise MoveError("stale %s site: face gone" % kind) from None
+    if kind == '22':
+        return apply_22(diagram, TwoTwoSite(key, *map(tuple, data[:2]))), face
+    return (drop_loop(diagram, LoopSite(key)) if kind == 'drop'
+            else add_loop(diagram, key)), face
 
 
 def replay(diagram, log):
-    """Replay a MoveLog, checking every recorded canonical key."""
+    """Replay a MoveLog, checking every recorded canonical key; a log
+    with not one key per move raises MoveError before any move."""
     if diagram.canonical_key() != log.initial_key:
         raise MoveError("log does not start at this diagram")
+    if len(log.moves) != len(log.keys):
+        raise MoveError("log has %d moves but %d keys"
+                        % (len(log.moves), len(log.keys)))
     cur = diagram
     for mv, key in zip(log.moves, log.keys):
         cur = apply_move(cur, mv)

@@ -83,6 +83,8 @@ from .moves import (Move, MoveError, MoveLog, find_22_sites, find_10_sites,
                     move_22, apply_move, is_minimal)
 from .movegraph import closure
 
+SEARCH_CAP = 30000  # the states a ``_search`` scope keys before it raises
+
 
 class ReductionError(RuntimeError):
     """The reducer could not make progress."""
@@ -217,7 +219,7 @@ def _shared_crossings(s1, s2):
 # ----------------------------------------------------------------------
 # breadth-first search over 2<->2 moves
 
-def _search(diagram, goal, stuck, window=None, inside=None, cap=30000):
+def _search(diagram, goal, stuck, window=None, inside=None):
     """Shortest 2<->2-only move sequence to a state meeting ``goal``.
 
     Searches the moves inside ``window`` (a set of crossing ids) first,
@@ -233,9 +235,9 @@ def _search(diagram, goal, stuck, window=None, inside=None, cap=30000):
                 continue
             key = nd.canonical_code()
             parent[key] = (d.canonical_code(), mv)
-            if len(parent) >= cap:
+            if len(parent) >= SEARCH_CAP:
                 raise ReductionError("window search exceeded %d states"
-                                     % cap)
+                                     % SEARCH_CAP)
             if goal(nd):
                 path = []
                 while key != start:

@@ -14,10 +14,11 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from tricross import (DiagramError, Matching, TripleDiagram, standard_diagram,
-                      empty_diagram, Region, enumerate_tilings,
-                      tiling_to_diagram, init_cluster, exchange_22,
-                      laurent_audit, random_walk, find_22_sites)
+from tricross import (DiagramError, Matching, standard_diagram, empty_diagram,
+                      Region, enumerate_tilings, tiling_to_diagram,
+                      init_cluster, exchange_22, laurent_audit, random_walk,
+                      find_22_sites)
+from tricross import cluster as cluster_module
 from tricross.cluster import (poly_add, poly_mul, poly_div_exact, poly_var,
                               poly_const, LaurentValue, lv_var, lv_mul,
                               lv_add, lv_div_exact, ExactDivisionError,
@@ -474,12 +475,12 @@ def test_evaluation_catches_a_face_map_that_swaps_two_values(monkeypatch):
 
 def test_exchange_refuses_a_hand_off_that_sends_two_faces_to_one(
         monkeypatch):
-    pop = TripleDiagram.pop_rekeyed
+    rekeyed_22 = cluster_module.rekeyed_22
 
-    def merged(self):
-        rekeyed = pop(self)
-        old = {new: key for key, new in rekeyed.items()}
-        p, q = sorted(f.key for f in self.faces() if f.color == 'white')[:2]
+    def merged(diagram, new, site):
+        rekeyed = rekeyed_22(diagram, new, site)
+        old = {nk: key for key, nk in rekeyed.items()}
+        p, q = sorted(f.key for f in new.faces() if f.color == 'white')[:2]
         rekeyed[old.get(q, q)] = p
         return rekeyed
 
@@ -487,7 +488,7 @@ def test_exchange_refuses_a_hand_off_that_sends_two_faces_to_one(
         enumerate_tilings(Region.rectangle(4, 3))[0]))
     site = find_22_sites(state.diagram)[0]
     assert exchange_22(state, site).values
-    monkeypatch.setattr(TripleDiagram, "pop_rekeyed", merged)
+    monkeypatch.setattr(cluster_module, "rekeyed_22", merged)
     with pytest.raises(MoveError, match="not a white-face bijection"):
         exchange_22(state, site)
 

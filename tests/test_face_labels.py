@@ -17,6 +17,7 @@ import pytest
 from tricross import (Region, TripleDiagram, enumerate_tilings,
                       exchange_22, find_badgons, init_cluster,
                       standard_diagram, tiling_to_diagram)
+from tricross import cluster as cluster_module
 from tricross.diagram import strand_path
 from tricross.movegraph import closure
 
@@ -148,17 +149,17 @@ def swap_two_white_values(monkeypatch):
     """Patch the hand-off of every 2<->2 move so that the values of two
     white faces that are no bigon (so neither is the centre) trade
     faces: every division stays exact."""
-    pop = TripleDiagram.pop_rekeyed
+    rekeyed_22 = cluster_module.rekeyed_22
 
-    def swapped(self):
-        rekeyed = pop(self)
-        old = {new: key for key, new in rekeyed.items()}
-        p, q = sorted(f.key for f in self.faces()
+    def swapped(diagram, new, site):
+        rekeyed = rekeyed_22(diagram, new, site)
+        old = {nk: key for key, nk in rekeyed.items()}
+        p, q = sorted(f.key for f in new.faces()
                       if f.color == 'white' and len(f.darts) > 2)[:2]
         rekeyed[old.get(p, p)], rekeyed[old.get(q, q)] = q, p
         return rekeyed
 
-    monkeypatch.setattr(TripleDiagram, "pop_rekeyed", swapped)
+    monkeypatch.setattr(cluster_module, "rekeyed_22", swapped)
 
 
 def test_audit_fails_under_a_swapped_face_correspondence(monkeypatch):

@@ -33,13 +33,14 @@ from tricross import diagram as diagram_module
 from tricross import moves as moves_module
 from tricross import textio
 from tricross.diagram import is_source, port_code, port_str
-from tricross.moves import LoopSite, _joins_22, _rewrite, move_22
+from tricross.moves import (LoopSite, _joins_22, _rewrite, move_22,
+                            rekeyed_22)
 
 from conftest import all_matchings
 from test_golden import (dual_matching, floating_diagram, inflation,
                          random_pairing)
 from test_moves import (_01_candidates, _10_01_diagrams, _diagrams_with_loops,
-                        _legs_22)
+                        _dual_closure_vertices, _legs_22, turn_template)
 
 
 def reference_darts(d):
@@ -530,9 +531,8 @@ def reference_rekeyed(d, nd, site):
 def test_carried_faces_and_keys_equal_full_traces_on_cluster_walks():
     """Along seeded cluster walks on the 6x5 and Aztec-3 duals, each
     move's result carries the faces of a full trace (``same_as_fresh``);
-    the record ``pop_rekeyed`` hands over equals the first-kept-dart
-    reference, and every face outside it keeps its darts under its key;
-    the exchange's own result keeps no record."""
+    the hand-off ``rekeyed_22`` gives equals the first-kept-dart
+    reference, and every face outside it keeps its darts under its key."""
     rng = random.Random(2024)
     steps = 0
     for region in (Region.rectangle(6, 5), aztec_diamond(3)):
@@ -544,18 +544,48 @@ def test_carried_faces_and_keys_equal_full_traces_on_cluster_walks():
                 d = state.diagram
                 sites = find_22_sites(d)
                 site = sites[rng.randrange(len(sites))]
-                nd = apply_22(d, site, rekey=True)
-                rekeyed = nd.pop_rekeyed()
+                nd = apply_22(d, site)
+                rekeyed = rekeyed_22(d, nd, site)
                 assert rekeyed == reference_rekeyed(d, nd, site)
-                assert nd.pop_rekeyed() == {}
                 for f in d.faces():
                     if f.key not in rekeyed:
                         assert nd.face_by_key(f.key).darts == f.darts
                 steps += same_as_fresh(nd)
                 state = exchange_22(state, site)
-                assert 'rekeyed' not in state.diagram._cache
                 same_as_fresh(state.diagram)
     assert steps == 120
+
+
+def _moves_22(diagrams):
+    """(d, site, result) of the 2<->2 move at every site of ``diagrams``."""
+    return [(d, site, apply_22(d, site)) for d in diagrams
+            for site in find_22_sites(d)]
+
+
+def _check_rekeyed_22(moves):
+    """``rekeyed_22`` equals ``reference_rekeyed`` on each of ``moves``;
+    returns their number."""
+    for d, site, nd in moves:
+        assert rekeyed_22(d, nd, site) == reference_rekeyed(d, nd, site)
+    return len(moves)
+
+
+def test_rekeyed_22_is_the_reference_at_every_site():
+    """At all 216 sites of the vertices of the 4x3 and 4x4 duals'
+    closures and of the diagrams with free loops."""
+    counts = [_check_rekeyed_22(_moves_22(diagrams)) for diagrams in (
+        _dual_closure_vertices(4, 3), _dual_closure_vertices(4, 4),
+        _diagrams_with_loops())]
+    assert counts == [28, 140, 48]
+
+
+def test_the_rekeyed_check_fails_under_a_turned_template(monkeypatch):
+    """The moves made, ``rekeyed_22`` reading the template turned by 2
+    picks other faces to hand off, and the check fails."""
+    moves = _moves_22(_dual_closure_vertices(4, 3))
+    turn_template(monkeypatch)
+    with pytest.raises(AssertionError):
+        _check_rekeyed_22(moves)
 
 
 def test_face_lookups_refuse_darts_with_no_face():
@@ -582,12 +612,11 @@ def test_face_lookups_refuse_darts_with_no_face():
     assert removed[True] >= 20 and removed[False] >= 20
 
 
-def test_only_a_move_asked_to_rekey_records_its_faces(monkeypatch):
-    """The move results of a closure and of reductions hold no key-pair
-    record once their faces are carried; a move asked for it holds one
-    until ``pop_rekeyed`` hands it over.  The 4x4 dual's closure applies
-    35 of its 70 moves, one per state but the first; it reads the others
-    off commuting squares."""
+def test_closure_and_reductions_rewrite_as_counted(monkeypatch):
+    """The 4x4 dual's closure applies 35 of its 70 moves, one per state
+    but the first; it reads the others off commuting squares.  Twelve
+    reductions of inflations rewrite at least 80 times; each result's
+    face store, carried or traced, equals a full trace."""
     made = []
     rewrite = moves_module._rewrite
 
@@ -602,12 +631,7 @@ def test_only_a_move_asked_to_rekey_records_its_faces(monkeypatch):
         reduce_to_minimal(fresh(inflation(seed)))
     monkeypatch.undo()
     assert closure == 35 and len(made) - closure >= 80
-    for d in made:
-        d.face_store()
-        assert 'rekeyed' not in d._cache
-    d = dual_4x3_vertices()[3]
-    new = apply_22(d, find_22_sites(d)[0], rekey=True)
-    assert new.pop_rekeyed() and new.pop_rekeyed() == {}
+    assert all(map(same_as_fresh, made))
 
 
 def test_carries_build_on_carries_along_move_chains():

@@ -11,7 +11,8 @@ from tricross import (TripleDiagram, Matching, standard_diagram,
                       is_minimal, replay, MoveError)
 from tricross import moves as moves_module
 from tricross.moves import (move_22, move_22_at, OneZeroSite, LoopSite,
-                            MoveLog, Move, apply_move, Badgon, scan_badgons)
+                            MoveLog, Move, apply_move, Badgon, scan_badgons,
+                            rekeyed_22)
 from tricross.reduce import pattern_template, inflate
 from tricross.diagram import is_source
 from tricross.movegraph import closure
@@ -132,10 +133,9 @@ def test_moves_at_disjoint_22_sites_commute():
     assert counts[1] + counts[2] == 3984 and counts[0] > 0
 
 
-def test_the_commuting_check_fails_under_a_turned_template(monkeypatch):
-    """With the template turned by 2, disjoint moves no longer commute
-    port by port on the 4x3 dual's closure."""
-    vertices = _dual_closure_vertices(4, 3)
+def turn_template(monkeypatch):
+    """Patch ``_joins_22`` to rewire each 2<->2 site as if its corner
+    darts were turned by 2."""
     joins = moves_module._joins_22
 
     def turned(diagram, site):
@@ -144,6 +144,13 @@ def test_the_commuting_check_fails_under_a_turned_template(monkeypatch):
                                             y=(Y, (y1 + 2) % 6)))
 
     monkeypatch.setattr(moves_module, "_joins_22", turned)
+
+
+def test_the_commuting_check_fails_under_a_turned_template(monkeypatch):
+    """With the template turned by 2, disjoint moves no longer commute
+    port by port on the 4x3 dual's closure."""
+    vertices = _dual_closure_vertices(4, 3)
+    turn_template(monkeypatch)
     with pytest.raises(AssertionError):
         _disjoint_22_pairs_commute(vertices)
 
@@ -340,18 +347,26 @@ def test_movelog_replay_detects_divergence(rotation3):
         replay(d, log)
 
 
+def _connect_4x3():
+    """The first and sixth 4x3 domino duals, and the 2-move log that
+    ``connect_minimal`` writes between them."""
+    from tricross import (Region, enumerate_tilings, tiling_to_diagram,
+                          connect_minimal)
+    duals = [tiling_to_diagram(t)
+             for t in enumerate_tilings(Region.rectangle(4, 3))]
+    log = connect_minimal(duals[0], duals[5])
+    assert len(log) == 2
+    return duals[0], duals[5], log
+
+
 def test_reading_back_a_log_checks_each_22_site_once(monkeypatch):
     """``apply_move`` builds a 2<->2 site from the move's two darts and
     ``apply_22`` checks it, once: reading back the 2-move log that
     ``connect_minimal`` writes from the first 4x3 domino dual to the
     sixth checks two sites."""
-    from tricross import (Region, enumerate_tilings, tiling_to_diagram,
-                          connect_minimal, textio)
-    duals = [tiling_to_diagram(t)
-             for t in enumerate_tilings(Region.rectangle(4, 3))]
-    log = connect_minimal(duals[0], duals[5])
-    assert len(log) == 2
-    text = textio.write_movelog(duals[0], log)
+    from tricross import textio
+    start, end, log = _connect_4x3()
+    text = textio.write_movelog(start, log)
     checked = []
     resolve = moves_module._resolve_22
 
@@ -360,10 +375,75 @@ def test_reading_back_a_log_checks_each_22_site_once(monkeypatch):
         return resolve(diagram, site)
 
     monkeypatch.setattr(moves_module, "_resolve_22", counted)
-    parsed, end = textio.read_movelog(text, duals[0])
+    parsed, last = textio.read_movelog(text, start)
     assert parsed.moves == log.moves
-    assert end.canonical_key() == duals[5].canonical_key()
+    assert last.canonical_key() == end.canonical_key()
     assert len(checked) == 2
+
+
+def test_recording_a_22_move_reads_its_face_once(monkeypatch):
+    """``MoveLog.record`` and ``apply_move`` share one lookup of a move's
+    face: recording the 2-move 4x3 connect log makes two ``face_key``
+    calls."""
+    start, end, log = _connect_4x3()
+    calls = []
+    face_key = TripleDiagram.face_key
+
+    def counted(self, dart):
+        calls.append(dart)
+        return face_key(self, dart)
+
+    monkeypatch.setattr(TripleDiagram, "face_key", counted)
+    again = MoveLog(start.canonical_key())
+    last = again.record(start, log.moves)
+    assert len(calls) == 2
+    assert (again.keys, again.faces) == (log.keys, log.faces)
+    assert last.canonical_key() == end.canonical_key()
+
+
+def test_stale_moves_raise_move_error():
+    """A move whose crossing, dart or face is not in the diagram raises
+    MoveError, never KeyError, through ``apply_move``, ``MoveLog.record``
+    and ``replay``; the 2<->2 and loop moves say that the face is gone."""
+    from tricross import Region, enumerate_tilings, tiling_to_diagram
+    d = tiling_to_diagram(enumerate_tilings(Region.rectangle(4, 3))[0])
+    stale = [Move('22', ((99, 0), (98, 0))), Move('add', (('c', 99, 0),)),
+             Move('drop', (('c', 99, 0),)), Move('10', (99, 0)),
+             Move('01', (('c', 99, 0), ('c', 98, 0), 'l'))]
+    for move in stale:
+        gone = "face gone" if move.kind in ('22', 'add', 'drop') else None
+        with pytest.raises(MoveError, match=gone):
+            apply_move(d, move)
+        log = MoveLog(d.canonical_key())
+        with pytest.raises(MoveError, match=gone):
+            log.record(d, [move])
+        with pytest.raises(MoveError, match=gone):
+            replay(d, MoveLog(d.canonical_key(), [move], [d.canonical_key()]))
+
+
+def test_replay_refuses_a_log_with_a_key_per_move_missing_or_extra(
+        monkeypatch):
+    """A log with one key too few or too many raises MoveError before
+    any move applies; cut to one move and one key it replays to the
+    first move's end."""
+    start, end, log = _connect_4x3()
+    assert replay(start, log).canonical_key() == end.canonical_key()
+    first = replay(start, MoveLog(log.initial_key, log.moves[:1],
+                                  log.keys[:1]))
+    assert first.canonical_key() == log.keys[0] != end.canonical_key()
+    applied = []
+    apply = moves_module.apply_22
+
+    def counted(diagram, site):
+        applied.append(site)
+        return apply(diagram, site)
+
+    monkeypatch.setattr(moves_module, "apply_22", counted)
+    for keys in (log.keys[:1], log.keys + [end.canonical_key()]):
+        with pytest.raises(MoveError, match="2 moves but %d keys"
+                           % len(keys)):
+            replay(start, MoveLog(log.initial_key, log.moves, keys))
+    assert applied == []
 
 
 def test_badgon_presence_invariant_under_22():
@@ -422,11 +502,9 @@ def _check_local_22(d, site):
     new_x, new_y = mv.data[2], mv.data[3]
     center = nd.face_of(('c',) + new_x)
     assert set(center.darts) == {('c',) + new_x, ('c',) + new_y}
-    # the face correspondence the move's carry records when asked: every
-    # face that gave way has an image, and every other face keeps its key.
-    # Unasked, the move records none
-    assert 'store' in nd._cache and 'rekeyed' not in nd._cache
-    rekeyed = apply_22(d, site, rekey=True).pop_rekeyed()
+    # the face hand-off: every face the move traces again has an image,
+    # and every other face keeps its key
+    rekeyed = rekeyed_22(d, nd, site)
     assert rekeyed.keys() <= {f.key for f in d.faces()}
     fmap = {f.key: rekeyed.get(f.key, f.key) for f in d.faces()}
     assert sorted(fmap.values()) == sorted(f.key for f in nd.faces())

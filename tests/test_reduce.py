@@ -854,12 +854,15 @@ def test_search_raises_stuck_when_no_goal_state():
                     window)
 
 
-def test_search_state_cap():
+def test_search_state_cap(monkeypatch):
+    assert reducer.SEARCH_CAP == 30000
     root, dist = _dual_4x3_distances()
     states = len(dist)  # the start state counts
+    monkeypatch.setattr(reducer, "SEARCH_CAP", states)
     with pytest.raises(ReductionError, match="^nowhere$"):
-        _search(root, lambda d: False, "nowhere", cap=states)
+        _search(root, lambda d: False, "nowhere")
     for cap in (3, states - 1):
+        monkeypatch.setattr(reducer, "SEARCH_CAP", cap)
         with pytest.raises(ReductionError,
                            match="^window search exceeded %d states$" % cap):
-            _search(root, lambda d: False, "nowhere", cap=cap)
+            _search(root, lambda d: False, "nowhere")
