@@ -408,7 +408,10 @@ def drop_loop(diagram, site):
 
 
 def add_loop(diagram, face_key):
-    diagram.face_codes(face_key)  # raises KeyError when stale
+    try:
+        diagram.face_codes(face_key)
+    except KeyError:
+        raise MoveError("stale add site: face gone") from None
     loops = dict(diagram.loops)
     loops[face_key] = loops.get(face_key, 0) + 1
     return diagram.with_loops(loops)

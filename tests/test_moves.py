@@ -446,6 +446,33 @@ def test_replay_refuses_a_log_with_a_key_per_move_missing_or_extra(
     assert applied == []
 
 
+def test_replay_refuses_a_log_from_another_diagram():
+    """The 4x3 connect log, replayed from its end instead of its start,
+    raises before any move."""
+    start, end, log = _connect_4x3()
+    with pytest.raises(MoveError, match="log does not start at this diagram"):
+        replay(end, log)
+
+
+def test_replay_refuses_a_log_whose_moves_apply_but_whose_record_is_wrong():
+    """Both moves of the 4x3 connect log apply, but a first recorded key
+    set to the second's makes ``replay`` diverge at that move."""
+    start, end, log = _connect_4x3()
+    log.keys[0] = log.keys[1]
+    with pytest.raises(MoveError, match="replay diverged at 22 move"):
+        replay(start, log)
+
+
+def test_a_stale_add_raises_move_error_at_both_entry_points():
+    """``add_loop`` and ``apply_move`` refuse a face key the diagram
+    lacks with the same MoveError."""
+    d = standard_diagram(Matching.from_dict(4, {0: 3, 2: 5, 4: 7, 6: 1}))
+    for add in (lambda: add_loop(d, ('c', 99, 0)),
+                lambda: apply_move(d, Move('add', (('c', 99, 0),)))):
+        with pytest.raises(MoveError, match="stale add site: face gone"):
+            add()
+
+
 def test_badgon_presence_invariant_under_22():
     # over the full small enumeration: a 2<->2 move never creates the
     # first badgon and never removes the last one
