@@ -110,28 +110,29 @@ class Move(NamedTuple):
 
 @dataclass
 class MoveLog:
-    """Moves from the diagram with canonical key ``initial_key``, with what
-    ``record`` reads as each applies: the canonical key after it, and the
-    index of its face in the diagram it applies to (the site face of a
-    ``22``, the loop's face of a ``drop`` or ``add``; None for ``10`` and
-    ``01``).  ``textio.write_movelog`` names faces as recorded, and
+    """Moves from the diagram with canonical key ``initial_key``, with the
+    index of each move's face in the diagram it applies to (the site face
+    of a ``22``, the loop's face of a ``drop`` or ``add``; None for ``10``
+    and ``01``), as ``record`` reads it, and the diagram the last
+    ``record`` returned, ``end``.  No key is rendered per move.
+    ``textio.write_movelog`` names faces as recorded, and
     ``textio.read_movelog`` records the moves of a text again; ``replay``
     checks a log independently."""
     initial_key: str
     moves: list = field(default_factory=list)   # Move
-    keys: list = field(default_factory=list)    # canonical key after each
     faces: list = field(default_factory=list)   # face index before each
+    end: TripleDiagram = field(default=None, compare=False, repr=False)
 
     def record(self, diagram, moves):
         """Apply ``moves`` to ``diagram`` in order and log each with its
-        face index and the key of its result; returns the last result.
-        Every producer and reader of a log fills it through this one
+        face index; returns the last result, kept as ``end``.  Every
+        producer and reader of a log fills it through this one
         recorder."""
         for move in moves:
             diagram, face = _applied(diagram, move)
             self.moves.append(move)
-            self.keys.append(diagram.canonical_key())
             self.faces.append(face)
+        self.end = diagram
         return diagram
 
     def counts(self):
@@ -499,17 +500,22 @@ def _applied(diagram, move):
 
 
 def replay(diagram, log):
-    """Replay a MoveLog, checking every recorded canonical key; a log
-    with not one key per move raises MoveError before any move."""
+    """Replay a MoveLog from ``diagram``, checking each move's face index
+    against the recorded one and the result's canonical key against that
+    of the log's ``end`` (``initial_key`` for a log with no end).  A log
+    from another diagram, or with not one face index per move, raises
+    MoveError before any move."""
     if diagram.canonical_key() != log.initial_key:
         raise MoveError("log does not start at this diagram")
-    if len(log.moves) != len(log.keys):
-        raise MoveError("log has %d moves but %d keys"
-                        % (len(log.moves), len(log.keys)))
+    if len(log.moves) != len(log.faces):
+        raise MoveError("log has %d moves but %d faces"
+                        % (len(log.moves), len(log.faces)))
     cur = diagram
-    for mv, key in zip(log.moves, log.keys):
-        cur = apply_move(cur, mv)
-        if cur.canonical_key() != key:
+    for mv, face in zip(log.moves, log.faces):
+        cur, got = _applied(cur, mv)
+        if got != face:
             raise MoveError("replay diverged at %s move" % mv.kind)
+    end = log.initial_key if log.end is None else log.end.canonical_key()
+    if cur.canonical_key() != end:
+        raise MoveError("replay diverged at the end")
     return cur
-

@@ -62,6 +62,11 @@ a crossing of S or leaving the region (``_under_cross``).
     state lowering (crossings under S, detours of the hanging
     strands).
 
+Every move goes into the log through ``MoveLog.record``, with the index
+of its face and no canonical key; the log keeps the reduction's result
+as its end.  ``to_standard`` compares that result's key with the
+target's once, and ``replay`` checks the face indexes and the end.
+
 ``connect_minimal`` reduces both diagrams to the standard one and walks
 the second log back from its end, without applying that log again.  By
 the template of ``moves.py``, the 2<->2 move at ``((X, x1), (Y, y1))``
@@ -414,9 +419,11 @@ def to_standard(diagram, strategy="inclusion"):
     minimal input it is 2<->2-only.  The result's canonical key equals
     that of the standard diagram of the trace under ``strategy``; one
     listing of ``lay_order`` builds that target and drives the strands'
-    order.  The log's keys and face indexes are read as the moves apply
-    (``MoveLog.record``); ``replay`` and ``textio.read_movelog``
-    re-apply them independently.
+    order.  The log's face indexes are read as the moves apply
+    (``MoveLog.record``), which renders no key per move; the log keeps
+    the result as its end.  ``replay`` and ``textio.read_movelog``
+    re-apply the moves independently, and ``replay`` checks each face
+    index and the end's key.
 
     Each step reads its strand in place, in the region of the crossings
     not yet frozen, and straightens it there when it is not

@@ -13,7 +13,7 @@ from tricross import moves as moves_module
 from tricross.moves import (move_22, move_22_at, OneZeroSite, LoopSite,
                             MoveLog, Move, apply_move, Badgon, scan_badgons,
                             rekeyed_22)
-from tricross.reduce import pattern_template, inflate
+from tricross.reduce import pattern_template, inflate, reduce_to_minimal
 from tricross.diagram import is_source
 from tricross.movegraph import closure
 
@@ -338,7 +338,8 @@ def test_movelog_replay_detects_divergence(rotation3):
     if not sites:
         pytest.skip("no sites")
     nd, mv = move_22(d, sites[0])
-    log = MoveLog(d.canonical_key(), [mv], [nd.canonical_key()])
+    log = MoveLog(d.canonical_key())
+    log.record(d, [mv])
     assert len(log) == 1 and log.counts() == {'22': 1}
     assert replay(d, log).canonical_key() == nd.canonical_key()
     bad = Move('drop', (d.faces()[0].key,))
@@ -397,8 +398,10 @@ def test_recording_a_22_move_reads_its_face_once(monkeypatch):
     again = MoveLog(start.canonical_key())
     last = again.record(start, log.moves)
     assert len(calls) == 2
-    assert (again.keys, again.faces) == (log.keys, log.faces)
-    assert last.canonical_key() == end.canonical_key()
+    assert (again.moves, again.faces) == (log.moves, log.faces)
+    assert again.end is last
+    assert (last.canonical_key() == log.end.canonical_key()
+            == end.canonical_key())
 
 
 def test_stale_moves_raise_move_error():
@@ -418,19 +421,21 @@ def test_stale_moves_raise_move_error():
         with pytest.raises(MoveError, match=gone):
             log.record(d, [move])
         with pytest.raises(MoveError, match=gone):
-            replay(d, MoveLog(d.canonical_key(), [move], [d.canonical_key()]))
+            replay(d, MoveLog(d.canonical_key(), [move], [None]))
 
 
-def test_replay_refuses_a_log_with_a_key_per_move_missing_or_extra(
+def test_replay_refuses_a_log_with_a_face_per_move_missing_or_extra(
         monkeypatch):
-    """A log with one key too few or too many raises MoveError before
-    any move applies; cut to one move and one key it replays to the
-    first move's end."""
+    """A log with one face index too few or too many raises MoveError
+    before any move applies; recorded with its first move only, it
+    replays to that move's end."""
     start, end, log = _connect_4x3()
     assert replay(start, log).canonical_key() == end.canonical_key()
-    first = replay(start, MoveLog(log.initial_key, log.moves[:1],
-                                  log.keys[:1]))
-    assert first.canonical_key() == log.keys[0] != end.canonical_key()
+    cut = MoveLog(log.initial_key)
+    cut.record(start, log.moves[:1])
+    first = replay(start, cut)
+    assert first.canonical_key() == cut.end.canonical_key() \
+        != end.canonical_key()
     applied = []
     apply = moves_module.apply_22
 
@@ -439,10 +444,11 @@ def test_replay_refuses_a_log_with_a_key_per_move_missing_or_extra(
         return apply(diagram, site)
 
     monkeypatch.setattr(moves_module, "apply_22", counted)
-    for keys in (log.keys[:1], log.keys + [end.canonical_key()]):
-        with pytest.raises(MoveError, match="2 moves but %d keys"
-                           % len(keys)):
-            replay(start, MoveLog(log.initial_key, log.moves, keys))
+    for faces in (log.faces[:1], log.faces + [None]):
+        with pytest.raises(MoveError, match="2 moves but %d faces"
+                           % len(faces)):
+            replay(start, MoveLog(log.initial_key, log.moves, faces,
+                                  log.end))
     assert applied == []
 
 
@@ -455,12 +461,68 @@ def test_replay_refuses_a_log_from_another_diagram():
 
 
 def test_replay_refuses_a_log_whose_moves_apply_but_whose_record_is_wrong():
-    """Both moves of the 4x3 connect log apply, but a first recorded key
-    set to the second's makes ``replay`` diverge at that move."""
+    """Both moves of the 4x3 connect log apply, but a first recorded face
+    index one off makes ``replay`` diverge at that move, and a recorded
+    end at the start makes it diverge at the end."""
     start, end, log = _connect_4x3()
-    log.keys[0] = log.keys[1]
+    faces = list(log.faces)
+    log.faces[0] += 1
     with pytest.raises(MoveError, match="replay diverged at 22 move"):
         replay(start, log)
+    log.faces, log.end = faces, start
+    with pytest.raises(MoveError, match="replay diverged at the end"):
+        replay(start, log)
+
+
+def _one_move_replaced(log, i, move):
+    """``log`` with its i-th move replaced by ``move``, every recorded
+    face index and the end kept."""
+    moves = log.moves[:i] + [move] + log.moves[i + 1:]
+    return MoveLog(log.initial_key, moves, list(log.faces), log.end)
+
+
+def test_replay_catches_one_wrong_move_in_the_middle():
+    """A wrong move that applies where the right one did is caught.
+
+    A 2<->2 move at another site has another face, so ``replay`` stops
+    at it.  A 1->0 move names no face.  In the whole reduction log a
+    1->0 at another monogon leaves a later move stale, since the log
+    fires every monogon; in a log of the first three moves nothing
+    after it is stale, every face index matches, and only the end
+    comparison tells the logs apart."""
+    from test_golden import inflation
+    from test_textio_cli import reference_face_index
+    d = inflation(15)
+    _, log = reduce_to_minimal(d)
+    assert [mv.kind for mv in log.moves][3:6] == ['10', '22', '22']
+    cur = d
+    for mv in log.moves[:4]:
+        cur = apply_move(cur, mv)
+    site = next(s for s in find_22_sites(cur)
+                if move_22_at(s.x, s.y) != log.moves[4])
+    with pytest.raises(MoveError, match="replay diverged at 22 move"):
+        replay(d, _one_move_replaced(log, 4, move_22_at(site.x, site.y)))
+
+    d = inflation(29)
+    _, log = reduce_to_minimal(d)
+    assert [mv.kind for mv in log.moves] == ['drop', '10', '10', '10']
+    cur = apply_move(d, log.moves[0])
+    other = Move('10', tuple(find_10_sites(cur)[-1]))
+    assert other not in log.moves[1:3]
+    with pytest.raises(MoveError, match="stale 1->0 site"):
+        replay(d, _one_move_replaced(log, 1, other))
+    cut = MoveLog(log.initial_key)
+    cut.record(d, log.moves[:3])
+    bad = _one_move_replaced(cut, 1, other)
+    with pytest.raises(MoveError, match="replay diverged at the end"):
+        replay(d, bad)
+    # replay without its end comparison: every move applies, every
+    # face index matches
+    cur = d
+    for mv, face in zip(bad.moves, bad.faces, strict=True):
+        assert face == reference_face_index(cur, mv)
+        cur = apply_move(cur, mv)
+    assert cur.canonical_key() != cut.end.canonical_key()
 
 
 def test_a_stale_add_raises_move_error_at_both_entry_points():

@@ -255,9 +255,10 @@ def test_loops_closed_in_a_sub_diagram_drop_in_its_parent():
     final, log = reduce_to_minimal(d)
     assert log.counts() == {'10': 3, 'drop': 3}
     parsed, end = textio.read_movelog(textio.write_movelog(d, log), d)
-    assert parsed.moves == log.moves and parsed.keys == log.keys
+    assert parsed.moves == log.moves and parsed.faces == log.faces
     target = standard_diagram(d.trace()[0]).canonical_key()
-    assert replay(d, parsed).canonical_key() == end.canonical_key() == target
+    assert (replay(d, parsed).canonical_key() == end.canonical_key()
+            == log.end.canonical_key() == final.canonical_key() == target)
 
 
 def test_closed_strands_interlocked_with_the_arc_reduce():
@@ -271,7 +272,7 @@ def test_closed_strands_interlocked_with_the_arc_reduce():
         d.trace()[0]).canonical_key()
 
 
-def _recorded_key_inputs():
+def _recorded_inputs():
     yield from (inflation(seed) for seed in range(20))
     yield _with_floating_crossing()[1]
     yield _three_closed_strands()
@@ -279,14 +280,17 @@ def _recorded_key_inputs():
 
 
 @pytest.mark.parametrize("strategy", ["inclusion", "cw", "ccw"])
-def test_to_standard_records_the_keys_a_fresh_replay_reads(strategy):
-    """The keys read as the reducer applies its moves, nested
+def test_to_standard_records_the_faces_and_end_a_fresh_replay_reads(
+        strategy):
+    """The face indexes read as the reducer applies its moves, nested
     straightenings' moves included once, are those ``replay`` reads as it
-    applies the logged moves again from the input."""
-    for d in _recorded_key_inputs():
+    applies the logged moves again from the input, and the log's end is
+    the reducer's result, whose key the replay ends on."""
+    for d in _recorded_inputs():
         final, log = to_standard(d, strategy)
-        end = replay(d, log)  # raises at the first key that differs
-        assert len(log.keys) == len(log.moves)
+        end = replay(d, log)  # raises at the first face that differs
+        assert len(log.faces) == len(log.moves)
+        assert log.end is final
         assert final.canonical_key() == end.canonical_key()
 
 
@@ -415,7 +419,7 @@ def test_the_in_place_read_is_the_residual_read(monkeypatch, strategy):
     read = reducer._read_strand
     seen = _residual_reads(monkeypatch)
     steps = seen["steps"]
-    for d in _recorded_key_inputs():
+    for d in _recorded_inputs():
         to_standard(d, strategy)
     assert {v for _, v in steps} == {True, False}
     assert {v for _, v in seen["straightening"]} == {True, False}
@@ -450,7 +454,7 @@ def test_an_under_flood_past_the_region_fails_the_residual_reads(
     an ``_under_cross`` that floods past the region's crossings, into
     every crossing of the diagram, fails them."""
     _residual_reads(monkeypatch)
-    for d in _recorded_key_inputs():
+    for d in _recorded_inputs():
         to_standard(d)
     own = reducer._under_cross
 
@@ -461,7 +465,7 @@ def test_an_under_flood_past_the_region_fails_the_residual_reads(
 
     monkeypatch.setattr(reducer, "_under_cross", flooding)
     with pytest.raises(AssertionError, match="_under_cross"):
-        for d in _recorded_key_inputs():
+        for d in _recorded_inputs():
             to_standard(d)
 
 
@@ -692,14 +696,12 @@ def reduce_cell(n, extra):
             # are not kept on the cell's diagrams
             cur, counts = TripleDiagram(d.n, d.crossings, None, d.loops,
                                         partners=d.partners()), [k]
-            for mv, key, face in zip(log.moves, log.keys, log.faces,
-                                     strict=True):
+            for mv, face in zip(log.moves, log.faces, strict=True):
                 assert face == reference_face_index(cur, mv)
                 cur = apply_move(cur, mv)
-                assert cur.canonical_key() == key
                 counts.append(cur.crossing_count())
             assert counts == sorted(counts, reverse=True)
-            assert cur.canonical_key() == target
+            assert cur.canonical_key() == log.end.canonical_key() == target
     return diagrams, failures
 
 

@@ -1,7 +1,9 @@
 """Property test: a connected diagram one crossing over the minimum,
 drawn for a matching on 4 or 5 pairs that needs at most 2 crossings,
 reduces to the standard diagram, and its move log never raises the
-crossing count."""
+crossing count; each recorded face index is the one the replaying
+diagram reads before the move, and the log ends where the reducer
+did."""
 
 from functools import lru_cache
 
@@ -16,6 +18,7 @@ from tricross import (enumerate_connected_diagrams,  # noqa: E402
 from tricross.moves import apply_move  # noqa: E402
 
 from conftest import all_matchings  # noqa: E402
+from test_textio_cli import reference_face_index  # noqa: E402
 
 MATCHINGS = [m for n in (4, 5) for m in all_matchings(n)
              if minimal_crossing_count(m) <= 2]
@@ -37,12 +40,13 @@ def cell(i):
 def test_reduce_reaches_the_standard_diagram_without_raising_crossings(data):
     m, diagrams = cell(data.draw(st.integers(0, len(MATCHINGS) - 1)))
     d = data.draw(st.sampled_from(diagrams))
-    _, log = reduce_to_minimal(d)
+    final, log = reduce_to_minimal(d)
     cur, counts = d, [d.crossing_count()]
-    for mv, key in zip(log.moves, log.keys):
+    for mv, face in zip(log.moves, log.faces, strict=True):
+        assert face == reference_face_index(cur, mv)
         cur = apply_move(cur, mv)
-        assert cur.canonical_key() == key
         counts.append(cur.crossing_count())
     assert counts == sorted(counts, reverse=True)
     assert counts[-1] == counts[0] - 1
-    assert cur.canonical_key() == standard_diagram(m).canonical_key()
+    assert (cur.canonical_key() == log.end.canonical_key()
+            == final.canonical_key() == standard_diagram(m).canonical_key())
