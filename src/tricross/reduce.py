@@ -419,11 +419,9 @@ def to_standard(diagram, strategy="inclusion"):
     minimal input it is 2<->2-only.  The result's canonical key equals
     that of the standard diagram of the trace under ``strategy``; one
     listing of ``lay_order`` builds that target and drives the strands'
-    order.  The log's face indexes are read as the moves apply
-    (``MoveLog.record``), which renders no key per move; the log keeps
-    the result as its end.  ``replay`` and ``textio.read_movelog``
-    re-apply the moves independently, and ``replay`` checks each face
-    index and the end's key.
+    order.  The log's face indexes are read as the moves apply, and its
+    end is the result (``MoveLog.record``); ``replay`` and
+    ``textio.read_movelog`` re-apply the moves independently.
 
     Each step reads its strand in place, in the region of the crossings
     not yet frozen, and straightens it there when it is not

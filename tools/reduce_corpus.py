@@ -8,9 +8,9 @@ Each cell runs ``reduce_cell`` of tests/test_reduce.py, the generator of
 the tier-1 slice tests over the smallest cells, so every log is replayed
 the same way: each recorded face index is the one the replaying diagram
 reads before the move, its crossing count never rises and it ends on
-the diagram the log recorded as its end, the standard diagram.  Exits 1 when any diagram fails.  Stdlib only;
-takes about 3.5 minutes on a 2-vCPU host, 0.9 of them on the n = 4
-cells.
+the diagram the log recorded as its end, the standard diagram.  Exits 1
+when any diagram fails.  Stdlib only; takes about 3.5 to 4 minutes on
+a 2-vCPU host, 1 of them on the n = 4 cells.
 """
 
 import sys
