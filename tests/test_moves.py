@@ -18,6 +18,8 @@ from tricross.diagram import is_source
 from tricross.movegraph import closure
 
 from conftest import all_matchings, closure_applied
+from test_golden import inflation
+from test_textio_cli import reference_face_index
 
 
 def test_no_sites_on_single_crossing(rotation3):
@@ -490,8 +492,6 @@ def test_replay_catches_one_wrong_move_in_the_middle():
     fires every monogon; in a log of the first three moves nothing
     after it is stale, every face index matches, and only the end
     comparison tells the logs apart."""
-    from test_golden import inflation
-    from test_textio_cli import reference_face_index
     d = inflation(15)
     _, log = reduce_to_minimal(d)
     assert [mv.kind for mv in log.moves][3:6] == ['10', '22', '22']
