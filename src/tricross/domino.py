@@ -192,8 +192,10 @@ def _domino_sides(x, y, h):
             'LU': ((x, y + 1), (x, y + 2)), 'LL': ((x, y), (x, y + 1))}
 
 
-def tiling_to_diagram(tiling, with_map=False):
-    """Dual triple diagram of a tiling of a simply connected region."""
+def tiling_to_diagram(tiling):
+    """Dual triple diagram of a tiling of a simply connected region.  The
+    crossing id of each domino is its rank in ``sorted(tiling.dominoes)``.
+    """
     region = tiling.region
     if not region.squares:
         raise ValueError("region is empty")
@@ -234,22 +236,22 @@ def tiling_to_diagram(tiling, with_map=False):
             raise ValueError("no orientation makes endpoint 0 an "
                              "in-endpoint")
         edges.append((('b', i), ('c', idx, s)))
-    diagram = TripleDiagram.from_edge_list(len(ordered) // 2,
-                                           range(len(doms)), edges).check()
-    return (diagram, {d: i for i, d in enumerate(doms)}) if with_map \
-        else diagram
+    return TripleDiagram.from_edge_list(len(ordered) // 2, range(len(doms)),
+                                        edges).check()
 
 
 def flips_commute_with_22(tiling, site):
     """Check flip-then-dualize equals dualize-then-2<->2, by canonical key:
     the 2<->2 move is the one whose central bigon lies between the two
-    dominoes of the flip."""
-    diagram, dommap = tiling_to_diagram(tiling, with_map=True)
+    dominoes of the flip, whose crossing ids are their ranks
+    (``tiling_to_diagram``)."""
+    diagram = tiling_to_diagram(tiling)
+    rank = {d: i for i, d in enumerate(sorted(tiling.dominoes))}
     x, y, h = site
     if h:
-        pair = {dommap[(x, y, True)], dommap[(x, y + 1, True)]}
+        pair = {rank[(x, y, True)], rank[(x, y + 1, True)]}
     else:
-        pair = {dommap[(x, y, False)], dommap[(x + 1, y, False)]}
+        pair = {rank[(x, y, False)], rank[(x + 1, y, False)]}
     sites = [s for s in find_22_sites(diagram) if {s.x[0], s.y[0]} == pair]
     if not sites:
         raise ValueError("no central bigon for that flip")

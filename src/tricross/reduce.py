@@ -50,17 +50,22 @@ transversally, so its piece between two consecutive crossings with S
 lies wholly on the side of the slot it leaves the first by, and the
 crossings under S are those reached over partner codes from the
 interval's interior anchors and S's under-side slots without entering
-a crossing of S or leaving the region (``_under_cross``).
+a crossing of S or leaving the region (``_under_cross``, by the one
+``_flood``).
 
-  * double crossing (``_remove_double``): for a strand with a piece
-    under S between two crossings with S, straighten its innermost
-    such piece by recursion, in the region of the piece's crossings,
-    then ``_search`` the window of involved crossings, then the region,
-    for a state that drops the double crossing;
+  * double crossing (``_remove_double``): for a strand U with a piece
+    under S between two crossings c1, c2 with S, take its innermost
+    such piece.  When the piece holds crossings, straighten it by
+    recursion, along dirn, in its part of the region under S: the
+    crossings flooded from the piece's own without entering a crossing
+    of S.  U runs against S, since a piece running the same way would
+    bound a parallel bigon with S, and a minimal region has none; so
+    the piece's side that faces S is dirn.  Then ``_search`` the
+    window of S's and U's crossings from c1 to c2 for a state that
+    drops the double crossing;
   * comb (``_comb``), when no strand has such a piece: ``_search`` the
-    window of S plus the crossings under it, then the region, for a
-    state lowering (crossings under S, detours of the hanging
-    strands).
+    window of S plus the crossings under it for a state lowering
+    (crossings under S, detours of the hanging strands).
 
 Every move goes into the log through ``MoveLog.record``, with the index
 of its face and no canonical key; the log keeps the reduction's result
@@ -195,26 +200,33 @@ def _read_strand(diagram, region, a, dirn):
 
 def _under_cross(diagram, region, a, dirn):
     """The crossings under the strand S at anchor ``a``, strictly between
-    S and its dirn interval: flooded over partner codes from the
-    interval's interior anchors and S's under-side slots, through the
-    region's crossings, never entering a crossing of S (module
-    docstring)."""
-    anchors, _, inside = region
+    S and its dirn interval: flooded from the interval's interior anchors
+    and S's under-side slots (module docstring)."""
+    anchors = region[0]
     m = 2 * diagram.n
     part = diagram.partners()
     _, b, visits = _strand(diagram, region, a)
-    s_cross = set(c for c, _ in visits)
     todo = [part[anchors[i]] for i in interval_interior(len(anchors), a, b,
                                                         dirn)]
     todo += [part[m + 6 * c + x] for c, e in visits
              for x in template_slots(e, dirn)[:2]]
-    under = set()
+    return _flood(diagram, region, todo, set(c for c, _ in visits))
+
+
+def _flood(diagram, region, todo, s_cross):
+    """The region's crossings reached over partner codes from the codes
+    ``todo``, through the region's crossings, never entering one of
+    ``s_cross``."""
+    inside = region[2]
+    m = 2 * diagram.n
+    part = diagram.partners()
+    reached = set()
     while todo:
         c = (todo.pop() - m) // 6  # negative for an endpoint
-        if c in inside and c not in s_cross and c not in under:
-            under.add(c)
+        if c in inside and c not in s_cross and c not in reached:
+            reached.add(c)
             todo.extend(part[m + 6 * c:m + 6 * c + 6])
-    return under
+    return reached
 
 
 def _shared_crossings(s1, s2):
@@ -224,31 +236,30 @@ def _shared_crossings(s1, s2):
 # ----------------------------------------------------------------------
 # breadth-first search over 2<->2 moves
 
-def _search(diagram, goal, stuck, window=None, inside=None):
+def _search(diagram, goal, stuck, window=None):
     """Shortest 2<->2-only move sequence to a state meeting ``goal``.
 
-    Searches the moves inside ``window`` (a set of crossing ids) first,
-    then those inside ``inside`` (None: all moves); raises
-    ReductionError(stuck) when neither reaches a goal state.  The start
-    state itself is never tested.
+    Takes only the moves whose two crossings lie in ``window`` (a set of
+    crossing ids; None: all moves); raises ReductionError(stuck) when no
+    state it reaches meets the goal.  The start state itself is never
+    tested.
     """
     start = diagram.canonical_code()
-    for scope in (window, inside) if window is not None else (inside,):
-        parent = {}  # canonical code -> (parent code, Move)
-        for d, _, mv, nd, new, _ in closure(diagram, scope):
-            if not new:
-                continue
-            key = nd.canonical_code()
-            parent[key] = (d.canonical_code(), mv)
-            if len(parent) >= SEARCH_CAP:
-                raise ReductionError("window search exceeded %d states"
-                                     % SEARCH_CAP)
-            if goal(nd):
-                path = []
-                while key != start:
-                    key, mv = parent[key]
-                    path.append(mv)
-                return path[::-1]
+    parent = {}  # canonical code -> (parent code, Move)
+    for d, _, mv, nd, new, _ in closure(diagram, window):
+        if not new:
+            continue
+        key = nd.canonical_code()
+        parent[key] = (d.canonical_code(), mv)
+        if len(parent) >= SEARCH_CAP:
+            raise ReductionError("window search exceeded %d states"
+                                 % SEARCH_CAP)
+        if goal(nd):
+            path = []
+            while key != start:
+                key, mv = parent[key]
+                path.append(mv)
+            return path[::-1]
     raise ReductionError(stuck)
 
 
@@ -333,31 +344,18 @@ def _innermost_double(diagram, region, a, dirn):
 
 def _remove_double(diagram, region, a, dirn, dbl, log, depth):
     s, t1, t2, c1, c2 = dbl
-    between = [c for c, _ in s[2][t1 + 1:t2]]
-    if between:
-        legs = region_legs(diagram, between)
-        # the piece enters the sub-region at its first visit's entry slot
-        # and leaves it by its last visit's exit slot
-        inners = [inner for inner, _ in legs]
-        (c_in, x_in), (c_out, x_out) = s[2][t1 + 1], s[2][t2 - 1]
-        a_idx = inners.index(('c', c_in, x_in))
-        b_idx = inners.index(('c', c_out, (x_out + 3) % 6))
-        # straighten the piece along the side hugging S: its interior
-        # legs all attach to crossings of S
+    if t2 > t1 + 1:
+        # straighten the piece in its part of the region under S, along
+        # dirn, the side that faces S: U runs against S (module docstring)
         s_cross = set(c for c, _ in _strand(diagram, region, a)[2])
-        dsub = None
-        for cand in (1, -1):
-            span = interval_interior(len(legs), a_idx, b_idx, cand)
-            if all(legs[t][1][0] == 'c' and legs[t][1][1] in s_cross
-                   for t in span):
-                if dsub is None or len(span) < len(
-                        interval_interior(len(legs), a_idx, b_idx, dsub)):
-                    dsub = cand
-        if dsub is None:
-            raise ReductionError("no S-side span for the double piece")
-        sub = _region([port_code(diagram.n, outer) for _, outer in legs],
-                      set(between))
-        diagram = straighten(diagram, sub, a_idx, dsub, log, depth + 1)
+        m = 2 * diagram.n
+        sub = _flood(diagram, region, [m + 6 * c for c, _ in s[2][t1 + 1:t2]],
+                     s_cross)
+        legs = region_legs(diagram, sub)
+        # the piece enters the sub-region at its first visit's entry slot
+        a_idx = [inner for inner, _ in legs].index(('c',) + s[2][t1 + 1])
+        sub = _region([port_code(diagram.n, outer) for _, outer in legs], sub)
+        diagram = straighten(diagram, sub, a_idx, dirn, log, depth + 1)
     # window search: kill the double crossing
     s_main = _strand(diagram, region, a)
     u = _strand(diagram, region, s[0])
@@ -372,8 +370,7 @@ def _remove_double(diagram, region, a, dirn, dbl, log, depth):
         return len(_shared_crossings(_strand(d, region, a),
                                      _strand(d, region, u[0]))) <= before - 2
 
-    path = _search(diagram, goal, "double crossing is stuck", window,
-                   region[2])
+    path = _search(diagram, goal, "double crossing is stuck", window)
     return log.record(diagram, path)
 
 
@@ -405,7 +402,7 @@ def _comb(diagram, region, a, dirn, log):
 
     window = (set(c for c, _ in _strand(diagram, region, a)[2])
               | _under_cross(diagram, region, a, dirn))
-    path = _search(diagram, goal, "combing is stuck", window, region[2])
+    path = _search(diagram, goal, "combing is stuck", window)
     return log.record(diagram, path)
 
 

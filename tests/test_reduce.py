@@ -18,7 +18,7 @@ from tricross.reduce import (straighten, region_legs, ReductionError,
                              _search, match_window)
 from tricross.standard import interval_interior, template_slots
 
-from conftest import all_matchings, closure_applied
+from conftest import all_matchings
 from test_golden import inflation
 from test_textio_cli import reference_face_index
 
@@ -668,17 +668,192 @@ def test_under_side_agrees_with_the_face_flood(monkeypatch, name):
     assert sides[name == "recursing", True]
 
 
+# inflations of the sweep in tools/reduce_corpus.py, n in 6..14 and 20 to
+# 300 shuffles, on which a side check of the piece's legs raised "no
+# S-side span for the double piece": (seed, draw, strategy, n, crossings,
+# edges); a crossing not on S lies between S and the piece
+SWEPT = (
+    (2, 169, "ccw", 13, 18,
+     "B0-C0.0 B1-C1.1 B10-C5.2 B11-C5.3 B12-C6.0 B13-B14 B15-C7.1 "
+     "B16-C7.2 B17-C7.3 B18-C8.0 B19-C8.1 B2-C2.0 B20-C9.0 B21-C9.1 "
+     "B22-C10.0 B23-C11.1 B24-C11.2 B25-C11.3 B3-C2.1 B4-C2.2 B5-C3.1 "
+     "B6-C4.0 B7-C4.1 B8-C4.2 B9-C5.1 C0.1-C1.0 C0.2-C12.1 C0.3-C13.0 "
+     "C0.4-C14.1 C0.5-C11.4 C1.2-C2.5 C1.3-C3.4 C1.4-C6.3 C1.5-C12.2 "
+     "C10.1-C11.0 C10.2-C11.5 C10.3-C14.0 C10.4-C14.5 C12.0-C13.1 "
+     "C12.5-C17.0 C13.4-C14.3 C13.5-C14.2 C15.4-C16.3 C15.5-C16.2 "
+     "C16.4-C16.5 C17.2-C17.3 C2.3-C3.0 C2.4-C3.5 C3.2-C4.5 C3.3-C15.0 "
+     "C4.3-C5.0 C4.4-C15.1 C5.4-C15.3 C5.5-C15.2 C6.1-C7.0 C6.2-C12.3 "
+     "C6.4-C16.1 C6.5-C16.0 C7.4-C17.1 C7.5-C12.4 C8.2-C9.5 C8.3-C13.2 "
+     "C8.4-C17.5 C8.5-C17.4 C9.2-C10.5 C9.3-C14.4 C9.4-C13.3"),
+    (4, 47, "cw", 10, 17,
+     "B0-C0.0 B1-C0.1 B10-C4.2 B11-C5.1 B12-C5.2 B13-C5.3 B14-C6.0 "
+     "B15-C6.1 B16-C7.0 B17-C8.1 B18-C8.2 B19-C0.5 B2-C1.0 B3-C1.1 "
+     "B4-C1.2 B5-C2.1 B6-C3.0 B7-C3.1 B8-C4.0 B9-C4.1 C0.2-C9.1 "
+     "C0.3-C9.0 C0.4-C8.3 C1.3-C2.0 C1.4-C10.1 C1.5-C9.2 C10.0-C15.3 "
+     "C10.3-C12.0 C10.4-C13.3 C10.5-C15.4 C11.4-C16.1 C11.5-C16.0 "
+     "C12.2-C16.3 C12.3-C16.2 C12.4-C14.3 C12.5-C13.4 C13.2-C15.5 "
+     "C13.5-C14.2 C14.4-C14.5 C16.4-C16.5 C2.2-C3.5 C2.3-C11.0 "
+     "C2.4-C12.1 C2.5-C10.2 C3.2-C4.5 C3.3-C5.0 C3.4-C11.1 C4.3-C4.4 "
+     "C5.4-C6.5 C5.5-C11.2 C6.2-C7.5 C6.3-C7.4 C6.4-C11.3 C7.1-C13.0 "
+     "C7.2-C14.1 C7.3-C14.0 C8.0-C13.1 C8.4-C9.5 C8.5-C15.0 C9.3-C15.2 "
+     "C9.4-C15.1"),
+)
+
+
+@pytest.mark.parametrize("seed, draw, strategy, n, crossings, edges", SWEPT,
+                         ids=["seed%d-draw%d" % case[:2] for case in SWEPT])
+def test_a_piece_with_crossings_between_it_and_s_reduces(
+        seed, draw, strategy, n, crossings, edges):
+    """The swept inflation reduces to the standard diagram of its
+    strategy, and its log replays (``reduce_replayed``)."""
+    d = _diagram(n, crossings, edges)
+    target = standard_diagram(d.trace()[0], strategy).canonical_key()
+    assert reduce_replayed(d, target, strategy) is None
+
+
+def _random_matching(n, rng):
+    """A matching of n in-endpoints to shuffled out-endpoints, drawn as
+    ``tools/output_digests.py`` draws its ``components`` matchings."""
+    outs = [2 * i + 1 for i in range(n)]
+    rng.shuffle(outs)
+    return Matching.from_dict(n, dict(zip(range(0, 2 * n, 2), outs)))
+
+
+def _recursing_inputs():
+    """(diagram, strategy): every vertex of the ``components`` digest's
+    move-graph components under every strategy, then the swept
+    inflations under every strategy."""
+    from tricross import STRATEGIES, enumerate_component
+    rng = random.Random(7)
+    matchings = [_random_matching(n, rng) for n in (7, 8) for _ in range(40)]
+    diagrams = [d for m in matchings
+                for d in enumerate_component(m).vertices.values()]
+    diagrams += [_diagram(*case[3:]) for case in SWEPT]
+    for d in diagrams:
+        for strategy in STRATEGIES:
+            yield d, strategy
+
+
+def _legs_side(diagram, region, a, dbl):
+    """The side that a check of the piece's own legs picks: the region of
+    the piece's crossings alone has legs strictly between the piece's
+    entry and exit on each side, and a side qualifies when all of them
+    attach to crossings of S, the shorter span first.  None when neither
+    side qualifies."""
+    s, t1, t2, _, _ = dbl
+    legs = region_legs(diagram, [c for c, _ in s[2][t1 + 1:t2]])
+    inners = [inner for inner, _ in legs]
+    c_out, x_out = s[2][t2 - 1]
+    a_idx = inners.index(('c',) + s[2][t1 + 1])
+    b_idx = inners.index(('c', c_out, (x_out + 3) % 6))
+    s_cross = set(c for c, _ in reducer._strand(diagram, region, a)[2])
+    spans = [(len(span), side) for side in (1, -1)
+             for span in [interval_interior(len(legs), a_idx, b_idx, side)]
+             if all(legs[t][1][0] == 'c' and legs[t][1][1] in s_cross
+                    for t in span)]
+    return min(spans, key=lambda p: p[0], default=(0, None))[1]
+
+
+def _recursion_sides(monkeypatch):
+    """Patch the reducer so that each double-crossing recursion asserts
+    that U runs against S (S meets c2 before c1, as U meets c1 before
+    c2) and that the nested straightening runs along the side that
+    ``_legs_side`` picks, wherever it picks one.  Returns the list of
+    (the straightening's side, the picked side or None), one per
+    recursion, with the depths in a list beside it."""
+    own_remove, own_straighten = reducer._remove_double, reducer.straighten
+    seen, depths, picked = [], [], []
+
+    def removing(diagram, region, a, dirn, dbl, log, depth):
+        s, t1, t2, c1, c2 = dbl
+        if t2 > t1 + 1:
+            s_seq = [c for c, _ in reducer._strand(diagram, region, a)[2]]
+            assert s_seq.index(c2) < s_seq.index(c1), "U runs with S"
+            picked.append(_legs_side(diagram, region, a, dbl))
+        return own_remove(diagram, region, a, dirn, dbl, log, depth)
+
+    def straightening(diagram, region, a, dirn, log, depth=0):
+        if depth:
+            side = picked.pop()
+            assert side in (None, dirn), "recursion off the legs' side"
+            seen.append((dirn, side))
+            depths.append(depth)
+        return own_straighten(diagram, region, a, dirn, log, depth)
+
+    monkeypatch.setattr(reducer, "_remove_double", removing)
+    monkeypatch.setattr(reducer, "straighten", straightening)
+    return seen, depths
+
+
+def test_the_recursion_runs_along_the_side_the_legs_check_picks(
+        monkeypatch):
+    """On every recursion of the ``components`` inputs and the swept
+    inflations, U runs against S, and the side that the check of the
+    piece's legs picks, wherever it picks one, is the interval's side
+    ``dirn`` that the nested straightening runs along.  On the swept
+    inflations it picks none at two recursions: there the reducer raised
+    when it recursed along the side that check picked."""
+    seen, depths = _recursion_sides(monkeypatch)
+    for d, strategy in _recursing_inputs():
+        to_standard(d, strategy)
+    # 58 recursions on the components, 7 on the swept inflations, one of
+    # them at depth 2; the picked sides run both ways
+    assert Counter(seen) == {(1, 1): 59, (-1, -1): 4, (1, None): 1,
+                             (-1, None): 1}
+    assert Counter(depths) == {1: 64, 2: 1}
+
+
+def test_a_turned_recursion_side_fails_the_side_check(monkeypatch):
+    """The side check can fail: a recursion turned to ``-dirn`` fails it
+    at the first recursion where the legs' check picks a side."""
+    _recursion_sides(monkeypatch)
+    checked = reducer.straighten
+
+    def turned(diagram, region, a, dirn, log, depth=0):
+        return checked(diagram, region, a, -dirn if depth else dirn, log,
+                       depth)
+
+    monkeypatch.setattr(reducer, "straighten", turned)
+    with pytest.raises(AssertionError, match="off the legs' side"):
+        for d, strategy in _recursing_inputs():
+            to_standard(d, strategy)
+
+
 # the reducer's open defects: the messages of the ReductionErrors that
 # a connected diagram may still raise; none is known
 OPEN_DEFECTS = ()
 
 
+def reduce_replayed(d, target, strategy="inclusion"):
+    """Reduce ``d`` under ``strategy`` and replay the log: each recorded
+    face index is the one the replaying diagram reads before the move,
+    the crossing count never rises and the log ends on ``target``, the
+    standard diagram's key.  Returns None, or the failure as its
+    exception's class name and message."""
+    try:
+        _, log = reduce_to_minimal(d, strategy)
+    except (ReductionError, MoveError) as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
+    # a fresh copy, so that the face records the reference builds are not
+    # kept on the caller's diagram
+    cur = TripleDiagram(d.n, d.crossings, None, d.loops,
+                        partners=d.partners())
+    counts = [cur.crossing_count()]
+    for mv, face in zip(log.moves, log.faces, strict=True):
+        assert face == reference_face_index(cur, mv)
+        cur = apply_move(cur, mv)
+        counts.append(cur.crossing_count())
+    assert counts == sorted(counts, reverse=True)
+    # a log with no moves has no end: it ends where it starts
+    end = log.initial_key if log.end is None else log.end.canonical_key()
+    assert cur.canonical_key() == end == target
+    return None
+
+
 def reduce_cell(n, extra):
     """Reduce every connected diagram of every matching on ``n`` pairs
-    with ``extra`` crossings over the minimum, and replay each log: each
-    recorded face index is the one the replaying diagram reads before the
-    move, the crossing count never rises and the log ends on the standard
-    diagram.
+    with ``extra`` crossings over the minimum, and replay each log
+    (``reduce_replayed``).
     Returns the number of diagrams and a Counter of the failures, each
     as its exception's class name and message."""
     diagrams, failures = 0, Counter()
@@ -687,21 +862,9 @@ def reduce_cell(n, extra):
         k = minimal_crossing_count(m) + extra
         for d in enumerate_connected_diagrams(m, k).values():
             diagrams += 1
-            try:
-                _, log = reduce_to_minimal(d)
-            except (ReductionError, MoveError) as exc:
-                failures["%s: %s" % (type(exc).__name__, exc)] += 1
-                continue
-            # a fresh copy, so that the face records the reference builds
-            # are not kept on the cell's diagrams
-            cur, counts = TripleDiagram(d.n, d.crossings, None, d.loops,
-                                        partners=d.partners()), [k]
-            for mv, face in zip(log.moves, log.faces, strict=True):
-                assert face == reference_face_index(cur, mv)
-                cur = apply_move(cur, mv)
-                counts.append(cur.crossing_count())
-            assert counts == sorted(counts, reverse=True)
-            assert cur.canonical_key() == log.end.canonical_key() == target
+            failed = reduce_replayed(d, target)
+            if failed:
+                failures[failed] += 1
     return diagrams, failures
 
 
@@ -824,24 +987,6 @@ def test_search_paths_are_shortest():
             path = _search(root, lambda d: d.canonical_key() == target,
                            "stuck")
             assert len(path) == k and _reaches(root, path, target)
-
-
-def test_search_falls_back_past_the_window():
-    root, dist = _dual_4x3_distances()
-    fell_back = 0
-    for c in root.crossings:
-        window = set(root.crossings) - {c}
-        inside = {nd.canonical_key()
-                  for _, _, _, nd, _, _ in closure_applied(root, window)}
-        for target, k in dist.items():
-            if k and target not in inside:
-                path = _search(root, lambda d: d.canonical_key() == target,
-                               "stuck", window)
-                assert len(path) == k and _reaches(root, path, target)
-                assert any(c in (mv.data[0][0], mv.data[1][0])
-                           for mv in path)
-                fell_back += 1
-    assert fell_back
 
 
 def test_search_raises_stuck_when_no_goal_state():
