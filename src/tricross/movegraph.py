@@ -2,19 +2,20 @@
 
 ``closure`` is the one breadth-first walk over 2<->2 moves, optionally
 confined to a set of crossings.  ``enumerate_component`` consumes it to
-close the standard diagram of a matching under 2<->2 moves; so do the
-reducer's window searches and slide macros.  Between diagrams keyed by
-int codes it takes each edge of the move graph once, and knows each
-move it took at both ends: its target and the crossing map onto the
-target's canonical form.  A 2<->2 move is an involution, so the far
-end of a move taken skips the move back.  Two moves at sites with no
-crossing in common rewrite disjoint ports, so they commute, as domino
-flips on disjoint 2x2 blocks do: a move whose square with a known move
-has its other three sides known is read off that square, neither
-applied nor keyed.  A move is applied only when no known square gives
-it, as for every move to a new state; on the domino duals that is one
-move per state but the first.  A diagram keyed by its text (free
-loops, floating parts) applies every move it takes.
+close the standard diagram of a matching under 2<->2 moves, and keeps
+the canonical keys in vertex order and each edge's face index, not the
+diagrams; the reducer's window searches and slide macros consume it too.
+Between diagrams keyed by int codes it takes each edge of the move graph
+once, and knows each move it took at both ends: its target and the
+crossing map onto the target's canonical form.  A 2<->2 move is an
+involution, so the far end of a move taken skips the move back.  Two
+moves at sites with no crossing in common rewrite disjoint ports, so
+they commute, as domino flips on disjoint 2x2 blocks do: a move whose
+square with a known move has its other three sides known is read off
+that square, neither applied nor keyed.  A move is applied only when no
+known square gives it, as for every move to a new state; on the domino
+duals that is one move per state but the first.  A diagram keyed by its
+text (free loops, floating parts) applies every move it takes.
 ``enumerate_connected_diagrams`` independently generates every connected
 diagram with a given trace and crossing count by recursive disk
 decomposition: the first boundary port of a sub-disk either closes to
@@ -51,7 +52,7 @@ class GuardExceeded(ValueError):
 @dataclass
 class MoveGraph:
     root: str
-    vertices: dict   # canonical key -> TripleDiagram
+    vertices: tuple  # canonical keys in vertex order, root first
     edges: dict      # frozenset((key1, key2)) -> site face index
 
     def size(self):
@@ -214,20 +215,19 @@ def _square(known, edges, t):
 
 
 def enumerate_component(matching, strategy="inclusion"):
-    """BFS closure of the standard diagram under 2<->2 moves; the key text
-    is rendered for new vertices only."""
+    """BFS closure of the standard diagram under 2<->2 moves, as keys in
+    ``closure``'s vertex order; the key text is rendered for new vertices
+    only."""
     root = standard_diagram(matching, strategy)
     keys = [root.canonical_key()]  # by vertex number
-    vertices = {keys[0]: root}
     edges = {}
     for d, site, _, nd, new, vertex in closure(root):
         if new:
             keys.append(nd.canonical_key())
-            vertices[keys[-1]] = nd
         pair = frozenset((d.canonical_key(), keys[vertex]))
         if pair not in edges:
             edges[pair] = d.face_index(site.face_key)
-    return MoveGraph(keys[0], vertices, edges)
+    return MoveGraph(keys[0], tuple(keys), edges)
 
 
 def walk_fillings(n, crossings, emit, want=None, arc=None):

@@ -252,8 +252,8 @@ def _search(diagram, goal, stuck, window=None):
         key = nd.canonical_code()
         parent[key] = (d.canonical_code(), mv)
         if len(parent) >= SEARCH_CAP:
-            raise ReductionError("window search exceeded %d states"
-                                 % SEARCH_CAP)
+            raise ReductionError("%s search exceeded %d states" % (
+                "whole-diagram" if window is None else "window", SEARCH_CAP))
         if goal(nd):
             path = []
             while key != start:
@@ -457,7 +457,7 @@ def to_standard(diagram, strategy="inclusion"):
         active.difference_update(c for c, _ in visits)
     if diagram.canonical_key() != target.canonical_key():
         raise ReductionError("reduction did not reach the standard diagram")
-    return diagram, log
+    return log.record(diagram, []), log  # the end, also after no move
 
 
 def reduce_to_minimal(diagram, strategy="inclusion"):

@@ -17,7 +17,7 @@ sys.path.insert(0, str(SRC))
 
 import pytest
 
-from tricross import Matching
+from tricross import Matching, standard_diagram
 from tricross.movegraph import closure
 from tricross.moves import move_22
 
@@ -54,3 +54,11 @@ def closure_applied(diagram, inside=None):
             codes.append(nd.canonical_code())
         assert nd.canonical_code() == codes[vertex]
         yield d, site, move, nd, new, vertex
+
+
+def component_diagrams(matching, strategy="inclusion"):
+    """The diagrams of ``enumerate_component(matching, strategy)``, whose
+    graph keeps only their keys, in its vertex order: the standard
+    diagram, then each state ``closure`` meets first."""
+    root = standard_diagram(matching, strategy)
+    return [root] + [nd for _, _, _, nd, new, _ in closure(root) if new]

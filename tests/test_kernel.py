@@ -36,11 +36,11 @@ from tricross.diagram import is_source, port_code, port_str
 from tricross.moves import (LoopSite, _joins_22, _rewrite, move_22,
                             rekeyed_22)
 
-from conftest import all_matchings
+from conftest import all_matchings, component_diagrams
 from test_golden import (dual_matching, floating_diagram, inflation,
                          random_pairing)
 from test_moves import (_01_candidates, _10_01_diagrams, _diagrams_with_loops,
-                        _dual_closure_vertices, _legs_22, turn_template)
+                        _legs_22, turn_template)
 
 
 def reference_darts(d):
@@ -100,12 +100,6 @@ def fresh(d):
     return TripleDiagram(d.n, d.crossings, d.edges, d.loops)
 
 
-def dual_4x3_vertices():
-    tiling = enumerate_tilings(Region.rectangle(4, 3))[0]
-    matching = tiling_to_diagram(tiling).trace()[0]
-    return list(enumerate_component(matching).vertices.values())
-
-
 def test_orbits_match_the_phi_reference_on_seeded_pairings():
     """Every one of the golden tests' 3,000 port pairings, planar or
     not, with crossing ids that skip values (holes in the array)."""
@@ -120,7 +114,7 @@ def test_orbits_match_the_phi_reference_on_seeded_pairings():
 
 
 def test_orbits_match_the_phi_reference_on_the_4x3_move_graph():
-    vertices = dual_4x3_vertices()
+    vertices = component_diagrams(dual_matching(4, 3))
     assert len(vertices) == 11
     for d in vertices:
         assert fresh(d)._orbits() == coded(d, reference_orbits(d))
@@ -334,7 +328,7 @@ def validate_corpus():
     """The 11 4x3 duals, an n=4 standard diagram, the golden diagrams
     with free loops (a key gone stale after a rewiring names no face) and
     the empty disk with loops; each as it is and in seeded rewirings."""
-    bases = dual_4x3_vertices() + [standard_diagram(
+    bases = component_diagrams(dual_matching(4, 3)) + [standard_diagram(
         Matching.from_dict(4, {0: 5, 2: 7, 4: 1, 6: 3}))]
     bases += [inflation(seed) for seed in range(8)] + _diagrams_with_loops()
     rng = random.Random(19)
@@ -421,7 +415,7 @@ def same_as_fresh(new):
 def test_carried_faces_equal_a_full_trace_after_every_22_move():
     carried = 0
     for w, h in ((4, 3), (6, 4)):
-        for d in enumerate_component(dual_matching(w, h)).vertices.values():
+        for d in component_diagrams(dual_matching(w, h)):
             for site in find_22_sites(d):
                 new = apply_22(d, site)
                 carried += 'carry' in new._cache
@@ -574,7 +568,8 @@ def test_rekeyed_22_is_the_reference_at_every_site():
     """At all 216 sites of the vertices of the 4x3 and 4x4 duals'
     closures and of the diagrams with free loops."""
     counts = [_check_rekeyed_22(_moves_22(diagrams)) for diagrams in (
-        _dual_closure_vertices(4, 3), _dual_closure_vertices(4, 4),
+        component_diagrams(dual_matching(4, 3)),
+        component_diagrams(dual_matching(4, 4)),
         _diagrams_with_loops())]
     assert counts == [28, 140, 48]
 
@@ -582,7 +577,7 @@ def test_rekeyed_22_is_the_reference_at_every_site():
 def test_the_rekeyed_check_fails_under_a_turned_template(monkeypatch):
     """The moves made, ``rekeyed_22`` reading the template turned by 2
     picks other faces to hand off, and the check fails."""
-    moves = _moves_22(_dual_closure_vertices(4, 3))
+    moves = _moves_22(component_diagrams(dual_matching(4, 3)))
     turn_template(monkeypatch)
     with pytest.raises(AssertionError):
         _check_rekeyed_22(moves)
@@ -655,7 +650,7 @@ def test_carries_build_on_carries_along_move_chains():
 def test_no_carry_from_an_untraced_or_pending_parent():
     """A move result gets a carry only from a parent whose faces are
     traced: never from one whose own carry is still pending."""
-    d = dual_4x3_vertices()[3]
+    d = component_diagrams(dual_matching(4, 3))[3]
     site = find_22_sites(d)[0]
     untraced = fresh(d)
     new = _rewrite(untraced, _joins_22(untraced, site))
@@ -680,7 +675,7 @@ def test_an_inflation_holds_no_pending_carry():
 
 
 def test_a_copy_with_loops_keeps_a_pending_carry():
-    d = dual_4x3_vertices()[3]
+    d = component_diagrams(dual_matching(4, 3))[3]
     new, mv = move_22(d, find_22_sites(d)[0])
     centre = ('c',) + min(mv.data[2], mv.data[3])
     copy = new.with_loops({centre: 2})
@@ -693,7 +688,7 @@ def test_a_copy_with_loops_keeps_a_pending_carry():
 def test_validate_leaves_no_orbits_beside_a_carry():
     """validate traces its own orbits for the Euler count: it caches
     neither orbits nor faces, and leaves a move's carry pending."""
-    for d in dual_4x3_vertices():
+    for d in component_diagrams(dual_matching(4, 3)):
         for site in find_22_sites(d):
             new = apply_22(d, site)
             assert 'carry' in new._cache
@@ -707,7 +702,7 @@ def test_check_caches_no_faces(rotation3):
     """A checked diagram with no free loop, an oracle filling or a
     fresh 4x3 dual, holds no faces until asked, then a full trace's."""
     fillings = list(enumerate_connected_diagrams(rotation3, 2).values())
-    duals = [fresh(d).check() for d in dual_4x3_vertices()]
+    duals = [fresh(d).check() for d in component_diagrams(dual_matching(4, 3))]
     assert len(fillings) >= 10
     for d in fillings + duals:
         assert not d.loops and 'store' not in d._cache
@@ -717,7 +712,7 @@ def test_check_caches_no_faces(rotation3):
 def test_a_22_move_traces_only_the_faces_around_it(monkeypatch):
     """With the parent traced, the new faces come without a full trace,
     from fewer darts than the map has."""
-    d = dual_4x3_vertices()[3]
+    d = component_diagrams(dual_matching(4, 3))[3]
     site = find_22_sites(d)[0]
     new = apply_22(d, site)
     traced = []
@@ -756,7 +751,7 @@ def test_one_endpoint_walk_serves_every_caller(monkeypatch):
 
     diagrams = [fresh(d) for d in ([floating_diagram(seed)
                                     for seed in range(10)]
-                                   + dual_4x3_vertices())]
+                                   + component_diagrams(dual_matching(4, 3)))]
     monkeypatch.setattr(TripleDiagram, "_walk", counted)
     connected = []
     for d in diagrams:

@@ -7,17 +7,17 @@ from collections import Counter
 
 import pytest
 
-from tricross import (Matching, enumerate_component, brute_force_minimal,
-                      verify_theorem2, enumerate_connected_diagrams,
-                      GuardExceeded, minimal_crossing_count, find_badgons,
-                      standard_diagram)
+from tricross import (STRATEGIES, Matching, enumerate_component,
+                      brute_force_minimal, verify_theorem2,
+                      enumerate_connected_diagrams, GuardExceeded,
+                      minimal_crossing_count, find_badgons, standard_diagram)
 from tricross import movegraph
 from tricross.diagram import trace_strands
 from tricross.movegraph import closure
 from tricross.moves import find_22_sites, move_22
 from tricross.reduce import inflate
 
-from conftest import all_matchings, closure_applied
+from conftest import all_matchings, closure_applied, component_diagrams
 from test_golden import dual_matching, floating_diagram
 
 
@@ -149,9 +149,8 @@ def test_component_vertices_minimal_and_fixed_count():
     from tricross.moves import is_minimal
     m = tiling_to_diagram(
         enumerate_tilings(Region.rectangle(4, 2))[0]).trace()[0]
-    g = enumerate_component(m)
     k = minimal_crossing_count(m)
-    for key, d in g.vertices.items():
+    for d in component_diagrams(m):
         assert is_minimal(d)
         assert d.crossing_count() == k
 
@@ -161,6 +160,23 @@ def _dual_4x3_root():
     m = tiling_to_diagram(
         enumerate_tilings(Region.rectangle(4, 3))[0]).trace()[0]
     return m, standard_diagram(m)
+
+
+@pytest.mark.parametrize("m", [
+    dual_matching(4, 3),
+    Matching.from_dict(5, {0: 5, 2: 7, 4: 9, 6: 1, 8: 3})],
+    ids=["4x3-dual", "n5"])
+def test_component_diagrams_are_the_graph_vertices_in_order(m):
+    """The tests rebuild the diagrams a move graph keys by
+    ``component_diagrams``: keyed in order, they are its vertices under
+    every strategy.  Each component has more than two distinct keys, so
+    a rebuild rooted elsewhere or listed in another order fails."""
+    for strategy in STRATEGIES:
+        keys = tuple(d.canonical_key()
+                     for d in component_diagrams(m, strategy))
+        graph = enumerate_component(m, strategy)
+        assert keys == graph.vertices and keys[0] == graph.root
+        assert len(set(keys)) == len(keys) > 2
 
 
 def test_closure_new_keys_are_the_component():

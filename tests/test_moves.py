@@ -15,10 +15,9 @@ from tricross.moves import (move_22, move_22_at, OneZeroSite, LoopSite,
                             rekeyed_22)
 from tricross.reduce import pattern_template, inflate, reduce_to_minimal
 from tricross.diagram import is_source
-from tricross.movegraph import closure
 
-from conftest import all_matchings, closure_applied
-from test_golden import inflation
+from conftest import all_matchings, closure_applied, component_diagrams
+from test_golden import dual_matching, inflation
 from test_textio_cli import reference_face_index
 
 
@@ -119,19 +118,14 @@ def _disjoint_22_pairs_commute(vertices):
     return pairs
 
 
-def _dual_closure_vertices(w, h):
-    from tricross import Region, enumerate_tilings, tiling_to_diagram
-    dual = tiling_to_diagram(enumerate_tilings(Region.rectangle(w, h))[0])
-    return [dual] + [nd for _, _, _, nd, new, _ in closure(dual) if new]
-
-
 def test_moves_at_disjoint_22_sites_commute():
     """Two 2<->2 moves whose sites share no crossing rewrite disjoint
     ports, so they commute: on every vertex of the 4x3, 4x4 and 6x4
     duals' closures, every such pair of sites gives one partner array in
     either order.  ``closure`` infers moves through these squares."""
-    counts = [_disjoint_22_pairs_commute(_dual_closure_vertices(w, h))
-              for w, h in ((4, 3), (4, 4), (6, 4))]
+    counts = [_disjoint_22_pairs_commute(
+        component_diagrams(dual_matching(w, h)))
+        for w, h in ((4, 3), (4, 4), (6, 4))]
     assert counts[1] + counts[2] == 3984 and counts[0] > 0
 
 
@@ -151,7 +145,7 @@ def turn_template(monkeypatch):
 def test_the_commuting_check_fails_under_a_turned_template(monkeypatch):
     """With the template turned by 2, disjoint moves no longer commute
     port by port on the 4x3 dual's closure."""
-    vertices = _dual_closure_vertices(4, 3)
+    vertices = component_diagrams(dual_matching(4, 3))
     turn_template(monkeypatch)
     with pytest.raises(AssertionError):
         _disjoint_22_pairs_commute(vertices)
@@ -614,13 +608,6 @@ def _check_local_22(d, site):
     return 1
 
 
-def _dual_4x3_graph():
-    from tricross import (Region, enumerate_tilings, tiling_to_diagram,
-                          enumerate_component)
-    tiling = enumerate_tilings(Region.rectangle(4, 3))[0]
-    return enumerate_component(tiling_to_diagram(tiling).trace()[0])
-
-
 def _diagrams_with_loops():
     """Seeded inflations, and 4x3 dual vertices given free loops."""
     out = []
@@ -634,7 +621,7 @@ def _diagrams_with_loops():
                        rng.randint(0, 4), rng)
         out.append(d)
     rng = random.Random(5)
-    for d in _dual_4x3_graph().vertices.values():
+    for d in component_diagrams(dual_matching(4, 3)):
         for _ in range(3):
             d = add_loop(d, rng.choice(d.faces()).key)
         out.append(d)
@@ -642,10 +629,10 @@ def _diagrams_with_loops():
 
 
 def test_local_22_on_every_site_of_the_4x3_move_graph():
-    graph = _dual_4x3_graph()
-    checked = sum(_check_local_22(d, site) for d in graph.vertices.values()
+    checked = sum(_check_local_22(d, site)
+                  for d in component_diagrams(dual_matching(4, 3))
                   for site in find_22_sites(d))
-    assert checked >= 2 * len(graph.edges)
+    assert checked == 2 * 14  # both ends of each edge
 
 
 def test_local_22_on_every_site_of_inflations_with_loops():
@@ -842,7 +829,7 @@ def test_kept_darts_of_an_old_face_stay_in_one_new_face():
     """Loops follow their face's darts that a move keeps, so a 2<->2 or
     1->0 move must never split those darts across two new faces."""
     images = 0
-    for d in chain(_dual_4x3_graph().vertices.values(),
+    for d in chain(component_diagrams(dual_matching(4, 3)),
                    _diagrams_with_loops(), _10_01_diagrams()):
         moves = []
         for site in find_22_sites(d):

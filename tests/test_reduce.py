@@ -6,10 +6,10 @@ from collections import Counter
 
 import pytest
 
-from tricross import (TripleDiagram, Matching, standard_diagram, to_standard,
-                      reduce_to_minimal, connect_minimal, slide_macro,
-                      pattern_template, inflate, is_minimal, replay,
-                      find_badgons, enumerate_connected_diagrams,
+from tricross import (STRATEGIES, TripleDiagram, Matching, standard_diagram,
+                      to_standard, reduce_to_minimal, connect_minimal,
+                      slide_macro, pattern_template, inflate, is_minimal,
+                      replay, find_badgons, enumerate_connected_diagrams,
                       minimal_crossing_count, textio)
 from tricross import reduce as reducer
 from tricross.diagram import port_str, strand_path
@@ -18,7 +18,7 @@ from tricross.reduce import (straighten, region_legs, ReductionError,
                              _search, match_window)
 from tricross.standard import interval_interior, template_slots
 
-from conftest import all_matchings
+from conftest import all_matchings, component_diagrams
 from test_golden import inflation
 from test_textio_cli import reference_face_index
 
@@ -135,8 +135,7 @@ def test_connect_self_is_trivial(rotation3):
 def test_connect_follows_its_strategy():
     """Each strategy's log replays from d1 to d2 on every pair of 4x3
     domino duals, and some pair's log depends on the strategy."""
-    from tricross import (Region, enumerate_tilings, tiling_to_diagram,
-                          STRATEGIES)
+    from tricross import Region, enumerate_tilings, tiling_to_diagram
     duals = [tiling_to_diagram(t)
              for t in enumerate_tilings(Region.rectangle(4, 3))]
     differs = False
@@ -292,6 +291,18 @@ def test_to_standard_records_the_faces_and_end_a_fresh_replay_reads(
         assert len(log.faces) == len(log.moves)
         assert log.end is final
         assert final.canonical_key() == end.canonical_key()
+
+
+def test_to_standard_of_a_standard_input_ends_at_the_result():
+    """An input that needs no move still gets a log whose end is the
+    result, and ``replay`` accepts that log."""
+    m = Matching.from_dict(5, {0: 5, 2: 7, 4: 9, 6: 1, 8: 3})
+    for strategy in STRATEGIES:
+        d = standard_diagram(m, strategy)
+        final, log = to_standard(d, strategy)
+        assert not log.moves and log.end is final
+        assert (replay(d, log).canonical_key() == final.canonical_key()
+                == d.canonical_key())
 
 
 def _reference_residual(diagram, active, frontier):
@@ -723,11 +734,9 @@ def _recursing_inputs():
     """(diagram, strategy): every vertex of the ``components`` digest's
     move-graph components under every strategy, then the swept
     inflations under every strategy."""
-    from tricross import STRATEGIES, enumerate_component
     rng = random.Random(7)
     matchings = [_random_matching(n, rng) for n in (7, 8) for _ in range(40)]
-    diagrams = [d for m in matchings
-                for d in enumerate_component(m).vertices.values()]
+    diagrams = [d for m in matchings for d in component_diagrams(m)]
     diagrams += [_diagram(*case[3:]) for case in SWEPT]
     for d in diagrams:
         for strategy in STRATEGIES:
@@ -844,9 +853,7 @@ def reduce_replayed(d, target, strategy="inclusion"):
         cur = apply_move(cur, mv)
         counts.append(cur.crossing_count())
     assert counts == sorted(counts, reverse=True)
-    # a log with no moves has no end: it ends where it starts
-    end = log.initial_key if log.end is None else log.end.canonical_key()
-    assert cur.canonical_key() == end == target
+    assert cur.canonical_key() == log.end.canonical_key() == target
     return None
 
 
@@ -969,7 +976,7 @@ def _dual_4x3_distances():
                     nxt.append(b)
         frontier = nxt
     assert len(dist) == len(g.vertices) > 2
-    return g.vertices[g.root], dist
+    return standard_diagram(m), dist
 
 
 def _reaches(root, path, target):
@@ -1002,14 +1009,18 @@ def test_search_raises_stuck_when_no_goal_state():
 
 
 def test_search_state_cap(monkeypatch):
+    """The cap counts the states a search reaches, the start among them,
+    and its error names the search's scope: the whole diagram (11 states)
+    or a window (7)."""
     assert reducer.SEARCH_CAP == 30000
     root, dist = _dual_4x3_distances()
-    states = len(dist)  # the start state counts
-    monkeypatch.setattr(reducer, "SEARCH_CAP", states)
-    with pytest.raises(ReductionError, match="^nowhere$"):
-        _search(root, lambda d: False, "nowhere")
-    for cap in (3, states - 1):
-        monkeypatch.setattr(reducer, "SEARCH_CAP", cap)
-        with pytest.raises(ReductionError,
-                           match="^window search exceeded %d states$" % cap):
-            _search(root, lambda d: False, "nowhere")
+    for scope, window, states in (("whole-diagram", None, len(dist)),
+                                  ("window", set(root.crossings[1:]), 7)):
+        monkeypatch.setattr(reducer, "SEARCH_CAP", states)
+        with pytest.raises(ReductionError, match="^nowhere$"):
+            _search(root, lambda d: False, "nowhere", window)
+        for cap in (3, states - 1):
+            monkeypatch.setattr(reducer, "SEARCH_CAP", cap)
+            with pytest.raises(ReductionError, match="^%s search exceeded "
+                               "%d states$" % (scope, cap)):
+                _search(root, lambda d: False, "nowhere", window)

@@ -56,6 +56,7 @@ from tricross.cluster import dump_values  # noqa: E402
 from tricross.reduce import pattern_template, slide_macro  # noqa: E402
 from tricross.render import render_diagram  # noqa: E402
 import workloads  # noqa: E402
+from conftest import component_diagrams  # noqa: E402
 from test_golden import (dual_matching, floating_diagram,  # noqa: E402
                          random_pairing)
 
@@ -85,9 +86,9 @@ def connect_texts(matchings):
     move-graph component to every vertex and back."""
     texts = []
     for m in matchings:
-        graph = enumerate_component(m)
-        root = graph.vertices[graph.root]
-        for d in graph.vertices.values():
+        diagrams = component_diagrams(m)
+        root = diagrams[0]
+        for d in diagrams:
             texts.append(textio.write_movelog(root, connect_minimal(root, d)))
             texts.append(textio.write_movelog(d, connect_minimal(d, root)))
     return texts
@@ -125,7 +126,7 @@ def main():
     print("components", sha(
         textio.write_movelog(d, reduce_to_minimal(d, strategy)[1])
         for m in matchings
-        for d in enumerate_component(m).vertices.values()
+        for d in component_diagrams(m)
         for strategy in STRATEGIES))
     rng = random.Random(6)
     print("connect", sha(connect_texts(
