@@ -3,8 +3,8 @@ rewriting, domino duality and cluster exchange."""
 
 from .diagram import TripleDiagram, Matching, Face, DiagramError, empty_diagram
 from .standard import standard_diagram, minimal_crossing_count, STRATEGIES
-from .moves import (TwoTwoSite, OneZeroSite, LoopSite, Move, MoveLog,
-                    MoveError, Badgon, find_22_sites, find_10_sites,
+from .moves import (TwoTwoSite, OneZeroSite, Move, MoveLog, MoveError,
+                    Badgon, find_22_sites, find_10_sites,
                     apply_22, apply_10, apply_01, drop_loop, add_loop,
                     find_badgons, is_minimal, replay)
 from .reduce import (straighten, to_standard, reduce_to_minimal,

@@ -14,8 +14,8 @@ from .diagram import DiagramError
 from .standard import standard_diagram, minimal_crossing_count, STRATEGIES
 from .moves import find_badgons, is_minimal, MoveError
 from .reduce import (to_standard, connect_minimal, ReductionError)
-from .movegraph import (enumerate_component, verify_theorem2, GuardExceeded,
-                        ORACLE_MAX_N)
+from .movegraph import (enumerate_component, brute_force_minimal,
+                        GuardExceeded)
 from .domino import (enumerate_tilings, tiling_to_diagram, find_flips,
                      flips_commute_with_22)
 from .cluster import init_cluster, random_walk, laurent_audit, dump_values
@@ -127,15 +127,14 @@ def cmd_enumerate(args):
     m = _load_matching(args.infile)
     graph = enumerate_component(m, args.strategy)
     _write(args.out, textio.write_movegraph(graph))
-    if m.n <= (args.guard if args.guard is not None else ORACLE_MAX_N):
-        try:
-            report = verify_theorem2(m, args.strategy)
-        except GuardExceeded as exc:
-            print("oracle skipped: %s" % exc, file=sys.stderr)
-        else:
-            print("component=%d oracle=%d equal=%s"
-                  % (report["component_size"], report["oracle_size"],
-                     report["equal"]), file=sys.stderr)
+    try:
+        oracle = brute_force_minimal(m)
+    except GuardExceeded as exc:
+        print("oracle skipped: %s" % exc, file=sys.stderr)
+    else:
+        print("component=%d oracle=%d equal=%s"
+              % (graph.size(), len(oracle), set(graph.vertices) == oracle),
+              file=sys.stderr)
     return 0
 
 
@@ -257,7 +256,6 @@ def build_parser():
     p = sub.add_parser("enumerate", help="move-graph component + oracle")
     common(p)
     p.add_argument("--strategy", choices=STRATEGIES, default="inclusion")
-    p.add_argument("--guard", type=int, default=None)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("domino", help="tilings and dual diagrams")

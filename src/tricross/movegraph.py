@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 from .diagram import DiagramError, TripleDiagram, trace_strands
 from .standard import standard_diagram, minimal_crossing_count
-from .moves import find_22_sites, move_22, move_22_at, scan_badgons
+from .moves import apply_22, find_22_sites, scan_badgons
 
 ORACLE_MAX_N = 4
 ORACLE_MAX_CROSSINGS = 5
@@ -62,14 +62,15 @@ class MoveGraph:
 def closure(diagram, inside=None):
     """Breadth-first walk of the 2<->2 moves reachable from ``diagram``.
 
-    Yields (d, site, move, nd, new, vertex) for every move taken: ``move``
-    takes ``d`` at ``site`` to the state numbered ``vertex`` (the start is
+    Yields (d, site, nd, new, vertex) for every move taken: the move at
+    ``site`` takes ``d`` to the state numbered ``vertex`` (the start is
     0, the others are numbered as first met, the order they are expanded
     in), and ``new`` is true the first time that state appears.  ``nd`` is
     the move's result, or None for a move read off a commuting square; a
     move to a new state is always applied, and only new states are
     expanded.  With ``inside`` (a set of crossing ids), only moves whose
-    two crossings are both in it are taken.
+    two crossings are both in it are taken.  No ``Move`` record is built:
+    the site names the move.
 
     Between diagrams keyed by int codes, the walk keeps for each vertex
     the moves known there, by canonical site (its two darts ``6 * id +
@@ -80,8 +81,9 @@ def closure(diagram, inside=None):
     applied move reads its map off the walk labels of ``d`` and ``nd``.
 
     A 2<->2 move is an involution: the move at the centre it makes,
-    ``move.data[2:]``, leads back to ``d`` with X and Y swapped and
-    turned (``moves.py``).  So a move to a vertex not yet expanded
+    ``(X, x1+4)`` and ``(Y, y1+4)`` for ``site``'s darts ``(X, x1)`` and
+    ``(Y, y1)``, leads back to ``d`` with X and Y swapped and turned
+    (``moves.py``, ``Move.inverse``).  So a move to a vertex not yet expanded
     records the move back at the far end, whose expansion skips every
     site it already knows; each edge is taken once, from the end
     expanded first.
@@ -128,7 +130,7 @@ def closure(diagram, inside=None):
                         continue
                     found = _square(known, edges, t)
                 if found is None:
-                    nd, move = move_22(d, site)
+                    nd = apply_22(d, site)
                     code = nd.canonical_code()
                     vertex = seen.get(code)
                     new = vertex is None
@@ -143,13 +145,12 @@ def closure(diagram, inside=None):
                 else:
                     nd, new = None, False
                     vertex, cmap = found
-                    move = move_22_at(site.x, site.y)
                 if keyed:
                     edges[t] = vertex, cmap
                     if vertex >= number:
                         back, bmap = _reversed(t, cmap)
                         known[vertex][back] = number, bmap
-                yield d, site, move, nd, new, vertex
+                yield d, site, nd, new, vertex
             number += 1
         frontier = nxt
 
@@ -221,7 +222,7 @@ def enumerate_component(matching, strategy="inclusion"):
     root = standard_diagram(matching, strategy)
     keys = [root.canonical_key()]  # by vertex number
     edges = {}
-    for d, site, _, nd, new, vertex in closure(root):
+    for d, site, nd, new, vertex in closure(root):
         if new:
             keys.append(nd.canonical_key())
         pair = frozenset((d.canonical_key(), keys[vertex]))

@@ -37,10 +37,9 @@ added crossing's ports); every other face keeps its orbit and key
 the store, not ``Face`` records.  The new 2<->2 site, the central bigon
 with darts ``(X, x1+4)`` and ``(Y, y1+4)``, is read off the template; the
 move there (``Move.inverse``) gives back the start with X and Y swapped
-and turned, the rule ``reduce.connect_minimal`` walks back by.  One
-constructor, ``move_22_at``, builds the ``Move`` record of the 2<->2
-move at two corner darts, with that new site, for ``move_22``, the move
-graph's ``closure`` and ``textio.read_movelog``.
+and turned, the rule ``reduce.connect_minimal`` walks back by.  A 2<->2
+``Move`` holds its two corner darts and nothing else, as a drop or an
+add holds its face key: what names the move.
 
 Free loops are keyed by face.  A move that carries loops, or a 1->0
 move that closes one, traces the new faces and places them by the
@@ -63,7 +62,7 @@ keeps its key); the cluster exchange carries its variables by it.
 """
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from itertools import combinations
 from typing import NamedTuple
 
@@ -84,10 +83,6 @@ class OneZeroSite(NamedTuple):
     slot: int  # monogon edge joins slots (slot, slot+1)
 
 
-class LoopSite(NamedTuple):
-    face_key: tuple
-
-
 class Badgon(NamedTuple):
     kind: str       # 'monogon' | 'parallel-bigon' | 'simple-loop'
     detail: tuple
@@ -102,26 +97,34 @@ class Move(NamedTuple):
     data: tuple
 
     def inverse(self):
+        """The 2<->2 move at the centre this one makes, ``(X, x1+4)`` and
+        ``(Y, y1+4)``: it gives back the start, X and Y swapped and
+        turned."""
         if self.kind != '22':
-            raise MoveError("no recorded inverse for %s" % self.kind)
-        x, y, nx, ny = self.data
-        return Move('22', (nx, ny, x, y))
+            raise MoveError("no inverse for a %s move" % self.kind)
+        (X, x1), (Y, y1) = self.data
+        return Move('22', ((X, (x1 + 4) % 6), (Y, (y1 + 4) % 6)))
 
 
 @dataclass
 class MoveLog:
-    """Moves from the diagram with canonical key ``initial_key``, with the
-    index of each move's face in the diagram it applies to (the site face
-    of a ``22``, the loop's face of a ``drop`` or ``add``; None for ``10``
-    and ``01``), as ``record`` reads it, and the diagram the last
-    ``record`` returned, ``end``.  No key is rendered per move.
-    ``textio.write_movelog`` names faces as recorded, and
-    ``textio.read_movelog`` records the moves of a text again; ``replay``
-    checks a log independently."""
-    initial_key: str
-    moves: list = field(default_factory=list)   # Move
-    faces: list = field(default_factory=list)   # face index before each
-    end: TripleDiagram = field(default=None, compare=False, repr=False)
+    """Moves from the diagram ``start``, whose canonical key is kept as
+    ``initial_key``, with the index of each move's face in the diagram it
+    applies to (the site face of a ``22``, the loop's face of a ``drop``
+    or ``add``; None for ``10`` and ``01``), as ``record`` reads it, and
+    the diagram the moves end at, ``end``: ``start`` until a move is
+    recorded.  No key is rendered per move.  ``textio.write_movelog``
+    names faces as recorded, and ``textio.read_movelog`` records the
+    moves of a text again; ``replay`` checks a log independently."""
+    start: InitVar[TripleDiagram]
+    initial_key: str = field(init=False)
+    moves: list = field(init=False, default_factory=list)   # Move
+    faces: list = field(init=False, default_factory=list)   # face index
+    end: TripleDiagram = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self, start):
+        self.initial_key = start.canonical_key()
+        self.end = start
 
     def record(self, diagram, moves):
         """Apply ``moves`` to ``diagram`` in order and log each with its
@@ -289,19 +292,6 @@ def rekeyed_22(diagram, new, site):
                         for a in join}}
 
 
-def move_22(diagram, site):
-    """(new diagram, the Move record ``move_22_at`` builds from ``site``)."""
-    return apply_22(diagram, site), move_22_at(site.x, site.y)
-
-
-def move_22_at(x, y):
-    """The Move record of the 2<->2 move at corner darts ``x`` and ``y``,
-    each ``(crossing, slot)``: the darts, then the new centre's, ``x + 4``
-    and ``y + 4``."""
-    (X, x1), (Y, y1) = x, y
-    return Move('22', (x, y, (X, (x1 + 4) % 6), (Y, (y1 + 4) % 6)))
-
-
 # ----------------------------------------------------------------------
 # the 1->0 move and its inverse
 
@@ -398,13 +388,13 @@ def apply_01(diagram, edge_p, edge_q, side):
 # ----------------------------------------------------------------------
 # loop moves
 
-def drop_loop(diagram, site):
-    if not diagram.loops.get(site.face_key):
+def drop_loop(diagram, face_key):
+    if not diagram.loops.get(face_key):
         raise MoveError("no free loop at that face")
     loops = dict(diagram.loops)
-    loops[site.face_key] -= 1
-    if not loops[site.face_key]:
-        del loops[site.face_key]
+    loops[face_key] -= 1
+    if not loops[face_key]:
+        del loops[face_key]
     return diagram.with_loops(loops)
 
 
@@ -494,17 +484,16 @@ def _applied(diagram, move):
     except KeyError:
         raise MoveError("stale %s site: face gone" % kind) from None
     if kind == '22':
-        return apply_22(diagram, TwoTwoSite(key, *map(tuple, data[:2]))), face
-    return (drop_loop(diagram, LoopSite(key)) if kind == 'drop'
+        return apply_22(diagram, TwoTwoSite(key, *map(tuple, data))), face
+    return (drop_loop(diagram, key) if kind == 'drop'
             else add_loop(diagram, key)), face
 
 
 def replay(diagram, log):
     """Replay a MoveLog from ``diagram``, checking each move's face index
     against the recorded one and the result's canonical key against that
-    of the log's ``end`` (``initial_key`` for a log with no end).  A log
-    from another diagram, or with not one face index per move, raises
-    MoveError before any move."""
+    of the log's ``end``.  A log from another diagram, or with not one
+    face index per move, raises MoveError before any move."""
     if diagram.canonical_key() != log.initial_key:
         raise MoveError("log does not start at this diagram")
     if len(log.moves) != len(log.faces):
@@ -515,7 +504,6 @@ def replay(diagram, log):
         cur, got = _applied(cur, mv)
         if got != face:
             raise MoveError("replay diverged at %s move" % mv.kind)
-    end = log.initial_key if log.end is None else log.end.canonical_key()
-    if cur.canonical_key() != end:
+    if cur.canonical_key() != log.end.canonical_key():
         raise MoveError("replay diverged at the end")
     return cur

@@ -90,7 +90,7 @@ from .domino import Region, Tiling, tiling_to_diagram
 from .standard import (lay_strands, lay_order, freeze, interval_interior,
                        template_slots)
 from .moves import (Move, MoveError, MoveLog, find_22_sites, find_10_sites,
-                    move_22, apply_move, is_minimal)
+                    apply_22, apply_move, is_minimal)
 from .movegraph import closure
 
 SEARCH_CAP = 30000  # the states a ``_search`` scope keys before it raises
@@ -242,23 +242,25 @@ def _search(diagram, goal, stuck, window=None):
     Takes only the moves whose two crossings lie in ``window`` (a set of
     crossing ids; None: all moves); raises ReductionError(stuck) when no
     state it reaches meets the goal.  The start state itself is never
-    tested.
+    tested.  Each new state keeps its parent's code and the site of the
+    move from there; ``Move`` records are built for the returned path
+    only.
     """
     start = diagram.canonical_code()
-    parent = {}  # canonical code -> (parent code, Move)
-    for d, _, mv, nd, new, _ in closure(diagram, window):
+    parent = {}  # canonical code -> (parent code, site there)
+    for d, site, nd, new, _ in closure(diagram, window):
         if not new:
             continue
         key = nd.canonical_code()
-        parent[key] = (d.canonical_code(), mv)
+        parent[key] = (d.canonical_code(), site)
         if len(parent) >= SEARCH_CAP:
             raise ReductionError("%s search exceeded %d states" % (
                 "whole-diagram" if window is None else "window", SEARCH_CAP))
         if goal(nd):
             path = []
             while key != start:
-                key, mv = parent[key]
-                path.append(mv)
+                key, site = parent[key]
+                path.append(Move('22', (site.x, site.y)))
             return path[::-1]
     raise ReductionError(stuck)
 
@@ -417,7 +419,8 @@ def to_standard(diagram, strategy="inclusion"):
     that of the standard diagram of the trace under ``strategy``; one
     listing of ``lay_order`` builds that target and drives the strands'
     order.  The log's face indexes are read as the moves apply, and its
-    end is the result (``MoveLog.record``); ``replay`` and
+    end is the result, the input itself when no move is needed
+    (``MoveLog``); ``replay`` and
     ``textio.read_movelog`` re-apply the moves independently.
 
     Each step reads its strand in place, in the region of the crossings
@@ -428,7 +431,7 @@ def to_standard(diagram, strategy="inclusion"):
     matching, _ = diagram.trace()
     schedule = list(lay_order(matching, strategy))
     target = lay_strands(matching, schedule)
-    log = MoveLog(diagram.canonical_key())
+    log = MoveLog(diagram)
     diagram = _minimise(diagram, log)
     n = diagram.n
     active = set(diagram.crossings)
@@ -457,7 +460,7 @@ def to_standard(diagram, strategy="inclusion"):
         active.difference_update(c for c, _ in visits)
     if diagram.canonical_key() != target.canonical_key():
         raise ReductionError("reduction did not reach the standard diagram")
-    return log.record(diagram, []), log  # the end, also after no move
+    return diagram, log
 
 
 def reduce_to_minimal(diagram, strategy="inclusion"):
@@ -627,7 +630,7 @@ def slide_macro(diagram, pattern, window, repeats):
         c, s = dart
         return (window[c], (s + phases[c]) % 6)
 
-    log = MoveLog(diagram.canonical_key())
+    log = MoveLog(diagram)
     log.record(diagram, [Move('22', tuple(map(tr, mv.data))) for mv in path])
     return log
 
@@ -676,7 +679,7 @@ def inflate(diagram, bumps, loops, shuffles, rng):
         if not sites:
             continue
         site = sites[rng.randrange(len(sites))]
-        cur, mv = move_22(cur, site)
-        moves.append(mv)
+        cur = apply_22(cur, site)
+        moves.append(Move('22', (site.x, site.y)))
     cur.face_store()  # resolve the last carry, freeing its parent's store
     return cur, moves

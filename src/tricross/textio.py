@@ -7,7 +7,7 @@ every list is emitted in a fixed order.
 import hashlib
 
 from .diagram import TripleDiagram, Matching, parse_port, port_code, port_str
-from .moves import Move, MoveError, MoveLog, move_22_at
+from .moves import Move, MoveError, MoveLog
 from .domino import Region, Tiling
 
 
@@ -316,7 +316,8 @@ def _face_at(diagram, index):
 def read_movelog(text, initial, name="<movelog>"):
     """Parse and resolve a move log against its initial diagram: each
     line's ``Move`` is applied and logged by ``MoveLog.record``, whose
-    face index is the one the line names."""
+    face index is the one the line names.  A log of no move ends at
+    ``initial``."""
     lines = _lines(text, name, "movelog v1")
     head = (lines[1].split() if len(lines) > 1
             and lines[1].startswith("initial ") else [])
@@ -325,7 +326,7 @@ def read_movelog(text, initial, name="<movelog>"):
     if head[1] != key_digest(initial.canonical_key()):
         raise ParseError(name, 2, "log does not start at this diagram")
     cur = initial
-    log = MoveLog(initial.canonical_key())
+    log = MoveLog(initial)
     for no, line in enumerate(lines[2:], start=3):
         if not line.strip():
             continue
@@ -335,7 +336,7 @@ def read_movelog(text, initial, name="<movelog>"):
                 key, darts = _face_at(cur, int(parts[1]))
             if parts[0] == "22":
                 d1, d2 = darts
-                mv = move_22_at((d1[1], d1[2]), (d2[1], d2[2]))
+                mv = Move('22', ((d1[1], d1[2]), (d2[1], d2[2])))
             elif parts[0] == "10":
                 token = parts[1][1:] if parts[1].startswith("C") else parts[1]
                 c, s = token.split(".")

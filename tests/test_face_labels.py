@@ -21,9 +21,8 @@ from tricross import cluster as cluster_module
 from tricross.diagram import strand_path
 from tricross.movegraph import closure
 
-from conftest import all_matchings
+from conftest import all_matchings, diagrams_with_loops
 from test_golden import floating_diagram, inflation
-from test_moves import _diagrams_with_loops
 
 
 def face_labels(d):
@@ -94,7 +93,7 @@ def label_audit(diagram):
         states.setdefault(code, state)
 
     visit(init_cluster(diagram))
-    for d, site, _, _, _, _ in closure(diagram):
+    for d, site, _, _, _ in closure(diagram):
         visit(exchange_22(states[d.canonical_code()], site))
     return len(labels_of), len(value)
 
@@ -120,7 +119,7 @@ def test_boundary_face_labels_depend_only_on_the_matching():
 
 def test_face_labels_refuse_a_closed_strand():
     """Free loops, and floating islands, whose strands are all closed."""
-    diagrams = _diagrams_with_loops() + [floating_diagram(seed).with_loops({})
+    diagrams = diagrams_with_loops() + [floating_diagram(seed).with_loops({})
                                          for seed in range(12)]
     for d in diagrams:
         with pytest.raises(ValueError, match="closed strand"):
@@ -173,7 +172,7 @@ def test_audit_fails_under_a_canonical_code_that_merges_two_vertices(
         monkeypatch):
     d = dual(4, 4)
     root = d.canonical_code()
-    other = next(nd for _, _, _, nd, new, _ in closure(d) if new)
+    other = next(nd for _, _, nd, new, _ in closure(d) if new)
     merged = other.canonical_code()
     code = TripleDiagram.canonical_code
     monkeypatch.setattr(TripleDiagram, "canonical_code",

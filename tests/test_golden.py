@@ -20,22 +20,17 @@ import random
 
 import pytest
 
-from tricross import (Matching, Region, TripleDiagram, enumerate_component,
-                      enumerate_connected_diagrams, enumerate_tilings,
-                      inflate, minimal_crossing_count, reduce_to_minimal,
-                      standard_diagram, tiling_to_diagram)
+from tricross import (Matching, TripleDiagram, enumerate_component,
+                      enumerate_connected_diagrams, inflate,
+                      minimal_crossing_count, reduce_to_minimal,
+                      standard_diagram)
 from tricross import textio
 
-from conftest import all_matchings
+from conftest import all_matchings, dual_matching
 
 
 def sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
-
-
-def dual_matching(w, h):
-    tiling = enumerate_tilings(Region.rectangle(w, h))[0]
-    return tiling_to_diagram(tiling).trace()[0]
 
 
 def movegraph_digest(w, h):

@@ -33,14 +33,13 @@ from tricross import diagram as diagram_module
 from tricross import moves as moves_module
 from tricross import textio
 from tricross.diagram import is_source, port_code, port_str
-from tricross.moves import (LoopSite, _joins_22, _rewrite, move_22,
-                            rekeyed_22)
+from tricross.moves import Move, _joins_22, _rewrite, rekeyed_22
 
-from conftest import all_matchings, component_diagrams
+from conftest import (all_matchings, candidates_01, component_diagrams,
+                      diagrams_10_01, diagrams_with_loops, legs_22)
 from test_golden import (dual_matching, floating_diagram, inflation,
                          random_pairing)
-from test_moves import (_01_candidates, _10_01_diagrams, _diagrams_with_loops,
-                        _legs_22, turn_template)
+from test_moves import turn_template
 
 
 def reference_darts(d):
@@ -224,7 +223,7 @@ def test_loop_moves_trace_nothing(monkeypatch):
     moved = []
     for d in sources:
         key = min(d.loops)
-        for new in (drop_loop(d, LoopSite(key)), add_loop(d, key)):
+        for new in (drop_loop(d, key), add_loop(d, key)):
             assert new.faces() is d.faces()
             assert new.face_store() is d.face_store()
             assert new.face_of(key) == d.face_of(key)
@@ -330,7 +329,7 @@ def validate_corpus():
     the empty disk with loops; each as it is and in seeded rewirings."""
     bases = component_diagrams(dual_matching(4, 3)) + [standard_diagram(
         Matching.from_dict(4, {0: 5, 2: 7, 4: 1, 6: 3}))]
-    bases += [inflation(seed) for seed in range(8)] + _diagrams_with_loops()
+    bases += [inflation(seed) for seed in range(8)] + diagrams_with_loops()
     rng = random.Random(19)
     out = [empty_diagram().with_loops({(): 2})]
     for d in bases:
@@ -485,10 +484,10 @@ def test_code_joins_equal_the_tuple_port_joins_on_a_walk():
 def test_carried_faces_equal_a_full_trace_after_1_0_and_0_1_moves():
     """A free loop to place makes the move resolve the carry itself."""
     checked = pending = 0
-    for d in (_10_01_diagrams() + _diagrams_with_loops()
+    for d in (diagrams_10_01() + diagrams_with_loops()
               + [inflation(seed) for seed in range(12)]):
         news = [apply_10(d, site) for site in find_10_sites(d)]
-        news += [apply_01(d, *cand) for cand in _01_candidates(d)]
+        news += [apply_01(d, *cand) for cand in candidates_01(d)]
         for new in news:
             pending += 'carry' in new._cache
             checked += same_as_fresh(new)
@@ -510,7 +509,7 @@ def reference_rekeyed(d, nd, site):
     darts sent to the new centre and the other two bigon ports deleted."""
     (X, x1), (Y, y1) = site.x, site.y
     centre = ('c', X, (x1 + 4) % 6)
-    renamed = {**_legs_22(site), ('c', X, x1): centre, ('c', Y, y1): centre,
+    renamed = {**legs_22(site), ('c', X, x1): centre, ('c', Y, y1): centre,
                ('c', X, (x1 + 1) % 6): None, ('c', Y, (y1 + 1) % 6): None}
     joined = {p for join in reference_joins_22(d, site) for p in join}
     ref = fresh(nd)
@@ -570,7 +569,7 @@ def test_rekeyed_22_is_the_reference_at_every_site():
     counts = [_check_rekeyed_22(_moves_22(diagrams)) for diagrams in (
         component_diagrams(dual_matching(4, 3)),
         component_diagrams(dual_matching(4, 4)),
-        _diagrams_with_loops())]
+        diagrams_with_loops())]
     assert counts == [28, 140, 48]
 
 
@@ -589,7 +588,7 @@ def test_face_lookups_refuse_darts_with_no_face():
     (the last id, or one before it), slot 6 of each crossing, crossing -1
     and ids past the last crossing."""
     removed = Counter()
-    for d in _10_01_diagrams() + [inflation(seed) for seed in range(12)]:
+    for d in diagrams_10_01() + [inflation(seed) for seed in range(12)]:
         d.face_store()  # so that each move carries the faces
         top = max(d.crossings)
         for site in find_10_sites(d):
@@ -638,7 +637,7 @@ def test_carries_build_on_carries_along_move_chains():
             moves = ([(apply_22, site) for site in find_22_sites(d)]
                      + [(apply_10, site) for site in find_10_sites(d)])
             if not moves or rng.random() < 0.2:
-                d = apply_01(d, *rng.choice(_01_candidates(d)))
+                d = apply_01(d, *rng.choice(candidates_01(d)))
             else:
                 move, site = rng.choice(moves)
                 d = move(d, site)
@@ -656,10 +655,11 @@ def test_no_carry_from_an_untraced_or_pending_parent():
     new = _rewrite(untraced, _joins_22(untraced, site))
     assert 'carry' not in new._cache
     same_as_fresh(new)
-    mid, mv = move_22(d, site)
+    mid = apply_22(d, site)
     assert 'carry' in mid._cache
-    back = _rewrite(mid, _joins_22(mid, TwoTwoSite(
-        ('c',) + min(mv.data[2], mv.data[3]), mv.data[2], mv.data[3])))
+    nx, ny = Move('22', (site.x, site.y)).inverse().data
+    back = _rewrite(mid, _joins_22(mid, TwoTwoSite(('c',) + min(nx, ny),
+                                                   nx, ny)))
     assert 'carry' not in back._cache and 'carry' in mid._cache
     assert back.canonical_key() == d.canonical_key()
     same_as_fresh(back)
@@ -676,8 +676,9 @@ def test_an_inflation_holds_no_pending_carry():
 
 def test_a_copy_with_loops_keeps_a_pending_carry():
     d = component_diagrams(dual_matching(4, 3))[3]
-    new, mv = move_22(d, find_22_sites(d)[0])
-    centre = ('c',) + min(mv.data[2], mv.data[3])
+    site = find_22_sites(d)[0]
+    new = apply_22(d, site)
+    centre = ('c',) + min(Move('22', (site.x, site.y)).inverse().data)
     copy = new.with_loops({centre: 2})
     assert 'carry' in copy._cache
     same_as_fresh(copy)

@@ -14,7 +14,7 @@ from tricross import (STRATEGIES, Matching, enumerate_component,
 from tricross import movegraph
 from tricross.diagram import trace_strands
 from tricross.movegraph import closure
-from tricross.moves import find_22_sites, move_22
+from tricross.moves import Move, apply_22, find_22_sites
 from tricross.reduce import inflate
 
 from conftest import all_matchings, closure_applied, component_diagrams
@@ -182,7 +182,7 @@ def test_component_diagrams_are_the_graph_vertices_in_order(m):
 def test_closure_new_keys_are_the_component():
     m, root = _dual_4x3_root()
     new_keys = [nd.canonical_key()
-                for _, _, _, nd, new, _ in closure(root) if new]
+                for _, _, nd, new, _ in closure(root) if new]
     assert len(new_keys) == len(set(new_keys))
     g = enumerate_component(m)
     assert {root.canonical_key()} | set(new_keys) == set(g.vertices)
@@ -192,12 +192,11 @@ def test_closure_new_keys_are_the_component():
 def test_closure_inside_takes_only_moves_inside():
     _, root = _dual_4x3_root()
     everywhere = {nd.canonical_key()
-                  for _, _, _, nd, _, _ in closure_applied(root)}
+                  for _, _, nd, _, _ in closure_applied(root)}
     for inside in (set(root.crossings[1:]), set(root.crossings[:-1])):
         reached = set()
-        for d, site, move, nd, new, _ in closure_applied(root, inside):
+        for d, site, nd, new, _ in closure_applied(root, inside):
             assert site.x[0] in inside and site.y[0] in inside
-            assert {move.data[0][0], move.data[1][0]} <= inside
             reached.add(nd.canonical_key())
         assert reached and reached < everywhere
     assert not list(closure(root, set()))
@@ -221,11 +220,11 @@ def test_closure_takes_each_edge_once(w, h, edges):
     root = standard_diagram(m)
     vertices = [root]
     taken, inverses = [], set()
-    for d, site, move, nd, new, _ in closure_applied(root):
+    for d, site, nd, new, _ in closure_applied(root):
         if new:
             vertices.append(nd)
         taken.append(_site_in_canonical_form(d, site.x, site.y))
-        inverses.add(_site_in_canonical_form(nd, *move.data[2:]))
+        inverses.add(_site_in_canonical_form(nd, *_centre(site)))
     assert len(enumerate_component(m).edges) == edges
     assert len(taken) == len(set(taken)) == len(inverses) == edges
     assert not inverses & set(taken)
@@ -233,6 +232,12 @@ def test_closure_takes_each_edge_once(w, h, edges):
              for s in find_22_sites(v)}
     assert len(sites) == 2 * edges
     assert inverses | set(taken) == sites
+
+
+def _centre(site):
+    """The darts of the centre the 2<->2 move at ``site`` makes, where
+    its inverse starts."""
+    return Move('22', (site.x, site.y)).inverse().data
 
 
 def _closure_taking_every_move(diagram):
@@ -244,14 +249,14 @@ def _closure_taking_every_move(diagram):
         nxt = []
         for d in frontier:
             for site in find_22_sites(d):
-                nd, move = move_22(d, site)
+                nd = apply_22(d, site)
                 code = nd.canonical_code()
                 vertex = seen.get(code)
                 new = vertex is None
                 if new:
                     vertex = seen[code] = len(seen)
                     nxt.append(nd)
-                yield d, site, move, nd, new, vertex
+                yield d, site, nd, new, vertex
         frontier = nxt
 
 
@@ -259,7 +264,7 @@ def _summary(walk, diagram):
     """The codes of the new states in order, the number of moves, and the
     first move seen between each two states, of ``walk(diagram)``."""
     news, moves, first = [], 0, {}
-    for d, site, _, nd, new, _ in walk(diagram):
+    for d, site, nd, new, _ in walk(diagram):
         a, b = d.canonical_code(), nd.canonical_code()
         if new:
             news.append(b)
@@ -282,11 +287,11 @@ def _against_every_move(diagram):
                                                 diagram)
     vertices = [diagram]
     sites, reverses = [], set()
-    for d, site, move, nd, new, _ in closure_applied(diagram):
+    for d, site, nd, new, _ in closure_applied(diagram):
         if new:
             vertices.append(nd)
         sites.append(_site_in_canonical_form(d, site.x, site.y))
-        reverses.add(_site_in_canonical_form(nd, *move.data[2:]))
+        reverses.add(_site_in_canonical_form(nd, *_centre(site)))
     assert len(sites) == len(set(sites)) == len(reverses) == taken
     assert not reverses & set(sites)
     assert reverses | set(sites) == {

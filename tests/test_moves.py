@@ -1,5 +1,6 @@
 """Local moves: sites, the 2<->2 template, 1->0 splices, badgons, logs."""
 
+import copy
 import random
 from itertools import chain, combinations
 
@@ -10,13 +11,14 @@ from tricross import (TripleDiagram, Matching, standard_diagram,
                       apply_01, drop_loop, add_loop, find_badgons,
                       is_minimal, replay, MoveError)
 from tricross import moves as moves_module
-from tricross.moves import (move_22, move_22_at, OneZeroSite, LoopSite,
-                            MoveLog, Move, apply_move, Badgon, scan_badgons,
-                            rekeyed_22)
+from tricross.moves import (OneZeroSite, MoveLog, Move, apply_move, Badgon,
+                            scan_badgons, rekeyed_22)
 from tricross.reduce import pattern_template, inflate, reduce_to_minimal
 from tricross.diagram import is_source
 
-from conftest import all_matchings, closure_applied, component_diagrams
+from conftest import (all_matchings, candidates_01, closure_applied,
+                      component_diagrams, diagrams_10_01, diagrams_with_loops,
+                      floating_island, legs_22)
 from test_golden import dual_matching, inflation
 from test_textio_cli import reference_face_index
 
@@ -56,7 +58,7 @@ def _swapped_and_turned(mv, turn):
     """The port map taking X and Y of the 2<->2 move ``mv`` at ((X, x1),
     (Y, y1)) to each other, turned by ``y1 - x1 + turn`` and ``x1 - y1 +
     turn``; it fixes every other port."""
-    (X, x1), (Y, y1) = mv.data[:2]
+    (X, x1), (Y, y1) = mv.data
     to = {X: (Y, y1 - x1 + turn), Y: (X, x1 - y1 + turn)}
 
     def f(port):
@@ -77,7 +79,8 @@ def test_the_inverse_22_lands_on_its_start_swapped_and_turned():
     taken = 0
     for w, h in ((4, 3), (4, 4), (6, 4)):
         dual = tiling_to_diagram(enumerate_tilings(Region.rectangle(w, h))[0])
-        for d, _, mv, nd, _, _ in closure_applied(dual):
+        for d, site, nd, _, _ in closure_applied(dual):
+            mv = Move('22', (site.x, site.y))
             back = apply_move(nd, mv.inverse())
             assert sorted(back.crossings) == sorted(d.crossings)
             ports = [('b', i) for i in range(2 * d.n)] + [
@@ -183,13 +186,13 @@ def test_apply_move_refuses_a_22_move_off_its_site():
     site = find_22_sites(left)[0]
     Y, y1 = site.y
     with pytest.raises(MoveError, match="face changed"):
-        apply_move(left, move_22_at(site.x, (Y, (y1 + 2) % 6)))
+        apply_move(left, Move('22', (site.x, (Y, (y1 + 2) % 6))))
     wide = next(d[1:] for f in left.faces() if len(f.darts) > 2
                 for d in f.darts if d[0] == 'c')
     with pytest.raises(MoveError, match="face changed"):
-        apply_move(left, move_22_at(wide, site.y))
-    assert apply_move(left, move_22_at(site.x, site.y)) == apply_22(left,
-                                                                    site)
+        apply_move(left, Move('22', (wide, site.y)))
+    assert apply_move(left, Move('22', (site.x, site.y))) == apply_22(left,
+                                                                      site)
 
 
 def test_10_monogon_splice():
@@ -247,10 +250,10 @@ def test_loop_add_drop_roundtrip(rotation3):
     assert not d2.is_connected()
     badgons = find_badgons(d2)
     assert [b.kind for b in badgons] == ['simple-loop']
-    d3 = drop_loop(d2, LoopSite(key))
+    d3 = drop_loop(d2, key)
     assert d3.canonical_key() == d.canonical_key()
     with pytest.raises(MoveError):
-        drop_loop(d3, LoopSite(key))
+        drop_loop(d3, key)
 
 
 def test_standard_diagrams_badgon_free():
@@ -303,7 +306,7 @@ def _badgons_by_rescan(d):
 
 def test_find_badgons_matches_the_rescan():
     from tricross import enumerate_connected_diagrams, minimal_crossing_count
-    diagrams = list(_10_01_diagrams())
+    diagrams = list(diagrams_10_01())
     for m in all_matchings(2):
         k = minimal_crossing_count(m)
         for extra in (1, 2):
@@ -333,8 +336,9 @@ def test_movelog_replay_detects_divergence(rotation3):
     sites = find_22_sites(d)
     if not sites:
         pytest.skip("no sites")
-    nd, mv = move_22(d, sites[0])
-    log = MoveLog(d.canonical_key())
+    nd = apply_22(d, sites[0])
+    mv = Move('22', (sites[0].x, sites[0].y))
+    log = MoveLog(d)
     log.record(d, [mv])
     assert len(log) == 1 and log.counts() == {'22': 1}
     assert replay(d, log).canonical_key() == nd.canonical_key()
@@ -391,7 +395,7 @@ def test_recording_a_22_move_reads_its_face_once(monkeypatch):
         return face_key(self, dart)
 
     monkeypatch.setattr(TripleDiagram, "face_key", counted)
-    again = MoveLog(start.canonical_key())
+    again = MoveLog(start)
     last = again.record(start, log.moves)
     assert len(calls) == 2
     assert (again.moves, again.faces) == (log.moves, log.faces)
@@ -413,11 +417,11 @@ def test_stale_moves_raise_move_error():
         gone = "face gone" if move.kind in ('22', 'add', 'drop') else None
         with pytest.raises(MoveError, match=gone):
             apply_move(d, move)
-        log = MoveLog(d.canonical_key())
+        log = MoveLog(d)
         with pytest.raises(MoveError, match=gone):
             log.record(d, [move])
         with pytest.raises(MoveError, match=gone):
-            replay(d, MoveLog(d.canonical_key(), [move], [None]))
+            replay(d, _tampered(log, [move], [None]))
 
 
 def test_replay_refuses_a_log_with_a_face_per_move_missing_or_extra(
@@ -427,7 +431,7 @@ def test_replay_refuses_a_log_with_a_face_per_move_missing_or_extra(
     replays to that move's end."""
     start, end, log = _connect_4x3()
     assert replay(start, log).canonical_key() == end.canonical_key()
-    cut = MoveLog(log.initial_key)
+    cut = MoveLog(start)
     cut.record(start, log.moves[:1])
     first = replay(start, cut)
     assert first.canonical_key() == cut.end.canonical_key() \
@@ -443,9 +447,21 @@ def test_replay_refuses_a_log_with_a_face_per_move_missing_or_extra(
     for faces in (log.faces[:1], log.faces + [None]):
         with pytest.raises(MoveError, match="2 moves but %d faces"
                            % len(faces)):
-            replay(start, MoveLog(log.initial_key, log.moves, faces,
-                                  log.end))
+            replay(start, _tampered(log, log.moves, faces))
     assert applied == []
+
+
+def test_a_log_of_no_move_read_back_ends_at_its_start(rotation3):
+    """The standard n=3 rotation diagram reduces by no move.  Its log,
+    written and read back, ends at that diagram, and ``replay`` accepts
+    it."""
+    from tricross import textio, to_standard
+    d = standard_diagram(rotation3)
+    _, log = to_standard(d)
+    assert len(log) == 0
+    parsed, last = textio.read_movelog(textio.write_movelog(d, log), d)
+    assert parsed == log and parsed.end is last is d
+    assert replay(d, parsed) is d
 
 
 def test_replay_refuses_a_log_from_another_diagram():
@@ -470,11 +486,19 @@ def test_replay_refuses_a_log_whose_moves_apply_but_whose_record_is_wrong():
         replay(start, log)
 
 
+def _tampered(log, moves, faces):
+    """A copy of ``log`` holding ``moves`` and ``faces`` as if recorded,
+    its start and end kept."""
+    bad = copy.copy(log)
+    bad.moves, bad.faces = moves, faces
+    return bad
+
+
 def _one_move_replaced(log, i, move):
     """``log`` with its i-th move replaced by ``move``, every recorded
     face index and the end kept."""
     moves = log.moves[:i] + [move] + log.moves[i + 1:]
-    return MoveLog(log.initial_key, moves, list(log.faces), log.end)
+    return _tampered(log, moves, list(log.faces))
 
 
 def test_replay_catches_one_wrong_move_in_the_middle():
@@ -493,9 +517,9 @@ def test_replay_catches_one_wrong_move_in_the_middle():
     for mv in log.moves[:4]:
         cur = apply_move(cur, mv)
     site = next(s for s in find_22_sites(cur)
-                if move_22_at(s.x, s.y) != log.moves[4])
+                if Move('22', (s.x, s.y)) != log.moves[4])
     with pytest.raises(MoveError, match="replay diverged at 22 move"):
-        replay(d, _one_move_replaced(log, 4, move_22_at(site.x, site.y)))
+        replay(d, _one_move_replaced(log, 4, Move('22', (site.x, site.y))))
 
     d = inflation(29)
     _, log = reduce_to_minimal(d)
@@ -505,7 +529,7 @@ def test_replay_catches_one_wrong_move_in_the_middle():
     assert other not in log.moves[1:3]
     with pytest.raises(MoveError, match="stale 1->0 site"):
         replay(d, _one_move_replaced(log, 1, other))
-    cut = MoveLog(log.initial_key)
+    cut = MoveLog(d)
     cut.record(d, log.moves[:3])
     bad = _one_move_replaced(cut, 1, other)
     with pytest.raises(MoveError, match="replay diverged at the end"):
@@ -550,19 +574,10 @@ def test_badgon_presence_invariant_under_22():
 # ----------------------------------------------------------------------
 # the 2<->2 move as a local rewrite
 
-def _legs_22(site):
-    """Old port -> new port of the four legs a 2<->2 move carries."""
-    (X, x1), (Y, y1) = site.x, site.y
-    return {('c', X, (x1 + 4) % 6): ('c', Y, y1),
-            ('c', X, (x1 + 5) % 6): ('c', Y, (y1 + 1) % 6),
-            ('c', Y, (y1 + 4) % 6): ('c', X, x1),
-            ('c', Y, (y1 + 5) % 6): ('c', X, (x1 + 1) % 6)}
-
-
 def _rebuilt_22_edges(d, site):
     """Reference: the 2<->2 move as a full rebuild from the edge list."""
     (X, x1), (Y, y1) = site.x, site.y
-    port_map = _legs_22(site)
+    port_map = legs_22(site)
     bigon = ({('c', X, x1), ('c', Y, (y1 + 1) % 6)},
              {('c', Y, y1), ('c', X, (x1 + 1) % 6)})
     edges = [(port_map.get(p, p), port_map.get(q, q))
@@ -573,7 +588,8 @@ def _rebuilt_22_edges(d, site):
 
 
 def _check_local_22(d, site):
-    nd, mv = move_22(d, site)
+    nd = apply_22(d, site)
+    mv = Move('22', (site.x, site.y))
     assert nd.edges == _rebuilt_22_edges(d, site)
     _carries_its_array(nd)
     assert nd.validate() == []
@@ -581,8 +597,8 @@ def _check_local_22(d, site):
     (matching, closed), (matching2, closed2) = d.trace(), nd.trace()
     assert matching2 == matching and len(closed2) == len(closed)
     assert sum(nd.loops.values()) == sum(d.loops.values())
-    # the recorded new site is the new central bigon
-    new_x, new_y = mv.data[2], mv.data[3]
+    # the inverse's site is the new central bigon
+    new_x, new_y = mv.inverse().data
     center = nd.face_of(('c',) + new_x)
     assert set(center.darts) == {('c',) + new_x, ('c',) + new_y}
     # the face hand-off: every face the move traces again has an image,
@@ -599,33 +615,13 @@ def _check_local_22(d, site):
     # the template's rule over every face: the new face of the first dart
     # the move keeps, the centre's darts renamed to the new centre's
     (X, x1), (Y, y1) = site.x, site.y
-    renamed = {**_legs_22(site), ('c', X, x1): center.darts[0],
+    renamed = {**legs_22(site), ('c', X, x1): center.darts[0],
                ('c', Y, y1): center.darts[0],
                ('c', X, (x1 + 1) % 6): None, ('c', Y, (y1 + 1) % 6): None}
     for f in d.faces():
         kept = [renamed.get(x, x) for x in f.darts]
         assert fmap[f.key] == nd.face_of(next(x for x in kept if x)).key
     return 1
-
-
-def _diagrams_with_loops():
-    """Seeded inflations, and 4x3 dual vertices given free loops."""
-    out = []
-    for seed in range(16):
-        rng = random.Random(seed)
-        n = 3 + seed % 4
-        outs = [2 * i + 1 for i in range(n)]
-        rng.shuffle(outs)
-        m = Matching.from_dict(n, dict(zip(range(0, 2 * n, 2), outs)))
-        d, _ = inflate(standard_diagram(m), 1 + seed % 3, 1 + seed % 2,
-                       rng.randint(0, 4), rng)
-        out.append(d)
-    rng = random.Random(5)
-    for d in component_diagrams(dual_matching(4, 3)):
-        for _ in range(3):
-            d = add_loop(d, rng.choice(d.faces()).key)
-        out.append(d)
-    return out
 
 
 def test_local_22_on_every_site_of_the_4x3_move_graph():
@@ -636,7 +632,7 @@ def test_local_22_on_every_site_of_the_4x3_move_graph():
 
 
 def test_local_22_on_every_site_of_inflations_with_loops():
-    diagrams = _diagrams_with_loops()
+    diagrams = diagrams_with_loops()
     assert all(d.loops for d in diagrams)
     checked = sum(_check_local_22(d, site) for d in diagrams
                   for site in find_22_sites(d))
@@ -732,24 +728,6 @@ def _rebuilt_01(d, edge_p, edge_q, side):
     return _rebuilt(d, d.crossings + (k,), {a, c}, joins)
 
 
-def _01_candidates(d):
-    """Every (edge_p, edge_q, side) that ``inflate`` can pick in ``d``."""
-    out = []
-    for f in d.faces():
-        darts, seen = [], set()
-        for x in f.darts:
-            if x[0] in ('b', 'c') and frozenset((x, d.edges[x])) not in seen:
-                seen.add(frozenset((x, d.edges[x])))
-                darts.append(x)
-        for dp in darts:
-            for dq in darts:
-                if dq != dp:
-                    out.append((dp if is_source(dp) else d.edges[dp],
-                                dq if is_source(dq) else d.edges[dq],
-                                'l' if is_source(dp) else 'r'))
-    return out
-
-
 def _carries_its_array(new):
     """The partner array the move patched equals the array rebuilt from
     ``new.edges`` (up to trailing holes a deleted last crossing leaves)."""
@@ -774,39 +752,9 @@ def _same(new, ref):
     return 1
 
 
-def _island():
-    return TripleDiagram.from_edge_list(
-        0, [7], [(('c', 7, 1), ('c', 7, 0)), (('c', 7, 3), ('c', 7, 4)),
-                 (('c', 7, 5), ('c', 7, 2))])
-
-
-def _10_01_diagrams():
-    """Seeded inflations with and without free loops, the floating
-    island alone and beside a standard diagram, and an arc through the
-    self-crossing of a closed figure eight (a 1->0 there closes a loop
-    beside the arc)."""
-    out = []
-    for seed in range(12):
-        rng = random.Random(seed)
-        n = 2 + seed % 3
-        outs = [2 * i + 1 for i in range(n)]
-        rng.shuffle(outs)
-        m = Matching.from_dict(n, dict(zip(range(0, 2 * n, 2), outs)))
-        d, _ = inflate(standard_diagram(m), 1 + seed % 3, 1 + seed % 2,
-                       rng.randint(0, 4), rng)
-        out += [d, d.with_loops({})]
-    d0 = standard_diagram(Matching.from_dict(2, {0: 3, 2: 1}))
-    out += [_island(), TripleDiagram.from_edge_list(
-        2, d0.crossings + (7,), d0.edge_list() + _island().edge_list())]
-    out.append(TripleDiagram.from_edge_list(1, [0], [
-        (('b', 0), ('c', 0, 2)), (('c', 0, 5), ('b', 1)),
-        (('c', 0, 1), ('c', 0, 0)), (('c', 0, 3), ('c', 0, 4))]))
-    return out
-
-
 def test_local_10_matches_the_full_rebuild():
     checked = made = 0
-    for d in _10_01_diagrams():
+    for d in diagrams_10_01():
         for site in find_10_sites(d):
             new = apply_10(d, site)
             checked += _same(new, _rebuilt_10(d, site))
@@ -816,8 +764,8 @@ def test_local_10_matches_the_full_rebuild():
 
 def test_local_01_matches_the_full_rebuild():
     checked = 0
-    for d in _10_01_diagrams():
-        for cand in _01_candidates(d):
+    for d in diagrams_10_01():
+        for cand in candidates_01(d):
             checked += _same(apply_01(d, *cand), _rebuilt_01(d, *cand))
     assert checked >= 1000
 
@@ -830,14 +778,14 @@ def test_kept_darts_of_an_old_face_stay_in_one_new_face():
     1->0 move must never split those darts across two new faces."""
     images = 0
     for d in chain(component_diagrams(dual_matching(4, 3)),
-                   _diagrams_with_loops(), _10_01_diagrams()):
+                   diagrams_with_loops(), diagrams_10_01()):
         moves = []
         for site in find_22_sites(d):
             (X, x1), (Y, y1) = site.x, site.y
             gone = [('c', X, x1), ('c', X, (x1 + 1) % 6),
                     ('c', Y, y1), ('c', Y, (y1 + 1) % 6)]
             moves.append((apply_22(d, site),
-                          {**_legs_22(site), **dict.fromkeys(gone)}))
+                          {**legs_22(site), **dict.fromkeys(gone)}))
         for site in find_10_sites(d):
             gone = [('c', site.crossing, s) for s in range(6)]
             moves.append((apply_10(d, site), dict.fromkeys(gone)))
@@ -854,7 +802,7 @@ def test_a_closed_loop_lands_outside_the_edge_that_closes_it():
     """In the figure eight beside an arc, C0.3-C0.4 closes a monogon; the
     loop that the 1->0 move at (0, 0) makes lies outside it, on the
     arc's side that ends at B1, face ('+', 0)."""
-    eight = _10_01_diagrams()[-1]
+    eight = diagrams_10_01()[-1]
     assert eight.face_of(('c', 0, 3)).darts == (('c', 0, 3),)
     assert ('b', 1) in eight.face_of(('c', 0, 4)).darts
     new = apply_10(eight, OneZeroSite(0, 0))
@@ -867,8 +815,9 @@ def test_loops_of_a_face_that_keeps_no_dart_go_to_the_centre():
     of its faces: their loops, like the two it closes, go to the centre,
     the first face of the result (module docstring)."""
     d0 = standard_diagram(Matching.from_dict(2, {0: 3, 2: 1}))
-    for d in (_island(), TripleDiagram.from_edge_list(
-            2, d0.crossings + (7,), d0.edge_list() + _island().edge_list())):
+    for d in (floating_island(), TripleDiagram.from_edge_list(
+            2, d0.crossings + (7,),
+            d0.edge_list() + floating_island().edge_list())):
         site = find_10_sites(d)[0]
         monogon = d.face_of(('c', 7, site.slot)).key
         island = [f.key for f in d.faces() if f.key != monogon

@@ -506,7 +506,7 @@ def test_comb_straightens_when_no_strand_crosses_twice(monkeypatch, n,
         return comb(diagram, region, a, dirn, log)
 
     monkeypatch.setattr(reducer, "_comb", counted)
-    log = MoveLog(d.canonical_key())
+    log = MoveLog(d)
     final = straighten(d, _whole(d), 0, 1, log)
     assert combs and set(combs) == {(0, 1)}
     assert log.moves and all(mv.kind == '22' for mv in log.moves)

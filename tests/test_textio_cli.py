@@ -222,7 +222,7 @@ def test_movelog_roundtrip_every_move_kind(monkeypatch):
               Matching.from_dict(4, {0: 5, 2: 7, 4: 1, 6: 3})):
         d0 = standard_diagram(m)
         d, moves = inflate(d0, 2, 2, 4, rng)
-        grow = MoveLog(d0.canonical_key())
+        grow = MoveLog(d0)
         grow.record(d0, moves)
         logs += [(d0, grow), (d, to_standard(d)[1])]
     record = MoveLog.record
@@ -567,6 +567,33 @@ def test_cli_reduce_and_minimal(tmp_path):
                   "--log", str(lfile))
     assert out.returncode == 0
     assert lfile.read_text().splitlines()[0] == "movelog v1"
+
+
+def test_cli_enumerate_compares_with_the_oracle(tmp_path):
+    """An n=2 matching: stdout is the ``movegraph v1`` text, and stderr
+    the one-line comparison with the oracle.  ``--guard`` is no option."""
+    m = Matching.from_dict(2, {0: 3, 2: 1})
+    mfile = tmp_path / "m.txt"
+    mfile.write_text(textio.write_matching(m))
+    out = run_cli("enumerate", "--in", str(mfile))
+    assert out.returncode == 0
+    assert out.stdout == textio.write_movegraph(enumerate_component(m))
+    assert out.stderr == "component=1 oracle=1 equal=True\n"
+    out = run_cli("enumerate", "--in", str(mfile), "--guard", "0")
+    assert out.returncode == 2 and out.stdout == ""
+
+
+def test_cli_enumerate_reports_a_skipped_oracle(tmp_path):
+    """An n=5 matching is past the oracle's guard: stdout is still the
+    ``movegraph v1`` text, and stderr says why the oracle did not run."""
+    m = Matching.from_dict(5, {0: 3, 2: 5, 4: 1, 6: 7, 8: 9})
+    mfile = tmp_path / "m.txt"
+    mfile.write_text(textio.write_matching(m))
+    out = run_cli("enumerate", "--in", str(mfile))
+    assert out.returncode == 0
+    assert out.stdout == textio.write_movegraph(enumerate_component(m))
+    assert out.stderr.splitlines() == [
+        "oracle skipped: oracle guard: n <= 4 and count <= 5"]
 
 
 def test_cli_error_is_structured(tmp_path):

@@ -32,7 +32,7 @@ POOL = ("", "0", "1", "2", "3", "-1", "7", "99", "x", "1.5", "B0", "B-1",
 
 
 def _log_text(start, moves):
-    log = MoveLog(start.canonical_key())
+    log = MoveLog(start)
     log.record(start, moves)
     return textio.write_movelog(start, log)
 

@@ -9,7 +9,10 @@ docstrings, which never execute, are not counted.  Stdlib only.
     python3 tools/never_run.py            # the tier-1 suite, about 3 minutes
     python3 tools/never_run.py tests/test_moves.py   # extra args go to pytest
 
-Exit status is pytest's.
+Exit status is pytest's when pytest fails; otherwise 1 when a never-run
+statement line is not a ``raise`` statement (each such line is marked
+``not a raise``), else 0.  A guard that raises may stay untested; any
+other statement the suite never runs is dead code or a missing test.
 """
 
 import ast
@@ -23,8 +26,9 @@ SKIP = {"cli.py"}
 
 
 def statement_lines(path):
-    """First lines of the statements of ``path`` that compile to code."""
-    lines = set()
+    """First line -> statement, of the statements of ``path`` that compile
+    to code (the outermost one, when a line starts several)."""
+    lines = {}
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if not isinstance(node, ast.stmt):
             continue
@@ -33,7 +37,7 @@ def statement_lines(path):
         if (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
                 and isinstance(node.value.value, str)):
             continue  # a docstring
-        lines.add(node.lineno)
+        lines.setdefault(node.lineno, node)
     return lines
 
 
@@ -65,17 +69,22 @@ def main(argv):
         sys.settrace(None)
         threading.settrace(None)
 
-    total = 0
+    total = others = 0
     for name, path in files.items():
-        missed = sorted(statement_lines(path) - ran[name])
+        statements = statement_lines(path)
+        missed = sorted(statements.keys() - ran[name])
         total += len(missed)
         source = path.read_text().splitlines()
         print("%s: %d never-run statement lines" % (path.name, len(missed)))
         for no in missed:
-            print("  %d: %s" % (no, source[no - 1].strip()))
-    print("total: %d never-run statement lines outside %s"
-          % (total, ", ".join(sorted(SKIP))))
-    return int(status)
+            mark = ""
+            if not isinstance(statements[no], ast.Raise):
+                others += 1
+                mark = "  <- not a raise"
+            print("  %d: %s%s" % (no, source[no - 1].strip(), mark))
+    print("total: %d never-run statement lines outside %s, %d not a raise"
+          % (total, ", ".join(sorted(SKIP)), others))
+    return int(status) or int(others > 0)
 
 
 if __name__ == "__main__":
