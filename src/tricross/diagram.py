@@ -71,14 +71,23 @@ Conventions (global, used by every other module):
   codes ``i`` for ``Bi`` and ``2n + 6*id + (s - phase) % 6`` for slot
   ``s``; ends are met in increasing order, so the codes come out sorted,
   as their text sorts.  The canonical key renders the endpoint walk's
-  codes; ``canonical_code`` is those codes, for a connected diagram with
-  no free loop.  A floating component is walked from every root and
-  phase, its text sorted (``C10.0`` before ``C2.0``); the least wins,
-  ties to the first root.  ``is_connected`` asks whether the endpoint
-  walk labels every crossing; ``validate`` counts V, E and F per walked
-  component, E from the labels alone.  These callers share one endpoint
-  walk per diagram, dropped once the key text is rendered; ``walk_label``
-  reads its label, from the canonical form after that.
+  codes, each edge's text twice (once per end), joined from texts kept
+  per ``(n, width)`` and bounded as ``_tables`` is (``_edge_texts``);
+  ``canonical_code`` is those codes, for a connected diagram with no
+  free loop.  A floating component is walked from every root and phase,
+  its text sorted (``C10.0`` before ``C2.0``); the least wins, ties to
+  the first root.  ``is_connected`` asks whether the endpoint walk
+  labels every crossing; ``validate`` counts V, E and F per walked
+  component, E from the labels alone, F the phi-orbits (all of them
+  when the endpoint walk labels every crossing).  These callers share
+  one endpoint walk per diagram, dropped once the key text is rendered;
+  ``walk_label`` reads its label, from the canonical form after that.
+
+* ``validate`` checks the pairing as whole lists: each port's partner's
+  partner against the port codes, and each partner's side (source or
+  sink, a ``_tables`` table) against the side the port needs, which
+  also refuses a fixed point.  Only when a comparison fails does it
+  walk the ports, to word the violations in port order.
 
 * One kernel, ``trace_strands``, traces the strands of a partner array,
   for ``TripleDiagram.strands`` (which caches it), the oracle's fillings
@@ -130,7 +139,8 @@ def _tables(n, size):
     ``3 * c + phase // 2``, crossing ``c``'s port codes in walk order;
     phi on the arc darts, and by partner code (-1 last) the dart phi
     sends a port to; by partner code (-1 last, None), the port tuples;
-    the code of each port tuple, and of each dart tuple."""
+    the code of each port tuple, and of each dart tuple; by port code,
+    its side (1 a source, 2 a sink) and the side its partner must have."""
     m = 2 * n
     k = (size - m) // 6
     texts = (["B%d" % i for i in range(m)]
@@ -151,7 +161,31 @@ def _tables(n, size):
                   for c in range(k) for p in (0, 2, 4)),
             arcs, after, ports + (None,),
             {p: a for a, p in enumerate(ports)},
-            {d: a for a, d in enumerate(names)})
+            {d: a for a, d in enumerate(names)},
+            (1, 2) * n + (2, 1) * 3 * k, (2, 1) * n + (1, 2) * 3 * k)
+
+
+class _EdgeTexts(dict):
+    """By edge code ``a * width + b``, the edge's text twice, ``a-b;a-b``,
+    each made on first read: the key lists each edge once per end."""
+
+    def __init__(self, n, width):
+        super().__init__()
+        self.width = width
+        self.text = _tables(n, width)[2]
+
+    def __missing__(self, code):
+        a, b = divmod(code, self.width)
+        edge = self.text[a] + "-" + self.text[b]
+        self[code] = edge = edge + ";" + edge
+        return edge
+
+
+@lru_cache(maxsize=256)
+def _edge_texts(n, width):
+    """The ``_EdgeTexts`` of the canonical port codes of a diagram with
+    ``n`` endpoint pairs and ``(width - 2n) / 6`` crossings."""
+    return _EdgeTexts(n, width)
 
 
 def parse_port(text):
@@ -351,10 +385,14 @@ class TripleDiagram:
         return self._ports[self._partner[code]]
 
     def _codes(self):
-        """The port codes, increasing: none at an absent crossing id."""
+        """The port codes, increasing: none at an absent crossing id; one
+        ``range`` when the ids have no hole."""
         m = 2 * self.n
+        cs = self.crossings
+        if not cs or cs[-1] == len(cs) - 1:
+            return range(m + 6 * len(cs))
         return chain(range(m), *[range(m + 6 * c, m + 6 * c + 6)
-                                 for c in self.crossings])
+                                 for c in cs])
 
     def ports(self):
         return map(self._ports.__getitem__, self._codes())
@@ -578,26 +616,35 @@ class TripleDiagram:
         if 'unknown' in self._cache:
             return ["unknown port %s" % port_str(self._cache['unknown'])]
         partner = self._partner
-        m = 2 * self.n
         tables = _tables(self.n, len(partner))
-        kinds, text = tables[1][2 * m:], tables[2]
-        codes = list(self._codes())
-        uncovered = [a for a in codes if partner[a] < 0]
-        if uncovered:
-            return ["uncovered port %s" % text[a] for a in uncovered]
-        broken, clashes = [], []
-        for a in codes:
-            b = partner[a]
-            if b == a:
-                broken.append("fixed point at %s" % text[a])
-            elif partner[b] != a:
-                broken.append("involution broken at %s" % text[a])
-            # an edge joins a source to a sink
-            elif a < b and kinds[a] & 3 == kinds[b] & 3:
-                clashes.append("orientation clash on edge %s %s"
-                               % (text[a], text[b]))
-        if broken or clashes:
-            return broken or clashes
+        text, sides, wanted = tables[2], tables[9], tables[10]
+        codes = self._codes()
+        if type(codes) is range:  # no hole: the codes index a prefix
+            mates, wanted = partner[:len(codes)], wanted[:len(codes)]
+        else:
+            codes = list(codes)
+            mates = [partner[a] for a in codes]
+            wanted = tuple([wanted[a] for a in codes])
+        if mates and min(mates) < 0:
+            return ["uncovered port %s" % text[a] for a in codes
+                    if partner[a] < 0]
+        # whole lists first: each port its partner's partner, each partner
+        # on the other side (so no fixed point).  Only a failure words the
+        # violations, port by port
+        if ([partner[b] for b in mates] != list(codes)
+                or tuple([sides[b] for b in mates]) != wanted):
+            broken, clashes = [], []
+            for a, b in zip(codes, mates):
+                if b == a:
+                    broken.append("fixed point at %s" % text[a])
+                elif partner[b] != a:
+                    broken.append("involution broken at %s" % text[a])
+                # an edge joins a source to a sink
+                elif a < b and sides[a] == sides[b]:
+                    clashes.append("orientation clash on edge %s %s"
+                                   % (text[a], text[b]))
+            if broken or clashes:
+                return broken or clashes
 
         # planarity: per-component Euler characteristic 2.  The map is an
         # involution now, so phi is a permutation
@@ -624,9 +671,12 @@ class TripleDiagram:
         # edge joins two of them; the boundary arcs add n2 edges
         n2 = 2 * self.n
         label = self._walk()[0]
-        comp = dict.fromkeys(label, 0)
         tally = ([[n2 + len(label), n2 + (n2 + 6 * len(label)) // 2, 0]]
                  if n2 else [])
+        if n2 and len(label) == len(self.crossings):  # one component
+            tally[0][2] = len(orbits)
+            return tally
+        comp = dict.fromkeys(label, 0)
         for c in self.crossings:
             if c not in comp:
                 label = self._walk((c, 0))[0]
@@ -689,9 +739,6 @@ class TripleDiagram:
         # crossings below, which is_connected must not read
         del self._cache['walk']
         text = _tables(self.n, len(self.partners()))[2]
-        # the key lists each edge twice, once per end
-        edge_texts = [text[e // width] + "-" + text[e % width]
-                      for e in codes for _ in (0, 1)]
 
         def float_code(root, phase):
             # each edge oriented by text, the edges sorted by text
@@ -720,7 +767,8 @@ class TripleDiagram:
         loop_keys = sorted((self._canonical_face_key(k, label), v)
                            for k, v in self.loops.items())
         parts = ["n=%d" % self.n,
-                 ";".join(edge_texts),
+                 ";".join(map(_edge_texts(self.n, width).__getitem__,
+                              codes)),
                  "|".join(float_codes),
                  ",".join("%s:%d" % (k, v) for k, v in loop_keys)]
         result = ("\x1f".join(parts), label)

@@ -248,11 +248,13 @@ def walk_fillings(n, crossings, emit, want=None, arc=None):
     strand piece ending at open port ``p``.  An endpoint starts as its
     own piece, a fresh crossing as its three passes ``s <-> s + 3``, and
     each join links two pieces into one; a pop restores the two ends it
-    changed.  When a join completes a piece whose two ends are both
-    endpoints, ``arc(i, o)`` is asked with its in-endpoint ``i`` and
-    out-endpoint ``o``, and a false answer cuts the subtree.  Every arc
-    of a filling is completed by some join, so with ``arc`` the walk
-    emits exactly the fillings whose arcs all pass it.
+    changed.  ``arc`` is a matching dict too: when a join completes a
+    piece whose two ends are both endpoints, in-endpoint ``i`` and
+    out-endpoint ``o``, the subtree is cut unless ``arc.get(i) == o``.
+    Every arc of a filling is completed by some join, so with ``arc`` the
+    walk emits exactly the fillings whose arcs are all in ``arc``.  A
+    join never leaves budget to a region with no port, which could not
+    spend it.
     """
     m = 2 * n
     pairs = []
@@ -262,10 +264,9 @@ def walk_fillings(n, crossings, emit, want=None, arc=None):
                               for x in range(6 * crossings)]
 
     def run(items, next_id):
-        # items: pending (sub-boundary, exact budget) regions
+        # items: pending (sub-boundary, exact budget) regions; a region
+        # with no port has budget 0
         while items and not items[0][0]:
-            if items[0][1] != 0:
-                return
             items = items[1:]
         if not items:
             emit(pairs, next_id)
@@ -284,12 +285,13 @@ def walk_fillings(n, crossings, emit, want=None, arc=None):
             b = other[pj]
             if arc is not None and a < m and b < m:
                 i, o = (a, b) if a % 2 == 0 else (b, a)
-                if not arc(i, o):
+                if arc.get(i) != o:
                     continue
             pairs.append((p0, pj))
             other[a], other[b] = b, a
             left, right = rest[:j], rest[j + 1:]
-            for b1 in range(budget + 1):
+            for b1 in range(0 if right else budget,
+                            budget + 1 if left else 1):
                 run(((left, b1), (right, budget - b1)) + tail, next_id)
             other[a], other[b] = p0, pj
             pairs.pop()
@@ -306,7 +308,8 @@ def walk_fillings(n, crossings, emit, want=None, arc=None):
             pairs.pop()
 
     try:
-        run(((tuple(range(m)), crossings),), 0)
+        if m or not crossings:  # a disk with no port holds no crossing
+            run(((tuple(range(m)), crossings),), 0)
     finally:
         # ``run`` reaches itself through its closure; break that cycle so
         # that ``emit`` and all it holds are freed now, not at whichever
@@ -341,7 +344,7 @@ def enumerate_connected_diagrams(matching, crossings):
         d.check()
         results.setdefault(d.canonical_key(), d)
 
-    walk_fillings(n, crossings, emit, arc=lambda i, o: want.get(i) == o)
+    walk_fillings(n, crossings, emit, arc=want)
     return results
 
 

@@ -414,28 +414,28 @@ def add_loop(diagram, face_key):
 def scan_badgons(strands):
     """The monogons, then the parallel bigons, of ``strands`` (as
     ``trace_strands`` returns them) in ``find_badgons`` order, lazily: ``any``
-    stops at the first.  The one badgon scan of library, oracle and tests."""
-    for idx, (_, _, seq) in enumerate(strands):
-        last = dict(seq)  # by crossing, the slot of its last visit
+    stops at the first.  The one badgon scan of library, oracle and tests.
+    Both kinds read one pair of maps per strand, made once: by crossing,
+    the entry slot of its first and of its last visit.  A visit's
+    position is found by its (crossing, slot), which no strand repeats,
+    only where two strands share two crossings."""
+    visits = []  # per strand: (closed, visits, first slot, last slot)
+    for idx, (start, _, seq) in enumerate(strands):
+        first = last = dict(seq)
         if len(last) < len(seq):  # a crossing met twice
             first = dict(reversed(seq))
             for c in sorted(last):
                 if first[c] != last[c]:
                     yield Badgon('monogon', (idx, c))
-    visits = []  # per strand: (closed, first visit, last visit) by crossing
-    for start, _, seq in strands:
-        last = {c: t for t, (c, _) in enumerate(seq)}
-        first = last if len(last) == len(seq) else {
-            c: t for t, (c, _) in reversed(list(enumerate(seq)))}
-        visits.append((start is None, first, last))
+        visits.append((start is None, seq, first, last))
 
     def forward(k, x, y):
         # a subpath of strand k runs from crossing x to crossing y
-        closed, first, last = visits[k]
-        return closed or last[y] > first[x]
+        closed, seq, first, last = visits[k]
+        return closed or seq.index((y, last[y])) > seq.index((x, first[x]))
 
     for i, j in combinations(range(len(strands)), 2):
-        shared = visits[i][1].keys() & visits[j][1].keys()
+        shared = visits[i][3].keys() & visits[j][3].keys()
         if len(shared) > 1:
             for x, y in combinations(sorted(shared), 2):
                 if ((forward(i, x, y) and forward(j, x, y))

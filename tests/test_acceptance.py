@@ -8,7 +8,6 @@ TRICROSS_T4_FULL=1; the default run covers every other (matching, extra)
 cell exactly.
 """
 
-import itertools
 import os
 import random
 import re

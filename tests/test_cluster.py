@@ -14,7 +14,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from tricross import (DiagramError, Matching, standard_diagram, empty_diagram,
+from tricross import (DiagramError, standard_diagram, empty_diagram,
                       Region, enumerate_tilings, tiling_to_diagram,
                       init_cluster, exchange_22, laurent_audit, random_walk,
                       find_22_sites)

@@ -1,10 +1,12 @@
 """Core model: validation, tracing, faces, connectivity, canonical keys."""
 
+from itertools import chain, zip_longest
+
 import pytest
 
 from tricross import (TripleDiagram, Matching, empty_diagram, standard_diagram,
-                      find_22_sites, apply_22)
-from tricross.diagram import is_source, port_str, parse_port
+                      enumerate_connected_diagrams)
+from tricross.diagram import port_str, parse_port
 
 from conftest import all_matchings
 from test_kernel import reference_darts, reference_phi
@@ -98,6 +100,17 @@ def test_port_violation_texts_pinned():
     ]
     for n, crossings, edges, want in cases:
         assert TripleDiagram(n, crossings, edges).validate() == want
+
+    # faults met alone, on partner arrays with crossing id 0 a hole (codes
+    # 2-7): B1-C1.1, C1.0-C1.3, C1.2-C1.5 and C1.4 with the hole's C0.1,
+    # which pairs back.  A fixed point B0 breaks no involution; B0 paired
+    # with the hole's C0.0, which pairs with nothing, breaks one only
+    # there
+    for b0, want in ((0, ["fixed point at B0"]),
+                     (2, ["involution broken at B0"])):
+        partner = [b0, 9, -1, 12] + [-1] * 4 + [11, 1, 13, 8, 3, 10]
+        assert TripleDiagram(1, (1,), None,
+                             partners=partner).validate() == want
 
 
 def test_single_crossing_faces_alternate():
@@ -255,6 +268,27 @@ def test_canonical_key_invariant_under_relabeling():
         3, [0], [(('b', i), ('c', 0, (i + 2) % 6)) for i in range(6)])
     assert d3.validate() == []
     assert d1.canonical_key() == d3.canonical_key()
+
+
+def test_key_text_matches_an_uncached_rendering_across_widths():
+    """The key's edge texts are cached per (n, width): the keys of n=2
+    diagrams with 0, 1 and 2 crossings, rendered in turn, each equal the
+    text rendered here from the endpoint walk's codes."""
+    def port(n2, c):
+        return "B%d" % c if c < n2 else "C%d.%d" % divmod(c - n2, 6)
+
+    m = Matching.from_dict(2, {0: 1, 2: 3})
+    groups = [list(enumerate_connected_diagrams(m, k).values())
+              for k in (0, 1, 2)]
+    assert list(map(len, groups)) == [1, 12, 300]
+    for d in filter(None, chain(*zip_longest(*groups))):
+        d = TripleDiagram(d.n, d.crossings, None, partners=d.partners())
+        n, k, codes = d.canonical_code()
+        width = 2 * n + 6 * k
+        edges = [port(2 * n, e // width) + "-" + port(2 * n, e % width)
+                 for e in codes]
+        assert d.canonical_key() == "n=%d\x1f%s\x1f\x1f" % (
+            n, ";".join(e for e in edges for _ in (0, 1)))
 
 
 def test_canonical_key_separates_22_pair():

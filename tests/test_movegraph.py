@@ -107,6 +107,16 @@ def test_walk_with_want_alone_keeps_every_chord_pruned_filling():
     assert sum(walked.values()) == 24032
 
 
+def test_a_disk_with_no_endpoint_holds_no_crossing():
+    """The walk gives no budget to a region with no port: with n=0 it
+    emits the empty filling alone."""
+    emitted = []
+    for k in range(3):
+        movegraph.walk_fillings(0, k, lambda pairs, ncross: emitted.append(
+            (list(pairs), ncross)))
+    assert emitted == [([], 0)]
+
+
 def test_arc_pruned_walk_emits_the_fillings_of_the_wanted_trace(
         monkeypatch):
     """The walk that ``enumerate_connected_diagrams`` runs, pruned by its

@@ -9,7 +9,7 @@ import pytest
 from tricross import (STRATEGIES, TripleDiagram, Matching, standard_diagram,
                       to_standard, reduce_to_minimal, connect_minimal,
                       slide_macro, pattern_template, inflate, is_minimal,
-                      replay, find_badgons, enumerate_connected_diagrams,
+                      replay, enumerate_connected_diagrams,
                       minimal_crossing_count, textio)
 from tricross import reduce as reducer
 from tricross.diagram import port_str, strand_path
